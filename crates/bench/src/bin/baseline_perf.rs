@@ -29,6 +29,10 @@
 //! the resumable sharded corpus runner ([`corepart::corpus`]) and
 //! reports apps/sec, the aggregate Pareto-frontier size, and a
 //! byte-identical determinism re-run.
+//! A simulator section, run first, reports instruction-set-simulator
+//! throughput (Minstr/s) on every initial design, bare and with the
+//! full baseline capture, and checks that capture leaves the run
+//! statistics bit-identical to the bare run.
 //! Everything lands in `BENCH_partition.json`.
 //!
 //! ```text
@@ -49,10 +53,10 @@ use corepart::cache::hierarchy::Hierarchy;
 use corepart::cache::HierarchyReport;
 use corepart::corpus::CorpusOptions;
 use corepart::engine::Engine;
-use corepart::evaluate::{evaluate_partition, evaluate_partition_with};
+use corepart::evaluate::{evaluate_initial_captured, evaluate_partition, evaluate_partition_with};
 use corepart::explore::{explore, hardware_weight_sweep, DesignPoint};
 use corepart::ir::op::BlockId;
-use corepart::isa::simulator::{MemSink, RunStats, SimConfig, Simulator};
+use corepart::isa::simulator::{MemSink, NullSink, RunStats, SimConfig, Simulator};
 use corepart::json::{outcome_to_json, parse_json, result_field, JsonValue};
 use corepart::parallel::resolve_threads;
 use corepart::partition::{PartitionOutcome, Partitioner};
@@ -242,6 +246,97 @@ fn measure_verify(
         ),
         direct_nanos, replay_nanos, speedup, identical
     ))
+}
+
+/// Repetitions of each timed simulator run.
+const SIM_REPS: usize = 5;
+
+/// `(median, min, max)` of a small sample.
+fn median_min_max(mut xs: Vec<f64>) -> (f64, f64, f64) {
+    xs.sort_by(f64::total_cmp);
+    (xs[xs.len() / 2], xs[0], xs[xs.len() - 1])
+}
+
+/// Instruction-set-simulator throughput on one application's initial
+/// design: the bare run (fresh simulator, [`NullSink`]) and the full
+/// baseline capture run ([`evaluate_initial_captured`]: cache
+/// hierarchy plus reference-trace capture and its fingerprint), each
+/// in million executed instructions per second over [`SIM_REPS`]
+/// repetitions. `identical` holds when every repetition of both runs
+/// reports run statistics equal to the first bare run's: neither the
+/// cache hierarchy nor the trace recorder may change the accounting.
+/// Returns the JSON row.
+fn measure_simulator(w: &PaperWorkload) -> String {
+    let config = SystemConfig::new();
+    let app = w.app().expect("bundled workload lowers");
+    let workload = Workload::from_arrays(w.arrays(SEED));
+    let engine = Engine::new(config.clone()).expect("engine");
+    let session = engine.session(&app, &workload);
+    let prepared = session.prepared().expect("bundled workload prepares");
+
+    let mut bare = Vec::with_capacity(SIM_REPS);
+    let mut capture = Vec::with_capacity(SIM_REPS);
+    let mut instructions = 0;
+    let mut reference: Option<RunStats> = None;
+    let mut identical = true;
+    for _ in 0..SIM_REPS {
+        let started = Instant::now();
+        let mut sim = Simulator::with_energy_table(
+            &prepared.prog,
+            &prepared.app,
+            config.energy_table.clone(),
+        );
+        for (name, data) in &prepared.workload.arrays {
+            sim.set_array(name, data).expect("workload array");
+        }
+        let stats = sim
+            .run(&SimConfig::initial(config.max_cycles), &mut NullSink)
+            .expect("bare simulation");
+        let secs = started.elapsed().as_secs_f64();
+        instructions = stats.sw_ifetches;
+        bare.push(instructions as f64 / secs / 1e6);
+        let reference = reference.get_or_insert(stats.clone());
+        identical &= stats == *reference;
+
+        let started = Instant::now();
+        let (_, captured, trace) =
+            evaluate_initial_captured(prepared, &config, config.trace_cap_bytes)
+                .expect("capture run");
+        let secs = started.elapsed().as_secs_f64();
+        assert!(trace.is_some(), "paper workload trace fits the default cap");
+        capture.push(instructions as f64 / secs / 1e6);
+        identical &= captured == *reference;
+    }
+
+    let (bare_med, bare_min, bare_max) = median_min_max(bare);
+    let (cap_med, cap_min, cap_max) = median_min_max(capture);
+    println!(
+        "{:<8} {:>12} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10}",
+        w.name, instructions, bare_med, bare_max, cap_med, cap_max, identical
+    );
+    assert!(
+        identical,
+        "capture changed the run statistics of the bare simulation on `{}`",
+        w.name
+    );
+    format!(
+        concat!(
+            "{{\"app\":\"{}\",\"instructions\":{},\"reps\":{},",
+            "\"bare_minstr_per_s\":{{\"median\":{:.3},\"min\":{:.3},\"max\":{:.3}}},",
+            "\"capture_minstr_per_s\":{{\"median\":{:.3},\"min\":{:.3},\"max\":{:.3}}},",
+            "\"identical\":{}}}"
+        ),
+        w.name,
+        instructions,
+        SIM_REPS,
+        bare_med,
+        bare_min,
+        bare_max,
+        cap_med,
+        cap_min,
+        cap_max,
+        identical
+    )
 }
 
 /// Deterministic hardware-block set k over the application's cluster
@@ -796,6 +891,16 @@ fn main() {
         None => all(),
     };
 
+    // Instruction-set-simulator throughput on the initial designs,
+    // measured first, on a quiet process.
+    println!("simulator: initial-design runs, Minstr/s over {SIM_REPS} reps\n");
+    println!(
+        "{:<8} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "app", "instrs", "bare med", "bare max", "capt med", "capt max", "identical"
+    );
+    let simulator_rows: Vec<String> = selected.iter().map(measure_simulator).collect();
+    println!();
+
     println!("A5: energy-driven (ours) vs performance-driven (related work)\n");
     println!(
         "{:<8} {:<7} {:>10} {:>10} {:>12}",
@@ -1193,13 +1298,14 @@ fn main() {
 
     let json = format!(
         concat!(
-            "{{\"seed\":{},\"threads\":{},\"workloads\":[{}],\"batch\":[{}],",
+            "{{\"seed\":{},\"threads\":{},\"simulator\":[{}],\"workloads\":[{}],\"batch\":[{}],",
             "\"sweep\":[{}],\"nodes\":[{}],\"serve\":{{\"per_app\":[{}],\"zipf\":{},",
             "\"pipelined\":{},\"coalesced\":{}}},",
             "\"corpus\":{}}}\n"
         ),
         SEED,
         threads,
+        simulator_rows.join(","),
         outcome_rows.join(","),
         batch_rows.join(","),
         sweep_rows.join(","),

@@ -48,7 +48,7 @@ use corepart_ir::cdfg::Application;
 use corepart_sched::cache::{MemoCache, ScheduleCache};
 
 use crate::error::CorepartError;
-use crate::evaluate::evaluate_initial_captured;
+use crate::evaluate::capture_initial;
 use crate::parallel::resolve_threads;
 use crate::partition::ScheduleKey;
 use crate::prepare::{prepare, PreparedApp, Workload};
@@ -500,13 +500,9 @@ impl<'e> Session<'e> {
                 .baselines
                 .get_or_compute(self.baseline_key.clone(), || {
                     computed = true;
-                    let (metrics, stats, trace) = evaluate_initial_captured(
-                        &prepared,
-                        &self.config,
-                        self.config.trace_cap_bytes,
-                    )?;
-                    let replay =
-                        trace.map(|t| Arc::new(ReplayEngine::new(&prepared, &self.config, t)));
+                    let (metrics, stats, trace, table) =
+                        capture_initial(&prepared, &self.config, self.config.trace_cap_bytes)?;
+                    let replay = trace.map(|t| Arc::new(ReplayEngine::new(table, t)));
                     Ok(Baseline {
                         metrics,
                         stats,

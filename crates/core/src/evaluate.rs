@@ -27,6 +27,7 @@ use corepart_isa::isa::InstClass;
 use corepart_isa::profile::CoreUtilization;
 use corepart_isa::simulator::{MemSink, RunStats, SimConfig, Simulator};
 use corepart_isa::trace::{ReferenceTrace, TraceBuilder};
+use corepart_isa::DecodeTable;
 use corepart_sched::binding::{bind, schedule_cluster, utilization};
 use corepart_sched::cache::{ScheduleCache, ScheduledCluster};
 use corepart_sched::datapath::{estimate_datapath, DatapathEstimate};
@@ -157,6 +158,25 @@ pub fn evaluate_initial_captured(
     config: &SystemConfig,
     cap_bytes: usize,
 ) -> Result<(DesignMetrics, RunStats, Option<ReferenceTrace>), CorepartError> {
+    let (metrics, stats, trace, _) = capture_initial(prepared, config, cap_bytes)?;
+    Ok((metrics, stats, trace))
+}
+
+/// [`evaluate_initial_captured`] that also hands back the decode table
+/// the simulation ran on, so the replayer of the trace can share it.
+pub(crate) fn capture_initial(
+    prepared: &PreparedApp,
+    config: &SystemConfig,
+    cap_bytes: usize,
+) -> Result<
+    (
+        DesignMetrics,
+        RunStats,
+        Option<ReferenceTrace>,
+        Arc<DecodeTable>,
+    ),
+    CorepartError,
+> {
     let mut hierarchy = Hierarchy::new(
         config.icache.clone(),
         config.dcache.clone(),
@@ -190,7 +210,7 @@ pub fn evaluate_initial_captured(
         icache_miss_ratio: report.icache.miss_ratio(),
         dcache_miss_ratio: report.dcache.miss_ratio(),
     };
-    Ok((metrics, stats, trace))
+    Ok((metrics, stats, trace, Arc::clone(sim.decode_table())))
 }
 
 /// Evaluates a candidate partition end to end.

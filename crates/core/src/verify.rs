@@ -34,6 +34,7 @@ use corepart_cache::HierarchyReport;
 use corepart_ir::op::BlockId;
 use corepart_isa::simulator::{RunStats, SimConfig, SimError};
 use corepart_isa::trace::{BatchLanes, DecodedTrace, ReferenceTrace, TraceReplayer};
+use corepart_isa::DecodeTable;
 use corepart_sched::cache::MemoCache;
 
 use crate::evaluate::HierarchySink;
@@ -421,14 +422,14 @@ impl ReplayEngine {
             + self.cache.bytes() as usize
     }
 
-    /// Builds the engine (precomputes the per-pc replay table) for a
-    /// trace captured from `prepared` under `config`. The trace's
-    /// fingerprint is validated here, once; a damaged capture turns
-    /// every later [`ReplayEngine::verify`] into
+    /// Builds the engine for a trace over the decode table of the
+    /// simulation that captured it, so the program is not decoded a
+    /// second time. The trace's fingerprint is validated here, once; a
+    /// damaged capture turns every later [`ReplayEngine::verify`] into
     /// [`SimError::TraceCorrupt`].
-    pub fn new(prepared: &PreparedApp, config: &SystemConfig, trace: ReferenceTrace) -> Self {
+    pub fn new(table: Arc<DecodeTable>, trace: ReferenceTrace) -> Self {
         ReplayEngine {
-            replayer: TraceReplayer::new(&prepared.prog, &prepared.app, &config.energy_table),
+            replayer: TraceReplayer::from_table(table),
             validated: trace.validate(),
             trace: Arc::new(trace),
             cache: MemoCache::new(),

@@ -462,7 +462,7 @@ impl Codegen<'_> {
                             MachInst::Ldw {
                                 rd,
                                 base: Reg::ZERO,
-                                offset: base_addr as i32 + (*c as i32) * 4,
+                                offset: const_index_offset(base_addr, *c),
                             },
                         );
                     }
@@ -471,7 +471,7 @@ impl Codegen<'_> {
                         self.emit(
                             block,
                             MachInst::Alu {
-                                op: AluOp::Sll,
+                                op: AluOp::SllSat,
                                 rd: SA,
                                 rs1: ri,
                                 rhs: RegImm::Imm(2),
@@ -504,7 +504,7 @@ impl Codegen<'_> {
                             MachInst::Stw {
                                 rs: rv,
                                 base: Reg::ZERO,
-                                offset: base_addr as i32 + (*c as i32) * 4,
+                                offset: const_index_offset(base_addr, *c),
                             },
                         );
                     }
@@ -513,7 +513,7 @@ impl Codegen<'_> {
                         self.emit(
                             block,
                             MachInst::Alu {
-                                op: AluOp::Sll,
+                                op: AluOp::SllSat,
                                 rd: SA,
                                 rs1: ri,
                                 rhs: RegImm::Imm(2),
@@ -536,6 +536,17 @@ impl Codegen<'_> {
             }
         }
     }
+}
+
+/// The byte offset, from the zero register, of constant index `c` into
+/// the array at `base_addr`. An address that does not fit the `i32`
+/// offset field gets `i32::MIN`, which lies outside the 32-bit address
+/// space, so the access faults instead of truncating onto mapped memory.
+fn const_index_offset(base_addr: u32, c: i64) -> i32 {
+    c.checked_mul(4)
+        .and_then(|bytes| bytes.checked_add(i64::from(base_addr)))
+        .and_then(|addr| i32::try_from(addr).ok())
+        .unwrap_or(i32::MIN)
 }
 
 fn alu(op: AluOp, rd: Reg, rs1: Reg, rhs: RegImm) -> MachInst {
@@ -639,7 +650,7 @@ mod tests {
             matches!(
                 i,
                 MachInst::Alu {
-                    op: AluOp::Sll,
+                    op: AluOp::SllSat,
                     rhs: RegImm::Imm(2),
                     ..
                 }

@@ -71,6 +71,12 @@ pub enum AluOp {
     Xor,
     /// Shift left logical.
     Sll,
+    /// Shift left, saturating to `i64::MIN`/`i64::MAX` when bits of the
+    /// signed value shift out. Codegen scales array indices with it, so
+    /// an index too large to scale becomes an address outside the
+    /// 32-bit space (a [`crate::simulator::SimError::BadAccess`] at the
+    /// access) instead of wrapping onto mapped memory.
+    SllSat,
     /// Shift right arithmetic.
     Sra,
     /// Set if less than.
@@ -97,6 +103,17 @@ impl AluOp {
             AluOp::Or => a | b,
             AluOp::Xor => a ^ b,
             AluOp::Sll => a.wrapping_shl((b & 63) as u32),
+            AluOp::SllSat => {
+                let shift = (b & 63) as u32;
+                let v = a << shift;
+                if v >> shift == a {
+                    v
+                } else if a < 0 {
+                    i64::MIN
+                } else {
+                    i64::MAX
+                }
+            }
             AluOp::Sra => a.wrapping_shr((b & 63) as u32),
             AluOp::Slt => i64::from(a < b),
             AluOp::Sle => i64::from(a <= b),
@@ -110,7 +127,7 @@ impl AluOp {
     /// True for the shift operations (they exercise the core's barrel
     /// shifter rather than the adder).
     pub fn is_shift(self) -> bool {
-        matches!(self, AluOp::Sll | AluOp::Sra)
+        matches!(self, AluOp::Sll | AluOp::SllSat | AluOp::Sra)
     }
 }
 
@@ -123,6 +140,7 @@ impl fmt::Display for AluOp {
             AluOp::Or => "or",
             AluOp::Xor => "xor",
             AluOp::Sll => "sll",
+            AluOp::SllSat => "slls",
             AluOp::Sra => "sra",
             AluOp::Slt => "slt",
             AluOp::Sle => "sle",
@@ -341,6 +359,22 @@ mod tests {
         assert_eq!(AluOp::Slt.eval(1, 2), 1);
         assert_eq!(AluOp::Sge.eval(1, 2), 0);
         assert_eq!(AluOp::Xor.eval(0b101, 0b110), 0b011);
+    }
+
+    #[test]
+    fn saturating_shift_never_wraps() {
+        assert_eq!(AluOp::SllSat.eval(3, 2), 12);
+        assert_eq!(AluOp::SllSat.eval(-3, 2), -12);
+        assert_eq!(AluOp::SllSat.eval((1 << 61) - 1, 2), ((1 << 61) - 1) * 4);
+        assert_eq!(AluOp::SllSat.eval(-(1 << 61), 2), i64::MIN);
+        // Sll wraps 2^62 and 2^62 + 1 onto 0 and 4; SllSat does not.
+        assert_eq!(AluOp::Sll.eval(1 << 62, 2), 0);
+        assert_eq!(AluOp::SllSat.eval(1 << 61, 2), i64::MAX);
+        assert_eq!(AluOp::SllSat.eval(1 << 62, 2), i64::MAX);
+        assert_eq!(AluOp::SllSat.eval((1 << 62) + 1, 2), i64::MAX);
+        assert_eq!(AluOp::SllSat.eval(-(1 << 62), 2), i64::MIN);
+        assert_eq!(AluOp::SllSat.eval(i64::MIN, 2), i64::MIN);
+        assert_eq!(AluOp::SllSat.eval(0, 63), 0);
     }
 
     #[test]

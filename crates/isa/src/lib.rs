@@ -14,6 +14,8 @@
 //!   and any partitioned design: blocks mapped to the ASIC core execute
 //!   functionally but cost the µP nothing (see
 //!   [`simulator::SimConfig::hw_blocks`]).
+//! * [`decode`] — the per-pc decode table both the simulator and the
+//!   trace replayer are driven from.
 //! * [`energy`] — per-instruction base energies + circuit-state
 //!   overhead.
 //! * [`trace`] — reference-trace capture and bit-exact replay: one
@@ -42,6 +44,7 @@
 #![forbid(unsafe_code)]
 
 pub mod codegen;
+pub mod decode;
 pub mod energy;
 pub mod isa;
 pub mod profile;
@@ -49,6 +52,7 @@ pub mod simulator;
 pub mod trace;
 
 pub use codegen::{compile, compile_with_profile, MachProgram};
+pub use decode::DecodeTable;
 pub use energy::EnergyTable;
 pub use isa::{AluOp, InstClass, MachInst, Reg, RegImm};
 pub use profile::{CoreResource, CoreUtilization};

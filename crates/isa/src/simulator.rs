@@ -18,12 +18,14 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use corepart_ir::cdfg::Application;
 use corepart_ir::op::BlockId;
 use corepart_tech::units::{Cycles, Energy};
 
 use crate::codegen::{MachProgram, VarLoc, DATA_BASE, SLOT_BASE};
+use crate::decode::DecodeTable;
 use crate::energy::EnergyTable;
 use crate::isa::{InstClass, MachInst, Reg, RegImm};
 
@@ -180,6 +182,30 @@ pub struct RunStats {
 }
 
 impl RunStats {
+    /// All-zero statistics for an application of `n_blocks` blocks:
+    /// every class present in the per-class maps, no hardware entries.
+    pub(crate) fn zeroed(n_blocks: usize) -> Self {
+        RunStats {
+            cycles: Cycles::ZERO,
+            energy: Energy::ZERO,
+            inst_counts: InstClass::ALL.iter().map(|&c| (c, 0)).collect(),
+            class_cycles: InstClass::ALL.iter().map(|&c| (c, 0)).collect(),
+            block_class_cycles: vec![[0; 8]; n_blocks],
+            class_switches: 0,
+            block_counts: vec![0; n_blocks],
+            block_cycles: vec![0; n_blocks],
+            block_energy: vec![Energy::ZERO; n_blocks],
+            hw_block_entries: HashMap::new(),
+            hw_loads: 0,
+            hw_stores: 0,
+            sw_reads: 0,
+            sw_writes: 0,
+            sw_ifetches: 0,
+            return_value: 0,
+            trace: Vec::new(),
+        }
+    }
+
     /// Owned heap footprint of the per-block and per-class tables, in
     /// bytes. Map entries are charged a fixed per-node estimate; the
     /// point is stable byte accounting for store eviction, not
@@ -294,6 +320,7 @@ pub struct Simulator<'a> {
     prog: &'a MachProgram,
     app: &'a Application,
     energy: EnergyTable,
+    table: Arc<DecodeTable>,
     regs: [i64; Reg::COUNT as usize],
     data: Vec<i64>,
     slots: Vec<i64>,
@@ -331,6 +358,7 @@ impl<'a> Simulator<'a> {
         Simulator {
             prog,
             app,
+            table: Arc::new(DecodeTable::new(prog, app, &energy)),
             energy,
             regs: [0; Reg::COUNT as usize],
             data: vec![0; app.memory_words() as usize],
@@ -401,6 +429,20 @@ impl<'a> Simulator<'a> {
             RegImm::Reg(r) => self.reg(r),
             RegImm::Imm(i) => i,
         }
+    }
+
+    /// The effective address `reg(base) + offset` of a load or store.
+    /// An address outside the 32-bit space is a
+    /// [`SimError::BadAccess`] (reporting its low 32 bits), never a
+    /// wrap onto mapped memory.
+    fn effective_addr(&self, base: Reg, offset: i32, pc: u32) -> Result<u32, SimError> {
+        let base = self.reg(base);
+        base.checked_add(i64::from(offset))
+            .and_then(|addr| u32::try_from(addr).ok())
+            .ok_or(SimError::BadAccess {
+                addr: base.wrapping_add(i64::from(offset)) as u32,
+                pc,
+            })
     }
 
     fn mem_read(&mut self, addr: u32, pc: u32) -> Result<i64, SimError> {
@@ -474,6 +516,8 @@ impl<'a> Simulator<'a> {
     /// ([`crate::trace`]). Recording never changes execution or
     /// accounting; `run` is exactly this with a [`NullRecorder`].
     ///
+    /// The hot loop is driven by the program's [`DecodeTable`].
+    ///
     /// # Errors
     ///
     /// See [`SimError`].
@@ -485,82 +529,75 @@ impl<'a> Simulator<'a> {
     ) -> Result<RunStats, SimError> {
         self.regs = [0; Reg::COUNT as usize];
 
-        let n_blocks = self.app.blocks().len();
-        let mut stats = RunStats {
-            cycles: Cycles::ZERO,
-            energy: Energy::ZERO,
-            inst_counts: InstClass::ALL.iter().map(|&c| (c, 0)).collect(),
-            class_cycles: InstClass::ALL.iter().map(|&c| (c, 0)).collect(),
-            block_class_cycles: vec![[0; 8]; n_blocks],
-            class_switches: 0,
-            block_counts: vec![0; n_blocks],
-            block_cycles: vec![0; n_blocks],
-            block_energy: vec![Energy::ZERO; n_blocks],
-            hw_block_entries: HashMap::new(),
-            hw_loads: 0,
-            hw_stores: 0,
-            sw_reads: 0,
-            sw_writes: 0,
-            sw_ifetches: 0,
-            return_value: 0,
-            trace: Vec::new(),
-        };
+        // A local handle, so the table stays borrowed while `self`'s
+        // registers and memory are written.
+        let table = Arc::clone(&self.table);
+        let n_blocks = table.n_blocks;
+        let mut stats = RunStats::zeroed(n_blocks);
+        // Integer tallies kept in flat arrays and folded into the maps
+        // at `halt` (integer sums are order-free); the `f64` energy
+        // adds stay per instruction, in execution order.
+        let mut is_hw_block = vec![false; n_blocks];
+        for b in &config.hw_blocks {
+            if let Some(flag) = is_hw_block.get_mut(b.0 as usize) {
+                *flag = true;
+            }
+        }
+        let mut hw_entries = vec![0u64; n_blocks];
+        let mut inst_counts = [0u64; 8];
+        let mut class_cycles = [0u64; 8];
 
-        let insts = self.prog.insts();
         let mut pc: u32 = 0;
         let mut cycles: u64 = 0;
         let mut prev_class: Option<InstClass> = None;
-        let mut prev_block: Option<BlockId> = None;
+        let mut prev_block = usize::MAX;
         let mut prev_was_hw = false;
 
         loop {
-            let inst = *insts.get(pc as usize).ok_or(SimError::BadPc { pc })?;
+            let info = table.info.get(pc as usize).ok_or(SimError::BadPc { pc })?;
             recorder.inst(pc);
-            let block = self.prog.block_of(pc);
-            let bi = block.0 as usize;
-            let is_hw = config.hw_blocks.contains(&block);
+            let bi = info.block_index;
+            let is_hw = is_hw_block[bi];
 
             // Block-entry accounting.
-            if prev_block != Some(block) && pc == self.prog.block_start(block) {
+            if prev_block != bi && info.is_block_start {
                 stats.block_counts[bi] += 1;
                 if is_hw && !prev_was_hw {
-                    *stats.hw_block_entries.entry(block).or_insert(0) += 1;
+                    hw_entries[bi] += 1;
                 }
             }
-            prev_block = Some(block);
+            prev_block = bi;
             prev_was_hw = is_hw;
 
-            let latency = inst.latency();
-            let class = InstClass::of(&inst);
             if !is_hw {
-                cycles += latency;
+                cycles += info.latency;
                 if config.max_cycles > 0 && cycles > config.max_cycles {
                     return Err(SimError::CycleLimit {
                         limit: config.max_cycles,
                     });
                 }
-                let mut e = self.energy.base(class, latency);
+                let mut e = info.base_energy;
                 if let Some(p) = prev_class {
-                    if p != class {
-                        e += self.energy.inter_inst_overhead();
+                    if p != info.class {
+                        e += table.inter_inst_overhead;
                         stats.class_switches += 1;
                     }
                 }
-                prev_class = Some(class);
+                prev_class = Some(info.class);
                 stats.energy += e;
-                stats.block_cycles[bi] += latency;
+                stats.block_cycles[bi] += info.latency;
                 stats.block_energy[bi] += e;
-                *stats.inst_counts.get_mut(&class).expect("class") += 1;
-                *stats.class_cycles.get_mut(&class).expect("class") += latency;
-                let ci = InstClass::ALL
-                    .iter()
-                    .position(|&c| c == class)
-                    .expect("class in ALL");
-                stats.block_class_cycles[bi][ci] += latency;
+                inst_counts[info.class_index] += 1;
+                class_cycles[info.class_index] += info.latency;
+                stats.block_class_cycles[bi][info.class_index] += info.latency;
                 stats.sw_ifetches += 1;
-                sink.ifetch(self.prog.inst_addr(pc));
+                sink.ifetch(info.inst_addr);
                 if stats.trace.len() < config.trace_limit {
-                    stats.trace.push(TraceEntry { pc, inst, cycles });
+                    stats.trace.push(TraceEntry {
+                        pc,
+                        inst: info.inst,
+                        cycles,
+                    });
                 }
             } else {
                 // Leaving the µP's instruction stream resets the
@@ -569,7 +606,7 @@ impl<'a> Simulator<'a> {
             }
 
             let mut next_pc = pc + 1;
-            match inst {
+            match info.inst {
                 MachInst::Alu { op, rd, rs1, rhs } => {
                     let v = op.eval(self.reg(rs1), self.rhs(rhs));
                     self.set_reg(rd, v);
@@ -598,7 +635,7 @@ impl<'a> Simulator<'a> {
                 }
                 MachInst::Movi { rd, imm } => self.set_reg(rd, imm),
                 MachInst::Ldw { rd, base, offset } => {
-                    let addr = (self.reg(base) + i64::from(offset)) as u32;
+                    let addr = self.effective_addr(base, offset, pc)?;
                     let v = self.mem_read(addr, pc)?;
                     recorder.data(addr);
                     self.set_reg(rd, v);
@@ -612,7 +649,7 @@ impl<'a> Simulator<'a> {
                     }
                 }
                 MachInst::Stw { rs, base, offset } => {
-                    let addr = (self.reg(base) + i64::from(offset)) as u32;
+                    let addr = self.effective_addr(base, offset, pc)?;
                     let v = self.reg(rs);
                     self.mem_write(addr, v, pc)?;
                     recorder.data(addr);
@@ -639,6 +676,14 @@ impl<'a> Simulator<'a> {
                 MachInst::Halt => {
                     stats.cycles = Cycles::new(cycles);
                     stats.return_value = self.reg(Reg(1));
+                    stats.inst_counts = InstClass::ALL.into_iter().zip(inst_counts).collect();
+                    stats.class_cycles = InstClass::ALL.into_iter().zip(class_cycles).collect();
+                    stats.hw_block_entries = hw_entries
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &n)| n > 0)
+                        .map(|(b, &n)| (BlockId(b as u32), n))
+                        .collect();
                     return Ok(stats);
                 }
                 MachInst::Nop => {}
@@ -650,6 +695,13 @@ impl<'a> Simulator<'a> {
     /// The energy table in use.
     pub fn energy_table(&self) -> &EnergyTable {
         &self.energy
+    }
+
+    /// The per-pc decode table driving this simulator — share it with
+    /// [`crate::trace::TraceReplayer::from_table`] to replay traces of
+    /// this program without decoding it again.
+    pub fn decode_table(&self) -> &Arc<DecodeTable> {
+        &self.table
     }
 }
 
@@ -893,6 +945,73 @@ mod tests {
             .run(&SimConfig::initial(1000), &mut NullSink)
             .unwrap();
         assert!(stats.trace.is_empty());
+    }
+
+    #[test]
+    fn effective_addresses_never_wrap_onto_mapped_memory() {
+        use corepart_ir::interp::Interpreter;
+        // The index comes from memory, so no pass can fold it. Indices
+        // 2^30 and 2^30 + 1 used to wrap the 32-bit address onto x[0]
+        // and x[1]; 2^61 - 1 overflows `i64` when the array base is
+        // added; 2^62, 2^62 + 1 and -2^62 wrapped the index scaling
+        // `i << 2` itself onto x[0] and x[1].
+        let (app, prog) = setup(
+            "app t; var idx[1]; var x[4]; func main() { x[0] = 7; x[1] = 9; return x[idx[0]]; }",
+        );
+        for index in [
+            1i64,
+            4,
+            1 << 30,
+            (1 << 30) + 1,
+            (1 << 61) - 1,
+            1 << 61,
+            1 << 62,
+            (1 << 62) + 1,
+            -(1 << 62),
+            i64::MAX,
+            i64::MIN,
+        ] {
+            let mut sim = Simulator::new(&prog, &app);
+            sim.set_array("idx", &[index]).unwrap();
+            let iss = sim.run(&SimConfig::initial(100_000), &mut NullSink);
+            let mut interp = Interpreter::new(&app);
+            interp.set_array("idx", &[index]).unwrap();
+            let ir = interp.run(100_000);
+            if index == 1 {
+                assert_eq!(iss.unwrap().return_value, 9);
+                assert_eq!(ir.unwrap().return_value, Some(9));
+            } else {
+                assert!(
+                    matches!(iss, Err(SimError::BadAccess { .. })),
+                    "index {index}: {iss:?}"
+                );
+                assert!(ir.is_err(), "index {index}");
+            }
+        }
+    }
+
+    #[test]
+    fn constant_indices_outside_the_offset_field_fault() {
+        use corepart_ir::interp::Interpreter;
+        // Constant indices fold into the load/store offset; these used
+        // to truncate (2^30 onto x[0]) or overflow `i32`.
+        for index in [1i64 << 29, 1 << 30, (1 << 30) + 1, 1 << 40, -(1 << 40)] {
+            for access in [
+                format!("return x[{index}];"),
+                format!("x[{index}] = 5; return x[0];"),
+            ] {
+                let src =
+                    format!("app t; var x[4]; func main() {{ x[0] = 7; x[1] = 9; {access} }}");
+                let (app, prog) = setup(&src);
+                let iss =
+                    Simulator::new(&prog, &app).run(&SimConfig::initial(100_000), &mut NullSink);
+                assert!(
+                    matches!(iss, Err(SimError::BadAccess { .. })),
+                    "{access}: {iss:?}"
+                );
+                assert!(Interpreter::new(&app).run(100_000).is_err(), "{access}");
+            }
+        }
     }
 
     #[test]

@@ -34,13 +34,16 @@
 //! fall back to direct simulation, trading time for memory, never
 //! correctness.
 
+use std::sync::Arc;
+
 use corepart_ir::cdfg::Application;
 use corepart_ir::op::BlockId;
 use corepart_tech::units::{Cycles, Energy};
 
 use crate::codegen::{MachProgram, SLOT_BASE};
+use crate::decode::{AccessKind, DecodeTable};
 use crate::energy::EnergyTable;
-use crate::isa::{InstClass, MachInst};
+use crate::isa::InstClass;
 use crate::simulator::{ExecRecorder, MemSink, RunStats, SimConfig, SimError, TraceEntry};
 
 /// Segment size of the chunked encoding. Small enough that a capture
@@ -161,10 +164,20 @@ impl SegReader<'_> {
     }
 }
 
-/// FNV-1a over the counts, the return value and both encoded byte
-/// streams — the one definition shared by [`TraceBuilder::finish`]
-/// (which stamps it into the capture) and
+/// The trace integrity hash over the counts, the return value and both
+/// encoded byte streams — the one definition shared by
+/// [`TraceBuilder::finish`] (which stamps it into the capture) and
 /// [`ReferenceTrace::validate`] (which recomputes and compares it).
+///
+/// Four independent 64-bit lanes each take one little-endian word of
+/// every 32-byte block (the xxHash64 round), so the multiplies of a
+/// block overlap instead of chaining byte by byte. Each segment is
+/// hashed as its whole blocks, then its zero-padded tail block, then
+/// its byte length. Every step is a bijection of the lane it updates
+/// and the final lane merge is a bijection of each lane, so changing
+/// any single byte always changes the hash; other damage (truncation,
+/// several bytes) is caught with the odds of a 64-bit hash. An
+/// in-memory checksum only: it is never stored or sent.
 fn fingerprint_of(
     events: u64,
     data_events: u64,
@@ -172,24 +185,89 @@ fn fingerprint_of(
     pcs: &SegStream,
     addrs: &SegStream,
 ) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |byte: u8| {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for v in [events, data_events, return_bits] {
-        for byte in v.to_le_bytes() {
-            eat(byte);
-        }
-    }
+    let mut h = WordHash::new();
+    h.block([events, data_events, return_bits, 0]);
     for stream in [pcs, addrs] {
         for segment in &stream.segments {
-            for &byte in segment {
-                eat(byte);
-            }
+            h.bytes(segment);
+        }
+        h.lanes[0] = xxh_round(h.lanes[0], stream.segments.len() as u64);
+    }
+    h.finish()
+}
+
+const XXH_P1: u64 = 0x9e37_79b1_85eb_ca87;
+const XXH_P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const XXH_P3: u64 = 0x1656_67b1_9e37_79f9;
+const XXH_P4: u64 = 0x85eb_ca77_c2b2_ae63;
+
+/// One xxHash64 accumulator round: a bijection of `acc` for a fixed
+/// `word` and of `word` for a fixed `acc`.
+#[inline]
+fn xxh_round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(XXH_P2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_P1)
+}
+
+/// The four-lane state of [`fingerprint_of`].
+struct WordHash {
+    lanes: [u64; 4],
+}
+
+impl WordHash {
+    fn new() -> Self {
+        WordHash {
+            lanes: [
+                XXH_P1.wrapping_add(XXH_P2),
+                XXH_P2,
+                0,
+                XXH_P1.wrapping_neg(),
+            ],
         }
     }
-    h
+
+    #[inline]
+    fn block(&mut self, words: [u64; 4]) {
+        for (lane, word) in self.lanes.iter_mut().zip(words) {
+            *lane = xxh_round(*lane, word);
+        }
+    }
+
+    /// Hashes one segment: whole 32-byte blocks, the zero-padded tail
+    /// block (when there is a tail), then the length.
+    fn bytes(&mut self, bytes: &[u8]) {
+        let word = |b: &[u8], i: usize| {
+            u64::from_le_bytes(b[8 * i..8 * i + 8].try_into().expect("8 bytes"))
+        };
+        let mut blocks = bytes.chunks_exact(32);
+        for b in &mut blocks {
+            self.block([word(b, 0), word(b, 1), word(b, 2), word(b, 3)]);
+        }
+        let tail = blocks.remainder();
+        if !tail.is_empty() {
+            let mut b = [0u8; 32];
+            b[..tail.len()].copy_from_slice(tail);
+            self.block([word(&b, 0), word(&b, 1), word(&b, 2), word(&b, 3)]);
+        }
+        self.lanes[0] = xxh_round(self.lanes[0], bytes.len() as u64);
+    }
+
+    /// Merges the lanes (each step a bijection of the merged lane and
+    /// of the running value) and avalanches the result.
+    fn finish(&self) -> u64 {
+        let mut h = XXH_P3;
+        for lane in self.lanes {
+            h = (h ^ xxh_round(0, lane))
+                .wrapping_mul(XXH_P1)
+                .wrapping_add(XXH_P4);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(XXH_P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(XXH_P3);
+        h ^ (h >> 32)
+    }
 }
 
 fn zigzag(v: i64) -> u64 {
@@ -276,13 +354,14 @@ impl ReferenceTrace {
         self.return_value
     }
 
-    /// FNV-1a hash over the encoded streams and event counts —
-    /// identifies the (program, workload) execution for memo keys.
+    /// Integrity hash over the encoded streams and event counts (see
+    /// [`ReferenceTrace::validate`]); equal captures of one execution
+    /// hash equal.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
 
-    /// Recomputes the FNV-1a fingerprint from the encoded streams and
+    /// Recomputes the fingerprint from the encoded streams and
     /// compares it against the one stamped at capture time — the
     /// integrity gate for traces whose bytes may have been damaged
     /// after capture. [`crate::trace::TraceReplayer::replay`]'s own
@@ -508,31 +587,6 @@ impl ExecRecorder for TraceBuilder {
     }
 }
 
-/// Whether (and how) an instruction touches data memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AccessKind {
-    None,
-    Load,
-    Store,
-}
-
-/// Everything the accounting loop needs about one pc, precomputed.
-#[derive(Debug, Clone, Copy)]
-struct PcInfo {
-    inst: MachInst,
-    class: InstClass,
-    class_index: usize,
-    latency: u64,
-    block: BlockId,
-    block_index: usize,
-    is_block_start: bool,
-    inst_addr: u32,
-    /// `EnergyTable::base(class, latency)` — a pure function of the
-    /// two, so precomputing preserves the exact bits.
-    base_energy: Energy,
-    access: AccessKind,
-}
-
 /// A [`ReferenceTrace`] decoded once into flat in-memory form, ready
 /// to be walked any number of times without re-parsing the varint/RLE
 /// encoding: one `(start, length)` pair per sequential stretch
@@ -723,8 +777,9 @@ impl BatchLanes {
 /// [`Simulator::run`](crate::simulator::Simulator::run) for an
 /// arbitrary hardware-block set.
 ///
-/// Construction precomputes a per-pc table (class, latency, block,
-/// base energy, …); [`TraceReplayer::replay`] then walks the decoded
+/// It is driven by the program's shared [`DecodeTable`] (class,
+/// latency, block, base energy, … per pc) plus replay-only prefix
+/// tables built from it; [`TraceReplayer::replay`] then walks the decoded
 /// pc/address streams executing *only* the accounting — no instruction
 /// semantics, no register file, no data memory — in exactly the order
 /// the direct run performs it, so every counter and every `f64` in the
@@ -732,7 +787,7 @@ impl BatchLanes {
 /// `Simulator::run` with the same [`SimConfig`].
 #[derive(Debug, Clone)]
 pub struct TraceReplayer {
-    info: Vec<PcInfo>,
+    table: Arc<DecodeTable>,
     /// `access_prefix[pc]` = data accesses issued by `info[..pc]`, so a
     /// stretch `lo..hi` consumes `access_prefix[hi] - access_prefix[lo]`
     /// address records — lets the batched walk advance the shared
@@ -774,8 +829,6 @@ pub struct TraceReplayer {
     /// identical. `intra_energy[0]` is the bare base energy (pc 0 is
     /// always first in its run).
     intra_energy: Vec<Energy>,
-    n_blocks: usize,
-    inter_inst_overhead: Energy,
 }
 
 /// Fixed SIMD group width of the lane-vectorized accumulator updates:
@@ -827,7 +880,7 @@ impl TraceReplayer {
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         size_of::<Self>()
-            + self.info.capacity() * size_of::<PcInfo>()
+            + self.table.heap_bytes()
             + self.access_prefix.capacity() * size_of::<u32>()
             + self.run_end.capacity() * size_of::<u32>()
             + self.lat_prefix.capacity() * size_of::<u64>()
@@ -839,38 +892,16 @@ impl TraceReplayer {
             + self.intra_energy.capacity() * size_of::<Energy>()
     }
 
-    /// Builds the replay table for one compiled program.
+    /// Builds the replay tables for one compiled program.
     pub fn new(prog: &MachProgram, app: &Application, energy: &EnergyTable) -> Self {
-        let info = prog
-            .insts()
-            .iter()
-            .enumerate()
-            .map(|(pc, &inst)| {
-                let pc = pc as u32;
-                let block = prog.block_of(pc);
-                let class = InstClass::of(&inst);
-                let latency = inst.latency();
-                PcInfo {
-                    inst,
-                    class,
-                    class_index: InstClass::ALL
-                        .iter()
-                        .position(|&c| c == class)
-                        .expect("class in ALL"),
-                    latency,
-                    block,
-                    block_index: block.0 as usize,
-                    is_block_start: prog.block_start(block) == pc,
-                    inst_addr: prog.inst_addr(pc),
-                    base_energy: energy.base(class, latency),
-                    access: match inst {
-                        MachInst::Ldw { .. } => AccessKind::Load,
-                        MachInst::Stw { .. } => AccessKind::Store,
-                        _ => AccessKind::None,
-                    },
-                }
-            })
-            .collect::<Vec<PcInfo>>();
+        Self::from_table(Arc::new(DecodeTable::new(prog, app, energy)))
+    }
+
+    /// Builds the replay tables on an already decoded program — the
+    /// one a [`Simulator`](crate::simulator::Simulator) captured the
+    /// trace with ([`Simulator::decode_table`](crate::simulator::Simulator::decode_table)).
+    pub fn from_table(table: Arc<DecodeTable>) -> Self {
+        let info = &table.info;
         let mut access_prefix = Vec::with_capacity(info.len() + 1);
         let mut lat_prefix = Vec::with_capacity(info.len() + 1);
         let mut access_pc = Vec::new();
@@ -900,7 +931,7 @@ impl TraceReplayer {
             }
             run_end[pc] = end as u32;
         }
-        let inter_inst_overhead = energy.inter_inst_overhead();
+        let inter_inst_overhead = table.inter_inst_overhead;
         let mut class_count_prefix = Vec::with_capacity(info.len() + 1);
         let mut class_cycle_prefix = Vec::with_capacity(info.len() + 1);
         let mut switch_prefix = Vec::with_capacity(info.len() + 1);
@@ -925,7 +956,6 @@ impl TraceReplayer {
             switch_prefix.push(switches);
         }
         TraceReplayer {
-            info,
             access_prefix,
             run_end,
             lat_prefix,
@@ -935,8 +965,7 @@ impl TraceReplayer {
             class_cycle_prefix,
             switch_prefix,
             intra_energy,
-            n_blocks: app.blocks().len(),
-            inter_inst_overhead,
+            table,
         }
     }
 
@@ -957,28 +986,10 @@ impl TraceReplayer {
         config: &SimConfig,
         sink: &mut S,
     ) -> Result<RunStats, SimError> {
-        let mut stats = RunStats {
-            cycles: Cycles::ZERO,
-            energy: Energy::ZERO,
-            inst_counts: InstClass::ALL.iter().map(|&c| (c, 0)).collect(),
-            class_cycles: InstClass::ALL.iter().map(|&c| (c, 0)).collect(),
-            block_class_cycles: vec![[0; 8]; self.n_blocks],
-            class_switches: 0,
-            block_counts: vec![0; self.n_blocks],
-            block_cycles: vec![0; self.n_blocks],
-            block_energy: vec![Energy::ZERO; self.n_blocks],
-            hw_block_entries: std::collections::HashMap::new(),
-            hw_loads: 0,
-            hw_stores: 0,
-            sw_reads: 0,
-            sw_writes: 0,
-            sw_ifetches: 0,
-            return_value: 0,
-            trace: Vec::new(),
-        };
+        let mut stats = RunStats::zeroed(self.table.n_blocks);
 
         // Per-block hardware flag, indexable in O(1) on the hot path.
-        let mut is_hw_block = vec![false; self.n_blocks];
+        let mut is_hw_block = vec![false; self.table.n_blocks];
         for b in &config.hw_blocks {
             if let Some(flag) = is_hw_block.get_mut(b.0 as usize) {
                 *flag = true;
@@ -1001,10 +1012,10 @@ impl TraceReplayer {
             let lo = start as usize;
             let hi = lo
                 .checked_add(len as usize)
-                .filter(|&hi| hi <= self.info.len())
+                .filter(|&hi| hi <= self.table.info.len())
                 .ok_or(SimError::BadPc { pc: start })?;
             decoded_insts = decoded_insts.wrapping_add(len);
-            for (off, info) in self.info[lo..hi].iter().enumerate() {
+            for (off, info) in self.table.info[lo..hi].iter().enumerate() {
                 let pc = start + off as u32;
                 let is_hw = is_hw_block[info.block_index];
 
@@ -1028,7 +1039,7 @@ impl TraceReplayer {
                     let mut e = info.base_energy;
                     if let Some(p) = prev_class {
                         if p != info.class {
-                            e += self.inter_inst_overhead;
+                            e += self.table.inter_inst_overhead;
                             stats.class_switches += 1;
                         }
                     }
@@ -1107,28 +1118,6 @@ impl TraceReplayer {
         Ok(stats)
     }
 
-    fn fresh_stats(&self) -> RunStats {
-        RunStats {
-            cycles: Cycles::ZERO,
-            energy: Energy::ZERO,
-            inst_counts: InstClass::ALL.iter().map(|&c| (c, 0)).collect(),
-            class_cycles: InstClass::ALL.iter().map(|&c| (c, 0)).collect(),
-            block_class_cycles: vec![[0; 8]; self.n_blocks],
-            class_switches: 0,
-            block_counts: vec![0; self.n_blocks],
-            block_cycles: vec![0; self.n_blocks],
-            block_energy: vec![Energy::ZERO; self.n_blocks],
-            hw_block_entries: std::collections::HashMap::new(),
-            hw_loads: 0,
-            hw_stores: 0,
-            sw_reads: 0,
-            sw_writes: 0,
-            sw_ifetches: 0,
-            return_value: 0,
-            trace: Vec::new(),
-        }
-    }
-
     /// Replays a decoded trace for K candidate configurations in one
     /// walk of the event stream, streaming each lane's µP-side
     /// references into its own sink.
@@ -1178,7 +1167,7 @@ impl TraceReplayer {
     /// content (the threaded driver carries both together).
     pub fn batch_lanes(&self, configs: &[SimConfig]) -> BatchLanes {
         let n = configs.len();
-        let nb = self.n_blocks;
+        let nb = self.table.n_blocks;
         let mut is_hw = vec![false; nb * n];
         for (l, config) in configs.iter().enumerate() {
             for b in &config.hw_blocks {
@@ -1275,7 +1264,7 @@ impl TraceReplayer {
             let lo = start as usize;
             let hi = lo
                 .checked_add(len as usize)
-                .filter(|&hi| hi <= self.info.len())
+                .filter(|&hi| hi <= self.table.info.len())
                 .ok_or(SimError::BadPc { pc: start })?;
             lanes.decoded_insts = lanes.decoded_insts.wrapping_add(len);
             let stretch_a_lo = self.access_prefix[lo] as usize;
@@ -1289,7 +1278,7 @@ impl TraceReplayer {
             let mut pos = lo;
             while pos < hi {
                 let rend = (self.run_end[pos] as usize).min(hi);
-                let first = &self.info[pos];
+                let first = &self.table.info[pos];
                 let bi = first.block_index;
                 // Address records of this run in the decoded stream:
                 // position-determined, identical for every lane.
@@ -1377,7 +1366,7 @@ impl TraceReplayer {
         run_base: usize,
     ) -> Result<(), SimError> {
         let n = lanes.n;
-        let first = &self.info[pos];
+        let first = &self.table.info[pos];
         let bi = first.block_index;
         let run_latency = self.lat_prefix[rend] - self.lat_prefix[pos];
         let run_len = (rend - pos) as u64;
@@ -1413,7 +1402,7 @@ impl TraceReplayer {
             let mut e = first.base_energy;
             if let Some(p) = lanes.prev_class[l] {
                 if p != first.class {
-                    e += self.inter_inst_overhead;
+                    e += self.table.inter_inst_overhead;
                     lanes.class_switches[l] += 1;
                 }
             }
@@ -1429,7 +1418,7 @@ impl TraceReplayer {
                 lanes_add_energy(energy, block_row, self.intra_energy[p]);
             }
         }
-        lanes.prev_class.fill(Some(self.info[rend - 1].class));
+        lanes.prev_class.fill(Some(self.table.info[rend - 1].class));
 
         // Data accesses: each lane sees the run's records in order, so
         // the per-lane sink sequence (bulk i-fetches, then reads and
@@ -1479,7 +1468,7 @@ impl TraceReplayer {
         run_base: usize,
     ) -> Result<(), SimError> {
         let n = lanes.n;
-        let bi = self.info[pos].block_index;
+        let bi = self.table.info[pos].block_index;
         let run_a_lo = self.access_prefix[pos] as usize;
         let run_a_hi = self.access_prefix[rend] as usize;
         let run_latency = self.lat_prefix[rend] - self.lat_prefix[pos];
@@ -1519,12 +1508,12 @@ impl TraceReplayer {
                     let mut energy = lanes.energy[l];
                     let mut prev_class = lanes.prev_class[l];
                     let mut block_energy = lanes.block_energy[bi * n + l];
-                    for info in &self.info[pos..rend] {
+                    for info in &self.table.info[pos..rend] {
                         cycles += info.latency;
                         let mut e = info.base_energy;
                         if let Some(p) = prev_class {
                             if p != info.class {
-                                e += self.inter_inst_overhead;
+                                e += self.table.inter_inst_overhead;
                                 lanes.class_switches[l] += 1;
                             }
                         }
@@ -1569,7 +1558,7 @@ impl TraceReplayer {
                     let mut cycles = lanes.cycles[l];
                     let mut prev_class = lanes.prev_class[l];
                     let mut died = false;
-                    for (off, info) in self.info[pos..rend].iter().enumerate() {
+                    for (off, info) in self.table.info[pos..rend].iter().enumerate() {
                         cycles += info.latency;
                         if config.max_cycles > 0 && cycles > config.max_cycles {
                             lanes.dead[l] = Some(SimError::CycleLimit {
@@ -1582,7 +1571,7 @@ impl TraceReplayer {
                         let mut e = info.base_energy;
                         if let Some(p) = prev_class {
                             if p != info.class {
-                                e += self.inter_inst_overhead;
+                                e += self.table.inter_inst_overhead;
                                 lanes.class_switches[l] += 1;
                             }
                         }
@@ -1676,7 +1665,7 @@ impl TraceReplayer {
                 out.push(Err(err));
                 continue;
             }
-            let mut stats = self.fresh_stats();
+            let mut stats = RunStats::zeroed(self.table.n_blocks);
             stats.cycles = Cycles::new(lanes.cycles[l]);
             stats.energy = lanes.energy[l];
             stats.class_switches = lanes.class_switches[l];
@@ -1691,7 +1680,7 @@ impl TraceReplayer {
                 *stats.class_cycles.get_mut(&class).expect("class") =
                     lanes.class_cycles[index * n + l];
             }
-            for b in 0..self.n_blocks {
+            for b in 0..self.table.n_blocks {
                 stats.block_counts[b] = lanes.block_counts[b * n + l];
                 stats.block_cycles[b] = lanes.block_cycles[b * n + l];
                 stats.block_energy[b] = lanes.block_energy[b * n + l];
@@ -2138,6 +2127,182 @@ mod tests {
         assert!(ta.bytes() > 0);
         assert!(ta.events() > 0);
         assert!(ta.data_events() > 0);
+    }
+
+    /// Flips every bit of byte `index` of `stream`.
+    fn flip(stream: &mut SegStream, mut index: usize) {
+        for segment in &mut stream.segments {
+            if index < segment.len() {
+                segment[index] ^= 0xff;
+                return;
+            }
+            index -= segment.len();
+        }
+        panic!("byte index past the end of the stream");
+    }
+
+    /// Drops the last `n` encoded bytes of `stream`.
+    fn truncate(stream: &mut SegStream, mut n: usize) {
+        while n > 0 {
+            let last = stream.segments.last_mut().expect("bytes left to drop");
+            let cut = n.min(last.len());
+            last.truncate(last.len() - cut);
+            stream.bytes -= cut;
+            n -= cut;
+            if last.is_empty() {
+                stream.segments.pop();
+            }
+        }
+    }
+
+    /// Byte positions of `stream` at the edges of the hash's layout:
+    /// every segment's first byte, its last byte, and its last 40
+    /// bytes (the zero-padded tail block and the sub-word tail).
+    fn edge_positions(stream: &SegStream) -> Vec<usize> {
+        let mut positions = Vec::new();
+        let mut base = 0;
+        for segment in &stream.segments {
+            let len = segment.len();
+            if len > 0 {
+                positions.push(base);
+                positions.extend((len.saturating_sub(40)..len).map(|i| base + i));
+            }
+            base += len;
+        }
+        positions.sort_unstable();
+        positions.dedup();
+        positions
+    }
+
+    fn stream_of(segment_lens: &[usize], salt: u8) -> SegStream {
+        let segments: Vec<Vec<u8>> = segment_lens
+            .iter()
+            .enumerate()
+            .map(|(s, &len)| {
+                (0..len)
+                    .map(|i| (i as u8).wrapping_mul(37).wrapping_add(salt ^ s as u8))
+                    .collect()
+            })
+            .collect();
+        SegStream {
+            bytes: segment_lens.iter().sum(),
+            segments,
+        }
+    }
+
+    #[test]
+    fn fingerprint_changes_under_every_single_byte_flip_and_truncation() {
+        // Segment layouts around the 8-byte word and 32-byte block
+        // boundaries, including empty segments; every byte of both
+        // streams is flipped in turn and every truncation tried.
+        let layouts: [&[usize]; 9] = [
+            &[1],
+            &[7],
+            &[8],
+            &[31],
+            &[32],
+            &[33, 64],
+            &[40, 0, 17],
+            &[65, 9],
+            &[0, 96, 3],
+        ];
+        for layout in layouts {
+            let streams = [stream_of(layout, 0x5a), stream_of(&[layout[0] + 3], 0xa5)];
+            let hash = |s: &[SegStream; 2]| fingerprint_of(11, 7, 42, &s[0], &s[1]);
+            let base = hash(&streams);
+            for which in 0..2 {
+                for index in 0..streams[which].bytes {
+                    let mut damaged = streams.clone();
+                    flip(&mut damaged[which], index);
+                    assert_ne!(
+                        hash(&damaged),
+                        base,
+                        "{layout:?} stream {which} byte {index}"
+                    );
+                }
+                for n in 1..=streams[which].bytes {
+                    let mut damaged = streams.clone();
+                    truncate(&mut damaged[which], n);
+                    assert_ne!(hash(&damaged), base, "{layout:?} stream {which} cut {n}");
+                }
+            }
+        }
+    }
+
+    /// 80 000 data accesses: a data-address stream of two segments.
+    const BIG_LOOP: &str = "app big; var a[64]; func main() { var s = 0; for (var i = 0; i < 40000; i = i + 1) { s = s + a[i & 63]; a[(i + 1) & 63] = s; } return s; }";
+
+    /// A capture whose data-address stream spans two segments.
+    fn multi_segment_trace() -> &'static ReferenceTrace {
+        static TRACE: std::sync::OnceLock<ReferenceTrace> = std::sync::OnceLock::new();
+        TRACE.get_or_init(|| {
+            let (app, prog) = setup(BIG_LOOP);
+            let (_, trace) = capture(&app, &prog, None);
+            assert!(
+                trace.addrs.segments.len() >= 2,
+                "address stream spans segments"
+            );
+            trace
+        })
+    }
+
+    #[test]
+    fn validate_rejects_damage_at_every_segment_edge() {
+        let trace = multi_segment_trace();
+        assert!(trace.validate().is_ok());
+        let (app, prog) = setup(BIG_LOOP);
+        let (_, again) = capture(&app, &prog, None);
+        assert_eq!(again.fingerprint(), trace.fingerprint());
+        for addr_stream in [false, true] {
+            let stream = if addr_stream {
+                &trace.addrs
+            } else {
+                &trace.pcs
+            };
+            for index in edge_positions(stream) {
+                let mut damaged = trace.clone();
+                flip(
+                    if addr_stream {
+                        &mut damaged.addrs
+                    } else {
+                        &mut damaged.pcs
+                    },
+                    index,
+                );
+                assert!(
+                    damaged.validate().is_err(),
+                    "flip at {index} of {} stream passed",
+                    if addr_stream { "addr" } else { "pc" }
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(64))]
+
+        /// Any single flipped byte, and any truncation, of either
+        /// stream of a capture fails validation.
+        #[test]
+        fn validate_rejects_any_flip_or_truncation(
+            addr_stream in proptest::arbitrary::any::<bool>(),
+            position in 0.0f64..1.0,
+        ) {
+            let trace = multi_segment_trace();
+            let mut flipped = trace.clone();
+            let mut cut = trace.clone();
+            let (flip_stream, cut_stream) = if addr_stream {
+                (&mut flipped.addrs, &mut cut.addrs)
+            } else {
+                (&mut flipped.pcs, &mut cut.pcs)
+            };
+            let len = flip_stream.bytes;
+            let index = ((len as f64 * position) as usize).min(len - 1);
+            flip(flip_stream, index);
+            truncate(cut_stream, index + 1);
+            proptest::prop_assert!(flipped.validate().is_err(), "flip at {}", index);
+            proptest::prop_assert!(cut.validate().is_err(), "cut of {}", index + 1);
+        }
     }
 
     #[test]

@@ -72,8 +72,50 @@ fn arb_program() -> impl Strategy<Value = String> {
         })
 }
 
+/// An array index outside `x[4]` that no other mapped word shares an
+/// address with: `idx` sits just below `x` (so `x[-1]` would alias it
+/// and is excluded). The third arm lands exactly on a multiple of 2^32
+/// bytes past `x`, where a 32-bit truncated address wraps onto it; the
+/// fourth on a multiple of 2^62 words, where the index scaling `i << 2`
+/// wraps `i64` onto it.
+fn arb_out_of_range_index() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        4i64..100_000,
+        i64::MIN..-1,
+        (1i64..1 << 31, -1i64..5).prop_map(|(k, j)| k * (1 << 30) + j),
+        (any::<bool>(), 0i64..4).prop_map(|(neg, j)| if neg { -(1i64 << 62) } else { 1 << 62 } + j),
+        (1i64 << 29)..i64::MAX,
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// An out-of-range array access is an error on both the ISS and
+    /// the IR interpreter, for loads and stores alike: the ISS never
+    /// wraps an effective address onto mapped memory.
+    #[test]
+    fn out_of_range_indices_fail_on_iss_and_interpreter(
+        index in arb_out_of_range_index(),
+        store in any::<bool>(),
+    ) {
+        let access = if store { "x[idx[0]] = 5; return x[0];" } else { "return x[idx[0]];" };
+        let src = format!(
+            "app oob; var idx[1]; var x[4]; func main() {{ x[0] = 7; x[1] = 9; {access} }}"
+        );
+        let app = lower(&parse(&src).expect("parses")).expect("lowers");
+        let mut interp = Interpreter::new(&app);
+        interp.set_array("idx", &[index]).expect("array");
+        let ir = interp.run(100_000);
+
+        let prog = compile(&app);
+        let mut sim = Simulator::new(&prog, &app);
+        sim.set_array("idx", &[index]).expect("array");
+        let iss = sim.run(&SimConfig::initial(100_000), &mut NullSink);
+
+        prop_assert!(ir.is_err(), "interpreter accepted index {index}");
+        prop_assert_eq!(iss.is_ok(), ir.is_ok(), "index {}: ISS {:?}", index, iss);
+    }
 
     /// The compiled ISS and the IR interpreter are observationally
     /// equivalent on arbitrary programs.
