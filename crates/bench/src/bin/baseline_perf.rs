@@ -44,8 +44,6 @@
 //! engine`.
 
 use std::collections::HashSet;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::time::Instant;
 
 use corepart::baselines::performance_partition;
@@ -62,7 +60,7 @@ use corepart::parallel::resolve_threads;
 use corepart::partition::{PartitionOutcome, Partitioner};
 use corepart::prepare::{PreparedApp, Workload};
 use corepart::serve::{
-    handle_line, respond_fresh, ComputeKind, ComputeRequest, ServeOptions, Server,
+    handle_line, respond_fresh, Client, ComputeKind, ComputeRequest, ServeOptions, Server,
 };
 use corepart::store::{ArtifactStore, StoreOptions};
 use corepart::system::{ResolvedPoint, SystemConfig};
@@ -603,43 +601,6 @@ fn measure_serve_zipf(selected: &[PaperWorkload], per_app_bytes: &[u64], total: 
     )
 }
 
-/// A line-oriented TCP client against a spawned in-process [`Server`].
-struct ServeClient {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl ServeClient {
-    fn connect(addr: std::net::SocketAddr) -> ServeClient {
-        let stream = TcpStream::connect(addr).expect("connect to spawned server");
-        stream.set_nodelay(true).expect("nodelay");
-        ServeClient {
-            reader: BufReader::new(stream.try_clone().expect("clone stream")),
-            writer: stream,
-        }
-    }
-
-    fn send(&mut self, line: &str) {
-        self.writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush())
-            .expect("send request");
-    }
-
-    fn recv(&mut self) -> String {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line).expect("read response");
-        assert!(n > 0, "daemon closed the connection");
-        line.trim_end().to_owned()
-    }
-
-    fn ask(&mut self, line: &str) -> String {
-        self.send(line);
-        self.recv()
-    }
-}
-
 /// The warm request mix over `apps`: partition, explore, and verify
 /// per app — the same shape the serve-smoke load driver fires.
 fn serve_mix(apps: &[PaperWorkload]) -> Vec<ComputeRequest> {
@@ -672,7 +633,7 @@ fn measure_serve_pipelined(apps: &[PaperWorkload], repeats: usize) -> String {
         ..ServeOptions::default()
     };
     let server = Server::spawn(SystemConfig::new(), &opts).expect("spawn server");
-    let mut client = ServeClient::connect(server.addr());
+    let mut client = Client::connect(server.addr()).expect("connect to spawned server");
 
     let mix = serve_mix(apps);
     let mut id = 0u64;
@@ -681,7 +642,7 @@ fn measure_serve_pipelined(apps: &[PaperWorkload], repeats: usize) -> String {
         let mut req = req.clone();
         id += 1;
         req.id = Some(id);
-        let response = client.ask(&req.to_json());
+        let response = client.try_ask(&req.to_json()).expect("round trip");
         assert!(response.contains("\"ok\":true"), "{response}");
     }
 
@@ -696,7 +657,7 @@ fn measure_serve_pipelined(apps: &[PaperWorkload], repeats: usize) -> String {
         let mut req = req.clone();
         id += 1;
         req.id = Some(id);
-        let response = client.ask(&req.to_json());
+        let response = client.try_ask(&req.to_json()).expect("round trip");
         serial_results.push(result_field(&response).expect("result field").to_owned());
     }
     let serial_nanos = serial_start.elapsed().as_nanos() as u64;
@@ -707,23 +668,23 @@ fn measure_serve_pipelined(apps: &[PaperWorkload], repeats: usize) -> String {
         let mut req = req.clone();
         id += 1;
         req.id = Some(id);
+        if !burst.is_empty() {
+            burst.push('\n');
+        }
         burst.push_str(&req.to_json());
-        burst.push('\n');
     }
-    client
-        .writer
-        .write_all(burst.as_bytes())
-        .and_then(|()| client.writer.flush())
-        .expect("send burst");
+    client.send(&burst).expect("send burst");
     let mut identical = true;
     for serial in &serial_results {
-        let response = client.recv();
+        let response = client.recv().expect("read response");
         identical &= result_field(&response) == Some(serial.as_str());
     }
     let pipelined_nanos = pipelined_start.elapsed().as_nanos() as u64;
 
     id += 1;
-    let shutdown = client.ask(&format!("{{\"id\":{id},\"cmd\":\"shutdown\"}}"));
+    let shutdown = client
+        .try_ask(&format!("{{\"id\":{id},\"cmd\":\"shutdown\"}}"))
+        .expect("round trip");
     assert!(shutdown.contains("\"ok\":true"), "{shutdown}");
     server.join();
 
@@ -800,40 +761,42 @@ fn measure_serve_coalescing(w: &PaperWorkload, storm: usize) -> String {
 
     // Serial reference: one round-trip per request, cold store.
     let serial_server = spawn();
-    let mut client = ServeClient::connect(serial_server.addr());
+    let mut client = Client::connect(serial_server.addr()).expect("connect to spawned server");
     let serial_start = Instant::now();
     let mut serial_results: Vec<String> = Vec::with_capacity(storm);
     for req in &requests {
-        let response = client.ask(&req.to_json());
+        let response = client.try_ask(&req.to_json()).expect("round trip");
         serial_results.push(comparable(&response).to_owned());
     }
     let serial_nanos = serial_start.elapsed().as_nanos() as u64;
-    client.ask("{\"cmd\":\"shutdown\"}");
+    client
+        .try_ask("{\"cmd\":\"shutdown\"}")
+        .expect("round trip");
     serial_server.join();
 
     // Coalesced: the whole storm in flight before the cold first
     // request finishes, so the shard worker drains and batch-verifies.
     let coalesced_server = spawn();
-    let mut client = ServeClient::connect(coalesced_server.addr());
+    let mut client = Client::connect(coalesced_server.addr()).expect("connect to spawned server");
     let coalesced_start = Instant::now();
     let mut burst = String::new();
     for req in &requests {
+        if !burst.is_empty() {
+            burst.push('\n');
+        }
         burst.push_str(&req.to_json());
-        burst.push('\n');
     }
-    client
-        .writer
-        .write_all(burst.as_bytes())
-        .and_then(|()| client.writer.flush())
-        .expect("send storm");
+    client.send(&burst).expect("send storm");
     let mut identical = true;
     for serial in &serial_results {
-        let response = client.recv();
+        let response = client.recv().expect("read response");
         identical &= comparable(&response) == serial.as_str();
     }
     let coalesced_nanos = coalesced_start.elapsed().as_nanos() as u64;
 
-    let stats = client.ask("{\"id\":99,\"cmd\":\"stats\"}");
+    let stats = client
+        .try_ask("{\"id\":99,\"cmd\":\"stats\"}")
+        .expect("round trip");
     let parsed = parse_json(&stats).expect("stats parse");
     let bucket = |k: &str| {
         parsed
@@ -845,7 +808,9 @@ fn measure_serve_coalescing(w: &PaperWorkload, storm: usize) -> String {
             .unwrap_or(0)
     };
     let (k2_4, k5_16) = (bucket("k2_4"), bucket("k5_16"));
-    client.ask("{\"cmd\":\"shutdown\"}");
+    client
+        .try_ask("{\"cmd\":\"shutdown\"}")
+        .expect("round trip");
     coalesced_server.join();
 
     let speedup = serial_nanos as f64 / coalesced_nanos.max(1) as f64;

@@ -24,12 +24,10 @@
 //! Finishes with a `shutdown` request. Any failed expectation exits
 //! nonzero.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use corepart::json::{parse_json, JsonValue};
-use corepart::serve::{ComputeKind, ComputeRequest, DEFAULT_PORT};
+use corepart::serve::{Client, ComputeKind, ComputeRequest, DEFAULT_PORT};
 use corepart_bench::SEED;
 use corepart_workloads::{all, PaperWorkload};
 
@@ -38,60 +36,44 @@ fn fail(message: &str) -> ! {
     std::process::exit(1);
 }
 
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(port: u16) -> Client {
-        // The daemon may still be booting when CI launches the driver.
-        let mut last = String::new();
-        for _ in 0..50 {
-            match TcpStream::connect(("127.0.0.1", port)) {
-                Ok(stream) => {
-                    return Client {
-                        reader: BufReader::new(stream.try_clone().expect("clone stream")),
-                        writer: stream,
-                    }
-                }
-                Err(e) => {
-                    last = e.to_string();
-                    std::thread::sleep(Duration::from_millis(200));
-                }
+/// Connects to the daemon, retrying while it may still be booting (CI
+/// launches the driver right after the daemon).
+fn connect(port: u16) -> Client {
+    let mut last = String::new();
+    for _ in 0..50 {
+        match Client::connect(("127.0.0.1", port)) {
+            Ok(client) => return client,
+            Err(e) => {
+                last = e.to_string();
+                std::thread::sleep(Duration::from_millis(200));
             }
         }
-        fail(&format!("cannot connect to 127.0.0.1:{port}: {last}"));
     }
+    fail(&format!("cannot connect to 127.0.0.1:{port}: {last}"));
+}
 
-    fn send(&mut self, line: &str) {
-        self.writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush())
-            .unwrap_or_else(|e| fail(&format!("send failed: {e}")));
-    }
+fn send(client: &mut Client, text: &str) {
+    client
+        .send(text)
+        .unwrap_or_else(|e| fail(&format!("send failed: {e}")));
+}
 
-    fn recv(&mut self) -> JsonValue {
-        let mut response = String::new();
-        self.reader
-            .read_line(&mut response)
-            .unwrap_or_else(|e| fail(&format!("receive failed: {e}")));
-        if response.is_empty() {
-            fail("the daemon closed the connection mid-sequence");
-        }
-        let parsed = parse_json(response.trim_end())
-            .unwrap_or_else(|e| fail(&format!("unparseable response {response:?}: {e}")));
-        if parsed.get("ok").and_then(JsonValue::as_bool) != Some(true) {
-            fail(&format!("request was rejected: {}", response.trim_end()));
-        }
-        parsed
+/// The next response, which must parse and be `"ok":true`.
+fn recv(client: &mut Client) -> JsonValue {
+    let response = client
+        .recv()
+        .unwrap_or_else(|e| fail(&format!("receive failed mid-sequence: {e}")));
+    let parsed = parse_json(&response)
+        .unwrap_or_else(|e| fail(&format!("unparseable response {response:?}: {e}")));
+    if parsed.get("ok").and_then(JsonValue::as_bool) != Some(true) {
+        fail(&format!("request was rejected: {response}"));
     }
+    parsed
+}
 
-    fn ask(&mut self, line: &str) -> JsonValue {
-        self.send(line);
-        self.recv()
-    }
+fn ask(client: &mut Client, line: &str) -> JsonValue {
+    send(client, line);
+    recv(client)
 }
 
 /// The `p`th percentile of `values` (nearest-rank on a sorted copy).
@@ -132,7 +114,7 @@ fn main() {
                 .unwrap_or_else(|_| fail(&format!("bad port `{arg}`")));
         }
     }
-    let mut client = Client::connect(port);
+    let mut client = connect(port);
 
     // Two small apps, three commands each, the whole block twice: the
     // second pass repeats every fingerprint against a warm store.
@@ -148,7 +130,7 @@ fn main() {
                 id += 1;
                 req.id = Some(id);
                 sent += 1;
-                let response = client.ask(&req.to_json());
+                let response = ask(&mut client, &req.to_json());
                 // Capture the cold pass's partition answer: only a
                 // fresh session carries the `batch_shards` counter CI
                 // greps for (warm memo hits skip the session).
@@ -177,7 +159,10 @@ fn main() {
         crate_response_line(&partition_response).unwrap_or_else(|| fail("response not an object"))
     );
 
-    let stats = client.ask(&format!("{{\"id\":{},\"cmd\":\"stats\"}}", id + 1));
+    let stats = ask(
+        &mut client,
+        &format!("{{\"id\":{},\"cmd\":\"stats\"}}", id + 1),
+    );
     let result = stats
         .get("result")
         .unwrap_or_else(|| fail("stats response has no result"));
@@ -202,7 +187,10 @@ fn main() {
     }
     eprintln!("serve_load: {requests} requests, hit rate {hit_rate:.2}, p99 {p99} ns");
 
-    client.ask(&format!("{{\"id\":{},\"cmd\":\"shutdown\"}}", id + 2));
+    ask(
+        &mut client,
+        &format!("{{\"id\":{},\"cmd\":\"shutdown\"}}", id + 2),
+    );
     eprintln!("serve_load: shutdown acknowledged");
 }
 
@@ -235,11 +223,11 @@ fn pipelined_pass(
     let mut inflight = 0usize;
     while next < reqs.len() || inflight > 0 {
         while inflight < depth && next < reqs.len() {
-            client.send(&reqs[next].to_json());
+            send(client, &reqs[next].to_json());
             next += 1;
             inflight += 1;
         }
-        let response = client.recv();
+        let response = recv(client);
         inflight -= 1;
         if let Some(stats) = response.get("stats") {
             if let Some(q) = stats.get("queue_nanos").and_then(JsonValue::as_u64) {
@@ -293,20 +281,18 @@ fn coalescing_storm(client: &mut Client, mut id: u64) -> u64 {
         req.clusters = vec![0];
         id += 1;
         req.id = Some(id);
+        if !burst.is_empty() {
+            burst.push('\n');
+        }
         burst.push_str(&req.to_json());
-        burst.push('\n');
     }
-    client
-        .writer
-        .write_all(burst.as_bytes())
-        .and_then(|()| client.writer.flush())
-        .unwrap_or_else(|e| fail(&format!("storm send failed: {e}")));
+    send(client, &burst);
     for _ in 0..count {
-        client.recv();
+        recv(client);
     }
 
     id += 1;
-    let stats = client.ask(&format!("{{\"id\":{id},\"cmd\":\"stats\"}}"));
+    let stats = ask(client, &format!("{{\"id\":{id},\"cmd\":\"stats\"}}"));
     let pipeline = stats
         .get("result")
         .and_then(|r| r.get("pipeline"))

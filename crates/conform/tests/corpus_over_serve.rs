@@ -5,12 +5,12 @@
 //! mid-chunk.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use corepart::corpus::{point_to_line, CorpusOptions, RemoteOptions};
-use corepart::serve::{handle_line, ServeOptions, Server};
+use corepart::serve::{handle_line, Client, ServeOptions, Server};
 use corepart::store::{ArtifactStore, StoreOptions};
 use corepart::system::SystemConfig;
 use corepart::tech::scaling::OperatingPoint;
@@ -66,10 +66,8 @@ fn spawn_server() -> Server {
 }
 
 fn shutdown(server: Server) {
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    stream.write_all(b"{\"cmd\":\"shutdown\"}\n").unwrap();
-    let mut line = String::new();
-    BufReader::new(stream).read_line(&mut line).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.try_ask("{\"cmd\":\"shutdown\"}").unwrap();
     server.join();
 }
 

@@ -5,52 +5,26 @@
 
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 use corepart::json::{parse_json, result_field};
-use corepart::serve::{respond_fresh, ComputeKind, ComputeRequest, ServeOptions, Server};
+use corepart::serve::{respond_fresh, Client, ComputeKind, ComputeRequest, ServeOptions, Server};
 use corepart::system::SystemConfig;
 use corepart_conform::generate;
 
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+fn connect(server: &Server) -> Client {
+    Client::connect(server.addr()).unwrap()
 }
 
-impl Client {
-    fn connect(server: &Server) -> Client {
-        let stream = TcpStream::connect(server.addr()).unwrap();
-        Client {
-            reader: BufReader::new(stream.try_clone().unwrap()),
-            writer: stream,
-        }
-    }
+/// Panicking conveniences over the protocol client.
+trait Ask {
+    fn ask(&mut self, line: &str) -> String;
+    fn store_shape(&mut self) -> (u64, u64);
+}
 
-    fn send(&mut self, line: &str) {
-        self.writer.write_all(line.as_bytes()).unwrap();
-        self.writer.write_all(b"\n").unwrap();
-        self.writer.flush().unwrap();
-    }
-
-    fn recv(&mut self) -> String {
-        let mut response = String::new();
-        self.reader.read_line(&mut response).unwrap();
-        assert!(response.ends_with('\n'), "truncated response: {response}");
-        response.trim_end().to_owned()
-    }
-
+impl Ask for Client {
     fn ask(&mut self, line: &str) -> String {
-        self.send(line);
-        self.recv()
-    }
-
-    /// [`Client::ask`] that hands back I/O errors instead of panicking.
-    fn try_ask(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        let mut response = String::new();
-        self.reader.read_line(&mut response)?;
-        Ok(response.trim_end().to_owned())
+        self.try_ask(line).unwrap()
     }
 
     fn store_shape(&mut self) -> (u64, u64) {
@@ -86,7 +60,7 @@ fn spawn_server() -> Server {
 fn served_generated_apps_match_fresh_engines() {
     let server = spawn_server();
     let base = SystemConfig::new();
-    let mut client = Client::connect(&server);
+    let mut client = connect(&server);
     for seed in 0..6u64 {
         let app = generate(seed);
         let mut req = ComputeRequest::new(ComputeKind::Partition, &app.source());
@@ -155,15 +129,15 @@ fn pipelined_shuffled_responses_match_serial_serving() {
     let server = spawn_server();
     let base = SystemConfig::new();
     let mix = pipelined_mix(&base, true);
-    let mut client = Client::connect(&server);
+    let mut client = connect(&server);
     // Burst every request before reading a single response; ordered
     // (default) semantics promise responses in request order even
     // though the shards finish out of order.
     for (req, _) in &mix {
-        client.send(&req.to_json());
+        client.send(&req.to_json()).unwrap();
     }
     for (i, (req, fresh)) in mix.iter().enumerate() {
-        let served = client.recv();
+        let served = client.recv().unwrap();
         let echoed = parse_json(&served)
             .unwrap()
             .get("id")
@@ -180,15 +154,15 @@ fn unordered_responses_are_matched_by_id() {
     let server = spawn_server();
     let base = SystemConfig::new();
     let mix = pipelined_mix(&base, false);
-    let mut client = Client::connect(&server);
+    let mut client = connect(&server);
     for (req, _) in &mix {
-        client.send(&req.to_json());
+        client.send(&req.to_json()).unwrap();
     }
     // `"ordered":false` waives the reorder buffer: responses arrive in
     // completion order and the client matches them by echoed id.
     let mut seen = vec![false; mix.len()];
     for _ in 0..mix.len() {
-        let served = client.recv();
+        let served = client.recv().unwrap();
         let id = parse_json(&served)
             .unwrap()
             .get("id")
@@ -220,7 +194,7 @@ fn connection_cap_answers_busy_and_closes() {
         },
     )
     .unwrap();
-    let mut first = Client::connect(&server);
+    let mut first = connect(&server);
     let app = generate(1);
     let mut req = ComputeRequest::new(ComputeKind::Partition, &app.source());
     req.arrays = app.workload_arrays();
@@ -228,15 +202,16 @@ fn connection_cap_answers_busy_and_closes() {
 
     // The over-cap connection gets exactly one typed `busy` line and
     // an orderly close, with no request ever read from it.
-    let mut second = Client::connect(&server);
-    let busy = second.recv();
+    let mut second = connect(&server);
+    let busy = second.recv().unwrap();
     assert!(busy.contains("\"ok\":false"), "{busy}");
     assert!(busy.contains("\"kind\":\"busy\""), "{busy}");
-    let mut rest = String::new();
-    assert_eq!(
-        second.reader.read_line(&mut rest).unwrap(),
-        0,
-        "not closed: {rest}"
+    // `UnexpectedEof` is a close with zero further bytes; stray bytes
+    // before the close would be `InvalidData`.
+    let rest = second.recv();
+    assert!(
+        matches!(&rest, Err(e) if e.kind() == ErrorKind::UnexpectedEof),
+        "not closed: {rest:?}"
     );
 
     // The admitted connection is unharmed — and once it hangs up, the
@@ -245,7 +220,7 @@ fn connection_cap_answers_busy_and_closes() {
     drop(first);
     let mut third = None;
     for attempt in 0..100 {
-        let mut candidate = Client::connect(&server);
+        let mut candidate = connect(&server);
         // A refused client is sent `busy` and closed without its
         // request being read, so the write or read can also fail with
         // a reset: that is a refusal too.
@@ -266,7 +241,7 @@ fn connection_cap_answers_busy_and_closes() {
             ),
         }
         assert!(attempt < 99, "slot never freed after disconnect");
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        std::thread::sleep(Duration::from_millis(20));
     }
     third.unwrap().ask("{\"cmd\":\"shutdown\"}");
     server.join();
@@ -285,7 +260,7 @@ fn request_timeout_returns_typed_error_without_poisoning() {
         },
     )
     .unwrap();
-    let mut client = Client::connect(&server);
+    let mut client = connect(&server);
     let app = generate(0);
     let mut req = ComputeRequest::new(ComputeKind::Partition, &app.source());
     req.id = Some(7);
@@ -310,7 +285,7 @@ fn request_timeout_returns_typed_error_without_poisoning() {
             break;
         }
         assert!(answer.contains("\"kind\":\"timeout\""), "{answer}");
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        std::thread::sleep(Duration::from_millis(10));
     }
     let warm = warm.expect("request never completed after the timeout");
     assert!(warm.contains("\"store_hit\":true"), "{warm}");
@@ -322,7 +297,7 @@ fn request_timeout_returns_typed_error_without_poisoning() {
 #[test]
 fn corrupt_source_is_a_typed_error_and_leaves_the_store_clean() {
     let server = spawn_server();
-    let mut client = Client::connect(&server);
+    let mut client = connect(&server);
 
     // Warm the store with one healthy app, then snapshot its shape.
     let app = generate(1);
@@ -349,5 +324,66 @@ fn corrupt_source_is_a_typed_error_and_leaves_the_store_clean() {
     assert!(again.contains("\"store_hit\":true"), "{again}");
 
     client.ask("{\"cmd\":\"shutdown\"}");
+    server.join();
+}
+
+#[test]
+fn deeply_nested_line_is_a_request_error_and_the_daemon_survives() {
+    let server = spawn_server();
+    let mut hostile = connect(&server);
+    let mut bystander = connect(&server);
+    // Half a million nested arrays once overflowed the connection
+    // thread's stack and aborted the whole process.
+    let response = hostile.ask(&"[".repeat(500_000));
+    assert!(response.contains("\"ok\":false"), "{response}");
+    assert!(response.contains("\"kind\":\"request\""), "{response}");
+    assert!(response.contains("nesting"), "{response}");
+    // The same connection and every other one keep working.
+    assert!(hostile.ask("{\"cmd\":\"stats\"}").contains("\"ok\":true"));
+    let stats = bystander.ask("{\"cmd\":\"stats\"}");
+    assert!(stats.contains("\"cmd\":\"stats\""), "{stats}");
+    bystander.ask("{\"cmd\":\"shutdown\"}");
+    server.join();
+}
+
+/// The median of `samples`.
+fn median(mut samples: Vec<Duration>) -> Duration {
+    samples.sort_unstable();
+    samples[samples.len() / 2]
+}
+
+#[test]
+fn serial_round_trips_do_not_stall_on_nagle() {
+    let server = spawn_server();
+    let app = generate(2);
+    let mut req = ComputeRequest::new(ComputeKind::Partition, &app.source());
+    req.arrays = app.workload_arrays();
+    let compute = req.to_json();
+    assert!(connect(&server).ask(&compute).contains("\"ok\":true"));
+
+    // A plain client: NODELAY left off, each line in one write. Every
+    // delay measured here is the daemon's; a response split over two
+    // writes costs the peer's delayed ACK, 40 ms or more.
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut round_trip = |line: &str| {
+        let started = Instant::now();
+        writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut response = String::new();
+        reader.read_line(&mut response).unwrap();
+        assert!(response.contains("\"ok\":true"), "{response}");
+        started.elapsed()
+    };
+    for line in ["{\"cmd\":\"stats\"}", compute.as_str()] {
+        round_trip(line);
+        let p50 = median((0..20).map(|_| round_trip(line)).collect());
+        assert!(
+            p50 < Duration::from_millis(5),
+            "serial round trip median {p50:?} for {}",
+            &line[..line.len().min(40)]
+        );
+    }
+    connect(&server).ask("{\"cmd\":\"shutdown\"}");
     server.join();
 }

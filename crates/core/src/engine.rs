@@ -87,12 +87,35 @@ impl Baseline {
 /// 64-bit FNV-1a over a fingerprint string — stable, dependency-free,
 /// and fast enough for the once-per-session key computation.
 pub(crate) fn fnv64(text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = Fnv64::default();
+    hash.write_bytes(text.as_bytes());
+    hash.0
+}
+
+/// [`fnv64`] streamed: text written piecewise (also through `write!`)
+/// hashes to the same value as its concatenation, without building it.
+pub(crate) struct Fnv64(pub(crate) u64);
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Fnv64(0xcbf2_9ce4_8422_2325)
     }
-    hash
+}
+
+impl Fnv64 {
+    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
+        for byte in bytes {
+            self.0 ^= u64::from(*byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl std::fmt::Write for Fnv64 {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write_bytes(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// The `(application, workload)` identity every session key starts

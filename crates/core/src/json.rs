@@ -591,17 +591,23 @@ impl JsonValue {
     }
 }
 
-/// Parses one JSON document. Rejects trailing non-whitespace.
+/// How deeply arrays and objects may nest in a parsed document. The
+/// serve protocol nests at most three levels; the bound keeps the
+/// recursive parser's stack use constant, so no input line can
+/// overflow a connection thread's stack.
+pub const MAX_NESTING: usize = 64;
+
+/// Parses one JSON document. Rejects trailing non-whitespace and
+/// nesting deeper than [`MAX_NESTING`].
 ///
 /// # Errors
 ///
 /// A human-readable message naming the byte offset of the problem.
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
-    let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(text, &mut pos, 0)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(format!("trailing content at byte {pos}"));
     }
     Ok(value)
@@ -613,8 +619,16 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses the value at `pos`, which sits inside `depth` enclosing
+/// arrays or objects.
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'{' | b'[')) && depth >= MAX_NESTING {
+        return Err(format!(
+            "nesting deeper than {MAX_NESTING} levels at byte {pos}"
+        ));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'{') => {
@@ -627,13 +641,13 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 if bytes.get(*pos) != Some(&b':') {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -655,7 +669,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 return Ok(JsonValue::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -667,7 +681,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 }
             }
         }
-        Some(b'"') => parse_string(bytes, pos).map(JsonValue::Str),
+        Some(b'"') => parse_string(text, pos).map(JsonValue::Str),
         Some(b't') if bytes[*pos..].starts_with(b"true") => {
             *pos += 4;
             Ok(JsonValue::Bool(true))
@@ -687,15 +701,17 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             {
                 *pos += 1;
             }
-            let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-            text.parse::<f64>()
+            let number = &text[start..*pos];
+            number
+                .parse::<f64>()
                 .map(JsonValue::Num)
-                .map_err(|_| format!("invalid number {text:?} at byte {start}"))
+                .map_err(|_| format!("invalid number {number:?} at byte {start}"))
         }
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at byte {pos}"));
     }
@@ -760,12 +776,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
             }
             _ => {
-                // Consume one UTF-8 scalar (requests are valid UTF-8
-                // strings by construction of the line reader).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash in one
+                // go. Both delimiters are ASCII, so the run ends on a
+                // character boundary of the (valid UTF-8) input.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                out.push_str(&text[*pos..end]);
+                *pos = end;
             }
         }
     }
@@ -1074,6 +1093,62 @@ mod tests {
         assert!(parse_json("\"unterminated").is_err());
         assert!(parse_json("{} trailing").is_err());
         assert!(parse_json("nope").is_err());
+    }
+
+    #[test]
+    fn parser_limits_nesting_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&nested(MAX_NESTING)).is_ok());
+        let err = parse_json(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64"), "{err}");
+        // Far past the limit the parser still answers with an error
+        // instead of overflowing the stack.
+        let deep = "[".repeat(500_000);
+        assert!(parse_json(&deep).unwrap_err().contains("nesting"));
+        let objects = "{\"a\":".repeat(MAX_NESTING + 1);
+        assert!(parse_json(&objects).unwrap_err().contains("nesting"));
+    }
+
+    #[test]
+    fn parser_takes_a_one_mebibyte_string() {
+        let source: String = "app big; // é 😀 \\ \"q\"\n"
+            .chars()
+            .cycle()
+            .take(1 << 20)
+            .collect();
+        let line = format!("{{\"source\":\"{}\"}}", json_escape(&source));
+        let parsed = parse_json(&line).unwrap();
+        assert_eq!(
+            parsed.get("source").and_then(JsonValue::as_str),
+            Some(&*source)
+        );
+    }
+
+    #[test]
+    fn parser_keeps_its_string_errors() {
+        assert_eq!(
+            parse_json(r#""\ud83d""#).unwrap_err(),
+            "unpaired surrogate before byte 7"
+        );
+        assert_eq!(
+            parse_json(r#""\ud83dx""#).unwrap_err(),
+            "unpaired surrogate before byte 7"
+        );
+        assert_eq!(
+            parse_json(r#""\ud83d\u0041""#).unwrap_err(),
+            "unpaired surrogate"
+        );
+        assert_eq!(parse_json(r#""ab\q""#).unwrap_err(), "unknown escape \\q");
+        assert_eq!(parse_json("\"abc").unwrap_err(), "unterminated string");
+        assert_eq!(parse_json("\"abc\\").unwrap_err(), "unterminated escape");
+        assert_eq!(
+            parse_json(r#""\u12""#).unwrap_err(),
+            "short \\u escape at byte 3"
+        );
+        assert_eq!(
+            parse_json(r#""\ud83d\ude00é""#).unwrap().as_str(),
+            Some("😀é")
+        );
     }
 
     #[test]

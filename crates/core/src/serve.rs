@@ -55,8 +55,9 @@
 //! [`ArtifactStore`].
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::fmt::Write as _;
+use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
@@ -68,7 +69,7 @@ use corepart_ir::lower::lower;
 use corepart_ir::parser::parse;
 
 use crate::corpus::{evaluate_corpus_entry, point_to_line, source_features, CorpusEntry};
-use crate::engine::{session_identity, Engine, SessionStats};
+use crate::engine::{session_identity, Engine, Fnv64, SessionStats};
 use crate::error::CorepartError;
 use crate::evaluate::Partition;
 use crate::explore::{explore_in, hardware_weight_sweep};
@@ -448,23 +449,23 @@ impl From<ComputeRequest> for Request {
     }
 }
 
-/// The shard-routing fingerprint of a compute request: the raw source
-/// and array text, so routing needs no parse. Two requests with
-/// identical text always share a shard (and therefore its warm
-/// artifacts); texts that merely normalize to the same application may
-/// land apart — they would also fingerprint apart in the CLI flow.
+/// The shard-routing fingerprint of a compute request: FNV-64 of the
+/// raw source and array text (`source`, then `\0name=v,v,…,` per
+/// array), streamed without building that text, so routing needs no
+/// parse. Two requests with identical text always share a shard (and
+/// therefore its warm artifacts); texts that merely normalize to the
+/// same application may land apart — they would also fingerprint apart
+/// in the CLI flow.
 pub fn request_fingerprint(req: &ComputeRequest) -> u64 {
-    let mut text = req.source.clone();
+    let mut hash = Fnv64::default();
+    hash.write_bytes(req.source.as_bytes());
     for (name, data) in &req.arrays {
-        text.push('\0');
-        text.push_str(name);
-        text.push('=');
+        let _ = write!(hash, "\0{name}=");
         for v in data {
-            text.push_str(&v.to_string());
-            text.push(',');
+            let _ = write!(hash, "{v},");
         }
     }
-    crate::engine::fnv64(&text)
+    hash.0
 }
 
 fn parse_app(source: &str) -> Result<Application, CorepartError> {
@@ -736,13 +737,18 @@ pub fn stats_response(store: &ArtifactStore, id: Option<u64>) -> String {
     )
 }
 
-/// The store's result-memo key: the session identity plus every knob
-/// the deterministic `result` payload depends on. Requests with equal
-/// keys are guaranteed byte-identical answers, so the store may serve
-/// the second from its memo without touching the engine.
-fn request_result_key(identity: &str, req: &ComputeRequest) -> String {
-    format!(
-        "{identity}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{}|{:?}|{:?}",
+/// The store's result-memo key: the request's whole content — every
+/// field but `id` and `ordered`, which are transport — spelled out
+/// exactly. The deterministic `result` is a function of this content,
+/// so requests with equal keys get byte-identical answers and the store
+/// may serve a repeat from its memo before parsing the source at all.
+/// No hash stands in for content (a collision would serve another
+/// request's answer): every field but the source is self-delimiting —
+/// `Debug` quotes and escapes strings — and the source comes last, so
+/// distinct requests never share a key.
+fn request_result_key(req: &ComputeRequest) -> String {
+    let mut key = format!(
+        "{}|{:?}|{:?}|{:?}|{:?}|{:?}|{}|{:?}|{:?}|{}",
         req.kind.name(),
         req.n_max,
         req.factor_f,
@@ -752,11 +758,32 @@ fn request_result_key(identity: &str, req: &ComputeRequest) -> String {
         req.set_index,
         req.operating_point,
         req.corpus,
-    )
+        req.arrays.len(),
+    );
+    for (name, data) in &req.arrays {
+        let _ = write!(key, "|{name:?}=");
+        for v in data {
+            let _ = write!(key, "{v},");
+        }
+    }
+    key.push('|');
+    key.push_str(&req.source);
+    key
 }
 
 /// Answers one compute request from the warm store.
 pub fn respond_compute(store: &ArtifactStore, req: &ComputeRequest) -> String {
+    answer_compute(store, req, request_fingerprint(req))
+}
+
+/// [`respond_compute`] for a request whose routing fingerprint is
+/// already known. A memoized answer is returned before the source is
+/// parsed; only a miss parses, lowers and computes.
+fn answer_compute(store: &ArtifactStore, req: &ComputeRequest, fingerprint: u64) -> String {
+    let key = request_result_key(req);
+    if let Some((result, rstats)) = store.memoized_result(fingerprint, &key) {
+        return success_response(req, &result, Some(&rstats), None);
+    }
     let app = match parse_app(&req.source) {
         Ok(app) => app,
         Err(e) => return error_response(req.id, &e),
@@ -764,14 +791,11 @@ pub fn respond_compute(store: &ArtifactStore, req: &ComputeRequest) -> String {
     let workload = Workload::from_arrays(req.arrays.clone());
     let identity = session_identity(&app, &workload);
     let config = effective_config(store.base_config(), req);
-    let (outcome, rstats) = store.with_result(
-        request_fingerprint(req),
-        &identity,
-        &request_result_key(&identity, req),
-        |engine| compute_result(engine, req, &app, &workload, config),
-    );
+    let (outcome, rstats) = store.compute_and_memoize(fingerprint, &identity, &key, |engine| {
+        compute_result(engine, req, &app, &workload, config)
+    });
     match outcome {
-        Ok((result, session)) => success_response(req, &result, Some(&rstats), session.flatten()),
+        Ok((result, session)) => success_response(req, &result, Some(&rstats), session),
         Err(e) => error_response(req.id, &e),
     }
 }
@@ -816,11 +840,13 @@ fn shutdown_response(id: Option<u64>) -> String {
     )
 }
 
-/// One routed compute job: the parsed request, its connection-local
-/// sequence number, and the reply slot into the connection's writer.
+/// One routed compute job: the parsed request, its routing fingerprint,
+/// its connection-local sequence number, and the reply slot into the
+/// connection's writer.
 struct Job {
     seq: u64,
     req: Box<ComputeRequest>,
+    fingerprint: u64,
     enqueued: Instant,
     reply: mpsc::Sender<WriterMsg>,
 }
@@ -869,7 +895,7 @@ fn worker_loop(store: &ArtifactStore, shard: usize, rx: &mpsc::Receiver<Job>) {
             store.note_dequeued(shard);
             let queue_nanos = job.enqueued.elapsed().as_nanos() as u64;
             let started = Instant::now();
-            let response = respond_compute(store, &job.req);
+            let response = answer_compute(store, &job.req, job.fingerprint);
             let compute_nanos = started.elapsed().as_nanos() as u64;
             store.note_request_split(queue_nanos, compute_nanos);
             let response = splice_timing(response, queue_nanos, compute_nanos);
@@ -888,12 +914,12 @@ fn worker_loop(store: &ArtifactStore, shard: usize, rx: &mpsc::Receiver<Job>) {
 /// rendering only and is excluded from the engine's artifact identity).
 type CoalesceKey = (u64, Option<usize>, Option<u64>, Option<u64>);
 
-fn coalesce_key(req: &ComputeRequest) -> CoalesceKey {
+fn coalesce_key(job: &Job) -> CoalesceKey {
     (
-        request_fingerprint(req),
-        req.n_max,
-        req.factor_f.map(f64::to_bits),
-        req.factor_g.map(f64::to_bits),
+        job.fingerprint,
+        job.req.n_max,
+        job.req.factor_f.map(f64::to_bits),
+        job.req.factor_g.map(f64::to_bits),
     )
 }
 
@@ -905,7 +931,7 @@ fn coalesce_verifies(store: &ArtifactStore, batch: &[Job]) {
     let mut order = Vec::new();
     for job in batch {
         if job.req.kind == ComputeKind::Verify {
-            let key = coalesce_key(&job.req);
+            let key = coalesce_key(job);
             let group = groups.entry(key).or_insert_with(|| {
                 order.push(key);
                 Vec::new()
@@ -917,7 +943,7 @@ fn coalesce_verifies(store: &ArtifactStore, batch: &[Job]) {
         let group = &groups[&key];
         store.note_coalesced(group.len());
         if group.len() >= 2 {
-            prewarm_verify_group(store, group);
+            prewarm_verify_group(store, key.0, group);
         }
     }
 }
@@ -930,7 +956,7 @@ fn coalesce_verifies(store: &ArtifactStore, batch: &[Job]) {
 /// failure here is simply skipped — the solo path recomputes (and
 /// properly reports) whatever the batch could not, including memoized
 /// per-lane errors.
-fn prewarm_verify_group(store: &ArtifactStore, group: &[&ComputeRequest]) {
+fn prewarm_verify_group(store: &ArtifactStore, fingerprint: u64, group: &[&ComputeRequest]) {
     let first = group[0];
     let Ok(app) = parse_app(&first.source) else {
         return;
@@ -938,7 +964,7 @@ fn prewarm_verify_group(store: &ArtifactStore, group: &[&ComputeRequest]) {
     let workload = Workload::from_arrays(first.arrays.clone());
     let mut config = effective_config(store.base_config(), first);
     config.operating_point = None;
-    let engine = store.shard_engine(request_fingerprint(first));
+    let engine = store.shard_engine(fingerprint);
     let Ok(session) = engine.session_with_config(&app, &workload, config) else {
         return;
     };
@@ -1061,14 +1087,17 @@ impl Server {
                         break;
                     }
                     let Ok(mut stream) = stream else { continue };
+                    // Every response leaves in one write; without
+                    // NODELAY, Nagle would hold each one until the
+                    // peer's delayed ACK of the previous segment.
+                    let _ = stream.set_nodelay(true);
                     if max_connections > 0 && active.load(Ordering::SeqCst) >= max_connections {
                         let busy = error_response_kind(
                             None,
                             "busy",
                             &format!("connection limit of {max_connections} reached"),
                         );
-                        let _ = stream.write_all(busy.as_bytes());
-                        let _ = stream.write_all(b"\n");
+                        let _ = write_line(&mut stream, busy);
                         continue;
                     }
                     active.fetch_add(1, Ordering::SeqCst);
@@ -1178,12 +1207,14 @@ fn serve_connection(
                 if announced.is_err() {
                     break;
                 }
-                let shard = store.shard_of(request_fingerprint(&req));
+                let fingerprint = request_fingerprint(&req);
+                let shard = store.shard_of(fingerprint);
                 store.note_enqueued(shard);
                 let sent = senders[shard]
                     .send(Job {
                         seq: this,
                         req,
+                        fingerprint,
                         enqueued: Instant::now(),
                         reply: tx.clone(),
                     })
@@ -1302,8 +1333,13 @@ fn writer_loop(
                 response,
                 stop,
             }) => match slots.get(&seq) {
+                // Late: the expiry pass below answers it with a
+                // timeout, however promptly this thread got to run.
+                Some(Slot::Waiting {
+                    deadline: Some(d), ..
+                }) if *d <= Instant::now() => {}
                 Some(Slot::Waiting { ordered: false, .. }) => {
-                    if write_line(&mut stream, &response).is_err() {
+                    if write_line(&mut stream, response).is_err() {
                         break 'conn;
                     }
                     slots.insert(seq, Slot::Written);
@@ -1314,42 +1350,43 @@ fn writer_loop(
                 // Timed out (already answered) or never announced.
                 _ => {}
             },
-            None => {
-                // A deadline passed: answer every expired request with
-                // a typed timeout error.
-                let now = Instant::now();
-                let expired: Vec<u64> = slots
-                    .iter()
-                    .filter_map(|(seq, slot)| match slot {
-                        Slot::Waiting {
-                            deadline: Some(d), ..
-                        } if *d <= now => Some(*seq),
-                        _ => None,
-                    })
-                    .collect();
-                for seq in expired {
-                    let Some(Slot::Waiting { id, ordered, .. }) = slots.remove(&seq) else {
-                        continue;
-                    };
-                    let response = error_response_kind(
-                        id,
-                        "timeout",
-                        "request timed out; its compute continues and its result is memoized",
+            None => {}
+        }
+        let now = Instant::now();
+        if earliest.is_some_and(|d| d <= now) {
+            // A deadline passed: answer every expired request with a
+            // typed timeout error.
+            let expired: Vec<u64> = slots
+                .iter()
+                .filter_map(|(seq, slot)| match slot {
+                    Slot::Waiting {
+                        deadline: Some(d), ..
+                    } if *d <= now => Some(*seq),
+                    _ => None,
+                })
+                .collect();
+            for seq in expired {
+                let Some(Slot::Waiting { id, ordered, .. }) = slots.remove(&seq) else {
+                    continue;
+                };
+                let response = error_response_kind(
+                    id,
+                    "timeout",
+                    "request timed out; its compute continues and its result is memoized",
+                );
+                if ordered {
+                    slots.insert(
+                        seq,
+                        Slot::Ready {
+                            response,
+                            stop: false,
+                        },
                     );
-                    if ordered {
-                        slots.insert(
-                            seq,
-                            Slot::Ready {
-                                response,
-                                stop: false,
-                            },
-                        );
-                    } else {
-                        if write_line(&mut stream, &response).is_err() {
-                            break 'conn;
-                        }
-                        slots.insert(seq, Slot::Written);
+                } else {
+                    if write_line(&mut stream, response).is_err() {
+                        break 'conn;
                     }
+                    slots.insert(seq, Slot::Written);
                 }
             }
         }
@@ -1367,7 +1404,7 @@ fn writer_loop(
                         unreachable!("matched Ready above");
                     };
                     next += 1;
-                    if write_line(&mut stream, &response).is_err() {
+                    if write_line(&mut stream, response).is_err() {
                         break 'conn;
                     }
                     if stop {
@@ -1381,10 +1418,82 @@ fn writer_loop(
     }
 }
 
-fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
+/// A blocking client of the serve protocol, one request line per
+/// [`Client::send`]. It sets `TCP_NODELAY` and writes each line with its
+/// newline in one write, so no round trip waits on Nagle's algorithm
+/// for the peer's delayed ACK.
+#[derive(Debug)]
+pub struct Client {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl Client {
+    /// Connects to the daemon at `addr`.
+    ///
+    /// # Errors
+    ///
+    /// Connection and socket-option failures.
+    pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(Client {
+            reader: BufReader::new(stream.try_clone()?),
+            writer: stream,
+        })
+    }
+
+    /// Sends `text` and a newline in one write. `text` is one request
+    /// line, or several joined by `\n` (a pipelined burst).
+    ///
+    /// # Errors
+    ///
+    /// Socket write failures.
+    pub fn send(&mut self, text: &str) -> std::io::Result<()> {
+        let mut line = String::with_capacity(text.len() + 1);
+        line.push_str(text);
+        write_line(&mut self.writer, line)
+    }
+
+    /// Reads the next response line, without its newline.
+    ///
+    /// # Errors
+    ///
+    /// Socket read failures; [`ErrorKind::UnexpectedEof`] when the
+    /// daemon closed the connection cleanly, with no further bytes; and
+    /// [`ErrorKind::InvalidData`] when it closed after a partial line.
+    pub fn recv(&mut self) -> std::io::Result<String> {
+        let mut line = String::new();
+        if self.reader.read_line(&mut line)? == 0 {
+            return Err(std::io::Error::new(
+                ErrorKind::UnexpectedEof,
+                "the daemon closed the connection",
+            ));
+        }
+        if line.pop() != Some('\n') {
+            return Err(std::io::Error::new(
+                ErrorKind::InvalidData,
+                format!("the daemon closed the connection mid-line: {line:?}"),
+            ));
+        }
+        Ok(line)
+    }
+
+    /// One round trip: [`Client::send`] then [`Client::recv`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::send`] and [`Client::recv`].
+    pub fn try_ask(&mut self, line: &str) -> std::io::Result<String> {
+        self.send(line)?;
+        self.recv()
+    }
+}
+
+/// Writes one line and its newline in a single write.
+fn write_line(stream: &mut TcpStream, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    stream.write_all(line.as_bytes())
 }
 
 #[cfg(test)]
@@ -1542,12 +1651,74 @@ mod tests {
         );
         // Same app, different point -> different result-memo key.
         let base = request(ComputeKind::Partition);
-        assert_ne!(
-            request_result_key("id", &req),
-            request_result_key("id", &base)
-        );
+        assert_ne!(request_result_key(&req), request_result_key(&base));
         // Same text fingerprint -> same shard, shared baseline artifacts.
         assert_eq!(request_fingerprint(&req), request_fingerprint(&base));
+    }
+
+    /// The routing fingerprint as first defined: FNV-64 of the source
+    /// and array text built as one string.
+    fn fingerprint_by_text(req: &ComputeRequest) -> u64 {
+        let mut text = req.source.clone();
+        for (name, data) in &req.arrays {
+            text.push('\0');
+            text.push_str(name);
+            text.push('=');
+            for v in data {
+                text.push_str(&v.to_string());
+                text.push(',');
+            }
+        }
+        crate::engine::fnv64(&text)
+    }
+
+    #[test]
+    fn streamed_fingerprint_matches_the_text_definition() {
+        // The benchmark's warm key set (every paper app: partition,
+        // explore, and four verifies) at two input seeds, a corpus
+        // request, and negative array values: shard placement must not
+        // move.
+        let mut requests = Vec::new();
+        for seed in [1, 2] {
+            for w in corepart_workloads::all() {
+                for (kind, clusters, set_index) in [
+                    (ComputeKind::Partition, &[][..], 2),
+                    (ComputeKind::Explore, &[], 2),
+                    (ComputeKind::Verify, &[0], 2),
+                    (ComputeKind::Verify, &[0], 4),
+                    (ComputeKind::Verify, &[0, 1], 2),
+                    (ComputeKind::Verify, &[0, 1], 4),
+                ] {
+                    let mut req = ComputeRequest::new(kind, w.source);
+                    req.arrays = w.arrays(seed);
+                    req.clusters = clusters.to_vec();
+                    req.set_index = set_index;
+                    requests.push(req);
+                }
+            }
+        }
+        assert_eq!(requests.len(), 72);
+        let app = corepart_conform::generate(5);
+        let mut corpus = ComputeRequest::new(ComputeKind::Corpus, &app.source());
+        corpus.arrays = app.workload_arrays();
+        corpus.weights = Some(vec![0.0, 0.2, 1.0]);
+        corpus.corpus = Some(CorpusMeta {
+            index: 5,
+            seed: 11,
+            name: "gen5".into(),
+        });
+        requests.push(corpus);
+        let mut negative = request(ComputeKind::Partition);
+        negative.arrays = vec![("x".into(), vec![-3, i64::MIN, i64::MAX, 0])];
+        requests.push(negative);
+        for req in &requests {
+            assert_eq!(request_fingerprint(req), fingerprint_by_text(req));
+        }
+        assert_eq!(
+            request_fingerprint(&request(ComputeKind::Partition)),
+            0xfa47_62d6_c062_eb9b,
+            "FNV-1a 64 of the unit-test request's text, computed independently"
+        );
     }
 
     #[test]
@@ -1624,18 +1795,8 @@ mod tests {
             },
         )
         .unwrap();
-        let addr = server.addr();
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        let mut send = |line: &str| {
-            writer.write_all(line.as_bytes()).unwrap();
-            writer.write_all(b"\n").unwrap();
-            writer.flush().unwrap();
-            let mut response = String::new();
-            std::io::BufRead::read_line(&mut reader, &mut response).unwrap();
-            response
-        };
+        let mut client = Client::connect(server.addr()).unwrap();
+        let mut send = |line: &str| client.try_ask(line).unwrap();
         let answer = send(&request(ComputeKind::Explore).to_json());
         assert!(answer.contains("\"ok\":true"), "{answer}");
         assert!(answer.contains("\"points\""), "{answer}");

@@ -27,12 +27,12 @@
 //!   iteration order.
 //! * **Result memoization.** The whole flow is deterministic, so the
 //!   store also memoizes the rendered `result` payload per *exact*
-//!   request ([`ArtifactStore::with_result`]): a repeated request is
-//!   answered by a map lookup without touching the engine at all.
+//!   request ([`ArtifactStore::memoized_result`]): a repeated request
+//!   is answered by a map lookup without touching the engine at all.
 //!   Result entries live in the same byte ledger under the same
-//!   budget/LRU/admission rules; only result-missing requests (new
-//!   knobs on a warm app) touch — and thereby keep hot — the
-//!   underlying artifacts.
+//!   budget/LRU/admission rules (each holds its request key once, next
+//!   to its text); only result-missing requests (new knobs on a warm
+//!   app) touch — and thereby keep hot — the underlying artifacts.
 //!
 //! Evicted entries are recomputed bit-identically on the next request
 //! — every artifact is a pure function of its key (see
@@ -90,15 +90,46 @@ struct EntryMeta {
     touches: u64,
 }
 
+/// One memoized serve `result` payload and its ledger record.
+#[derive(Debug)]
+struct MemoEntry {
+    text: String,
+    meta: EntryMeta,
+}
+
+/// One shard's byte ledger: every accounted entry, engine artifacts and
+/// memoized results alike, under one LRU.
+#[derive(Debug, Default)]
+struct Ledger {
+    /// Engine pool entries.
+    artifacts: HashMap<EntryKey, EntryMeta>,
+    /// Memoized deterministic serve `result` payloads by full request
+    /// key ([`ArtifactKind::Result`] entries). The key — as large as the
+    /// request's source — is held here and nowhere else.
+    results: HashMap<String, MemoEntry>,
+}
+
+impl Ledger {
+    /// Every accounted entry as `(kind, key, record)`.
+    fn entries(&self) -> impl Iterator<Item = (ArtifactKind, &str, &EntryMeta)> {
+        let artifacts = self
+            .artifacts
+            .iter()
+            .map(|(k, e)| (k.kind, k.key.as_str(), e));
+        let results = self
+            .results
+            .iter()
+            .map(|(k, m)| (ArtifactKind::Result, k.as_str(), &m.meta));
+        artifacts.chain(results)
+    }
+}
+
 /// One shard: a warm engine plus the ledger of its accounted entries.
 #[derive(Debug)]
 struct StoreShard {
     engine: Engine,
-    meta: Mutex<HashMap<EntryKey, EntryMeta>>,
-    /// Memoized deterministic serve `result` payloads, keyed by the
-    /// full request key ([`ArtifactKind::Result`] ledger entries).
-    results: Mutex<HashMap<String, String>>,
-    latencies: Mutex<Vec<u64>>,
+    ledger: Mutex<Ledger>,
+    latencies: Mutex<LatencyWindow>,
     requests: AtomicU64,
     hits: AtomicU64,
     evictions: AtomicU64,
@@ -108,6 +139,31 @@ struct StoreShard {
     depth: AtomicU64,
     /// High-water mark of `depth`.
     depth_max: AtomicU64,
+}
+
+/// How many of its most recent request latencies a shard keeps for the
+/// `stats` percentiles. A constant-size ring: a long-lived daemon's
+/// memory and `stats` sort cost stay flat however many requests it
+/// answers.
+pub const LATENCY_WINDOW: usize = 4096;
+
+/// The last [`LATENCY_WINDOW`] request latencies of one shard, plus
+/// the total count of requests ever recorded.
+#[derive(Debug, Default)]
+struct LatencyWindow {
+    samples: Vec<u64>,
+    count: u64,
+}
+
+impl LatencyWindow {
+    fn push(&mut self, nanos: u64) {
+        if self.samples.len() < LATENCY_WINDOW {
+            self.samples.push(nanos);
+        } else {
+            self.samples[(self.count % LATENCY_WINDOW as u64) as usize] = nanos;
+        }
+        self.count += 1;
+    }
 }
 
 /// Per-request accounting returned by [`ArtifactStore::with_engine`].
@@ -124,10 +180,11 @@ pub struct RequestStats {
     pub elapsed_nanos: u64,
 }
 
-/// Latency percentiles over every completed request (nearest-rank).
+/// Request-latency percentiles (nearest-rank) over each shard's last
+/// [`LATENCY_WINDOW`] requests.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LatencyStats {
-    /// Completed requests measured.
+    /// Completed requests, all of them (not only the window's).
     pub count: u64,
     /// 50th percentile, nanoseconds.
     pub p50_nanos: u64,
@@ -249,9 +306,8 @@ impl ArtifactStore {
         for _ in 0..opts.shards {
             shards.push(StoreShard {
                 engine: Engine::new(base.clone())?,
-                meta: Mutex::new(HashMap::new()),
-                results: Mutex::new(HashMap::new()),
-                latencies: Mutex::new(Vec::new()),
+                ledger: Mutex::new(Ledger::default()),
+                latencies: Mutex::new(LatencyWindow::default()),
                 requests: AtomicU64::new(0),
                 hits: AtomicU64::new(0),
                 evictions: AtomicU64::new(0),
@@ -361,131 +417,102 @@ impl ArtifactStore {
         let shard = &self.shards[shard_idx];
 
         let store_hit = {
-            let meta = shard.meta.lock().expect("shard ledger poisoned");
-            meta.keys()
+            let ledger = shard.ledger.lock().expect("shard ledger poisoned");
+            ledger
+                .artifacts
+                .keys()
                 .any(|k| k.kind == ArtifactKind::Baseline && k.key.starts_with(identity))
         };
 
         let result = f(&shard.engine);
         self.settle(shard, identity);
 
-        let elapsed_nanos = started.elapsed().as_nanos() as u64;
-        shard
-            .latencies
-            .lock()
-            .expect("latency ledger poisoned")
-            .push(elapsed_nanos);
-        shard.requests.fetch_add(1, Ordering::Relaxed);
-        if store_hit {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        (
-            result,
-            RequestStats {
-                shard: shard_idx,
-                store_hit,
-                elapsed_nanos,
-            },
-        )
+        let stats = record_request(shard_idx, shard, started, store_hit);
+        (result, stats)
     }
 
-    /// Runs `f` like [`ArtifactStore::with_engine`], memoizing the
+    /// Answers a request from the result memo: the memoized `result`
+    /// text under `request_key` on `fingerprint`'s shard, if any. This
+    /// is the store's one hit path. A hit touches the entry for
+    /// LRU/heat and is recorded as a served request and a store hit; a
+    /// miss changes nothing, so a caller may look up before it has
+    /// parsed the request at all.
+    pub fn memoized_result(
+        &self,
+        fingerprint: u64,
+        request_key: &str,
+    ) -> Option<(String, RequestStats)> {
+        let started = Instant::now();
+        let shard_idx = self.shard_of(fingerprint);
+        let shard = &self.shards[shard_idx];
+        let text = {
+            let mut ledger = shard.ledger.lock().expect("shard ledger poisoned");
+            let memo = ledger.results.get_mut(request_key)?;
+            memo.meta.tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
+            memo.meta.touches += 1;
+            memo.text.clone()
+        };
+        Some((text, record_request(shard_idx, shard, started, true)))
+    }
+
+    /// Runs `f` like [`ArtifactStore::with_engine`] and memoizes the
     /// deterministic `String` half of its output under `request_key`
     /// ([`ArtifactKind::Result`] in the byte ledger — same budget, LRU
-    /// and admission rules as every other artifact). A later call with
-    /// the same `request_key` returns the memoized text without
-    /// touching the engine; its second output is `None` then, since no
-    /// fresh computation produced one.
+    /// and admission rules as every other artifact). It always
+    /// computes: callers look the key up with
+    /// [`ArtifactStore::memoized_result`] first and come here on a
+    /// miss.
     ///
     /// Sound because every response `result` is a pure function of the
     /// full request against the store's base configuration —
-    /// `request_key` must encode all of it (the serve layer derives it
-    /// from the session identity plus every request knob).
+    /// `request_key` must encode all of it exactly (the serve layer
+    /// spells out the request's content: kind, source, arrays and every
+    /// knob).
     ///
     /// # Errors
     ///
     /// Whatever `f` returns; errors are not memoized here (the engine
     /// pools already memoize failed stage artifacts).
-    pub fn with_result<T>(
+    pub fn compute_and_memoize<T>(
         &self,
         fingerprint: u64,
         identity: &str,
         request_key: &str,
         f: impl FnOnce(&Engine) -> Result<(String, T), CorepartError>,
-    ) -> (Result<(String, Option<T>), CorepartError>, RequestStats) {
-        let started = Instant::now();
-        let shard_idx = self.shard_of(fingerprint);
-        let shard = &self.shards[shard_idx];
-        let ekey = EntryKey {
-            kind: ArtifactKind::Result,
-            key: request_key.to_owned(),
-        };
-
-        let memoized = {
-            let results = shard.results.lock().expect("result pool poisoned");
-            results.get(request_key).cloned()
-        };
-        if let Some(text) = memoized {
-            let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-            {
-                let mut meta = shard.meta.lock().expect("shard ledger poisoned");
-                if let Some(entry) = meta.get_mut(&ekey) {
-                    entry.tick = tick;
-                    entry.touches += 1;
-                }
-            }
-            let elapsed_nanos = started.elapsed().as_nanos() as u64;
-            shard
-                .latencies
-                .lock()
-                .expect("latency ledger poisoned")
-                .push(elapsed_nanos);
-            shard.requests.fetch_add(1, Ordering::Relaxed);
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-            return (
-                Ok((text, None)),
-                RequestStats {
-                    shard: shard_idx,
-                    store_hit: true,
-                    elapsed_nanos,
-                },
-            );
-        }
-
+    ) -> (Result<(String, T), CorepartError>, RequestStats) {
         let (outcome, stats) = self.with_engine(fingerprint, identity, f);
-        let outcome = outcome.map(|(text, extra)| {
-            self.admit_result(shard, &ekey, &text);
-            (text, Some(extra))
-        });
+        if let Ok((text, _)) = &outcome {
+            self.admit_result(&self.shards[stats.shard], request_key, text);
+        }
         (outcome, stats)
     }
 
     /// Admits one freshly computed result payload to the ledger (or
-    /// declines it when only hot entries could make room).
-    fn admit_result(&self, shard: &StoreShard, ekey: &EntryKey, text: &str) {
+    /// declines it when only hot entries could make room). It is charged
+    /// its key, its text and a fixed bookkeeping overhead.
+    fn admit_result(&self, shard: &StoreShard, request_key: &str, text: &str) {
         /// Map/ledger bookkeeping charge per memoized result.
         const RESULT_OVERHEAD: u64 = 64;
-        let bytes = (ekey.key.len() + text.len()) as u64 + RESULT_OVERHEAD;
+        let bytes = (request_key.len() + text.len()) as u64 + RESULT_OVERHEAD;
         let tick = self.tick.load(Ordering::Relaxed);
-        let mut meta = shard.meta.lock().expect("shard ledger poisoned");
-        if meta.contains_key(ekey) {
+        let mut ledger = shard.ledger.lock().expect("shard ledger poisoned");
+        if ledger.results.contains_key(request_key) {
             // A racing identical request already admitted it.
             return;
         }
-        if self.reserve_or_evict(shard, &mut meta, bytes, ekey, false) {
-            meta.insert(
-                ekey.clone(),
-                EntryMeta {
-                    bytes,
-                    tick,
-                    touches: 1,
+        let protect = (ArtifactKind::Result, request_key);
+        if self.reserve_or_evict(shard, &mut ledger, bytes, protect, false) {
+            ledger.results.insert(
+                request_key.to_owned(),
+                MemoEntry {
+                    text: text.to_owned(),
+                    meta: EntryMeta {
+                        bytes,
+                        tick,
+                        touches: 1,
+                    },
                 },
             );
-            shard
-                .results
-                .lock()
-                .expect("result pool poisoned")
-                .insert(ekey.key.clone(), text.to_owned());
         } else {
             shard.declined.fetch_add(1, Ordering::Relaxed);
         }
@@ -495,12 +522,12 @@ impl ArtifactStore {
     /// request: admission, growth, touches, budget enforcement.
     fn settle(&self, shard: &StoreShard, identity: &str) {
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut meta = shard.meta.lock().expect("shard ledger poisoned");
+        let mut ledger = shard.ledger.lock().expect("shard ledger poisoned");
         for kind in ArtifactKind::ALL {
             for key in shard.engine.pool_keys(kind) {
                 let touched = key.starts_with(identity);
                 let ekey = EntryKey { kind, key };
-                match meta.get(&ekey).cloned() {
+                match ledger.artifacts.get(&ekey).cloned() {
                     Some(mut entry) => {
                         if touched {
                             entry.tick = tick;
@@ -511,7 +538,14 @@ impl ArtifactStore {
                                 Some(now) if now > entry.bytes => {
                                     let hot = entry.touches >= self.hot_touches;
                                     let delta = now - entry.bytes;
-                                    if self.reserve_or_evict(shard, &mut meta, delta, &ekey, hot) {
+                                    let protect = (kind, ekey.key.as_str());
+                                    if self.reserve_or_evict(
+                                        shard,
+                                        &mut ledger,
+                                        delta,
+                                        protect,
+                                        hot,
+                                    ) {
                                         entry.bytes = now;
                                     } else {
                                         // The entry outgrew what the
@@ -519,7 +553,7 @@ impl ArtifactStore {
                                         // entirely (releases its old
                                         // reservation; the delta was
                                         // never reserved).
-                                        self.evict_entry(shard, &mut meta, &ekey);
+                                        self.evict_entry(shard, &mut ledger, &ekey);
                                         continue;
                                     }
                                 }
@@ -530,7 +564,7 @@ impl ArtifactStore {
                                 _ => {}
                             }
                         }
-                        meta.insert(ekey, entry);
+                        ledger.artifacts.insert(ekey, entry);
                     }
                     None => {
                         // New entry. Still-computing entries report no
@@ -539,8 +573,9 @@ impl ArtifactStore {
                         let Some(bytes) = shard.engine.artifact_bytes(kind, &ekey.key) else {
                             continue;
                         };
-                        if self.reserve_or_evict(shard, &mut meta, bytes, &ekey, false) {
-                            meta.insert(
+                        let protect = (kind, ekey.key.as_str());
+                        if self.reserve_or_evict(shard, &mut ledger, bytes, protect, false) {
+                            ledger.artifacts.insert(
                                 ekey,
                                 EntryMeta {
                                     bytes,
@@ -569,19 +604,20 @@ impl ArtifactStore {
     fn reserve_or_evict(
         &self,
         shard: &StoreShard,
-        meta: &mut HashMap<EntryKey, EntryMeta>,
+        ledger: &mut Ledger,
         need: u64,
-        protect: &EntryKey,
+        protect: (ArtifactKind, &str),
         allow_hot: bool,
     ) -> bool {
         loop {
             if self.try_reserve(need) {
                 return true;
             }
-            let Some(victim) = pick_victim(meta, Some(protect), allow_hot, self.hot_touches) else {
+            let Some(victim) = pick_victim(ledger, Some(protect), allow_hot, self.hot_touches)
+            else {
                 return false;
             };
-            self.evict_entry(shard, meta, &victim);
+            self.evict_entry(shard, ledger, &victim);
         }
     }
 
@@ -605,23 +641,18 @@ impl ArtifactStore {
     }
 
     /// Drops one accounted entry: pool, ledger, byte reservation.
-    fn evict_entry(
-        &self,
-        shard: &StoreShard,
-        meta: &mut HashMap<EntryKey, EntryMeta>,
-        key: &EntryKey,
-    ) {
-        if let Some(entry) = meta.remove(key) {
-            if key.kind == ArtifactKind::Result {
-                shard
-                    .results
-                    .lock()
-                    .expect("result pool poisoned")
-                    .remove(&key.key);
-            } else {
+    fn evict_entry(&self, shard: &StoreShard, ledger: &mut Ledger, key: &EntryKey) {
+        let bytes = if key.kind == ArtifactKind::Result {
+            ledger.results.remove(&key.key).map(|memo| memo.meta.bytes)
+        } else {
+            let bytes = ledger.artifacts.remove(key).map(|entry| entry.bytes);
+            if bytes.is_some() {
                 shard.engine.evict_artifact(key.kind, &key.key);
             }
-            self.used.fetch_sub(entry.bytes, Ordering::Relaxed);
+            bytes
+        };
+        if let Some(bytes) = bytes {
+            self.used.fetch_sub(bytes, Ordering::Relaxed);
             shard.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -633,13 +664,13 @@ impl ArtifactStore {
             budget_bytes: self.budget,
             ..StoreStats::default()
         };
-        let mut all_latencies = Vec::new();
+        let mut window = Vec::new();
         for shard in &self.shards {
             let (entries, bytes) = {
-                let meta = shard.meta.lock().expect("shard ledger poisoned");
+                let ledger = shard.ledger.lock().expect("shard ledger poisoned");
                 (
-                    meta.len() as u64,
-                    meta.values().map(|e| e.bytes).sum::<u64>(),
+                    (ledger.artifacts.len() + ledger.results.len()) as u64,
+                    ledger.entries().map(|(_, _, e)| e.bytes).sum::<u64>(),
                 )
             };
             let s = ShardStats {
@@ -658,9 +689,14 @@ impl ArtifactStore {
             out.declined += s.declined;
             out.bytes += s.bytes;
             out.shards.push(s);
-            all_latencies.extend_from_slice(&shard.latencies.lock().expect("latency ledger"));
+            let latencies = shard.latencies.lock().expect("latency ledger poisoned");
+            window.extend_from_slice(&latencies.samples);
+            out.latency.count += latencies.count;
         }
-        out.latency = latency_stats(&mut all_latencies);
+        out.latency = LatencyStats {
+            count: out.latency.count,
+            ..latency_stats(&mut window)
+        };
         out.pipeline = PipelineStats {
             queue_wait_nanos: self.queue_wait_nanos.load(Ordering::Relaxed),
             compute_nanos: self.compute_nanos.load(Ordering::Relaxed),
@@ -672,23 +708,52 @@ impl ArtifactStore {
     }
 }
 
+/// Records one answered request in its shard's counters and latency
+/// window, and returns its accounting.
+fn record_request(
+    shard_idx: usize,
+    shard: &StoreShard,
+    started: Instant,
+    store_hit: bool,
+) -> RequestStats {
+    let elapsed_nanos = started.elapsed().as_nanos() as u64;
+    shard
+        .latencies
+        .lock()
+        .expect("latency ledger poisoned")
+        .push(elapsed_nanos);
+    shard.requests.fetch_add(1, Ordering::Relaxed);
+    if store_hit {
+        shard.hits.fetch_add(1, Ordering::Relaxed);
+    }
+    RequestStats {
+        shard: shard_idx,
+        store_hit,
+        elapsed_nanos,
+    }
+}
+
 /// Deterministic victim selection: the least-recently-used *cold*
 /// entry first (touches below `hot_touches`); hot entries only when
 /// `allow_hot`. Ties on the LRU tick — e.g. two entries admitted by
 /// one request — break by `(kind, key)`, never by hash-map iteration
 /// order.
 fn pick_victim(
-    meta: &HashMap<EntryKey, EntryMeta>,
-    protect: Option<&EntryKey>,
+    ledger: &Ledger,
+    protect: Option<(ArtifactKind, &str)>,
     allow_hot: bool,
     hot_touches: u64,
 ) -> Option<EntryKey> {
     let candidate = |hot_pass: bool| {
-        meta.iter()
-            .filter(|(k, _)| Some(*k) != protect)
-            .filter(|(_, e)| (e.touches >= hot_touches) == hot_pass)
-            .min_by(|(ka, ea), (kb, eb)| ea.tick.cmp(&eb.tick).then_with(|| ka.cmp(kb)))
-            .map(|(k, _)| k.clone())
+        ledger
+            .entries()
+            .filter(|&(kind, key, _)| Some((kind, key)) != protect)
+            .filter(|(_, _, e)| (e.touches >= hot_touches) == hot_pass)
+            .min_by_key(|&(kind, key, e)| (e.tick, kind, key))
+            .map(|(kind, key, _)| EntryKey {
+                kind,
+                key: key.to_owned(),
+            })
     };
     candidate(false).or_else(|| if allow_hot { candidate(true) } else { None })
 }
@@ -716,45 +781,47 @@ fn latency_stats(samples: &mut [u64]) -> LatencyStats {
 mod tests {
     use super::*;
 
-    fn meta_of(entries: &[(&str, ArtifactKind, u64, u64)]) -> HashMap<EntryKey, EntryMeta> {
-        entries
-            .iter()
-            .map(|&(key, kind, tick, touches)| {
-                (
-                    EntryKey {
-                        kind,
-                        key: key.to_owned(),
-                    },
-                    EntryMeta {
-                        bytes: 100,
-                        tick,
-                        touches,
-                    },
-                )
-            })
-            .collect()
+    fn ledger_of(entries: &[(&str, ArtifactKind, u64, u64)]) -> Ledger {
+        let mut ledger = Ledger::default();
+        for &(key, kind, tick, touches) in entries {
+            let meta = EntryMeta {
+                bytes: 100,
+                tick,
+                touches,
+            };
+            if kind == ArtifactKind::Result {
+                let text = String::new();
+                ledger
+                    .results
+                    .insert(key.to_owned(), MemoEntry { text, meta });
+            } else {
+                let key = key.to_owned();
+                ledger.artifacts.insert(EntryKey { kind, key }, meta);
+            }
+        }
+        ledger
     }
 
     #[test]
     fn victim_is_lru_cold_with_deterministic_tie_break() {
         // Two cold entries share the oldest tick: the (kind, key) order
         // decides, independent of hash-map iteration order.
-        let meta = meta_of(&[
+        let ledger = ledger_of(&[
             ("b", ArtifactKind::Baseline, 1, 1),
             ("a", ArtifactKind::Baseline, 1, 1),
             ("c", ArtifactKind::Baseline, 2, 1),
         ]);
         for _ in 0..8 {
-            let v = pick_victim(&meta, None, false, 2).unwrap();
+            let v = pick_victim(&ledger, None, false, 2).unwrap();
             assert_eq!((v.kind, v.key.as_str()), (ArtifactKind::Baseline, "a"));
         }
         // Same tick, different kinds: ledger order (Prepared < Baseline
         // < Schedule) breaks the tie.
-        let meta = meta_of(&[
+        let ledger = ledger_of(&[
             ("x", ArtifactKind::Schedule, 5, 0),
             ("x", ArtifactKind::Prepared, 5, 0),
         ]);
-        let v = pick_victim(&meta, None, false, 2).unwrap();
+        let v = pick_victim(&ledger, None, false, 2).unwrap();
         assert_eq!(v.kind, ArtifactKind::Prepared);
     }
 
@@ -762,28 +829,81 @@ mod tests {
     fn hot_entries_survive_cold_pressure() {
         // The hot entry is older (tick 1) than the cold one (tick 9):
         // plain LRU would evict it first, admission control does not.
-        let meta = meta_of(&[
+        let ledger = ledger_of(&[
             ("hot", ArtifactKind::Baseline, 1, 5),
             ("cold", ArtifactKind::Baseline, 9, 1),
         ]);
-        let v = pick_victim(&meta, None, false, 2).unwrap();
+        let v = pick_victim(&ledger, None, false, 2).unwrap();
         assert_eq!(v.key, "cold");
         // With only hot entries left, a cold admission finds no victim…
-        let meta = meta_of(&[("hot", ArtifactKind::Baseline, 1, 5)]);
-        assert!(pick_victim(&meta, None, false, 2).is_none());
+        let ledger = ledger_of(&[("hot", ArtifactKind::Baseline, 1, 5)]);
+        assert!(pick_victim(&ledger, None, false, 2).is_none());
         // …while a hot requester may reclaim from its peers.
-        let v = pick_victim(&meta, None, true, 2).unwrap();
+        let v = pick_victim(&ledger, None, true, 2).unwrap();
         assert_eq!(v.key, "hot");
     }
 
     #[test]
     fn protected_entry_is_never_the_victim() {
-        let meta = meta_of(&[("only", ArtifactKind::Baseline, 1, 0)]);
-        let protect = EntryKey {
-            kind: ArtifactKind::Baseline,
-            key: "only".to_owned(),
-        };
-        assert!(pick_victim(&meta, Some(&protect), true, 2).is_none());
+        let ledger = ledger_of(&[("only", ArtifactKind::Baseline, 1, 0)]);
+        let protect = (ArtifactKind::Baseline, "only");
+        assert!(pick_victim(&ledger, Some(protect), true, 2).is_none());
+    }
+
+    #[test]
+    fn memoized_results_share_the_lru_with_engine_artifacts() {
+        // An older cold result goes before a younger artifact; on a tie
+        // the artifact kinds sort first.
+        let ledger = ledger_of(&[
+            ("req", ArtifactKind::Result, 1, 1),
+            ("app", ArtifactKind::Baseline, 2, 1),
+        ]);
+        let v = pick_victim(&ledger, None, false, 2).unwrap();
+        assert_eq!((v.kind, v.key.as_str()), (ArtifactKind::Result, "req"));
+        let ledger = ledger_of(&[
+            ("req", ArtifactKind::Result, 3, 1),
+            ("app", ArtifactKind::Schedule, 3, 1),
+        ]);
+        let v = pick_victim(&ledger, None, false, 2).unwrap();
+        assert_eq!(v.kind, ArtifactKind::Schedule);
+        let protect = (ArtifactKind::Result, "req");
+        let v = pick_victim(&ledger, Some(protect), false, 2).unwrap();
+        assert_eq!(v.kind, ArtifactKind::Schedule);
+    }
+
+    #[test]
+    fn result_memo_charges_key_and_text_once_and_evicts_both() {
+        let store = ArtifactStore::new(
+            SystemConfig::new(),
+            &StoreOptions {
+                shards: 1,
+                budget_bytes: 1000,
+                hot_touches: 2,
+            },
+        )
+        .unwrap();
+        let shard = &store.shards[0];
+        let first = "a".repeat(300);
+        store.admit_result(shard, &first, "answer");
+        assert_eq!(store.used.load(Ordering::Relaxed), 300 + 6 + 64);
+        assert!(store.memoized_result(0, "other").is_none());
+
+        // A cold entry makes room for a newcomer: key and text leave
+        // together and the whole charge is released.
+        let second = "b".repeat(600);
+        store.admit_result(shard, &second, "x");
+        assert!(store.memoized_result(0, &first).is_none());
+        assert_eq!(store.stats().evictions, 1);
+        assert_eq!(store.used.load(Ordering::Relaxed), 600 + 1 + 64);
+
+        // One hit makes it hot: a cold newcomer is declined instead.
+        let (text, stats) = store.memoized_result(0, &second).unwrap();
+        assert_eq!(text, "x");
+        assert!(stats.store_hit);
+        store.admit_result(shard, &first, "answer");
+        assert_eq!(store.stats().declined, 1);
+        assert!(store.memoized_result(0, &first).is_none());
+        assert!(store.memoized_result(0, &second).is_some());
     }
 
     #[test]
@@ -797,6 +917,36 @@ mod tests {
         let l = latency_stats(&mut hundred);
         assert_eq!(l.count, 100);
         assert_eq!((l.p50_nanos, l.p95_nanos, l.p99_nanos), (50, 95, 99));
+    }
+
+    #[test]
+    fn latency_window_is_constant_size_and_counts_every_request() {
+        let mut window = LatencyWindow::default();
+        let total = 3 * LATENCY_WINDOW as u64 + 17;
+        for nanos in 0..total {
+            window.push(nanos);
+        }
+        assert_eq!(window.count, total);
+        assert_eq!(window.samples.len(), LATENCY_WINDOW);
+        assert!(window.samples.capacity() <= 2 * LATENCY_WINDOW);
+        // The ring holds exactly the most recent window of samples.
+        let mut held = window.samples.clone();
+        held.sort_unstable();
+        let recent: Vec<u64> = (total - LATENCY_WINDOW as u64..total).collect();
+        assert_eq!(held, recent);
+
+        // Through the store: `count` stays exact past the window while
+        // the percentiles cover the window only.
+        let store = ArtifactStore::new(SystemConfig::new(), &StoreOptions::default()).unwrap();
+        for shard in &store.shards {
+            let mut latencies = shard.latencies.lock().unwrap();
+            for _ in 0..LATENCY_WINDOW + 5 {
+                latencies.push(1);
+            }
+        }
+        let l = store.stats().latency;
+        assert_eq!(l.count, 4 * (LATENCY_WINDOW as u64 + 5));
+        assert_eq!((l.p50_nanos, l.p99_nanos), (1, 1));
     }
 
     #[test]

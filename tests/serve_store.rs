@@ -4,9 +4,13 @@
 //! compute command.
 
 use corepart::json::{parse_json, result_field};
-use corepart::serve::{handle_line, respond_fresh, ComputeKind, ComputeRequest};
+use corepart::serve::{
+    handle_line, respond_compute, respond_fresh, ComputeKind, ComputeRequest, CorpusMeta,
+};
 use corepart::store::{ArtifactStore, StoreOptions};
 use corepart::system::SystemConfig;
+use corepart_tech::scaling::OperatingPoint;
+use proptest::prelude::*;
 
 /// A small family of structurally identical apps whose names and
 /// constants differ — distinct identities, near-identical footprints.
@@ -207,4 +211,113 @@ fn served_sessions_drive_the_sharded_batch_kernel() {
         shards > 0,
         "served verifies must run the batched kernel: {response}"
     );
+}
+
+/// A verify request over an app with two loops (so cluster sets {0}
+/// and {1} both exist), carrying every knob the memo key covers.
+fn keyed_request() -> ComputeRequest {
+    let source = "app keyed; var x[32]; var y[32]; var acc = 0;
+        func main() {
+            for (var i = 0; i < 32; i = i + 1) { y[i] = x[i] * 3 + 1; }
+            for (var j = 0; j < 32; j = j + 1) { acc = acc + y[j] * y[j]; }
+            return acc;
+        }";
+    let mut req = ComputeRequest::new(ComputeKind::Verify, source);
+    req.arrays = vec![("x".into(), (0..32).collect())];
+    req.clusters = vec![0];
+    req
+}
+
+/// Changes exactly one field of `req`: `field` picks which (0–10 are
+/// memo-keyed content, 11–12 are transport), `step` (1–4) how.
+fn perturb(req: &mut ComputeRequest, field: usize, step: usize) {
+    let f = step as f64;
+    match field {
+        0 => {
+            req.kind = [ComputeKind::Partition, ComputeKind::Explore][step % 2];
+        }
+        // One source byte: a space becomes a tab, so the app (and its
+        // engine artifacts) stay the same while the text differs.
+        1 => {
+            let at = req.source.match_indices(' ').nth(step).unwrap().0;
+            req.source.replace_range(at..=at, "\t");
+        }
+        2 => req.arrays[0].1[step] += step as i64,
+        3 => req.n_max = Some(step),
+        4 => req.factor_f = Some(1.0 + f / 8.0),
+        5 => req.factor_g = Some(f / 4.0),
+        6 => req.weights = Some(vec![0.0, f]),
+        7 => {
+            req.clusters = if step.is_multiple_of(2) {
+                vec![1]
+            } else {
+                vec![0, 1]
+            }
+        }
+        8 => req.set_index = step % 2 * 2 + 1,
+        9 => {
+            req.operating_point = Some(OperatingPoint {
+                node_nm: 180,
+                vdd: 1.6 + f / 10.0,
+            });
+        }
+        10 => {
+            let meta = req.corpus.as_mut().unwrap();
+            match step % 3 {
+                0 => meta.index += 1,
+                1 => meta.seed += step as u64,
+                _ => meta.name.push('x'),
+            }
+        }
+        11 => req.id = Some(step as u64),
+        _ => req.ordered = false,
+    }
+}
+
+fn ledger_entries(store: &ArtifactStore) -> u64 {
+    store.stats().shards.iter().map(|s| s.entries).sum()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Requests that differ in one keyed field never share a result-memo
+    /// entry, and each answers like a fresh engine; requests that differ
+    /// only in `id` or `ordered` are memo hits.
+    #[test]
+    fn memo_key_covers_every_content_field(field in 0usize..13, step in 1usize..5) {
+        let store = store_with(1, 256 << 20);
+        let base_config = SystemConfig::new();
+        let mut base = keyed_request();
+        if field == 10 {
+            base.kind = ComputeKind::Corpus;
+            base.weights = Some(vec![0.0, 1.0]);
+            base.corpus = Some(CorpusMeta { index: 3, seed: 7, name: "keyed".into() });
+        }
+        let first = respond_compute(&store, &base);
+        prop_assert!(first.contains("\"ok\":true"), "{}", first);
+        let before = ledger_entries(&store);
+
+        let mut variant = base.clone();
+        perturb(&mut variant, field, step);
+        let served = respond_compute(&store, &variant);
+        prop_assert!(served.contains("\"ok\":true"), "{}", served);
+        let fresh = respond_fresh(&base_config, &variant);
+        prop_assert_eq!(result_field(&served), result_field(&fresh));
+        if field <= 10 {
+            // A miss admits the variant's own result entry; a hit
+            // would leave the ledger untouched.
+            prop_assert!(
+                ledger_entries(&store) > before,
+                "field {} shared the base's memo entry: {}", field, served
+            );
+        } else {
+            prop_assert!(served.contains("\"store_hit\":true"), "{}", served);
+            prop_assert_eq!(ledger_entries(&store), before);
+        }
+        // The base still answers its own result from the memo.
+        let again = respond_compute(&store, &base);
+        prop_assert!(again.contains("\"store_hit\":true"), "{}", again);
+        prop_assert_eq!(result_field(&again), result_field(&first));
+    }
 }
