@@ -1,35 +1,20 @@
 //! Criterion benchmarks of the batched single-decode replay kernel:
 //! verifying K candidate hardware-block sets through
 //! `corepart::verify::replay_batch` (one decoded walk, K accounting
-//! lanes) against K independent `replay_run` calls (the sequential
-//! path each lane is bit-identical to).
+//! lanes) against K independent `replay_run` calls (K one-lane walks,
+//! each with its own decode).
 
 use std::collections::HashSet;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
+use corepart::evaluate::evaluate_initial_captured;
 use corepart::prepare::{prepare, PreparedApp, Workload};
 use corepart::system::SystemConfig;
-use corepart::verify::{replay_batch, replay_batch_with, replay_run, BatchOptions};
-use corepart_cache::hierarchy::Hierarchy;
+use corepart::verify::{replay_batch, replay_batch_with, replay_run};
 use corepart_ir::op::BlockId;
-use corepart_isa::simulator::{MemSink, SimConfig, Simulator};
-use corepart_isa::trace::{ReferenceTrace, TraceBuilder};
+use corepart_isa::trace::ReferenceTrace;
 use corepart_workloads::by_name;
-
-struct HierarchySink<'a>(&'a mut Hierarchy);
-
-impl MemSink for HierarchySink<'_> {
-    fn ifetch(&mut self, addr: u32) {
-        self.0.ifetch(addr);
-    }
-    fn read(&mut self, addr: u32) {
-        self.0.dread(addr);
-    }
-    fn write(&mut self, addr: u32) {
-        self.0.dwrite(addr);
-    }
-}
 
 fn prepared_digs(config: &SystemConfig) -> PreparedApp {
     let w = by_name("digs").expect("digs exists");
@@ -41,31 +26,10 @@ fn prepared_digs(config: &SystemConfig) -> PreparedApp {
     .expect("prepares")
 }
 
-fn fresh_hierarchy(config: &SystemConfig) -> Hierarchy {
-    Hierarchy::new(
-        config.icache.clone(),
-        config.dcache.clone(),
-        &config.process,
-        config.memory_bytes,
-    )
-}
-
 fn capture_trace(prepared: &PreparedApp, config: &SystemConfig) -> ReferenceTrace {
-    let mut hierarchy = fresh_hierarchy(config);
-    let mut sim =
-        Simulator::with_energy_table(&prepared.prog, &prepared.app, config.energy_table.clone());
-    for (name, data) in &prepared.workload.arrays {
-        sim.set_array(name, data).expect("workload array");
-    }
-    let mut builder = TraceBuilder::new(config.trace_cap_bytes);
-    let stats = sim
-        .run_recorded(
-            &SimConfig::initial(config.max_cycles),
-            &mut HierarchySink(&mut hierarchy),
-            &mut builder,
-        )
-        .expect("runs");
-    builder.finish(stats.return_value).expect("fits the cap")
+    let (_, _, trace) =
+        evaluate_initial_captured(prepared, config, config.trace_cap_bytes).expect("runs");
+    trace.expect("fits the cap")
 }
 
 /// Deterministic candidate k: cluster i is hardware iff bit `i % 4` of
@@ -102,10 +66,10 @@ fn bench_batched_replay(c: &mut Criterion) {
             })
         });
 
-        // The stretch-sharded, lane-grouped walk: same K lanes, spread
-        // over worker threads that rendezvous at shard boundaries.
-        // Against the `k{k}` row above this isolates the threading +
-        // snapshot-carry delta; results are bit-identical by design.
+        // The same K lanes split into contiguous lane groups, each one
+        // uninterrupted walk on its own worker thread. Against the
+        // `k{k}` row above this isolates the threading delta; results
+        // are bit-identical by design.
         for threads in [2usize, 4] {
             c.bench_function(&format!("batched-replay/digs/k{k}-t{threads}"), |b| {
                 b.iter(|| {
@@ -114,14 +78,14 @@ fn bench_batched_replay(c: &mut Criterion) {
                         &config,
                         std::hint::black_box(&trace),
                         &candidates,
-                        BatchOptions::threaded(threads),
+                        threads,
                     )
                     .expect("replays")
                 })
             });
         }
 
-        c.bench_function(&format!("sequential-replay/digs/k{k}"), |b| {
+        c.bench_function(&format!("one-lane-replay/digs/k{k}"), |b| {
             b.iter(|| {
                 candidates
                     .iter()

@@ -1,33 +1,18 @@
 //! Criterion benchmarks of the trace-capture/replay verification
-//! engine: a plain interpreted run, the same run with trace capture
-//! enabled (capture overhead), and the hierarchy-accounted replay that
-//! replaces re-interpretation during partition verification.
+//! engine: a plain direct simulation, the same run with trace capture
+//! enabled (capture overhead), and the hierarchy-accounted one-shot
+//! replay that replaces re-simulation during partition verification.
 
 use std::collections::HashSet;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
+use corepart::evaluate::{evaluate_initial_captured, run_iss};
 use corepart::prepare::{prepare, PreparedApp, Workload};
 use corepart::system::SystemConfig;
-use corepart_cache::hierarchy::Hierarchy;
+use corepart::verify::replay_run;
 use corepart_ir::op::BlockId;
-use corepart_isa::simulator::{MemSink, SimConfig, Simulator};
-use corepart_isa::trace::{ReferenceTrace, TraceBuilder, TraceReplayer};
 use corepart_workloads::by_name;
-
-struct HierarchySink<'a>(&'a mut Hierarchy);
-
-impl MemSink for HierarchySink<'_> {
-    fn ifetch(&mut self, addr: u32) {
-        self.0.ifetch(addr);
-    }
-    fn read(&mut self, addr: u32) {
-        self.0.dread(addr);
-    }
-    fn write(&mut self, addr: u32) {
-        self.0.dwrite(addr);
-    }
-}
 
 fn prepared_digs(config: &SystemConfig) -> PreparedApp {
     let w = by_name("digs").expect("digs exists");
@@ -39,56 +24,17 @@ fn prepared_digs(config: &SystemConfig) -> PreparedApp {
     .expect("prepares")
 }
 
-fn fresh_hierarchy(config: &SystemConfig) -> Hierarchy {
-    Hierarchy::new(
-        config.icache.clone(),
-        config.dcache.clone(),
-        &config.process,
-        config.memory_bytes,
-    )
-}
-
-fn direct_run(
-    prepared: &PreparedApp,
-    config: &SystemConfig,
-    sim_config: &SimConfig,
-) -> corepart_tech::units::Cycles {
-    let mut hierarchy = fresh_hierarchy(config);
-    let mut sim =
-        Simulator::with_energy_table(&prepared.prog, &prepared.app, config.energy_table.clone());
-    for (name, data) in &prepared.workload.arrays {
-        sim.set_array(name, data).expect("workload array");
-    }
-    let stats = sim
-        .run(sim_config, &mut HierarchySink(&mut hierarchy))
-        .expect("runs");
-    stats.cycles
-}
-
-fn capture_trace(prepared: &PreparedApp, config: &SystemConfig) -> ReferenceTrace {
-    let mut hierarchy = fresh_hierarchy(config);
-    let mut sim =
-        Simulator::with_energy_table(&prepared.prog, &prepared.app, config.energy_table.clone());
-    for (name, data) in &prepared.workload.arrays {
-        sim.set_array(name, data).expect("workload array");
-    }
-    let mut builder = TraceBuilder::new(config.trace_cap_bytes);
-    let stats = sim
-        .run_recorded(
-            &SimConfig::initial(config.max_cycles),
-            &mut HierarchySink(&mut hierarchy),
-            &mut builder,
-        )
-        .expect("runs");
-    builder.finish(stats.return_value).expect("fits the cap")
-}
-
 fn bench_simulator_run(c: &mut Criterion) {
     let config = SystemConfig::new();
     let prepared = prepared_digs(&config);
-    let initial = SimConfig::initial(config.max_cycles);
+    let initial = HashSet::new();
     c.bench_function("simulator-run/digs", |b| {
-        b.iter(|| direct_run(std::hint::black_box(&prepared), &config, &initial))
+        b.iter(|| {
+            run_iss(std::hint::black_box(&prepared), &config, &initial)
+                .expect("runs")
+                .stats
+                .cycles
+        })
     });
 }
 
@@ -96,15 +42,26 @@ fn bench_capture_overhead(c: &mut Criterion) {
     let config = SystemConfig::new();
     let prepared = prepared_digs(&config);
     c.bench_function("trace-capture/digs", |b| {
-        b.iter(|| capture_trace(std::hint::black_box(&prepared), &config).events())
+        b.iter(|| {
+            evaluate_initial_captured(
+                std::hint::black_box(&prepared),
+                &config,
+                config.trace_cap_bytes,
+            )
+            .expect("runs")
+            .2
+            .expect("fits the cap")
+            .events()
+        })
     });
 }
 
 fn bench_hierarchy_replay(c: &mut Criterion) {
     let config = SystemConfig::new();
     let prepared = prepared_digs(&config);
-    let trace = capture_trace(&prepared, &config);
-    let replayer = TraceReplayer::new(&prepared.prog, &prepared.app, &config.energy_table);
+    let (_, _, trace) =
+        evaluate_initial_captured(&prepared, &config, config.trace_cap_bytes).expect("runs");
+    let trace = trace.expect("fits the cap");
     // Verification replays under a candidate hardware-block set: use
     // the first structural loop, which is what pre-selection favors.
     let hw: HashSet<BlockId> = prepared
@@ -113,18 +70,11 @@ fn bench_hierarchy_replay(c: &mut Criterion) {
         .find(|c| c.is_loop())
         .map(|c| c.blocks.iter().copied().collect())
         .unwrap_or_default();
-    let partitioned = SimConfig::partitioned(config.max_cycles, hw);
     c.bench_function("hierarchy-replay/digs", |b| {
         b.iter(|| {
-            let mut hierarchy = fresh_hierarchy(&config);
-            let stats = replayer
-                .replay(
-                    std::hint::black_box(&trace),
-                    &partitioned,
-                    &mut HierarchySink(&mut hierarchy),
-                )
-                .expect("replays");
-            (stats.cycles, hierarchy.report())
+            let run =
+                replay_run(&prepared, &config, std::hint::black_box(&trace), &hw).expect("replays");
+            (run.stats.cycles, run.report)
         })
     });
 }

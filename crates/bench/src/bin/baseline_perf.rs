@@ -14,10 +14,10 @@
 //! verification engine on every application — direct instruction-set
 //! simulation of the chosen partition versus a replay of the captured
 //! reference trace, checked bit-identical — plus the batched replay
-//! kernel (K candidates per decoded-trace walk versus K one-candidate
-//! replays, over the K ∈ {1, 4, 16} × threads ∈ {1, 2, 4} scaling
-//! grid of the stretch-sharded walk), and times an 8-point hardware-weight
-//! sweep on every application two ways: the seed's sequential path
+//! kernel (K candidates per decoded-trace walk versus K one-lane
+//! replays, over the K ∈ {1, 4, 16} × threads ∈ {1, 2, 4} grid of
+//! lane groups), and times an 8-point hardware-weight sweep on every
+//! application two ways: the seed's sequential path
 //! (fresh preparation, baseline simulation and schedule cache per
 //! configuration, one thread) against the shared, parallel [`explore`]
 //! engine. Every section records the thread count it actually used.
@@ -47,14 +47,14 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use corepart::baselines::performance_partition;
-use corepart::cache::hierarchy::Hierarchy;
-use corepart::cache::HierarchyReport;
 use corepart::corpus::CorpusOptions;
 use corepart::engine::Engine;
-use corepart::evaluate::{evaluate_initial_captured, evaluate_partition, evaluate_partition_with};
+use corepart::evaluate::{
+    evaluate_initial_captured, evaluate_partition, evaluate_partition_with, run_iss,
+};
 use corepart::explore::{explore, hardware_weight_sweep, DesignPoint};
 use corepart::ir::op::BlockId;
-use corepart::isa::simulator::{MemSink, NullSink, RunStats, SimConfig, Simulator};
+use corepart::isa::simulator::{NullSink, RunStats, SimConfig, Simulator};
 use corepart::json::{outcome_to_json, parse_json, result_field, JsonValue};
 use corepart::parallel::resolve_threads;
 use corepart::partition::{PartitionOutcome, Partitioner};
@@ -64,7 +64,7 @@ use corepart::serve::{
 };
 use corepart::store::{ArtifactStore, StoreOptions};
 use corepart::system::{ResolvedPoint, SystemConfig};
-use corepart::verify::{replay_batch_with, replay_run, BatchOptions};
+use corepart::verify::{replay_batch_with, replay_run};
 use corepart_bench::SEED;
 use corepart_conform::corpus::run_gen_corpus;
 use corepart_tech::scaling::OperatingPoint;
@@ -127,49 +127,6 @@ fn sequential_sweep(w: &PaperWorkload, configs: &[(String, SystemConfig)]) -> Ve
     points
 }
 
-struct HSink<'a>(&'a mut Hierarchy);
-
-impl MemSink for HSink<'_> {
-    fn ifetch(&mut self, addr: u32) {
-        self.0.ifetch(addr);
-    }
-    fn read(&mut self, addr: u32) {
-        self.0.dread(addr);
-    }
-    fn write(&mut self, addr: u32) {
-        self.0.dwrite(addr);
-    }
-}
-
-/// The direct (no-replay) µP + cache-hierarchy verification of one
-/// hardware-block set: a fresh instruction-set simulation with array
-/// re-initialization — exactly what every candidate cost before the
-/// replay engine existed.
-fn direct_verify(
-    prepared: &PreparedApp,
-    config: &SystemConfig,
-    hw_set: &HashSet<BlockId>,
-) -> (RunStats, HierarchyReport) {
-    let mut hierarchy = Hierarchy::new(
-        config.icache.clone(),
-        config.dcache.clone(),
-        &config.process,
-        config.memory_bytes,
-    );
-    let mut sim =
-        Simulator::with_energy_table(&prepared.prog, &prepared.app, config.energy_table.clone());
-    for (name, data) in &prepared.workload.arrays {
-        sim.set_array(name, data).expect("workload array");
-    }
-    let stats = sim
-        .run(
-            &SimConfig::partitioned(config.max_cycles, hw_set.clone()),
-            &mut HSink(&mut hierarchy),
-        )
-        .expect("direct simulation");
-    (stats, hierarchy.report())
-}
-
 /// Times replay-based verification against direct simulation on the
 /// search's chosen partition. Returns the `"verify":{...}` JSON
 /// fragment, or `None` when the search found no partition or the
@@ -194,11 +151,11 @@ fn measure_verify(
     let mut direct = None;
     for _ in 0..REPS {
         let started = Instant::now();
-        let run = direct_verify(prepared, config, &hw_set);
+        let run = run_iss(prepared, config, &hw_set).expect("direct simulation");
         direct_nanos = direct_nanos.min(started.elapsed().as_nanos());
         direct = Some(run);
     }
-    let (direct_stats, direct_report) = direct.expect("at least one rep");
+    let direct = direct.expect("at least one rep");
 
     let mut replay_nanos = u128::MAX;
     let mut replayed = None;
@@ -224,9 +181,7 @@ fn measure_verify(
         Some(engine.as_ref()),
     )
     .expect("replayed evaluation");
-    let identical = direct_stats == replayed.stats
-        && direct_report == replayed.report
-        && detail_direct == detail_replayed;
+    let identical = direct == replayed && detail_direct == detail_replayed;
 
     let speedup = direct_nanos as f64 / replay_nanos.max(1) as f64;
     println!(
@@ -351,12 +306,15 @@ fn candidate_set(prepared: &PreparedApp, k: usize) -> HashSet<BlockId> {
         .collect()
 }
 
-/// Times the batched replay kernel against K sequential `replay_run`
-/// calls over the K × threads scaling grid (K ∈ {1, 4, 16}, threads ∈
-/// {1, 2, 4}) on deterministic candidate sets, checking every cell's
-/// lanes bit-identical to the sequential replays. Returns one
-/// `"batch"` JSON row per grid cell, or `None` when the capture was
-/// unavailable.
+/// Times the batched replay kernel against K one-candidate
+/// `replay_run` calls (the `seq` columns: K one-lane walks) over the
+/// K × threads scaling grid (K ∈ {1, 4, 16}, threads ∈ {1, 2, 4}) on
+/// deterministic candidate sets. At threads > 1 the K lanes are split
+/// into contiguous lane groups, each one uninterrupted walk on its own
+/// worker. `identical` holds when both the one-lane replays and every
+/// cell's batched lanes equal direct simulation ([`run_iss`]) of the
+/// same candidates. Returns one `"batch"` JSON row per grid cell, or
+/// `None` when the capture was unavailable.
 fn measure_batch(
     prepared: &PreparedApp,
     config: &SystemConfig,
@@ -367,36 +325,41 @@ fn measure_batch(
     let engine = partitioner.replay_engine()?;
     let trace = engine.trace();
 
+    let all: Vec<HashSet<BlockId>> = (0..16).map(|i| candidate_set(prepared, i)).collect();
+    let direct: Vec<_> = all
+        .iter()
+        .map(|hw| run_iss(prepared, config, hw).expect("direct simulation"))
+        .collect();
     let mut rows = Vec::new();
     for k in [1usize, 4, 16] {
-        let candidates: Vec<HashSet<BlockId>> =
-            (0..k).map(|i| candidate_set(prepared, i)).collect();
+        let candidates = &all[..k];
+        let reference = &direct[..k];
 
         let mut seq_nanos = u128::MAX;
-        let mut sequential = None;
+        let mut one_lane = None;
         for _ in 0..REPS {
             let started = Instant::now();
             let runs: Vec<_> = candidates
                 .iter()
-                .map(|hw| replay_run(prepared, config, trace, hw).expect("sequential replay"))
+                .map(|hw| replay_run(prepared, config, trace, hw).expect("one-lane replay"))
                 .collect();
             seq_nanos = seq_nanos.min(started.elapsed().as_nanos());
-            sequential = Some(runs);
+            one_lane = Some(runs);
         }
+        let one_lane = one_lane.expect("at least one rep");
 
         for threads in [1usize, 2, 4] {
-            let opts = BatchOptions::threaded(threads);
             let mut batch_nanos = u128::MAX;
             let mut batched = None;
             for _ in 0..REPS {
                 let started = Instant::now();
-                let runs = replay_batch_with(prepared, config, trace, &candidates, opts)
+                let runs = replay_batch_with(prepared, config, trace, candidates, threads)
                     .expect("batched replay");
                 batch_nanos = batch_nanos.min(started.elapsed().as_nanos());
                 batched = Some(runs);
             }
 
-            let identical = sequential == batched;
+            let identical = one_lane == reference && batched.as_deref() == Some(reference);
             let speedup = seq_nanos as f64 / batch_nanos.max(1) as f64;
             println!(
                 "{:<8} {:>4} {:>3} {:>14.3} {:>14.3} {:>8.2}x {:>10}",
@@ -942,7 +905,7 @@ fn main() {
 
     // Batched replay kernel: per-candidate verify cost at K candidates
     // per decoded-trace walk versus K one-candidate replays.
-    println!("\nbatched replay: K candidates per trace walk vs K sequential replays\n");
+    println!("\nbatched replay: K candidates per trace walk vs K one-lane replays\n");
     println!(
         "{:<8} {:>4} {:>3} {:>14} {:>14} {:>9} {:>10}",
         "app", "K", "T", "seq ms/cand", "batch ms/cand", "speedup", "identical"

@@ -10,7 +10,7 @@
 //! three compute commands, then asserts through the `stats` endpoint
 //! that the warm store actually served: hit rate above zero and a
 //! reported p99 latency. One partition response line is echoed to
-//! stdout so the CI job can grep the served session's `batch_shards`.
+//! stdout so the CI job can grep the served session's `batched_replays`.
 //!
 //! With `--pipeline N`, a third pass re-fires the warm mix with N
 //! requests in flight on the one connection, printing throughput
@@ -132,7 +132,7 @@ fn main() {
                 sent += 1;
                 let response = ask(&mut client, &req.to_json());
                 // Capture the cold pass's partition answer: only a
-                // fresh session carries the `batch_shards` counter CI
+                // fresh session carries the `batched_replays` counter CI
                 // greps for (warm memo hits skip the session).
                 if pass == 0 && req.kind == ComputeKind::Partition && partition_response.is_none() {
                     partition_response = Some(response);
@@ -150,7 +150,7 @@ fn main() {
     }
 
     // One served partition response on stdout — CI greps its session
-    // stats for `batch_shards` to prove the sharded kernel ran.
+    // stats for `batched_replays` to prove the batch kernel ran.
     let Some(partition_response) = partition_response else {
         fail("no partition response captured");
     };

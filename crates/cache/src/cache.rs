@@ -116,23 +116,6 @@ pub struct Cache {
     last_read: Option<(u64, usize)>,
 }
 
-/// A self-contained copy of one cache's *mutable* state — lines, LRU
-/// clock, replacement RNG, MRU read memo and statistics — detached
-/// from the (immutable) geometry. Restoring it into a cache built with
-/// the same [`CacheConfig`] resumes the simulation exactly where the
-/// snapshot was taken: every subsequent access classifies and charges
-/// identically to an uninterrupted run. This is the shard-boundary
-/// carry of the stretch-sharded batched replay — each shard round
-/// forks its hierarchy state from the previous round's snapshot.
-#[derive(Debug, Clone)]
-pub struct CacheSnapshot {
-    lines: Vec<Line>,
-    stats: CacheStats,
-    tick: u64,
-    rng: u64,
-    last_read: Option<(u64, usize)>,
-}
-
 impl Cache {
     /// Creates an empty (all-invalid) cache.
     pub fn new(config: CacheConfig) -> Self {
@@ -168,36 +151,6 @@ impl Cache {
         self.stats = CacheStats::default();
         self.tick = 0;
         self.last_read = None;
-    }
-
-    /// Captures the mutable state (see [`CacheSnapshot`]).
-    pub fn snapshot(&self) -> CacheSnapshot {
-        CacheSnapshot {
-            lines: self.lines.clone(),
-            stats: self.stats,
-            tick: self.tick,
-            rng: self.rng,
-            last_read: self.last_read,
-        }
-    }
-
-    /// Resumes from a snapshot taken on a cache of the same geometry.
-    ///
-    /// # Panics
-    ///
-    /// When the snapshot's line count does not match this cache's —
-    /// the snapshot belongs to a different [`CacheConfig`].
-    pub fn restore(&mut self, snapshot: &CacheSnapshot) {
-        assert_eq!(
-            self.lines.len(),
-            snapshot.lines.len(),
-            "snapshot geometry must match the cache it restores into"
-        );
-        self.lines.clone_from(&snapshot.lines);
-        self.stats = snapshot.stats;
-        self.tick = snapshot.tick;
-        self.rng = snapshot.rng;
-        self.last_read = snapshot.last_read;
     }
 
     #[inline]

@@ -14,7 +14,7 @@ use corepart_tech::energy::{CacheEnergyModel, MemoryEnergyModel};
 use corepart_tech::process::CmosProcess;
 use corepart_tech::units::{Cycles, Energy};
 
-use crate::cache::{Cache, CacheSnapshot, CacheStats};
+use crate::cache::{Cache, CacheStats};
 use crate::config::CacheConfig;
 
 /// Energy and stall report of a hierarchy run.
@@ -70,25 +70,6 @@ pub enum MemEvent {
     Write(u32),
 }
 
-/// A copy of a [`Hierarchy`]'s mutable state — both cache snapshots
-/// plus the energy/stall/traffic accumulators — detached from the
-/// analytical models (which are pure functions of the construction
-/// parameters and need not travel). The shard-boundary carry of the
-/// stretch-sharded batched replay: a shard round restores it into a
-/// freshly built hierarchy, replays its stretch range, and snapshots
-/// again for the next round, possibly on a different thread.
-#[derive(Debug, Clone)]
-pub struct HierarchySnapshot {
-    icache: CacheSnapshot,
-    dcache: CacheSnapshot,
-    i_energy: Energy,
-    d_energy: Energy,
-    mem_energy: Energy,
-    stall_cycles: u64,
-    mem_reads: u64,
-    mem_writes: u64,
-}
-
 /// The simulated hierarchy.
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
@@ -141,43 +122,6 @@ impl Hierarchy {
             mem_reads: 0,
             mem_writes: 0,
         }
-    }
-
-    /// Captures the mutable state of the whole hierarchy (see
-    /// [`HierarchySnapshot`]).
-    pub fn snapshot(&self) -> HierarchySnapshot {
-        HierarchySnapshot {
-            icache: self.icache.snapshot(),
-            dcache: self.dcache.snapshot(),
-            i_energy: self.i_energy,
-            d_energy: self.d_energy,
-            mem_energy: self.mem_energy,
-            stall_cycles: self.stall_cycles,
-            mem_reads: self.mem_reads,
-            mem_writes: self.mem_writes,
-        }
-    }
-
-    /// Resumes from a snapshot taken on a hierarchy built with the
-    /// same cache geometries, process and memory size. The energy
-    /// models are pure functions of the construction parameters, so a
-    /// freshly built hierarchy restored from a snapshot continues the
-    /// interrupted run **bit for bit** — every later event charges the
-    /// same `f64`s onto the same accumulator values.
-    ///
-    /// # Panics
-    ///
-    /// When a cache snapshot's geometry does not match (see
-    /// [`Cache::restore`]).
-    pub fn restore(&mut self, snapshot: &HierarchySnapshot) {
-        self.icache.restore(&snapshot.icache);
-        self.dcache.restore(&snapshot.dcache);
-        self.i_energy = snapshot.i_energy;
-        self.d_energy = snapshot.d_energy;
-        self.mem_energy = snapshot.mem_energy;
-        self.stall_cycles = snapshot.stall_cycles;
-        self.mem_reads = snapshot.mem_reads;
-        self.mem_writes = snapshot.mem_writes;
     }
 
     /// Clears all state and counters.
@@ -492,71 +436,6 @@ mod tests {
         let mut replayed = hierarchy();
         replayed.replay(events);
         assert_eq!(live.report(), replayed.report());
-    }
-
-    #[test]
-    fn snapshot_restore_resumes_bit_exactly() {
-        // Reference: one uninterrupted run.
-        let mut whole = hierarchy();
-        let drive = |h: &mut Hierarchy, lo: u32, hi: u32| {
-            for i in lo..hi {
-                h.ifetch(0x0010_0000 + (i % 96) * 4);
-                if i % 3 == 0 {
-                    h.dread(0x1000 + (i % 48) * 4);
-                }
-                if i % 5 == 0 {
-                    h.dwrite(0x2000 + i * 4);
-                }
-            }
-        };
-        drive(&mut whole, 0, 700);
-
-        // Split run: snapshot at an arbitrary boundary, resume into a
-        // FRESH hierarchy (the models are rebuilt, the state restored)
-        // — the shard-round handoff of the threaded batch driver.
-        let mut first = hierarchy();
-        drive(&mut first, 0, 311);
-        let carry = first.snapshot();
-        let mut second = hierarchy();
-        second.restore(&carry);
-        drive(&mut second, 311, 700);
-
-        assert_eq!(whole.report(), second.report());
-        // Even the replacement/MRU internals travelled: further
-        // traffic stays identical too.
-        drive(&mut whole, 700, 900);
-        drive(&mut second, 700, 900);
-        assert_eq!(whole.report(), second.report());
-    }
-
-    #[test]
-    fn snapshot_restore_preserves_bulk_fetch_decisions() {
-        let mut live = hierarchy();
-        for i in 0..32u32 {
-            live.ifetch(0x0010_0000 + i * 4);
-        }
-        let carry = live.snapshot();
-        let mut resumed = hierarchy();
-        resumed.restore(&carry);
-        // The resident-line set travelled: the resumed hierarchy
-        // accepts exactly the bulk runs the live one accepts.
-        assert_eq!(
-            live.ifetch_run_hits(0x0010_0000, 32),
-            resumed.ifetch_run_hits(0x0010_0000, 32)
-        );
-        assert_eq!(
-            live.ifetch_run_hits(0x0020_0000, 8),
-            resumed.ifetch_run_hits(0x0020_0000, 8)
-        );
-        assert_eq!(live.report(), resumed.report());
-    }
-
-    #[test]
-    #[should_panic(expected = "snapshot geometry")]
-    fn restore_rejects_mismatched_geometry() {
-        let small = Cache::new(CacheConfig::default_dcache().with_size(4 * 1024).unwrap());
-        let mut big = Cache::new(CacheConfig::default_dcache().with_size(32 * 1024).unwrap());
-        big.restore(&small.snapshot());
     }
 
     #[test]

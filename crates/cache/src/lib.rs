@@ -38,6 +38,6 @@ pub mod cache;
 pub mod config;
 pub mod hierarchy;
 
-pub use cache::{AccessOutcome, Cache, CacheSnapshot, CacheStats};
+pub use cache::{AccessOutcome, Cache, CacheStats};
 pub use config::{CacheConfig, Replacement, WritePolicy};
-pub use hierarchy::{Hierarchy, HierarchyReport, HierarchySnapshot, MemEvent};
+pub use hierarchy::{Hierarchy, HierarchyReport, MemEvent};

@@ -18,11 +18,11 @@
 //!   the *whole batch* with [`SimError::TraceCorrupt`]: no panic and
 //!   no partial lane results, even when some lanes alone would have
 //!   replayed cleanly;
-//! * **shard-corrupt** — the same wholesale rejection through the
-//!   *threaded, stretch-sharded* walk, where the damage (a truncated
-//!   tail) manifests beyond the first shard: every earlier shard round
-//!   replays cleanly, and the batch must still fail as one
-//!   [`SimError::TraceCorrupt`] with no partial statistics;
+//! * **threaded-batch-corrupt** — the same wholesale rejection when
+//!   the batch of a truncated capture is split into lane groups on two
+//!   threads: every group walks the damaged trace on its own, and the
+//!   batch must still fail as one [`SimError::TraceCorrupt`] with no
+//!   partial statistics;
 //! * **cache-evict** — recomputing an evicted schedule-cache entry
 //!   reproduces the cached [`ScheduledCluster`] exactly;
 //! * **cache-poison** — a deliberately wrong cache entry is returned
@@ -40,7 +40,7 @@ use corepart::evaluate::{evaluate_initial_captured, Partition};
 use corepart::flow::DesignFlow;
 use corepart::partition::{schedule_key, Partitioner};
 use corepart::prepare::Workload;
-use corepart::verify::{replay_batch, replay_batch_with, replay_run, BatchOptions};
+use corepart::verify::{replay_batch, replay_batch_with, replay_run};
 use corepart_ir::cdfg::Application;
 use corepart_ir::op::BlockId;
 use corepart_isa::simulator::SimError;
@@ -247,35 +247,25 @@ fn trace_damage(app: &Application, workload: &Workload) -> Vec<Violation> {
             )),
         }
 
-        // And through the threaded, stretch-sharded walk: the truncated
-        // tail means every shard round up to the last replays cleanly —
-        // the damage sits in a non-first shard — yet the whole batch
-        // must fail as one TraceCorrupt, with no partial lane results.
+        // And split into lane groups on two threads: each group walks
+        // the truncated capture on its own, yet the whole batch must
+        // fail as one TraceCorrupt, with no partial lane results.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            replay_batch_with(
-                prepared,
-                config,
-                &truncated,
-                &candidates,
-                BatchOptions {
-                    threads: 2,
-                    shard_events: 1,
-                },
-            )
+            replay_batch_with(prepared, config, &truncated, &candidates, 2)
         }));
         match outcome {
             Err(_) => violations.push(err(
-                "shard-corrupt",
-                "sharded replay of a truncated capture panicked".to_string(),
+                "threaded-batch-corrupt",
+                "threaded batch of a truncated capture panicked".to_string(),
             )),
             Ok(Ok(_)) => violations.push(err(
-                "shard-corrupt",
-                "sharded replay of a truncated capture produced lane results".to_string(),
+                "threaded-batch-corrupt",
+                "threaded batch of a truncated capture produced lane results".to_string(),
             )),
             Ok(Err(SimError::TraceCorrupt { .. })) => {}
             Ok(Err(other)) => violations.push(err(
-                "shard-corrupt",
-                format!("sharded replay failed with {other} instead of TraceCorrupt"),
+                "threaded-batch-corrupt",
+                format!("threaded batch failed with {other} instead of TraceCorrupt"),
             )),
         }
     }

@@ -21,14 +21,10 @@
 //!   hardware never changes the executed instruction stream: block
 //!   entry counts and the return value match the all-software baseline
 //!   for every hardware-block set;
-//! * **batch-vs-sequential** — verifying K candidate hardware-block
-//!   sets through the batched single-decode replay kernel equals K
-//!   one-candidate replays, lane for lane and bit for bit;
-//! * **threaded-batch-vs-sequential** — the stretch-sharded,
-//!   lane-grouped (threaded) batch walk equals the same K sequential
-//!   replays for every thread count and shard granularity tried: the
-//!   shard-boundary hierarchy snapshot/resume carry must not perturb
-//!   a single f64 in any lane;
+//! * **batch-vs-direct** — verifying K candidate hardware-block sets
+//!   through the batched single-decode replay kernel, on one thread
+//!   and spread over lane groups on several, equals K direct
+//!   simulations, lane for lane and bit for bit;
 //! * **of-monotone** (metamorphic) — the objective function is
 //!   strictly increasing in `F` (energy is positive) and
 //!   non-decreasing in `G` (strictly when the design carries extra
@@ -50,14 +46,14 @@
 use std::collections::HashSet;
 
 use corepart::engine::Engine;
-use corepart::evaluate::evaluate_partition;
+use corepart::evaluate::{evaluate_partition, run_iss};
 use corepart::flow::DesignFlow;
 use corepart::isa::simulator::RunStats;
 use corepart::objective::Objective;
 use corepart::partition::{PartitionOutcome, Partitioner};
 use corepart::prepare::Workload;
 use corepart::system::{DesignMetrics, SystemConfig};
-use corepart::verify::{replay_batch, replay_batch_with, replay_run, BatchOptions};
+use corepart::verify::replay_batch_with;
 use corepart_ir::cdfg::Application;
 use corepart_ir::lower::lower;
 use corepart_ir::parser::parse;
@@ -273,12 +269,9 @@ pub fn check_lowered(app: &Application, workload: &Workload) -> Vec<Violation> {
     // Oracle: hardware moves never change the executed stream.
     violations.extend(stream_invariance(&partitioner));
 
-    // Oracle: batched replay == K sequential replays, lane for lane.
-    violations.extend(batch_vs_sequential(&partitioner));
-
-    // Oracle: the threaded, stretch-sharded batch walk is bit-identical
-    // to the sequential replays too, for every (threads, shard) tried.
-    violations.extend(threaded_batch_vs_sequential(&partitioner));
+    // Oracle: batched replay == K direct simulations, lane for lane,
+    // at every thread count tried.
+    violations.extend(batch_vs_direct(&partitioner));
 
     // Oracle: OF monotone in F and G over the observed designs.
     let mut observed: Vec<&DesignMetrics> = vec![&shared[1].initial];
@@ -357,11 +350,12 @@ fn stream_invariance(partitioner: &Partitioner<'_>) -> Vec<Violation> {
 }
 
 /// Differential: the batched single-decode replay kernel is
-/// bit-identical to the one-candidate replay path for a K-candidate
-/// batch mixing the empty set, the first few cluster sets, and their
-/// union — the shared decode and interleaved per-lane accounting must
-/// not perturb a single f64 in any lane.
-fn batch_vs_sequential(partitioner: &Partitioner<'_>) -> Vec<Violation> {
+/// bit-identical to direct simulation for a K-candidate batch mixing
+/// the empty set, the first few cluster sets, and their union — the
+/// shared decode, the interleaved per-lane accounting and the split
+/// into lane groups on several threads must not perturb a single f64
+/// in any lane.
+fn batch_vs_direct(partitioner: &Partitioner<'_>) -> Vec<Violation> {
     let mut violations = Vec::new();
     let Some(engine) = partitioner.replay_engine() else {
         // Capture overflowed the cap: no trace to batch over.
@@ -380,101 +374,49 @@ fn batch_vs_sequential(partitioner: &Partitioner<'_>) -> Vec<Violation> {
     }
     candidates.push(union);
 
-    match replay_batch(prepared, config, trace, &candidates) {
-        Ok(batched) => {
-            if batched.len() != candidates.len() {
-                violations.push(Violation::new(
-                    "batch-vs-sequential",
-                    format!(
-                        "batch of {} candidates returned {} lanes",
-                        candidates.len(),
-                        batched.len()
-                    ),
-                ));
-                return violations;
-            }
-            for (i, (hw, got)) in candidates.iter().zip(&batched).enumerate() {
-                match replay_run(prepared, config, trace, hw) {
-                    Ok(sequential) => {
-                        if sequential != *got {
-                            violations.push(Violation::new(
-                                "batch-vs-sequential",
-                                format!("batched lane {i} diverged from its sequential replay"),
-                            ));
-                        }
-                    }
-                    Err(e) => violations.push(Violation::new(
-                        "batch-vs-sequential",
-                        format!("sequential replay of lane {i} failed: {e}"),
-                    )),
-                }
-            }
-        }
-        Err(e) => violations.push(Violation::new(
-            "batch-vs-sequential",
-            format!("batched replay failed: {e}"),
-        )),
-    }
-    violations
-}
-
-/// Differential: the stretch-sharded, lane-grouped batch walk — the
-/// threaded form of the kernel — equals the one-candidate replay path
-/// for the same candidate mix, across thread counts and shard
-/// granularities (including `shard_events: 1`, a snapshot/resume at
-/// every stretch boundary).
-fn threaded_batch_vs_sequential(partitioner: &Partitioner<'_>) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    let Some(engine) = partitioner.replay_engine() else {
-        return violations;
-    };
-    let prepared = partitioner.prepared();
-    let config = partitioner.config();
-    let trace = engine.trace();
-
-    let mut candidates: Vec<HashSet<_>> = vec![HashSet::new()];
-    let mut union = HashSet::new();
-    for cluster in prepared.chain.iter().take(3) {
-        let hw: HashSet<_> = cluster.blocks.iter().copied().collect();
-        union.extend(hw.iter().copied());
-        candidates.push(hw);
-    }
-    candidates.push(union);
-
-    let sequential: Vec<_> = match candidates
+    let direct: Vec<_> = match candidates
         .iter()
-        .map(|hw| replay_run(prepared, config, trace, hw))
+        .map(|hw| run_iss(prepared, config, hw))
         .collect::<Result<_, _>>()
     {
         Ok(runs) => runs,
         Err(e) => {
             violations.push(Violation::new(
-                "threaded-batch-vs-sequential",
-                format!("sequential reference replay failed: {e}"),
+                "batch-vs-direct",
+                format!("direct reference simulation failed: {e}"),
             ));
             return violations;
         }
     };
 
-    for (threads, shard_events) in [(2usize, 0u64), (3, 1), (4, 57)] {
-        let opts = BatchOptions {
-            threads,
-            shard_events,
-        };
-        match replay_batch_with(prepared, config, trace, &candidates, opts) {
-            Ok(batched) if batched == sequential => {}
-            Ok(_) => violations.push(Violation::new(
-                "threaded-batch-vs-sequential",
-                format!(
-                    "threaded batch (threads={threads}, shard_events={shard_events}) \
-                     diverged from sequential replays"
-                ),
-            )),
+    for threads in [1usize, 3] {
+        match replay_batch_with(prepared, config, trace, &candidates, threads) {
+            Ok(batched) => {
+                if batched.len() != direct.len() {
+                    violations.push(Violation::new(
+                        "batch-vs-direct",
+                        format!(
+                            "batch of {} candidates (threads={threads}) returned {} lanes",
+                            candidates.len(),
+                            batched.len()
+                        ),
+                    ));
+                    continue;
+                }
+                for (i, (got, want)) in batched.iter().zip(&direct).enumerate() {
+                    if got != want {
+                        violations.push(Violation::new(
+                            "batch-vs-direct",
+                            format!(
+                                "batched lane {i} (threads={threads}) diverged from direct simulation"
+                            ),
+                        ));
+                    }
+                }
+            }
             Err(e) => violations.push(Violation::new(
-                "threaded-batch-vs-sequential",
-                format!(
-                    "threaded batch (threads={threads}, shard_events={shard_events}) failed: {e}"
-                ),
+                "batch-vs-direct",
+                format!("batched replay (threads={threads}) failed: {e}"),
             )),
         }
     }

@@ -7,7 +7,7 @@ use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use corepart::engine::Engine;
-use corepart::evaluate::{evaluate_initial_captured, Partition};
+use corepart::evaluate::{evaluate_initial_captured, run_iss, Partition};
 use corepart::flow::DesignFlow;
 use corepart::partition::{schedule_key, Partitioner};
 use corepart::prepare::Workload;
@@ -166,9 +166,9 @@ fn truncated_trace_fails_the_whole_batch() {
     assert_eq!(clean.len(), candidates.len());
     for (hw, lane) in candidates.iter().zip(&clean) {
         assert_eq!(
-            replay_run(prepared, config, &trace, hw).unwrap(),
+            run_iss(prepared, config, hw).unwrap(),
             *lane,
-            "clean batch lane diverged from sequential replay"
+            "clean batch lane diverged from direct simulation"
         );
     }
 }

@@ -362,12 +362,6 @@ pub struct SessionStats {
     pub batch_events_shared: u64,
     /// Wall time spent inside batched replay walks, nanoseconds.
     pub batch_nanos: u64,
-    /// Stretch shards walked across batched replays — the rendezvous
-    /// rounds of the lane-group threading (1 per batch when the walk
-    /// ran unsharded), so nonzero exactly when a batch executed.
-    pub batch_shards: u64,
-    /// Wall time inside the sharded replay rounds proper, nanoseconds.
-    pub batch_shard_nanos: u64,
 }
 
 /// One partitioning session: an `(Application, Workload,
@@ -592,8 +586,6 @@ impl<'e> Session<'e> {
             batched_replays: replay.map_or(0, |r| r.batches()),
             batch_events_shared: replay.map_or(0, |r| r.batch_events_shared()),
             batch_nanos: replay.map_or(0, |r| r.batch_nanos()),
-            batch_shards: replay.map_or(0, |r| r.batch_shards()),
-            batch_shard_nanos: replay.map_or(0, |r| r.batch_shard_nanos()),
         }
     }
 }

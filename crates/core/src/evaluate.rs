@@ -42,7 +42,7 @@ use crate::error::CorepartError;
 use crate::partition::{schedule_key, ScheduleKey};
 use crate::prepare::PreparedApp;
 use crate::system::{DesignMetrics, SystemConfig};
-use crate::verify::ReplayEngine;
+use crate::verify::{ReplayEngine, VerifiedRun};
 
 /// A candidate hardware/software partition: which clusters move to the
 /// ASIC core and which designer resource set implements it.
@@ -104,24 +104,45 @@ impl MemSink for HierarchySink<'_> {
     }
 }
 
-fn run_iss(
-    prepared: &PreparedApp,
-    config: &SystemConfig,
-    sim_config: &SimConfig,
-) -> Result<(RunStats, corepart_cache::hierarchy::HierarchyReport), CorepartError> {
-    let mut hierarchy = Hierarchy::new(
+/// A fresh (cold) cache hierarchy for `config`'s caches, process and
+/// main memory.
+pub(crate) fn fresh_hierarchy(config: &SystemConfig) -> Hierarchy {
+    Hierarchy::new(
         config.icache.clone(),
         config.dcache.clone(),
         &config.process,
         config.memory_bytes,
-    );
+    )
+}
+
+/// Direct simulation of one partitioned run: a fresh simulator with
+/// the workload arrays re-initialized, streaming through a fresh cache
+/// hierarchy. The reference every replay oracle compares against —
+/// trace replay ([`crate::verify`]) must reproduce it bit for bit —
+/// and the fallback verification when no trace was captured.
+///
+/// # Errors
+///
+/// Simulation failures ([`CorepartError::Sim`]) or bad workload arrays.
+pub fn run_iss(
+    prepared: &PreparedApp,
+    config: &SystemConfig,
+    hw_blocks: &HashSet<BlockId>,
+) -> Result<VerifiedRun, CorepartError> {
+    let mut hierarchy = fresh_hierarchy(config);
     let mut sim =
         Simulator::with_energy_table(&prepared.prog, &prepared.app, config.energy_table.clone());
     for (name, data) in &prepared.workload.arrays {
         sim.set_array(name, data)?;
     }
-    let stats = sim.run(sim_config, &mut HierarchySink(&mut hierarchy))?;
-    Ok((stats, hierarchy.report()))
+    let stats = sim.run(
+        &SimConfig::partitioned(config.max_cycles, hw_blocks.clone()),
+        &mut HierarchySink(&mut hierarchy),
+    )?;
+    Ok(VerifiedRun {
+        stats,
+        report: hierarchy.report(),
+    })
 }
 
 /// Evaluates the initial (all-software) design.
@@ -177,12 +198,7 @@ pub(crate) fn capture_initial(
     ),
     CorepartError,
 > {
-    let mut hierarchy = Hierarchy::new(
-        config.icache.clone(),
-        config.dcache.clone(),
-        &config.process,
-        config.memory_bytes,
-    );
+    let mut hierarchy = fresh_hierarchy(config);
     let mut sim =
         Simulator::with_energy_table(&prepared.prog, &prepared.app, config.energy_table.clone());
     for (name, data) in &prepared.workload.arrays {
@@ -298,17 +314,11 @@ pub fn evaluate_partition_with(
 
     // --- µP + caches side: replay the reference trace when a capture
     // is available, simulate directly otherwise (bit-identical). ---
-    let (stats, report) = match replay {
-        Some(engine) => {
-            let run = engine.verify(config, &hw_set)?;
-            (run.stats.clone(), run.report.clone())
-        }
-        None => run_iss(
-            prepared,
-            config,
-            &SimConfig::partitioned(config.max_cycles, hw_set),
-        )?,
+    let run = match replay {
+        Some(engine) => engine.verify(config, &hw_set)?,
+        None => Arc::new(run_iss(prepared, config, &hw_set)?),
     };
+    let VerifiedRun { stats, report } = &*run;
 
     // --- Communication (§3.3): µP deposits inputs, reads back
     // outputs, once per invocation, with synergy between co-resident

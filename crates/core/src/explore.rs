@@ -243,7 +243,7 @@ pub fn explore_in(
     // batched replay kernel — one walk of the decoded trace per
     // shared replay engine, however many configurations share it (a
     // factor sweep shares one baseline, so its K winners cost one
-    // decode + one K-lane walk instead of K streaming replays).
+    // decode + one K-lane walk instead of K one-lane walks).
     // Verification *results* are published through each engine's memo;
     // batch errors are dropped here because each configuration's
     // `finish` below reproduces its own error through the normal
@@ -271,11 +271,7 @@ pub fn explore_in(
         }
     }
     for (replay, config, sets) in groups {
-        let _ = replay.verify_batch_with(
-            config,
-            &sets,
-            crate::verify::BatchOptions::threaded(engine.threads()),
-        );
+        let _ = replay.verify_batch_with(config, &sets, engine.threads());
     }
 
     // Phase 3: close each search (a memo hit when phase 2 pre-seeded

@@ -236,7 +236,7 @@ pub fn outcome_to_json(name: &str, outcome: &PartitionOutcome) -> String {
             "\"search\":{{\"candidates\":{},\"estimated\":{},",
             "\"rejected_by_utilization\":{},\"infeasible\":{},",
             "\"growth_steps\":{},\"verifications\":{},\"replayed\":{},",
-            "\"batched_replays\":{},\"batch_shards\":{},",
+            "\"batched_replays\":{},",
             "\"cache_hits\":{},\"cache_misses\":{},",
             "\"estimate_nanos\":{},\"growth_nanos\":{},\"verify_nanos\":{}}}}}"
         ),
@@ -251,7 +251,6 @@ pub fn outcome_to_json(name: &str, outcome: &PartitionOutcome) -> String {
         s.verifications,
         s.replayed,
         s.batched_replays,
-        s.batch_shards,
         s.cache_hits,
         s.cache_misses,
         s.estimate_nanos,

@@ -36,24 +36,6 @@ pub fn resolve_threads(requested: usize) -> usize {
         .unwrap_or(1)
 }
 
-/// How [`par_map_with`] hands items to its workers. The output is the
-/// input-order `Vec` either way — assignment affects load balance and
-/// wall time, never results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Assignment {
-    /// An atomic cursor: each worker grabs the next unclaimed index.
-    /// Self-balancing for uniform items, but a worker that grabs a
-    /// cluster of adjacent heavy items keeps them all.
-    #[default]
-    Dynamic,
-    /// Static round-robin: worker `w` of `W` takes items `w`,
-    /// `w + W`, `w + 2W`, …. Adjacent items land on *different*
-    /// workers, so cost that clusters by position — stretch lists
-    /// skewed by loop nests, candidate grids sorted by size — is
-    /// spread instead of inherited whole by one thread.
-    Interleaved,
-}
-
 /// Maps `f` over `items` on up to `threads` workers, returning the
 /// results in input order.
 ///
@@ -75,23 +57,6 @@ where
     U: Send,
     F: Fn(usize, &'a T) -> U + Sync,
 {
-    par_map_with(items, threads, Assignment::Dynamic, f)
-}
-
-/// [`par_map`] with an explicit work-[`Assignment`] policy. Results
-/// are re-assembled by index, so every policy and thread count yields
-/// the same `Vec` a sequential `iter().map()` would.
-pub fn par_map_with<'a, T, U, F>(
-    items: &'a [T],
-    threads: usize,
-    assignment: Assignment,
-    f: F,
-) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &'a T) -> U + Sync,
-{
     let threads = threads.max(1).min(items.len());
     if threads <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
@@ -99,26 +64,15 @@ where
     let cursor = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, U)>();
     std::thread::scope(|scope| {
-        for worker in 0..threads {
+        for _ in 0..threads {
             let tx = tx.clone();
             let cursor = &cursor;
             let f = &f;
-            scope.spawn(move || match assignment {
-                Assignment::Dynamic => loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
-                    if tx.send((i, f(i, item))).is_err() {
-                        break;
-                    }
-                },
-                Assignment::Interleaved => {
-                    let mut i = worker;
-                    while let Some(item) = items.get(i) {
-                        if tx.send((i, f(i, item))).is_err() {
-                            break;
-                        }
-                        i += threads;
-                    }
+            scope.spawn(move || loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                if tx.send((i, f(i, item))).is_err() {
+                    break;
                 }
             });
         }
@@ -151,37 +105,6 @@ mod tests {
             });
             assert_eq!(got, expected, "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn interleaved_assignment_pins_output_order() {
-        // Skewed per-item cost (heavy items cluster at the front, the
-        // loop-nest shape of a stretch list): both policies, every
-        // thread count, must return exactly the sequential Vec.
-        let items: Vec<u64> = (0..193).collect();
-        let expected: Vec<u64> = items.iter().map(|&x| x * 3 + 7).collect();
-        for threads in [1, 2, 3, 8, 64] {
-            for assignment in [Assignment::Dynamic, Assignment::Interleaved] {
-                let got = par_map_with(&items, threads, assignment, |i, &x| {
-                    if i < 20 {
-                        std::thread::sleep(std::time::Duration::from_micros(300));
-                    }
-                    x * 3 + 7
-                });
-                assert_eq!(got, expected, "threads = {threads}, {assignment:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn interleaved_covers_every_index_exactly_once() {
-        use std::sync::atomic::AtomicU32;
-        let items: Vec<usize> = (0..101).collect();
-        let hits: Vec<AtomicU32> = (0..items.len()).map(|_| AtomicU32::new(0)).collect();
-        par_map_with(&items, 7, Assignment::Interleaved, |i, _| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]

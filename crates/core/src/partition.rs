@@ -105,11 +105,6 @@ pub struct SearchStats {
     /// verifies every uncached candidate of a round in one pass over
     /// the decoded trace).
     pub batched_replays: usize,
-    /// Stretch-shard rounds walked by those batched replays (the
-    /// rendezvous rounds of the lane-group threading; 1 per unsharded
-    /// batch). A mechanism counter, excluded from equality like
-    /// `batched_replays`.
-    pub batch_shards: usize,
     /// Schedule-cache lookups served from memory during this run.
     pub cache_hits: u64,
     /// Schedule-cache lookups that ran the scheduler (distinct keys).
@@ -475,19 +470,17 @@ impl<'a> Partitioner<'a> {
         let mut phase = self.search()?;
         if let (Some(best), Some(engine)) = (&phase.best, &self.replay) {
             let before = engine.batches();
-            let shards_before = engine.batch_shards();
             // A batch error is deliberately dropped: `finish` re-asks
             // the memo (per-candidate errors were cached there) or the
-            // sequential path (trace-level errors memoize nothing) and
+            // one-lane replay (trace-level errors memoize nothing) and
             // reproduces the identical error through the normal
             // evaluation route.
             let _ = engine.verify_batch_with(
                 self.config,
                 std::slice::from_ref(&self.hw_set_of(&best.partition)),
-                crate::verify::BatchOptions::threaded(self.threads),
+                self.threads,
             );
             phase.search.batched_replays += (engine.batches() - before) as usize;
-            phase.search.batch_shards += (engine.batch_shards() - shards_before) as usize;
         }
         self.finish(phase)
     }

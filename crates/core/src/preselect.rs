@@ -14,8 +14,7 @@
 use std::collections::HashSet;
 
 use corepart_ir::cluster::ClusterId;
-use corepart_isa::simulator::{NullSink, RunStats, SimConfig, SimError};
-use corepart_isa::trace::{ReferenceTrace, TraceReplayer};
+use corepart_isa::simulator::RunStats;
 use corepart_tech::units::Energy;
 
 use crate::bus_transfer::{cluster_transfer_energy, transfer_counts, TransferCounts};
@@ -79,26 +78,6 @@ pub fn preselect(
     scored.sort_by(|a, b| b.score.joules().total_cmp(&a.score.joules()));
     scored.truncate(config.n_max);
     scored
-}
-
-/// [`preselect`] driven by a captured reference trace instead of a
-/// live run: the per-block energy attribution the scores need is
-/// recovered by replaying the capture through a [`NullSink`] (no cache
-/// hierarchy — pre-selection only consumes µP-side block energies),
-/// bit-identical to the `RunStats` of the direct simulation the trace
-/// was captured from.
-///
-/// # Errors
-///
-/// [`SimError`] only on a trace that does not belong to `prepared`.
-pub fn preselect_from_trace(
-    prepared: &PreparedApp,
-    trace: &ReferenceTrace,
-    config: &SystemConfig,
-) -> Result<Vec<CandidateScore>, SimError> {
-    let replayer = TraceReplayer::new(&prepared.prog, &prepared.app, &config.energy_table);
-    let stats = replayer.replay(trace, &SimConfig::initial(config.max_cycles), &mut NullSink)?;
-    Ok(preselect(prepared, &stats, config))
 }
 
 #[cfg(test)]
@@ -165,36 +144,6 @@ mod tests {
         for c in &cands {
             assert!(c.invocations > 0);
         }
-    }
-
-    #[test]
-    fn trace_driven_preselection_equals_direct() {
-        use corepart_isa::trace::TraceBuilder;
-
-        let app = lower(&parse(TWO_LOOPS).unwrap()).unwrap();
-        let prepared = prepare(app, Workload::empty(), &SystemConfig::new()).unwrap();
-        let config = SystemConfig::new();
-
-        // One recorded run: stats for the direct path, trace for the
-        // replayed path.
-        let mut builder = TraceBuilder::new(usize::MAX);
-        let stats = Simulator::with_energy_table(
-            &prepared.prog,
-            &prepared.app,
-            config.energy_table.clone(),
-        )
-        .run_recorded(
-            &SimConfig::initial(config.max_cycles),
-            &mut NullSink,
-            &mut builder,
-        )
-        .unwrap();
-        let trace = builder.finish(stats.return_value).unwrap();
-
-        let direct = preselect(&prepared, &stats, &config);
-        let replayed = preselect_from_trace(&prepared, &trace, &config).unwrap();
-        assert!(!direct.is_empty());
-        assert_eq!(direct, replayed);
     }
 
     #[test]

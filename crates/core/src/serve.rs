@@ -73,7 +73,6 @@ use crate::engine::{session_identity, Engine, Fnv64, SessionStats};
 use crate::error::CorepartError;
 use crate::evaluate::Partition;
 use crate::explore::{explore_in, hardware_weight_sweep};
-use crate::verify::BatchOptions;
 use corepart_tech::scaling::OperatingPoint;
 
 use crate::json::{
@@ -103,7 +102,7 @@ pub struct ServeOptions {
     /// Store-wide artifact byte budget.
     pub budget_bytes: u64,
     /// Verification threads per served session (0 = automatic) — the
-    /// sharded batched-replay kernel's worker count.
+    /// lane groups a batched replay is split into.
     pub threads: usize,
     /// Maximum simultaneous client connections (0 = unlimited).
     /// Over-cap connects are answered with one `busy` error line and
@@ -609,7 +608,7 @@ fn session_stats_json(s: &SessionStats) -> String {
             "{{\"prepare_shared\":{},\"baseline_shared\":{},",
             "\"schedule_cache_hits\":{},\"schedule_cache_misses\":{},",
             "\"replays\":{},\"replay_hits\":{},",
-            "\"batched_replays\":{},\"batch_shards\":{}}}"
+            "\"batched_replays\":{}}}"
         ),
         s.prepare_shared,
         s.baseline_shared,
@@ -618,7 +617,6 @@ fn session_stats_json(s: &SessionStats) -> String {
         s.replays,
         s.replay_hits,
         s.batched_replays,
-        s.batch_shards,
     )
 }
 
@@ -996,11 +994,7 @@ fn prewarm_verify_group(store: &ArtifactStore, fingerprint: u64, group: &[&Compu
     let Ok(Some(replay)) = session.replay_engine() else {
         return;
     };
-    let _ = replay.verify_batch_with(
-        session.config(),
-        &lanes,
-        BatchOptions::threaded(session.threads()),
-    );
+    let _ = replay.verify_batch_with(session.config(), &lanes, session.threads());
 }
 
 /// Splices the queue-wait/compute split into a success response's

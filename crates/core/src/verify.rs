@@ -12,13 +12,18 @@
 //! re-interpretation, no re-decoding, no `set_array`
 //! re-initialization.
 //!
-//! Replay reproduces [`RunStats`] and [`HierarchyReport`] **bit for
-//! bit** (the same `f64` operations in the same order as the direct
-//! simulation), and results are memoized per (trace fingerprint,
-//! hardware-block set) in the same compute-once [`MemoCache`] the
-//! schedule trio uses — distinct candidates that induce the same
-//! hardware-block set (e.g. the same clusters under different resource
-//! sets) share one replay.
+//! Every replay — one candidate or K — is one walk of the batch kernel
+//! ([`TraceReplayer::replay_batch`]) over the decoded capture, with one
+//! cache [`Hierarchy`] per lane; threading splits the K lanes into
+//! contiguous groups, each its own uninterrupted walk. Replay
+//! reproduces direct simulation ([`crate::evaluate::run_iss`]):
+//! [`RunStats`] and [`HierarchyReport`] **bit for bit**, the same
+//! `f64` operations in the same order.
+//!
+//! Results are memoized per (trace fingerprint, hardware-block set) in
+//! the same compute-once [`MemoCache`] the schedule trio uses —
+//! distinct candidates that induce the same hardware-block set (e.g.
+//! the same clusters under different resource sets) share one replay.
 //!
 //! When the capture was discarded (byte cap exceeded, or capture
 //! disabled), there is no engine and callers fall back to direct
@@ -26,64 +31,21 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use corepart_cache::hierarchy::{Hierarchy, HierarchySnapshot};
+use corepart_cache::hierarchy::Hierarchy;
 use corepart_cache::HierarchyReport;
 use corepart_ir::op::BlockId;
 use corepart_isa::simulator::{RunStats, SimConfig, SimError};
-use corepart_isa::trace::{BatchLanes, DecodedTrace, ReferenceTrace, TraceReplayer};
+use corepart_isa::trace::{DecodedTrace, ReferenceTrace, TraceReplayer};
 use corepart_isa::DecodeTable;
 use corepart_sched::cache::MemoCache;
 
-use crate::evaluate::HierarchySink;
-use crate::parallel::{par_map_with, Assignment};
+use crate::evaluate::{fresh_hierarchy, HierarchySink};
+use crate::parallel::par_map;
 use crate::prepare::PreparedApp;
 use crate::system::SystemConfig;
-
-/// Execution knobs of a batched replay walk.
-///
-/// `threads` bounds the worker count of the stretch-sharded walk: the
-/// K lanes are split into up to `threads` contiguous lane groups that
-/// replay each stretch shard concurrently. Grouping changes
-/// *scheduling only* — every lane still performs exactly its
-/// sequential operation sequence, with its hierarchy state carried
-/// across shard boundaries as [`HierarchySnapshot`]s — so results are
-/// bit-identical for every `threads` value.
-///
-/// `shard_events` sets the shard granularity in trace events (`0`
-/// picks a default of about an eighth of the trace); shards are the
-/// rendezvous points at which lane groups re-synchronize so the
-/// shared decoded stream stays hot across workers, and the boundaries
-/// at which hierarchy state is snapshotted and resumed.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchOptions {
-    /// Worker threads (lane groups) for the batched walk; `<= 1`
-    /// replays single-threaded with no snapshot traffic.
-    pub threads: usize,
-    /// Target executed instructions per stretch shard; `0` = auto.
-    pub shard_events: u64,
-}
-
-impl Default for BatchOptions {
-    fn default() -> Self {
-        BatchOptions {
-            threads: 1,
-            shard_events: 0,
-        }
-    }
-}
-
-impl BatchOptions {
-    /// Options for a given thread count, default shard granularity.
-    pub fn threaded(threads: usize) -> Self {
-        BatchOptions {
-            threads,
-            ..BatchOptions::default()
-        }
-    }
-}
 
 /// The product of one verified partitioned run — the µP-side
 /// statistics plus the cache-hierarchy report, whether obtained by
@@ -98,11 +60,14 @@ pub struct VerifiedRun {
 }
 
 /// Replays `trace` once under `hw_blocks`, uncached: builds the per-pc
-/// replay table, streams the µP-side references through a fresh cache
-/// hierarchy, and returns the verified run.
+/// replay table, decodes the capture, and streams the µP-side
+/// references through a fresh cache hierarchy in a one-lane batch
+/// walk.
 ///
 /// This is the one-shot path ([`ReplayEngine`] memoizes it); it is
-/// also what benchmarks and equivalence tests call directly.
+/// also what benchmarks and equivalence tests call directly. Its
+/// reference is direct simulation,
+/// [`crate::evaluate::run_iss`].
 ///
 /// # Errors
 ///
@@ -119,213 +84,85 @@ pub fn replay_run(
 ) -> Result<VerifiedRun, SimError> {
     trace.validate()?;
     let replayer = TraceReplayer::new(&prepared.prog, &prepared.app, &config.energy_table);
-    replay_with(&replayer, trace, config, hw_blocks)
+    replay_one(&replayer, &DecodedTrace::decode(trace), config, hw_blocks)
 }
 
-fn replay_with(
+/// One candidate through the batch kernel: a walk of one lane.
+fn replay_one(
     replayer: &TraceReplayer,
-    trace: &ReferenceTrace,
+    decoded: &DecodedTrace,
     config: &SystemConfig,
     hw_blocks: &HashSet<BlockId>,
 ) -> Result<VerifiedRun, SimError> {
-    let mut hierarchy = Hierarchy::new(
-        config.icache.clone(),
-        config.dcache.clone(),
-        &config.process,
-        config.memory_bytes,
-    );
-    let sim_config = SimConfig::partitioned(config.max_cycles, hw_blocks.clone());
-    let stats = replayer.replay(trace, &sim_config, &mut HierarchySink(&mut hierarchy))?;
-    Ok(VerifiedRun {
-        stats,
-        report: hierarchy.report(),
-    })
+    let mut lanes = walk(replayer, decoded, config, &[hw_blocks])?;
+    lanes.pop().expect("one lane")
 }
 
-/// The product of one batched walk: per-candidate results plus the
-/// mechanism counters of the walk itself.
-struct BatchRun {
-    /// Per-candidate outcomes, in candidate order.
-    results: Vec<Result<VerifiedRun, SimError>>,
-    /// Stretch shards walked (rendezvous rounds of the lane groups).
-    shards: u64,
-    /// Wall time inside the sharded replay rounds proper (excludes
-    /// decode, lane-group setup, and the final fold).
-    shard_nanos: u64,
+/// One uninterrupted batch walk of `decoded`: a fresh cache
+/// [`Hierarchy`] per candidate, per-candidate results in candidate
+/// order, a trace-level failure as the top-level `Err`.
+fn walk(
+    replayer: &TraceReplayer,
+    decoded: &DecodedTrace,
+    config: &SystemConfig,
+    candidates: &[&HashSet<BlockId>],
+) -> Result<Vec<Result<VerifiedRun, SimError>>, SimError> {
+    let sim_configs: Vec<SimConfig> = candidates
+        .iter()
+        .map(|hw| SimConfig::partitioned(config.max_cycles, (*hw).clone()))
+        .collect();
+    let mut hierarchies: Vec<Hierarchy> =
+        candidates.iter().map(|_| fresh_hierarchy(config)).collect();
+    let mut sinks: Vec<HierarchySink<'_>> = hierarchies.iter_mut().map(HierarchySink).collect();
+    let lanes = replayer.replay_batch(decoded, &sim_configs, &mut sinks)?;
+    drop(sinks);
+    Ok(lanes
+        .into_iter()
+        .zip(&hierarchies)
+        .map(|(lane, hierarchy)| {
+            lane.map(|stats| VerifiedRun {
+                stats,
+                report: hierarchy.report(),
+            })
+        })
+        .collect())
 }
 
-/// One lane group's carried state between shard rounds: its slice of
-/// the batch accumulators plus one [`HierarchySnapshot`] per lane.
-/// The hierarchy itself is rebuilt fresh each round and restored from
-/// the snapshot — the analytical models are pure functions of the
-/// construction parameters, so rebuild + restore continues the cache
-/// state bit for bit (pinned in `corepart-cache`).
-struct GroupCarry<'c> {
-    configs: &'c [SimConfig],
-    lanes: BatchLanes,
-    snaps: Vec<HierarchySnapshot>,
-}
-
-/// Verifies `candidates` in one walk of the *already decoded* trace:
-/// one cache [`Hierarchy`] and one accumulator per candidate, shared
-/// stretch/address decode. Per-candidate results come back in candidate
-/// order; a trace-level failure is the top-level `Err`.
+/// Verifies `candidates` against the *already decoded* trace on up to
+/// `threads` workers. The candidates are cut into contiguous lane
+/// groups of at most `⌈K / threads⌉` lanes; each group is one
+/// uninterrupted [`walk`] with its own hierarchies, and the group
+/// outputs are concatenated in group order, which is candidate order.
+/// Every lane performs exactly its own operation sequence whatever
+/// group it lands in, so the output is bit-identical for every
+/// `threads` value.
 ///
-/// With `opts.threads > 1` the lanes are split into contiguous
-/// balanced lane groups and the stretch list into event-balanced
-/// shards; each shard is a rendezvous round in which the groups replay
-/// the same stretch range concurrently ([`Assignment::Interleaved`]
-/// keeps group *g* on worker *g* across rounds). Each lane's full
-/// state — accumulators and cache hierarchy — is carried across the
-/// round barrier, so every lane performs exactly its sequential
-/// operation sequence and the output is bit-identical for every
-/// `(threads, shard_events)` choice.
+/// Trace-level errors are lane-independent, so every group that
+/// reaches the damage hits the identical one; the lowest group's `Err`
+/// wins, which keeps the result deterministic across thread counts.
 fn batch_with(
     replayer: &TraceReplayer,
     decoded: &DecodedTrace,
     config: &SystemConfig,
     candidates: &[&HashSet<BlockId>],
-    opts: BatchOptions,
-) -> Result<BatchRun, SimError> {
-    let k = candidates.len();
-    let fresh_hierarchy = || {
-        Hierarchy::new(
-            config.icache.clone(),
-            config.dcache.clone(),
-            &config.process,
-            config.memory_bytes,
-        )
-    };
-    let sim_configs: Vec<SimConfig> = candidates
-        .iter()
-        .map(|hw| SimConfig::partitioned(config.max_cycles, (*hw).clone()))
-        .collect();
-
-    let groups = opts.threads.max(1).min(k.max(1));
-    if groups <= 1 && opts.shard_events == 0 {
-        // Single-group, single-shard fast path: no snapshot traffic.
-        let started = Instant::now();
-        let mut hierarchies: Vec<Hierarchy> = (0..k).map(|_| fresh_hierarchy()).collect();
-        let mut sinks: Vec<HierarchySink<'_>> = hierarchies.iter_mut().map(HierarchySink).collect();
-        let lanes = replayer.replay_batch(decoded, &sim_configs, &mut sinks)?;
-        drop(sinks);
-        return Ok(BatchRun {
-            results: lanes
-                .into_iter()
-                .zip(&hierarchies)
-                .map(|(lane, hierarchy)| {
-                    lane.map(|stats| VerifiedRun {
-                        stats,
-                        report: hierarchy.report(),
-                    })
-                })
-                .collect(),
-            shards: 1,
-            shard_nanos: started.elapsed().as_nanos() as u64,
-        });
+    threads: usize,
+) -> Result<Vec<Result<VerifiedRun, SimError>>, SimError> {
+    let lanes_per_group = candidates.len().div_ceil(threads.max(1)).max(1);
+    let groups: Vec<&[&HashSet<BlockId>]> = candidates.chunks(lanes_per_group).collect();
+    let outputs = par_map(&groups, groups.len(), |_, group| {
+        walk(replayer, decoded, config, group)
+    });
+    let mut results = Vec::with_capacity(candidates.len());
+    for group in outputs {
+        results.extend(group?);
     }
-
-    let target = if opts.shard_events > 0 {
-        opts.shard_events
-    } else {
-        (decoded.events() / 8).max(4096)
-    };
-    let shards = decoded.shard_by_events(target);
-
-    // Contiguous balanced lane groups: group g owns lanes
-    // [bounds[g], bounds[g + 1]), so concatenating group outputs in
-    // group order is candidate order.
-    let base = k / groups;
-    let extra = k % groups;
-    let mut bounds = Vec::with_capacity(groups + 1);
-    bounds.push(0usize);
-    for g in 0..groups {
-        bounds.push(bounds[g] + base + usize::from(g < extra));
-    }
-    let carries: Vec<Mutex<GroupCarry<'_>>> = (0..groups)
-        .map(|g| {
-            let configs = &sim_configs[bounds[g]..bounds[g + 1]];
-            let snaps = configs
-                .iter()
-                .map(|_| fresh_hierarchy().snapshot())
-                .collect();
-            Mutex::new(GroupCarry {
-                configs,
-                lanes: replayer.batch_lanes(configs),
-                snaps,
-            })
-        })
-        .collect();
-
-    let mut rounds = 0u64;
-    let mut shard_nanos = 0u64;
-    for shard in &shards {
-        let started = Instant::now();
-        let round: Vec<Result<(), SimError>> =
-            par_map_with(&carries, groups, Assignment::Interleaved, |_, cell| {
-                let mut carry = cell.lock().expect("group worker never panics");
-                let GroupCarry {
-                    configs,
-                    lanes,
-                    snaps,
-                } = &mut *carry;
-                if lanes.live() == 0 {
-                    // Every lane of this group already failed on its
-                    // own; nothing left to replay (matches the
-                    // all-dead early exit of the unsharded walk).
-                    return Ok(());
-                }
-                let mut hierarchies: Vec<Hierarchy> = snaps
-                    .iter()
-                    .map(|snap| {
-                        let mut hierarchy = fresh_hierarchy();
-                        hierarchy.restore(snap);
-                        hierarchy
-                    })
-                    .collect();
-                let mut sinks: Vec<HierarchySink<'_>> =
-                    hierarchies.iter_mut().map(HierarchySink).collect();
-                replayer.replay_stretches(decoded, shard.clone(), configs, lanes, &mut sinks)?;
-                drop(sinks);
-                *snaps = hierarchies.iter().map(Hierarchy::snapshot).collect();
-                Ok(())
-            });
-        rounds += 1;
-        shard_nanos += started.elapsed().as_nanos() as u64;
-        // Trace-level errors are lane-independent, so every live group
-        // hits the identical one; propagating the lowest group index
-        // keeps the `Err` deterministic across thread counts.
-        for outcome in round {
-            outcome?;
-        }
-    }
-
-    let mut results = Vec::with_capacity(k);
-    for cell in carries {
-        let GroupCarry { lanes, snaps, .. } = cell.into_inner().expect("group worker never panics");
-        let finished = replayer.finish_batch(decoded, lanes)?;
-        for (lane, snap) in finished.into_iter().zip(&snaps) {
-            results.push(lane.map(|stats| {
-                let mut hierarchy = fresh_hierarchy();
-                hierarchy.restore(snap);
-                VerifiedRun {
-                    stats,
-                    report: hierarchy.report(),
-                }
-            }));
-        }
-    }
-    Ok(BatchRun {
-        results,
-        shards: rounds,
-        shard_nanos,
-    })
+    Ok(results)
 }
 
 /// Replays `trace` once for K candidate hardware-block sets, uncached:
 /// validates and decodes the capture, then verifies every candidate in
 /// a single batched walk — the K-candidate generalization of
-/// [`replay_run`], bit-identical to K independent `replay_run` calls
+/// [`replay_run`], bit-identical to K independent direct simulations
 /// (pinned by `tests/determinism.rs` and the conform differential).
 ///
 /// # Errors
@@ -340,27 +177,24 @@ pub fn replay_batch(
     trace: &ReferenceTrace,
     candidates: &[HashSet<BlockId>],
 ) -> Result<Vec<VerifiedRun>, SimError> {
-    replay_batch_with(prepared, config, trace, candidates, BatchOptions::default())
+    replay_batch_with(prepared, config, trace, candidates, 1)
 }
 
-/// [`replay_batch`] with explicit [`BatchOptions`]: the same walk,
-/// spread over `opts.threads` lane groups that rendezvous at stretch
-/// shards of about `opts.shard_events` events. Bit-identical to the
-/// default options (and to K independent [`replay_run`] calls) for
-/// every option choice — threading changes scheduling, never results.
+/// [`replay_batch`] spread over up to `threads` contiguous lane groups,
+/// each one uninterrupted walk. Bit-identical to [`replay_batch`] for
+/// every `threads` value — threading changes scheduling, never results.
 pub fn replay_batch_with(
     prepared: &PreparedApp,
     config: &SystemConfig,
     trace: &ReferenceTrace,
     candidates: &[HashSet<BlockId>],
-    opts: BatchOptions,
+    threads: usize,
 ) -> Result<Vec<VerifiedRun>, SimError> {
     trace.validate()?;
     let replayer = TraceReplayer::new(&prepared.prog, &prepared.app, &config.energy_table);
     let decoded = DecodedTrace::decode(trace);
     let refs: Vec<&HashSet<BlockId>> = candidates.iter().collect();
-    batch_with(&replayer, &decoded, config, &refs, opts)?
-        .results
+    batch_with(&replayer, &decoded, config, &refs, threads)?
         .into_iter()
         .collect()
 }
@@ -381,9 +215,7 @@ pub struct ReplayEngine {
     replayer: TraceReplayer,
     cache: MemoCache<Vec<BlockId>, VerifiedRun, SimError>,
     /// The trace decoded into flat event form, built lazily on the
-    /// first [`ReplayEngine::verify_batch`] and reused by every batch
-    /// after it (single-set [`ReplayEngine::verify`] streams straight
-    /// from the encoded capture and never needs it).
+    /// first replay and reused by every replay after it.
     decoded: OnceLock<DecodedTrace>,
     /// Batched walks executed.
     batches: AtomicU64,
@@ -392,12 +224,6 @@ pub struct ReplayEngine {
     batch_events_shared: AtomicU64,
     /// Wall time spent inside batched walks (decode + K-lane replay).
     batch_nanos: AtomicU64,
-    /// Stretch shards walked across all batches (rendezvous rounds of
-    /// the lane groups; 1 per batch on the unsharded fast path).
-    batch_shards: AtomicU64,
-    /// Wall time inside the sharded replay rounds proper, summed over
-    /// batches (excludes decode, group setup, and memo publication).
-    batch_shard_nanos: AtomicU64,
     /// Fingerprint validation of the capture, run once at
     /// construction; every [`ReplayEngine::verify`] refuses a trace
     /// that failed it.
@@ -437,8 +263,6 @@ impl ReplayEngine {
             batches: AtomicU64::new(0),
             batch_events_shared: AtomicU64::new(0),
             batch_nanos: AtomicU64::new(0),
-            batch_shards: AtomicU64::new(0),
-            batch_shard_nanos: AtomicU64::new(0),
         }
     }
 
@@ -447,8 +271,14 @@ impl ReplayEngine {
         &self.trace
     }
 
+    fn decoded(&self) -> &DecodedTrace {
+        self.decoded
+            .get_or_init(|| DecodedTrace::decode(&self.trace))
+    }
+
     /// Verifies the hardware-block set `hw_blocks`: replays the capture
-    /// on first request, serves the shared result afterwards.
+    /// (a one-lane batch walk) on first request, serves the shared
+    /// result afterwards.
     ///
     /// # Errors
     ///
@@ -463,7 +293,7 @@ impl ReplayEngine {
         let mut key: Vec<BlockId> = hw_blocks.iter().copied().collect();
         key.sort_unstable();
         self.cache.get_or_compute(key, || {
-            replay_with(&self.replayer, &self.trace, config, hw_blocks)
+            replay_one(&self.replayer, self.decoded(), config, hw_blocks)
         })
     }
 
@@ -481,7 +311,7 @@ impl ReplayEngine {
     ///
     /// # Errors
     ///
-    /// All-or-nothing, like the sequential path would fail: the first
+    /// All-or-nothing, like one-at-a-time verification would fail: the first
     /// failing candidate's [`SimError`] (in candidate order) fails the
     /// whole call. A trace-level failure (damaged capture) fails the
     /// batch before anything is memoized; a per-candidate failure
@@ -492,21 +322,18 @@ impl ReplayEngine {
         config: &SystemConfig,
         candidates: &[HashSet<BlockId>],
     ) -> Result<Vec<Arc<VerifiedRun>>, SimError> {
-        self.verify_batch_with(config, candidates, BatchOptions::default())
+        self.verify_batch_with(config, candidates, 1)
     }
 
-    /// [`ReplayEngine::verify_batch`] with explicit [`BatchOptions`]:
-    /// the fresh-lane walk runs on `opts.threads` lane groups that
-    /// rendezvous at stretch-shard boundaries. Results — and the memo
-    /// contents published from them — are bit-identical for every
-    /// option choice; only the mechanism counters
-    /// ([`ReplayEngine::batch_shards`],
-    /// [`ReplayEngine::batch_shard_nanos`]) and wall time differ.
+    /// [`ReplayEngine::verify_batch`] with the fresh lanes spread over
+    /// up to `threads` contiguous lane groups, each one uninterrupted
+    /// walk. Results — and the memo contents published from them — are
+    /// bit-identical for every `threads` value; only wall time differs.
     pub fn verify_batch_with(
         &self,
         config: &SystemConfig,
         candidates: &[HashSet<BlockId>],
-        opts: BatchOptions,
+        threads: usize,
     ) -> Result<Vec<Arc<VerifiedRun>>, SimError> {
         self.validated.clone()?;
         let keys: Vec<Vec<BlockId>> = candidates
@@ -533,13 +360,11 @@ impl ReplayEngine {
             candidates.iter().map(|_| None).collect();
         if !fresh.is_empty() {
             let started = Instant::now();
-            let decoded = self
-                .decoded
-                .get_or_init(|| DecodedTrace::decode(&self.trace));
+            let decoded = self.decoded();
             let sets: Vec<&HashSet<BlockId>> = fresh.iter().map(|&i| &candidates[i]).collect();
             // A trace-level `Err` here aborts before anything is
             // memoized: the damage poisons every candidate alike.
-            let run = batch_with(&self.replayer, decoded, config, &sets, opts)?;
+            let run = batch_with(&self.replayer, decoded, config, &sets, threads)?;
             self.batches.fetch_add(1, Ordering::Relaxed);
             self.batch_events_shared.fetch_add(
                 decoded.events() * (sets.len() as u64 - 1),
@@ -547,10 +372,7 @@ impl ReplayEngine {
             );
             self.batch_nanos
                 .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            self.batch_shards.fetch_add(run.shards, Ordering::Relaxed);
-            self.batch_shard_nanos
-                .fetch_add(run.shard_nanos, Ordering::Relaxed);
-            for (&i, lane) in fresh.iter().zip(run.results) {
+            for (&i, lane) in fresh.iter().zip(run) {
                 lane_results[i] = Some(lane);
             }
         }
@@ -559,15 +381,15 @@ impl ReplayEngine {
         for ((i, key), lane) in keys.into_iter().enumerate().zip(&mut lane_results) {
             let entry = match lane.take() {
                 // A batch lane publishes its result as this key's one
-                // miss; under a racing sequential verify the memo's
+                // miss; under a racing single verify the memo's
                 // first writer wins and this lane is a hit — either
                 // way the value is bit-identical.
                 Some(result) => self.cache.get_or_compute(key, || result),
                 // Memoized (or duplicate-in-batch) set: an ordinary
-                // hit. Recompute sequentially only if it raced away
-                // (conform's evict hook can do that).
+                // hit. Recompute as a one-lane walk only if it raced
+                // away (conform's evict hook can do that).
                 None => self.cache.get_or_compute(key, || {
-                    replay_with(&self.replayer, &self.trace, config, &candidates[i])
+                    replay_one(&self.replayer, self.decoded(), config, &candidates[i])
                 }),
             };
             out.push(entry?);
@@ -599,20 +421,6 @@ impl ReplayEngine {
     /// Wall time spent inside batched walks.
     pub fn batch_nanos(&self) -> u64 {
         self.batch_nanos.load(Ordering::Relaxed)
-    }
-
-    /// Stretch shards walked across all batched walks — the rendezvous
-    /// rounds of the lane groups (`1` per batch on the unsharded
-    /// single-thread fast path, so any executed batch makes this
-    /// nonzero).
-    pub fn batch_shards(&self) -> u64 {
-        self.batch_shards.load(Ordering::Relaxed)
-    }
-
-    /// Wall time inside the sharded replay rounds proper, summed over
-    /// batched walks.
-    pub fn batch_shard_nanos(&self) -> u64 {
-        self.batch_shard_nanos.load(Ordering::Relaxed)
     }
 }
 
@@ -722,50 +530,14 @@ mod tests {
         }
         sets.push(sets.iter().flatten().copied().collect());
 
-        let sequential: Vec<VerifiedRun> = sets
+        let direct: Vec<VerifiedRun> = sets
             .iter()
-            .map(|hw| replay_run(prepared, config, engine.trace(), hw).unwrap())
+            .map(|hw| crate::evaluate::run_iss(prepared, config, hw).unwrap())
             .collect();
         for threads in [1usize, 2, 3, 8] {
-            for shard_events in [0u64, 1, 64] {
-                let opts = BatchOptions {
-                    threads,
-                    shard_events,
-                };
-                let got = replay_batch_with(prepared, config, engine.trace(), &sets, opts).unwrap();
-                assert_eq!(got, sequential, "threads={threads} shard={shard_events}");
-            }
+            let got = replay_batch_with(prepared, config, engine.trace(), &sets, threads).unwrap();
+            assert_eq!(got, direct, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn engine_counts_shard_rounds() {
-        let (factory, app, workload) = setup();
-        let session = factory.session(&app, &workload);
-        let prepared = session.prepared().unwrap();
-        let config = session.config();
-        let engine = session
-            .replay_engine()
-            .unwrap()
-            .expect("capture fits")
-            .clone();
-        let sets: Vec<HashSet<BlockId>> = prepared
-            .chain
-            .iter()
-            .map(|c| c.blocks.iter().copied().collect())
-            .collect();
-        assert_eq!(engine.batch_shards(), 0);
-        let opts = BatchOptions {
-            threads: 2,
-            shard_events: 32,
-        };
-        let runs = engine.verify_batch_with(config, &sets, opts).unwrap();
-        assert_eq!(runs.len(), sets.len());
-        assert!(engine.batch_shards() > 1, "forced shards must be counted");
-        // Memoized re-batch replays nothing, so no new shard rounds.
-        let before = engine.batch_shards();
-        engine.verify_batch_with(config, &sets, opts).unwrap();
-        assert_eq!(engine.batch_shards(), before);
     }
 
     #[test]

@@ -13,11 +13,14 @@
 //! * [`TraceBuilder`] is an [`ExecRecorder`] that encodes the streams
 //!   compactly while [`Simulator::run_recorded`](crate::simulator::Simulator::run_recorded) executes once.
 //! * [`ReferenceTrace`] is the finished, immutable capture.
-//! * [`TraceReplayer`] re-runs the accounting of
-//!   [`Simulator::run`](crate::simulator::Simulator::run) over a trace
-//!   for any hardware-block set, reproducing [`RunStats`] — and the
-//!   [`MemSink`] reference stream — **bit for bit** (the same `f64`
-//!   operations in the same order).
+//! * [`DecodedTrace`] is the capture decoded once into flat form.
+//! * [`TraceReplayer::replay_batch`] — the one replay walk — re-runs
+//!   the accounting of
+//!   [`Simulator::run`](crate::simulator::Simulator::run) over a
+//!   decoded trace for K hardware-block sets at once (a single
+//!   candidate is a batch of one), reproducing each lane's
+//!   [`RunStats`] — and its [`MemSink`] reference stream — **bit for
+//!   bit** (the same `f64` operations in the same order).
 //!
 //! ## Bounded memory
 //!
@@ -364,7 +367,7 @@ impl ReferenceTrace {
     /// Recomputes the fingerprint from the encoded streams and
     /// compares it against the one stamped at capture time — the
     /// integrity gate for traces whose bytes may have been damaged
-    /// after capture. [`crate::trace::TraceReplayer::replay`]'s own
+    /// after capture. [`TraceReplayer::replay_batch`]'s own
     /// conservation checks catch truncation (fewer decoded events than
     /// recorded); this check additionally catches any byte-level
     /// corruption that leaves the counts plausible.
@@ -609,8 +612,8 @@ impl DecodedTrace {
     /// Decodes the pc and data-address streams to exhaustion. A
     /// truncated or damaged capture decodes fewer records than the
     /// trace header claims; that shortfall is *not* an error here —
-    /// the replay-time conservation checks reject it exactly as the
-    /// streaming [`TraceReplayer::replay`] path does.
+    /// the conservation checks of [`TraceReplayer::replay_batch`]
+    /// reject it.
     pub fn decode(trace: &ReferenceTrace) -> Self {
         let mut starts = Vec::new();
         let mut lens = Vec::new();
@@ -637,37 +640,6 @@ impl DecodedTrace {
     /// Executed instructions the source trace recorded.
     pub fn events(&self) -> u64 {
         self.events
-    }
-
-    /// Decoded sequential stretches.
-    pub fn stretches(&self) -> usize {
-        self.starts.len()
-    }
-
-    /// Cuts the stretch list into contiguous shards of roughly
-    /// `target_events` executed instructions each (stretch lengths are
-    /// heavily skewed by loop nests, so shards are balanced by event
-    /// count, not stretch count). The ranges partition
-    /// `0..stretches()` in order; there is always at least one shard,
-    /// and a `target_events` of `u64::MAX` yields exactly one.
-    pub fn shard_by_events(&self, target_events: u64) -> Vec<std::ops::Range<usize>> {
-        let n = self.starts.len();
-        let target = target_events.max(1);
-        let mut shards = Vec::new();
-        let mut start = 0usize;
-        let mut acc = 0u64;
-        for (i, &len) in self.lens.iter().enumerate() {
-            acc = acc.saturating_add(len);
-            if acc >= target {
-                shards.push(start..i + 1);
-                start = i + 1;
-                acc = 0;
-            }
-        }
-        if start < n || shards.is_empty() {
-            shards.push(start..n);
-        }
-        shards
     }
 
     /// Owned heap footprint of the decoded SoA form (stretch starts,
@@ -698,36 +670,22 @@ enum RunChoice {
 }
 
 /// Structure-of-arrays accumulator state of a batched replay: every
-/// per-lane counter of the sequential [`TraceReplayer::replay`] lives
-/// in a lane-indexed vector (`field[l]` is lane `l`'s accumulator;
-/// block- and class-keyed counters are row-major, `row * n + l`), so
-/// a lane-independent delta is applied to all K lanes as one bulk add
-/// over a contiguous slice — the form the vectorizer lowers to SIMD
-/// groups of `LANE_GROUP` lanes.
+/// counter [`Simulator::run`](crate::simulator::Simulator::run)
+/// accumulates lives in a lane-indexed vector (`field[l]` is lane `l`'s
+/// accumulator; block- and class-keyed counters are row-major,
+/// `row * n + l`), so a lane-independent delta is applied to all K
+/// lanes as one bulk add over a contiguous slice — the form the
+/// vectorizer lowers to SIMD groups of `LANE_GROUP` lanes.
 ///
 /// Integer counters restructured this way are exact — only the `f64`
 /// *add sequence* carries rounding, and every `f64` accumulator is
 /// advanced elementwise per event, so lane `l` performs exactly its
 /// own sequential add sequence.
-///
-/// The state is **resumable**: [`TraceReplayer::replay_stretches`]
-/// walks any contiguous stretch range and leaves the lanes (and the
-/// shared decode cursors it carries) ready for the next range, which
-/// is what the stretch-sharded threaded driver hands from round to
-/// round. [`TraceReplayer::finish_batch`] seals the walk.
-pub struct BatchLanes {
+struct Lanes {
     n: usize,
     /// Lanes that have not died; the walk early-exits at zero, like
-    /// the sequential early return.
+    /// the direct run's early return.
     live: usize,
-    /// Shared decode cursors, carried across `replay_stretches` calls
-    /// (the conservation checks consume them at finish).
-    decoded_insts: u64,
-    addr_index: usize,
-    /// Previous-block memo of the block-entry accounting. It is
-    /// lane-independent — every live lane walks every run — so one
-    /// shared scalar replaces K copies.
-    prev_block: Option<BlockId>,
     // Per-lane vectors, index = lane.
     cycles: Vec<u64>,
     energy: Vec<Energy>,
@@ -755,21 +713,51 @@ pub struct BatchLanes {
     block_class_cycles: Vec<u64>,
     /// Per-block software-to-hardware entry counts; only non-zero
     /// entries are inserted into `RunStats::hw_block_entries`, which is
-    /// exactly the key set the sequential `entry().or_insert(0)` grows.
+    /// exactly the key set the direct run's `entry().or_insert(0)` grows.
     hw_entries: Vec<u64>,
     /// Per-run scratch: each lane's classification for the current run.
     choice: Vec<RunChoice>,
 }
 
-impl BatchLanes {
-    /// Configured lanes.
-    pub fn lanes(&self) -> usize {
-        self.n
-    }
-
-    /// Lanes that have not died to a per-candidate error.
-    pub fn live(&self) -> usize {
-        self.live
+impl Lanes {
+    /// Fresh lane state for `configs` over a program of `nb` blocks,
+    /// with each lane's per-block hardware flags baked in.
+    fn new(nb: usize, configs: &[SimConfig]) -> Self {
+        let n = configs.len();
+        let mut is_hw = vec![false; nb * n];
+        for (l, config) in configs.iter().enumerate() {
+            for b in &config.hw_blocks {
+                let bi = b.0 as usize;
+                if bi < nb {
+                    is_hw[bi * n + l] = true;
+                }
+            }
+        }
+        Lanes {
+            n,
+            live: n,
+            cycles: vec![0; n],
+            energy: vec![Energy::ZERO; n],
+            class_switches: vec![0; n],
+            sw_ifetches: vec![0; n],
+            sw_reads: vec![0; n],
+            sw_writes: vec![0; n],
+            hw_loads: vec![0; n],
+            hw_stores: vec![0; n],
+            prev_class: vec![None; n],
+            prev_was_hw: vec![false; n],
+            dead: vec![None; n],
+            traces: vec![Vec::new(); n],
+            is_hw,
+            inst_counts: vec![0; 8 * n],
+            class_cycles: vec![0; 8 * n],
+            block_counts: vec![0; nb * n],
+            block_cycles: vec![0; nb * n],
+            block_energy: vec![Energy::ZERO; nb * n],
+            block_class_cycles: vec![0; nb * 8 * n],
+            hw_entries: vec![0; nb * n],
+            choice: vec![RunChoice::Dead; n],
+        }
     }
 }
 
@@ -779,7 +767,7 @@ impl BatchLanes {
 ///
 /// It is driven by the program's shared [`DecodeTable`] (class,
 /// latency, block, base energy, … per pc) plus replay-only prefix
-/// tables built from it; [`TraceReplayer::replay`] then walks the decoded
+/// tables built from it; [`TraceReplayer::replay_batch`] then walks the decoded
 /// pc/address streams executing *only* the accounting — no instruction
 /// semantics, no register file, no data memory — in exactly the order
 /// the direct run performs it, so every counter and every `f64` in the
@@ -825,7 +813,7 @@ pub struct TraceReplayer {
     /// previous µP instruction was `pc - 1` (the not-first-in-run case):
     /// `base_energy` plus the inter-instruction overhead iff the classes
     /// differ — precomputed with the same two operands and the same one
-    /// `f64` add the sequential path performs, so the bits are
+    /// `f64` add the direct run performs, so the bits are
     /// identical. `intra_energy[0]` is the bare base energy (pc 0 is
     /// always first in its run).
     intra_energy: Vec<Energy>,
@@ -969,254 +957,20 @@ impl TraceReplayer {
         }
     }
 
-    /// Replays `trace` under `config`, streaming the µP-side references
-    /// into `sink` — the bit-exact equivalent of
-    /// `Simulator::run(config, sink)` for the captured execution.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::CycleLimit`] exactly when the direct run would hit
-    /// it; [`SimError::BadPc`]/[`SimError::BadAccess`] only on a
-    /// corrupt or mismatched trace; [`SimError::TraceCorrupt`] when
-    /// the decoded streams do not add up to the recorded event counts
-    /// (a truncated capture) — never partial statistics.
-    pub fn replay<S: MemSink>(
-        &self,
-        trace: &ReferenceTrace,
-        config: &SimConfig,
-        sink: &mut S,
-    ) -> Result<RunStats, SimError> {
-        let mut stats = RunStats::zeroed(self.table.n_blocks);
-
-        // Per-block hardware flag, indexable in O(1) on the hot path.
-        let mut is_hw_block = vec![false; self.table.n_blocks];
-        for b in &config.hw_blocks {
-            if let Some(flag) = is_hw_block.get_mut(b.0 as usize) {
-                *flag = true;
-            }
-        }
-
-        let mut cycles: u64 = 0;
-        let mut prev_class: Option<InstClass> = None;
-        let mut prev_block: Option<BlockId> = None;
-        let mut prev_was_hw = false;
-        let mut runs = trace.pc_reader();
-        let mut addrs = trace.addr_reader();
-        let mut decoded_insts: u64 = 0;
-        let mut decoded_data: u64 = 0;
-
-        // One decoded (start, length) pair per sequential stretch; the
-        // per-instruction body below is byte-for-byte the accounting of
-        // the direct run, just driven from the precomputed table.
-        while let Some((start, len)) = runs.next() {
-            let lo = start as usize;
-            let hi = lo
-                .checked_add(len as usize)
-                .filter(|&hi| hi <= self.table.info.len())
-                .ok_or(SimError::BadPc { pc: start })?;
-            decoded_insts = decoded_insts.wrapping_add(len);
-            for (off, info) in self.table.info[lo..hi].iter().enumerate() {
-                let pc = start + off as u32;
-                let is_hw = is_hw_block[info.block_index];
-
-                // Block-entry accounting.
-                if prev_block != Some(info.block) && info.is_block_start {
-                    stats.block_counts[info.block_index] += 1;
-                    if is_hw && !prev_was_hw {
-                        *stats.hw_block_entries.entry(info.block).or_insert(0) += 1;
-                    }
-                }
-                prev_block = Some(info.block);
-                prev_was_hw = is_hw;
-
-                if !is_hw {
-                    cycles += info.latency;
-                    if config.max_cycles > 0 && cycles > config.max_cycles {
-                        return Err(SimError::CycleLimit {
-                            limit: config.max_cycles,
-                        });
-                    }
-                    let mut e = info.base_energy;
-                    if let Some(p) = prev_class {
-                        if p != info.class {
-                            e += self.table.inter_inst_overhead;
-                            stats.class_switches += 1;
-                        }
-                    }
-                    prev_class = Some(info.class);
-                    stats.energy += e;
-                    stats.block_cycles[info.block_index] += info.latency;
-                    stats.block_energy[info.block_index] += e;
-                    *stats.inst_counts.get_mut(&info.class).expect("class") += 1;
-                    *stats.class_cycles.get_mut(&info.class).expect("class") += info.latency;
-                    stats.block_class_cycles[info.block_index][info.class_index] += info.latency;
-                    stats.sw_ifetches += 1;
-                    sink.ifetch(info.inst_addr);
-                    if stats.trace.len() < config.trace_limit {
-                        stats.trace.push(TraceEntry {
-                            pc,
-                            inst: info.inst,
-                            cycles,
-                        });
-                    }
-                } else {
-                    // Leaving the µP's instruction stream resets the
-                    // circuit-state history.
-                    prev_class = None;
-                }
-
-                match info.access {
-                    AccessKind::Load => {
-                        let addr = addrs.next().ok_or(SimError::BadAccess { addr: 0, pc })?;
-                        decoded_data += 1;
-                        if is_hw {
-                            if addr < SLOT_BASE {
-                                stats.hw_loads += 1;
-                            }
-                        } else {
-                            stats.sw_reads += 1;
-                            sink.read(addr);
-                        }
-                    }
-                    AccessKind::Store => {
-                        let addr = addrs.next().ok_or(SimError::BadAccess { addr: 0, pc })?;
-                        decoded_data += 1;
-                        if is_hw {
-                            if addr < SLOT_BASE {
-                                stats.hw_stores += 1;
-                            }
-                        } else {
-                            stats.sw_writes += 1;
-                            sink.write(addr);
-                        }
-                    }
-                    AccessKind::None => {}
-                }
-            }
-        }
-
-        // Conservation checks: a well-formed trace decodes exactly the
-        // number of instructions and data accesses it recorded, and
-        // leaves no trailing data-address records. A truncated or
-        // damaged capture that survives decoding this far must not
-        // yield partial statistics (byte-level corruption with intact
-        // counts is the job of [`ReferenceTrace::validate`]).
-        if decoded_insts != trace.events
-            || decoded_data != trace.data_events
-            || addrs.next().is_some()
-        {
-            return Err(SimError::TraceCorrupt {
-                detail: format!(
-                    "decoded {decoded_insts} of {} recorded instructions and {decoded_data} of {} recorded data accesses",
-                    trace.events, trace.data_events
-                ),
-            });
-        }
-
-        stats.cycles = Cycles::new(cycles);
-        stats.return_value = trace.return_value;
-        Ok(stats)
-    }
-
     /// Replays a decoded trace for K candidate configurations in one
     /// walk of the event stream, streaming each lane's µP-side
-    /// references into its own sink.
+    /// references into its own sink — the bit-exact equivalent of K
+    /// `Simulator::run(config, sink)` calls for the captured execution.
+    /// A single candidate is simply a batch of one.
     ///
-    /// Every lane performs **exactly** the operations the sequential
-    /// [`TraceReplayer::replay`] performs for its configuration, in the
-    /// same order — per-candidate accounting is independent state, so
-    /// interleaving the lanes changes nothing about any lane's `f64`
-    /// sequence and every returned [`RunStats`] is bit-identical to
-    /// the sequential result. What the lanes *share* is the decode:
-    /// the stretch walk, bounds checks and address records are paid
-    /// once instead of K times.
-    ///
-    /// # Errors
-    ///
-    /// Trace-level failures — a malformed stretch
-    /// ([`SimError::BadPc`]), a missing data-address record
-    /// ([`SimError::BadAccess`]), or the conservation checks
-    /// ([`SimError::TraceCorrupt`]) — poison every candidate alike and
-    /// fail the whole batch with the top-level `Err`; no partial
-    /// results escape. Per-candidate failures
-    /// ([`SimError::CycleLimit`]) are returned in that candidate's
-    /// inner slot while the other lanes continue.
-    ///
-    /// # Panics
-    ///
-    /// When `configs` and `sinks` have different lengths.
-    pub fn replay_batch<S: MemSink>(
-        &self,
-        decoded: &DecodedTrace,
-        configs: &[SimConfig],
-        sinks: &mut [S],
-    ) -> Result<Vec<Result<RunStats, SimError>>, SimError> {
-        if configs.is_empty() {
-            assert!(sinks.is_empty(), "one sink per batched configuration");
-            return Ok(Vec::new());
-        }
-        let mut lanes = self.batch_lanes(configs);
-        self.replay_stretches(decoded, 0..decoded.stretches(), configs, &mut lanes, sinks)?;
-        self.finish_batch(decoded, lanes)
-    }
-
-    /// Fresh structure-of-arrays lane state for `configs` — the
-    /// starting point of a [`TraceReplayer::replay_stretches`] walk.
-    /// The per-block hardware flags are baked in here; every later
-    /// `replay_stretches` call must pass the *same* `configs` slice
-    /// content (the threaded driver carries both together).
-    pub fn batch_lanes(&self, configs: &[SimConfig]) -> BatchLanes {
-        let n = configs.len();
-        let nb = self.table.n_blocks;
-        let mut is_hw = vec![false; nb * n];
-        for (l, config) in configs.iter().enumerate() {
-            for b in &config.hw_blocks {
-                let bi = b.0 as usize;
-                if bi < nb {
-                    is_hw[bi * n + l] = true;
-                }
-            }
-        }
-        BatchLanes {
-            n,
-            live: n,
-            decoded_insts: 0,
-            addr_index: 0,
-            prev_block: None,
-            cycles: vec![0; n],
-            energy: vec![Energy::ZERO; n],
-            class_switches: vec![0; n],
-            sw_ifetches: vec![0; n],
-            sw_reads: vec![0; n],
-            sw_writes: vec![0; n],
-            hw_loads: vec![0; n],
-            hw_stores: vec![0; n],
-            prev_class: vec![None; n],
-            prev_was_hw: vec![false; n],
-            dead: vec![None; n],
-            traces: vec![Vec::new(); n],
-            is_hw,
-            inst_counts: vec![0; 8 * n],
-            class_cycles: vec![0; 8 * n],
-            block_counts: vec![0; nb * n],
-            block_cycles: vec![0; nb * n],
-            block_energy: vec![Energy::ZERO; nb * n],
-            block_class_cycles: vec![0; nb * 8 * n],
-            hw_entries: vec![0; nb * n],
-            choice: vec![RunChoice::Dead; n],
-        }
-    }
-
-    /// Walks the contiguous stretch range `stretches` of `decoded`,
-    /// advancing `lanes` exactly as the corresponding slice of the full
-    /// walk would — the resumable core of [`TraceReplayer::replay_batch`].
-    /// Calling it over consecutive ranges `0..a`, `a..b`, …, `z..end`
-    /// and then [`TraceReplayer::finish_batch`] is equivalent to one
-    /// full-range call: all walk state (per-lane accumulators, shared
-    /// decode cursors, previous-block/class memos) lives in `lanes`,
-    /// which is what the stretch-sharded threaded driver carries across
-    /// shard rounds (`sinks` state travels alongside as hierarchy
-    /// snapshots).
+    /// Every lane performs **exactly** the accounting operations the
+    /// direct run performs for its configuration, in the same order —
+    /// per-candidate accounting is independent state, so interleaving
+    /// the lanes changes nothing about any lane's `f64` sequence and
+    /// every returned [`RunStats`] is bit-identical to direct
+    /// simulation. What the lanes *share* is the decode: the stretch
+    /// walk, bounds checks and address records are paid once instead
+    /// of K times.
     ///
     /// Each maximal same-block run inside a stretch is classified per
     /// lane (hardware / bulk-fetched software / exact software); when
@@ -1230,43 +984,49 @@ impl TraceReplayer {
     ///
     /// # Errors
     ///
-    /// Trace-level failures ([`SimError::BadPc`],
-    /// [`SimError::BadAccess`]) poison the whole batch, exactly as in
-    /// [`TraceReplayer::replay_batch`]. Per-candidate cycle-limit
-    /// deaths are recorded in the lane state.
+    /// Trace-level failures — a malformed stretch
+    /// ([`SimError::BadPc`]), a missing data-address record
+    /// ([`SimError::BadAccess`]), or the conservation checks
+    /// ([`SimError::TraceCorrupt`]) — poison every candidate alike and
+    /// fail the whole batch with the top-level `Err`; no partial
+    /// results escape. Per-candidate failures
+    /// ([`SimError::CycleLimit`], exactly when the direct run would
+    /// hit it) are returned in that candidate's inner slot while the
+    /// other lanes continue.
     ///
     /// # Panics
     ///
-    /// When `configs`/`sinks` lengths do not match the lane state.
-    pub fn replay_stretches<S: MemSink>(
+    /// When `configs` and `sinks` have different lengths.
+    pub fn replay_batch<S: MemSink>(
         &self,
         decoded: &DecodedTrace,
-        stretches: std::ops::Range<usize>,
         configs: &[SimConfig],
-        lanes: &mut BatchLanes,
         sinks: &mut [S],
-    ) -> Result<(), SimError> {
-        assert_eq!(configs.len(), lanes.n, "lane state built for these configs");
-        assert_eq!(sinks.len(), lanes.n, "one sink per batched configuration");
-        let n = lanes.n;
-        if n == 0 || lanes.live == 0 {
-            // Every candidate died in an earlier range; like the
-            // sequential early return, nothing further is decoded.
-            return Ok(());
+    ) -> Result<Vec<Result<RunStats, SimError>>, SimError> {
+        assert_eq!(
+            configs.len(),
+            sinks.len(),
+            "one sink per batched configuration"
+        );
+        let n = configs.len();
+        if n == 0 {
+            return Ok(Vec::new());
         }
-        let lo_s = stretches.start.min(decoded.starts.len());
-        let hi_s = stretches.end.min(decoded.starts.len());
+        let mut lanes = Lanes::new(self.table.n_blocks, configs);
+        // Shared decode cursors and the previous-block memo of the
+        // block-entry accounting. The memo is lane-independent — every
+        // live lane walks every run — so one scalar replaces K copies.
+        let mut decoded_insts = 0u64;
+        let mut addr_index = 0usize;
+        let mut prev_block: Option<BlockId> = None;
 
-        for (&start, &len) in decoded.starts[lo_s..hi_s]
-            .iter()
-            .zip(&decoded.lens[lo_s..hi_s])
-        {
+        for (&start, &len) in decoded.starts.iter().zip(&decoded.lens) {
             let lo = start as usize;
             let hi = lo
                 .checked_add(len as usize)
                 .filter(|&hi| hi <= self.table.info.len())
                 .ok_or(SimError::BadPc { pc: start })?;
-            lanes.decoded_insts = lanes.decoded_insts.wrapping_add(len);
+            decoded_insts = decoded_insts.wrapping_add(len);
             let stretch_a_lo = self.access_prefix[lo] as usize;
 
             // The stretch, segmented into maximal same-block runs: the
@@ -1283,7 +1043,7 @@ impl TraceReplayer {
                 // Address records of this run in the decoded stream:
                 // position-determined, identical for every lane.
                 let run_a_lo = self.access_prefix[pos] as usize;
-                let run_base = lanes.addr_index + (run_a_lo - stretch_a_lo);
+                let run_base = addr_index + (run_a_lo - stretch_a_lo);
                 let run_latency = self.lat_prefix[rend] - self.lat_prefix[pos];
                 let run_len = (rend - pos) as u32;
 
@@ -1293,7 +1053,7 @@ impl TraceReplayer {
                 // choice. `ifetch_run_hits` both asks and — on accept —
                 // applies the bulk fetch, so it is called exactly where
                 // the per-lane walk would call it.
-                let entering = lanes.prev_block != Some(first.block) && first.is_block_start;
+                let entering = prev_block != Some(first.block) && first.is_block_start;
                 let mut all_bulk = true;
                 for l in 0..n {
                     if lanes.dead[l].is_some() {
@@ -1326,12 +1086,12 @@ impl TraceReplayer {
                         RunChoice::Exact
                     };
                 }
-                lanes.prev_block = Some(first.block);
+                prev_block = Some(first.block);
 
                 if all_bulk {
-                    self.run_vectorized(decoded, lanes, sinks, pos, rend, run_base)?;
+                    self.run_vectorized(decoded, &mut lanes, sinks, pos, rend, run_base)?;
                 } else {
-                    self.run_scalar(decoded, configs, lanes, sinks, pos, rend, run_base)?;
+                    self.run_scalar(decoded, configs, &mut lanes, sinks, pos, rend, run_base)?;
                 }
                 pos = rend;
             }
@@ -1339,13 +1099,35 @@ impl TraceReplayer {
             // All lanes consume the same address records per stretch —
             // the count is position-determined, not candidate-dependent
             // — so the shared cursor advances by the prefix difference.
-            lanes.addr_index += (self.access_prefix[hi] - self.access_prefix[lo]) as usize;
+            addr_index += (self.access_prefix[hi] - self.access_prefix[lo]) as usize;
 
             if lanes.live == 0 {
+                // Every candidate died on its own: like the direct
+                // run's early return, nothing further is decoded.
                 break;
             }
         }
-        Ok(())
+
+        // Conservation checks: a well-formed trace decodes exactly the
+        // number of instructions and data accesses it recorded, and
+        // leaves no trailing data-address records. A truncated or
+        // damaged capture that survives decoding this far must not
+        // yield partial statistics (byte-level corruption with intact
+        // counts is the job of [`ReferenceTrace::validate`]). Skipped
+        // only when every lane already died — the walk stopped early.
+        if lanes.live > 0
+            && (decoded_insts != decoded.events
+                || addr_index as u64 != decoded.data_events
+                || addr_index != decoded.addrs.len())
+        {
+            return Err(SimError::TraceCorrupt {
+                detail: format!(
+                    "decoded {decoded_insts} of {} recorded instructions and {addr_index} of {} recorded data accesses",
+                    decoded.events, decoded.data_events
+                ),
+            });
+        }
+        Ok(self.fold(decoded, lanes))
     }
 
     /// The all-lanes-bulk vector path of one software run: every lane
@@ -1354,12 +1136,12 @@ impl TraceReplayer {
     /// vector at once. Only the *first* instruction's energy and class
     /// switch depend on lane history; instructions `pos+1..rend` add
     /// the precomputed `intra_energy` elementwise — per lane, the same
-    /// `f64` operands in the same order as the sequential replay.
+    /// `f64` operands in the same order as the direct run.
     #[allow(clippy::too_many_arguments)]
     fn run_vectorized<S: MemSink>(
         &self,
         decoded: &DecodedTrace,
-        lanes: &mut BatchLanes,
+        lanes: &mut Lanes,
         sinks: &mut [S],
         pos: usize,
         rend: usize,
@@ -1422,14 +1204,14 @@ impl TraceReplayer {
 
         // Data accesses: each lane sees the run's records in order, so
         // the per-lane sink sequence (bulk i-fetches, then reads and
-        // writes in record order) matches the sequential replay's.
+        // writes in record order) matches the direct run's.
         let mut loads = 0u64;
         let run_a_lo = self.access_prefix[pos] as usize;
         let run_a_hi = self.access_prefix[rend] as usize;
         for (ai, ordinal) in (run_base..).zip(run_a_lo..run_a_hi) {
             let Some(&addr) = decoded.addrs.get(ai) else {
                 // A missing address record is trace damage: it poisons
-                // the whole batch, exactly as in the sequential replay.
+                // the whole batch.
                 return Err(SimError::BadAccess {
                     addr: 0,
                     pc: self.access_pc[ordinal],
@@ -1461,7 +1243,7 @@ impl TraceReplayer {
         &self,
         decoded: &DecodedTrace,
         configs: &[SimConfig],
-        lanes: &mut BatchLanes,
+        lanes: &mut Lanes,
         sinks: &mut [S],
         pos: usize,
         rend: usize,
@@ -1551,7 +1333,7 @@ impl TraceReplayer {
                     // the precise pc, interleaved sink calls, optional
                     // trace capture. A lane that dies keeps its partial
                     // row updates — they are discarded with the lane's
-                    // error at finish, as in the sequential early
+                    // error at the fold, as in the direct run's early
                     // return.
                     let config = &configs[l];
                     let mut ai = run_base;
@@ -1628,37 +1410,10 @@ impl TraceReplayer {
         Ok(())
     }
 
-    /// Seals a [`TraceReplayer::replay_stretches`] walk that covered
-    /// the whole stretch list: runs the conservation checks and folds
-    /// the structure-of-arrays lane state into per-candidate
-    /// [`RunStats`].
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::TraceCorrupt`] when the walk decoded fewer events
-    /// than the trace recorded and at least one lane survived —
-    /// identical to the sequential replay's checks (skipped only when
-    /// every lane already died, as the sequential path returns before
-    /// reaching them in that case too).
-    pub fn finish_batch(
-        &self,
-        decoded: &DecodedTrace,
-        mut lanes: BatchLanes,
-    ) -> Result<Vec<Result<RunStats, SimError>>, SimError> {
+    /// Folds the structure-of-arrays lane state of a finished walk
+    /// into per-candidate [`RunStats`].
+    fn fold(&self, decoded: &DecodedTrace, mut lanes: Lanes) -> Vec<Result<RunStats, SimError>> {
         let n = lanes.n;
-        if lanes.live > 0
-            && (lanes.decoded_insts != decoded.events
-                || lanes.addr_index as u64 != decoded.data_events
-                || lanes.addr_index != decoded.addrs.len())
-        {
-            return Err(SimError::TraceCorrupt {
-                detail: format!(
-                    "decoded {} of {} recorded instructions and {} of {} recorded data accesses",
-                    lanes.decoded_insts, decoded.events, lanes.addr_index, decoded.data_events
-                ),
-            });
-        }
-
         let mut out = Vec::with_capacity(n);
         for l in 0..n {
             if let Some(err) = lanes.dead[l].take() {
@@ -1696,7 +1451,7 @@ impl TraceReplayer {
             stats.return_value = decoded.return_value;
             out.push(Ok(stats));
         }
-        Ok(out)
+        out
     }
 }
 
@@ -1777,6 +1532,56 @@ mod tests {
         assert!(s.segments.len() > 1);
     }
 
+    /// Direct simulation of `config` on `input` — the reference every
+    /// replay must match bit for bit.
+    fn direct<S: MemSink>(
+        app: &Application,
+        prog: &MachProgram,
+        input: Option<(&str, &[i64])>,
+        config: &SimConfig,
+        sink: &mut S,
+    ) -> Result<RunStats, SimError> {
+        let mut sim = Simulator::new(prog, app);
+        if let Some((name, data)) = input {
+            sim.set_array(name, data).unwrap();
+        }
+        sim.run(config, sink)
+    }
+
+    /// A one-lane batch: the replay of a single configuration.
+    fn replay_one<S: MemSink>(
+        replayer: &TraceReplayer,
+        trace: &ReferenceTrace,
+        config: &SimConfig,
+        sink: S,
+    ) -> (Result<RunStats, SimError>, S) {
+        let mut sinks = [sink];
+        let mut lanes = replayer
+            .replay_batch(
+                &DecodedTrace::decode(trace),
+                std::slice::from_ref(config),
+                &mut sinks,
+            )
+            .expect("intact trace");
+        let [sink] = sinks;
+        (lanes.pop().expect("one lane"), sink)
+    }
+
+    #[derive(Default, PartialEq, Debug, Clone)]
+    struct Log(Vec<(u8, u32)>);
+
+    impl MemSink for Log {
+        fn ifetch(&mut self, a: u32) {
+            self.0.push((0, a));
+        }
+        fn read(&mut self, a: u32) {
+            self.0.push((1, a));
+        }
+        fn write(&mut self, a: u32) {
+            self.0.push((2, a));
+        }
+    }
+
     #[test]
     fn replay_matches_direct_initial_run() {
         let input: Vec<i64> = (0..32).map(|i| i % 5).collect();
@@ -1784,10 +1589,9 @@ mod tests {
         let (direct, trace) = capture(&app, &prog, Some(("a", &input)));
 
         let replayer = TraceReplayer::new(&prog, &app, &EnergyTable::default());
-        let replayed = replayer
-            .replay(&trace, &SimConfig::initial(10_000_000), &mut NullSink)
-            .unwrap();
-        assert_eq!(direct, replayed);
+        let (replayed, _) =
+            replay_one(&replayer, &trace, &SimConfig::initial(10_000_000), NullSink);
+        assert_eq!(direct, replayed.unwrap());
     }
 
     #[test]
@@ -1797,43 +1601,18 @@ mod tests {
         let (_, trace) = capture(&app, &prog, Some(("a", &input)));
         let first_loop = app.structure().iter().find(|n| n.is_loop()).expect("loop");
         let hw: HashSet<BlockId> = first_loop.blocks().iter().copied().collect();
+        let config = SimConfig::partitioned(10_000_000, hw);
 
-        let mut sim = Simulator::new(&prog, &app);
-        sim.set_array("a", &input).unwrap();
-        let direct = sim
-            .run(
-                &SimConfig::partitioned(10_000_000, hw.clone()),
-                &mut NullSink,
-            )
-            .unwrap();
-
+        let direct = direct(&app, &prog, Some(("a", &input)), &config, &mut NullSink).unwrap();
         let replayer = TraceReplayer::new(&prog, &app, &EnergyTable::default());
-        let replayed = replayer
-            .replay(
-                &trace,
-                &SimConfig::partitioned(10_000_000, hw),
-                &mut NullSink,
-            )
-            .unwrap();
+        let (replayed, _) = replay_one(&replayer, &trace, &config, NullSink);
+        let replayed = replayed.unwrap();
         assert_eq!(direct, replayed);
         assert!(replayed.hw_loads > 0);
     }
 
     #[test]
     fn replay_reproduces_the_sink_stream() {
-        #[derive(Default, PartialEq, Debug)]
-        struct Log(Vec<(u8, u32)>);
-        impl MemSink for Log {
-            fn ifetch(&mut self, a: u32) {
-                self.0.push((0, a));
-            }
-            fn read(&mut self, a: u32) {
-                self.0.push((1, a));
-            }
-            fn write(&mut self, a: u32) {
-                self.0.push((2, a));
-            }
-        }
         let (app, prog) = setup(TWO_LOOPS);
         let mut sim = Simulator::new(&prog, &app);
         let mut builder = TraceBuilder::new(usize::MAX);
@@ -1848,10 +1627,12 @@ mod tests {
         let trace = builder.finish(stats.return_value).unwrap();
 
         let replayer = TraceReplayer::new(&prog, &app, &EnergyTable::default());
-        let mut replay_log = Log::default();
-        replayer
-            .replay(&trace, &SimConfig::initial(10_000_000), &mut replay_log)
-            .unwrap();
+        let (_, replay_log) = replay_one(
+            &replayer,
+            &trace,
+            &SimConfig::initial(10_000_000),
+            Log::default(),
+        );
         assert_eq!(direct_log, replay_log);
     }
 
@@ -1859,27 +1640,27 @@ mod tests {
     fn replay_supports_debug_tracing() {
         let (app, prog) = setup(TWO_LOOPS);
         let (_, trace) = capture(&app, &prog, None);
+        let config = SimConfig::initial(10_000_000).with_trace(16);
+        let direct = direct(&app, &prog, None, &config, &mut NullSink).unwrap();
         let replayer = TraceReplayer::new(&prog, &app, &EnergyTable::default());
-        let stats = replayer
-            .replay(
-                &trace,
-                &SimConfig::initial(10_000_000).with_trace(16),
-                &mut NullSink,
-            )
-            .unwrap();
-        assert_eq!(stats.trace.len(), 16);
+        let (replayed, _) = replay_one(&replayer, &trace, &config, NullSink);
+        let replayed = replayed.unwrap();
+        assert_eq!(replayed.trace.len(), 16);
+        assert_eq!(direct, replayed);
     }
 
     #[test]
     fn replay_enforces_the_cycle_limit() {
         let (app, prog) = setup(TWO_LOOPS);
-        let (direct, trace) = capture(&app, &prog, None);
-        assert!(direct.cycles.count() > 100);
+        let (full, trace) = capture(&app, &prog, None);
+        assert!(full.cycles.count() > 100);
+        let config = SimConfig::initial(100);
+        let direct = direct(&app, &prog, None, &config, &mut NullSink).unwrap_err();
         let replayer = TraceReplayer::new(&prog, &app, &EnergyTable::default());
-        let err = replayer
-            .replay(&trace, &SimConfig::initial(100), &mut NullSink)
-            .unwrap_err();
+        let (replayed, _) = replay_one(&replayer, &trace, &config, NullSink);
+        let err = replayed.unwrap_err();
         assert!(matches!(err, SimError::CycleLimit { limit: 100 }));
+        assert_eq!(direct, err);
     }
 
     #[test]
@@ -1890,7 +1671,7 @@ mod tests {
         let replayer = TraceReplayer::new(&prog, &app, &EnergyTable::default());
         let decoded = DecodedTrace::decode(&trace);
         assert_eq!(decoded.events(), trace.events());
-        assert!(decoded.stretches() > 1);
+        assert!(decoded.starts.len() > 1);
 
         // Lanes: all-software, each structural loop alone, everything.
         let loops: Vec<HashSet<BlockId>> = app
@@ -1914,26 +1695,13 @@ mod tests {
             .unwrap();
         assert_eq!(batch.len(), configs.len());
         for (config, lane) in configs.iter().zip(&batch) {
-            let sequential = replayer.replay(&trace, config, &mut NullSink).unwrap();
-            assert_eq!(lane.as_ref().unwrap(), &sequential);
+            let alone = direct(&app, &prog, Some(("a", &input)), config, &mut NullSink).unwrap();
+            assert_eq!(lane.as_ref().unwrap(), &alone);
         }
     }
 
     #[test]
     fn batched_replay_reproduces_per_lane_sink_streams() {
-        #[derive(Default, PartialEq, Debug, Clone)]
-        struct Log(Vec<(u8, u32)>);
-        impl MemSink for Log {
-            fn ifetch(&mut self, a: u32) {
-                self.0.push((0, a));
-            }
-            fn read(&mut self, a: u32) {
-                self.0.push((1, a));
-            }
-            fn write(&mut self, a: u32) {
-                self.0.push((2, a));
-            }
-        }
         let (app, prog) = setup(TWO_LOOPS);
         let (_, trace) = capture(&app, &prog, None);
         let replayer = TraceReplayer::new(&prog, &app, &EnergyTable::default());
@@ -1949,17 +1717,17 @@ mod tests {
             .replay_batch(&decoded, &configs, &mut batch_logs)
             .unwrap();
         for (config, log) in configs.iter().zip(&batch_logs) {
-            let mut sequential = Log::default();
-            replayer.replay(&trace, config, &mut sequential).unwrap();
-            assert_eq!(log, &sequential);
+            let mut direct_log = Log::default();
+            direct(&app, &prog, None, config, &mut direct_log).unwrap();
+            assert_eq!(log, &direct_log);
         }
     }
 
     #[test]
     fn batched_replay_isolates_a_cycle_limited_lane() {
         let (app, prog) = setup(TWO_LOOPS);
-        let (direct, trace) = capture(&app, &prog, None);
-        assert!(direct.cycles.count() > 100);
+        let (full, trace) = capture(&app, &prog, None);
+        assert!(full.cycles.count() > 100);
         let replayer = TraceReplayer::new(&prog, &app, &EnergyTable::default());
         let decoded = DecodedTrace::decode(&trace);
         let configs = [SimConfig::initial(100), SimConfig::initial(10_000_000)];
@@ -1968,10 +1736,10 @@ mod tests {
             .replay_batch(&decoded, &configs, &mut sinks)
             .unwrap();
         assert!(matches!(batch[0], Err(SimError::CycleLimit { limit: 100 })));
-        let surviving = replayer.replay(&trace, &configs[1], &mut NullSink).unwrap();
+        let surviving = direct(&app, &prog, None, &configs[1], &mut NullSink).unwrap();
         assert_eq!(batch[1].as_ref().unwrap(), &surviving);
 
-        // All lanes limited: like the sequential early return, the
+        // All lanes limited: like the direct run's early return, the
         // batch reports the per-lane errors, not a trace-level one.
         let all_limited = [SimConfig::initial(100), SimConfig::initial(101)];
         let mut sinks = [NullSink, NullSink];
@@ -2010,69 +1778,6 @@ mod tests {
                 assert_eq!(block[l], reference, "n = {n}, lane {l}");
             }
         }
-    }
-
-    #[test]
-    fn resumable_stretch_walk_matches_full_walk() {
-        // Splitting the walk over arbitrary stretch ranges — the shard
-        // mechanism of the threaded driver — must leave the lane state
-        // exactly where one full-range walk leaves it.
-        let input: Vec<i64> = (0..32).map(|i| (i * 11) % 13 - 6).collect();
-        let (app, prog) = setup(TWO_LOOPS);
-        let (_, trace) = capture(&app, &prog, Some(("a", &input)));
-        let replayer = TraceReplayer::new(&prog, &app, &EnergyTable::default());
-        let decoded = DecodedTrace::decode(&trace);
-        let total = decoded.stretches();
-        assert!(total > 4);
-
-        let first_loop = app.structure().iter().find(|n| n.is_loop()).expect("loop");
-        let hw: HashSet<BlockId> = first_loop.blocks().iter().copied().collect();
-        let configs = [
-            SimConfig::initial(10_000_000),
-            SimConfig::partitioned(10_000_000, hw),
-        ];
-
-        let mut full_sinks = [NullSink, NullSink];
-        let full = replayer
-            .replay_batch(&decoded, &configs, &mut full_sinks)
-            .unwrap();
-
-        for cuts in [vec![1, total], vec![total / 2, total], vec![3, 7, total]] {
-            let mut lanes = replayer.batch_lanes(&configs);
-            let mut sinks = [NullSink, NullSink];
-            let mut from = 0;
-            for cut in cuts {
-                replayer
-                    .replay_stretches(&decoded, from..cut, &configs, &mut lanes, &mut sinks)
-                    .unwrap();
-                from = cut;
-            }
-            let split = replayer.finish_batch(&decoded, lanes).unwrap();
-            for (a, b) in full.iter().zip(&split) {
-                assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
-            }
-        }
-    }
-
-    #[test]
-    fn shard_by_events_partitions_stretches() {
-        let (app, prog) = setup(TWO_LOOPS);
-        let (_, trace) = capture(&app, &prog, None);
-        let decoded = DecodedTrace::decode(&trace);
-        for target in [1, 5, decoded.events() / 3, u64::MAX] {
-            let shards = decoded.shard_by_events(target);
-            assert!(!shards.is_empty(), "target = {target}");
-            let mut expect = 0;
-            for shard in &shards {
-                assert_eq!(shard.start, expect, "target = {target}");
-                assert!(shard.end >= shard.start);
-                expect = shard.end;
-            }
-            assert_eq!(expect, decoded.stretches(), "target = {target}");
-        }
-        assert_eq!(decoded.shard_by_events(u64::MAX).len(), 1);
-        // Event-balanced: a mid-size target yields several shards.
-        assert!(decoded.shard_by_events(decoded.events() / 4).len() >= 3);
     }
 
     #[test]

@@ -10,73 +10,29 @@
 //!
 //! The same promise extends to the trace-replay verification engine:
 //! replaying the captured reference trace under any hardware-block set
-//! must reproduce the direct simulation's [`RunStats`] and
-//! [`HierarchyReport`] bit for bit, and a search that falls back to
-//! direct simulation (capture over cap) must produce the identical
-//! outcome.
+//! — on one thread or split into lane groups on several — must
+//! reproduce direct simulation ([`run_iss`]): `RunStats` and
+//! `HierarchyReport` bit for bit. A search that falls back to direct
+//! simulation (capture over cap) must produce the identical outcome.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use corepart::cache::hierarchy::Hierarchy;
-use corepart::cache::HierarchyReport;
 use corepart::engine::Engine;
+use corepart::evaluate::run_iss;
 use corepart::explore::{explore, hardware_weight_sweep};
 use corepart::ir::lower::lower;
 use corepart::ir::op::BlockId;
 use corepart::ir::parser::parse;
-use corepart::isa::simulator::{MemSink, RunStats, SimConfig, Simulator};
 use corepart::partition::{Partitioner, ScheduleKey};
-use corepart::prepare::{prepare, PreparedApp, Workload};
+use corepart::prepare::{prepare, Workload};
 use corepart::sched::binding::{bind, schedule_cluster, utilization};
 use corepart::sched::cache::{ScheduleCache, ScheduledCluster};
 use corepart::system::SystemConfig;
-use corepart::verify::{replay_batch, replay_batch_with, replay_run, BatchOptions};
+use corepart::verify::{replay_batch, replay_batch_with, replay_run};
 use corepart_workloads::{all, by_name};
-
-struct HierarchyMemSink<'a>(&'a mut Hierarchy);
-
-impl MemSink for HierarchyMemSink<'_> {
-    fn ifetch(&mut self, addr: u32) {
-        self.0.ifetch(addr);
-    }
-    fn read(&mut self, addr: u32) {
-        self.0.dread(addr);
-    }
-    fn write(&mut self, addr: u32) {
-        self.0.dwrite(addr);
-    }
-}
-
-/// Direct (non-replay) partitioned simulation: fresh interpreter, fresh
-/// hierarchy, arrays re-initialized — the reference the replay engine
-/// must match bit for bit.
-fn direct_partitioned(
-    prepared: &PreparedApp,
-    config: &SystemConfig,
-    hw: &HashSet<BlockId>,
-) -> (RunStats, HierarchyReport) {
-    let mut hierarchy = Hierarchy::new(
-        config.icache.clone(),
-        config.dcache.clone(),
-        &config.process,
-        config.memory_bytes,
-    );
-    let mut sim =
-        Simulator::with_energy_table(&prepared.prog, &prepared.app, config.energy_table.clone());
-    for (name, data) in &prepared.workload.arrays {
-        sim.set_array(name, data).expect("workload array");
-    }
-    let stats = sim
-        .run(
-            &SimConfig::partitioned(config.max_cycles, hw.clone()),
-            &mut HierarchyMemSink(&mut hierarchy),
-        )
-        .expect("direct simulation");
-    (stats, hierarchy.report())
-}
 
 #[test]
 fn parallel_search_matches_sequential_on_all_six_workloads() {
@@ -238,15 +194,15 @@ fn replay_matches_direct_simulation_on_all_six_workloads() {
             .copied()
             .collect();
 
-        let (direct_stats, direct_report) = direct_partitioned(prepared, config, &hw);
+        let direct = run_iss(prepared, config, &hw).expect("direct simulation");
         let replayed = replay_run(prepared, config, engine.trace(), &hw).expect("replay");
         assert_eq!(
-            direct_stats, replayed.stats,
+            direct.stats, replayed.stats,
             "RunStats diverged on `{}`",
             w.name
         );
         assert_eq!(
-            direct_report, replayed.report,
+            direct.report, replayed.report,
             "HierarchyReport diverged on `{}`",
             w.name
         );
@@ -256,8 +212,8 @@ fn replay_matches_direct_simulation_on_all_six_workloads() {
 #[test]
 fn batched_replay_matches_sequential_on_fixed_candidate_sets() {
     // Fixed regression case on two paper workloads: the batched kernel
-    // must reproduce the one-candidate replay path lane for lane —
-    // empty set, every single-cluster set, and the union of all.
+    // must reproduce a direct simulation per lane — empty set, every
+    // single-cluster set, and the union of all.
     for name in ["digs", "MPG"] {
         let w = by_name(name).expect("workload exists");
         let app = w.app().expect("lowers");
@@ -284,8 +240,8 @@ fn batched_replay_matches_sequential_on_fixed_candidate_sets() {
         let batched = replay_batch(prepared, config, trace, &candidates).expect("batched replay");
         assert_eq!(batched.len(), candidates.len());
         for (hw, got) in candidates.iter().zip(&batched) {
-            let sequential = replay_run(prepared, config, trace, hw).expect("sequential replay");
-            assert_eq!(&sequential, got, "batched lane diverged on `{name}`");
+            let direct = run_iss(prepared, config, hw).expect("direct simulation");
+            assert_eq!(&direct, got, "batched lane diverged on `{name}`");
         }
     }
 }
@@ -405,10 +361,10 @@ proptest! {
                 .expect("initial run");
         let trace = trace.expect("tiny program fits");
 
-        let (direct_stats, direct_report) = direct_partitioned(&prepared, &config, &hw);
+        let direct = run_iss(&prepared, &config, &hw).expect("direct simulation");
         let replayed = replay_run(&prepared, &config, &trace, &hw).expect("replay");
-        prop_assert_eq!(&direct_stats, &replayed.stats);
-        prop_assert_eq!(&direct_report, &replayed.report);
+        prop_assert_eq!(&direct.stats, &replayed.stats);
+        prop_assert_eq!(&direct.report, &replayed.report);
     }
 }
 
@@ -416,10 +372,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The batched replay kernel is bit-identical (`==` on
-    /// [`VerifiedRun`](corepart::verify::VerifiedRun)) to the
-    /// one-candidate replay for any K random hardware-block subsets of
-    /// a paper workload — shared decode and interleaved accounting
-    /// must not perturb a single f64 in any lane.
+    /// [`VerifiedRun`](corepart::verify::VerifiedRun)) to direct
+    /// simulation for any K random hardware-block subsets of a paper
+    /// workload — shared decode and interleaved accounting must not
+    /// perturb a single f64 in any lane.
     #[test]
     fn batched_replay_is_bit_identical_for_random_k_subsets(
         workload_pick in 0usize..2,
@@ -456,8 +412,8 @@ proptest! {
         let batched = replay_batch(&prepared, &config, &trace, &candidates).expect("batch");
         prop_assert_eq!(batched.len(), candidates.len());
         for (hw, got) in candidates.iter().zip(&batched) {
-            let sequential = replay_run(&prepared, &config, &trace, hw).expect("sequential");
-            prop_assert_eq!(&sequential, got);
+            let direct = run_iss(&prepared, &config, hw).expect("direct simulation");
+            prop_assert_eq!(&direct, got);
         }
     }
 }
@@ -465,22 +421,20 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The stretch-sharded, lane-grouped batch walk is bit-identical
-    /// to the one-candidate replay for every thread count and shard
-    /// granularity, on every paper workload: threading changes the
-    /// schedule of the walk, never a single f64 in any lane.
+    /// The batch split into lane groups on several threads is
+    /// bit-identical to direct simulation for every thread count, on
+    /// every paper workload: threading changes the schedule of the
+    /// walks, never a single f64 in any lane.
     #[test]
     fn threaded_batched_replay_is_bit_identical_on_all_workloads(
         workload_pick in 0usize..6,
         threads_pick in 0usize..4,
-        shard_pick in 0usize..4,
         masks in prop::collection::vec(
             prop::collection::vec(any::<bool>(), 16..17),
             1..6,
         ),
     ) {
-        let threads = [1usize, 2, 4, 8][threads_pick];
-        let shard_events = [0u64, 1, 97, 4096][shard_pick];
+        let threads = [1usize, 2, 3, 8][threads_pick];
         let workloads = all();
         let w = &workloads[workload_pick % workloads.len()];
         let config = SystemConfig::new();
@@ -506,54 +460,12 @@ proptest! {
                 .expect("initial run");
         let trace = trace.expect("paper workload fits");
 
-        let opts = BatchOptions { threads, shard_events };
         let batched =
-            replay_batch_with(&prepared, &config, &trace, &candidates, opts).expect("batch");
+            replay_batch_with(&prepared, &config, &trace, &candidates, threads).expect("batch");
         prop_assert_eq!(batched.len(), candidates.len());
         for (hw, got) in candidates.iter().zip(&batched) {
-            let sequential = replay_run(&prepared, &config, &trace, hw).expect("sequential");
-            prop_assert_eq!(&sequential, got);
+            let direct = run_iss(&prepared, &config, hw).expect("direct simulation");
+            prop_assert_eq!(&direct, got);
         }
-    }
-}
-
-#[test]
-fn shard_boundary_mid_loop_is_bit_identical() {
-    // Fixed regression case: `shard_events: 1` forces a shard cut
-    // after every stretch — in particular in the middle of each loop
-    // body — so the hierarchy snapshot/resume carry is exercised at
-    // every possible boundary, with a single lane (K = 1) so nothing
-    // can hide behind lane grouping.
-    let w = by_name("digs").expect("digs exists");
-    let config = SystemConfig::new();
-    let prepared = prepare(
-        w.app().expect("lowers"),
-        Workload::from_arrays(w.arrays(1)),
-        &config,
-    )
-    .expect("prepares");
-    let (_, _, trace) =
-        corepart::evaluate::evaluate_initial_captured(&prepared, &config, usize::MAX)
-            .expect("initial run");
-    let trace = trace.expect("digs fits");
-
-    let hot = prepared
-        .chain
-        .iter()
-        .find(|c| c.is_loop())
-        .expect("digs has a loop cluster");
-    let hw: HashSet<BlockId> = hot.blocks.iter().copied().collect();
-    let sequential = replay_run(&prepared, &config, &trace, &hw).expect("sequential");
-
-    for threads in [1usize, 2] {
-        let opts = BatchOptions {
-            threads,
-            shard_events: 1,
-        };
-        let sharded =
-            replay_batch_with(&prepared, &config, &trace, std::slice::from_ref(&hw), opts)
-                .expect("sharded replay");
-        assert_eq!(sharded.len(), 1);
-        assert_eq!(sequential, sharded[0], "threads={threads}");
     }
 }

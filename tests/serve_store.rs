@@ -201,14 +201,14 @@ fn served_sessions_drive_the_sharded_batch_kernel() {
     let store = ArtifactStore::new(config, &StoreOptions::default()).unwrap();
     let response = ask(&store, &partition_request("batched", 3));
     let parsed = parse_json(&response).unwrap();
-    let shards = parsed
+    let batches = parsed
         .get("stats")
         .and_then(|s| s.get("session"))
-        .and_then(|s| s.get("batch_shards"))
+        .and_then(|s| s.get("batched_replays"))
         .and_then(|v| v.as_u64())
         .unwrap();
     assert!(
-        shards > 0,
+        batches > 0,
         "served verifies must run the batched kernel: {response}"
     );
 }
