@@ -31,8 +31,9 @@
 //! byte-identical determinism re-run.
 //! A simulator section, run first, reports instruction-set-simulator
 //! throughput (Minstr/s) on every initial design, bare and with the
-//! full baseline capture, and checks that capture leaves the run
-//! statistics bit-identical to the bare run.
+//! full baseline capture on one thread and on two, and checks that
+//! capture leaves the run statistics bit-identical to the bare run and
+//! that both thread counts agree bit for bit.
 //! Everything lands in `BENCH_partition.json`.
 //!
 //! ```text
@@ -213,12 +214,17 @@ fn median_min_max(mut xs: Vec<f64>) -> (f64, f64, f64) {
 /// Instruction-set-simulator throughput on one application's initial
 /// design: the bare run (fresh simulator, [`NullSink`]) and the full
 /// baseline capture run ([`evaluate_initial_captured`]: cache
-/// hierarchy plus reference-trace capture and its fingerprint), each
-/// in million executed instructions per second over [`SIM_REPS`]
-/// repetitions. `identical` holds when every repetition of both runs
-/// reports run statistics equal to the first bare run's: neither the
-/// cache hierarchy nor the trace recorder may change the accounting.
-/// Returns the JSON row.
+/// hierarchy plus reference-trace capture and its fingerprint) on one
+/// thread and on two (the hierarchy and the capture on a helper
+/// thread), each in million executed instructions per second over
+/// [`SIM_REPS`] repetitions (the two capture runs alternate which goes
+/// first). `identical` holds when every
+/// repetition of every run reports run statistics equal to the first
+/// bare run's, both capture runs report equal metrics and trace
+/// fingerprints, and direct simulation of the initial design
+/// ([`run_iss`]) on one and two threads reports equal cache-hierarchy
+/// results: neither the hierarchy, the trace capture nor the helper
+/// thread may change the accounting. Returns the JSON row.
 fn measure_simulator(w: &PaperWorkload) -> String {
     let config = SystemConfig::new();
     let app = w.app().expect("bundled workload lowers");
@@ -226,13 +232,14 @@ fn measure_simulator(w: &PaperWorkload) -> String {
     let engine = Engine::new(config.clone()).expect("engine");
     let session = engine.session(&app, &workload);
     let prepared = session.prepared().expect("bundled workload prepares");
+    let on = |threads: usize| config.clone().with_threads(threads);
 
     let mut bare = Vec::with_capacity(SIM_REPS);
-    let mut capture = Vec::with_capacity(SIM_REPS);
+    let mut capture = [Vec::with_capacity(SIM_REPS), Vec::with_capacity(SIM_REPS)];
     let mut instructions = 0;
     let mut reference: Option<RunStats> = None;
     let mut identical = true;
-    for _ in 0..SIM_REPS {
+    for rep in 0..SIM_REPS {
         let started = Instant::now();
         let mut sim = Simulator::with_energy_table(
             &prepared.prog,
@@ -251,25 +258,40 @@ fn measure_simulator(w: &PaperWorkload) -> String {
         let reference = reference.get_or_insert(stats.clone());
         identical &= stats == *reference;
 
-        let started = Instant::now();
-        let (_, captured, trace) =
-            evaluate_initial_captured(prepared, &config, config.trace_cap_bytes)
-                .expect("capture run");
-        let secs = started.elapsed().as_secs_f64();
-        assert!(trace.is_some(), "paper workload trace fits the default cap");
-        capture.push(instructions as f64 / secs / 1e6);
-        identical &= captured == *reference;
+        // The two thread counts take turns going first.
+        let order = if rep % 2 == 0 { [1, 2] } else { [2, 1] };
+        let mut runs = order.map(|threads| {
+            let started = Instant::now();
+            let (metrics, captured, trace) =
+                evaluate_initial_captured(prepared, &on(threads), config.trace_cap_bytes)
+                    .expect("capture run");
+            let secs = started.elapsed().as_secs_f64();
+            capture[threads - 1].push(instructions as f64 / secs / 1e6);
+            let trace = trace.expect("paper workload trace fits the default cap");
+            (metrics, captured, trace.fingerprint())
+        });
+        if order[0] == 2 {
+            runs.reverse();
+        }
+        identical &= runs[0].1 == *reference && runs[1].1 == *reference;
+        identical &= runs[0].0 == runs[1].0 && runs[0].2 == runs[1].2;
     }
+    let direct = [1, 2].map(|threads| {
+        run_iss(prepared, &on(threads), &HashSet::new()).expect("direct simulation")
+    });
+    identical &= direct[0] == direct[1] && reference.as_ref() == Some(&direct[0].stats);
 
+    let [capture_t1, capture_t2] = capture;
     let (bare_med, bare_min, bare_max) = median_min_max(bare);
-    let (cap_med, cap_min, cap_max) = median_min_max(capture);
+    let (t1_med, t1_min, t1_max) = median_min_max(capture_t1);
+    let (t2_med, t2_min, t2_max) = median_min_max(capture_t2);
     println!(
-        "{:<8} {:>12} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10}",
-        w.name, instructions, bare_med, bare_max, cap_med, cap_max, identical
+        "{:<8} {:>12} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10}",
+        w.name, instructions, bare_med, bare_max, t1_med, t1_max, t2_med, t2_max, identical
     );
     assert!(
         identical,
-        "capture changed the run statistics of the bare simulation on `{}`",
+        "capture or the helper thread changed the accounting on `{}`",
         w.name
     );
     format!(
@@ -277,6 +299,7 @@ fn measure_simulator(w: &PaperWorkload) -> String {
             "{{\"app\":\"{}\",\"instructions\":{},\"reps\":{},",
             "\"bare_minstr_per_s\":{{\"median\":{:.3},\"min\":{:.3},\"max\":{:.3}}},",
             "\"capture_minstr_per_s\":{{\"median\":{:.3},\"min\":{:.3},\"max\":{:.3}}},",
+            "\"capture_threads2_minstr_per_s\":{{\"median\":{:.3},\"min\":{:.3},\"max\":{:.3}}},",
             "\"identical\":{}}}"
         ),
         w.name,
@@ -285,9 +308,12 @@ fn measure_simulator(w: &PaperWorkload) -> String {
         bare_med,
         bare_min,
         bare_max,
-        cap_med,
-        cap_min,
-        cap_max,
+        t1_med,
+        t1_min,
+        t1_max,
+        t2_med,
+        t2_min,
+        t2_max,
         identical
     )
 }
@@ -821,10 +847,20 @@ fn main() {
 
     // Instruction-set-simulator throughput on the initial designs,
     // measured first, on a quiet process.
-    println!("simulator: initial-design runs, Minstr/s over {SIM_REPS} reps\n");
     println!(
-        "{:<8} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "app", "instrs", "bare med", "bare max", "capt med", "capt max", "identical"
+        "simulator: initial-design runs, Minstr/s over {SIM_REPS} reps (capture at threads 1, 2)\n"
+    );
+    println!(
+        "{:<8} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "app",
+        "instrs",
+        "bare med",
+        "bare max",
+        "t1 med",
+        "t1 max",
+        "t2 med",
+        "t2 max",
+        "identical"
     );
     let simulator_rows: Vec<String> = selected.iter().map(measure_simulator).collect();
     println!();

@@ -8,7 +8,9 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use corepart::json::{parse_json, result_field};
-use corepart::serve::{respond_fresh, Client, ComputeKind, ComputeRequest, ServeOptions, Server};
+use corepart::serve::{
+    respond_fresh, Client, ComputeKind, ComputeRequest, ServeOptions, Server, MAX_LINE_BYTES,
+};
 use corepart::system::SystemConfig;
 use corepart_conform::generate;
 
@@ -343,6 +345,66 @@ fn deeply_nested_line_is_a_request_error_and_the_daemon_survives() {
     let stats = bystander.ask("{\"cmd\":\"stats\"}");
     assert!(stats.contains("\"cmd\":\"stats\""), "{stats}");
     bystander.ask("{\"cmd\":\"shutdown\"}");
+    server.join();
+}
+
+#[test]
+fn deeply_nested_source_is_an_ir_error_and_the_daemon_survives() {
+    let server = spawn_server();
+    let mut client = connect(&server);
+    // A cold request parses its source on a shard worker; 200 000
+    // nested parentheses once overflowed that thread's stack and
+    // aborted the whole process.
+    let n = 200_000;
+    let source = format!(
+        "app deep; func main() {{ return {}1{}; }}",
+        "(".repeat(n),
+        ")".repeat(n)
+    );
+    let response = client.ask(&ComputeRequest::new(ComputeKind::Partition, &source).to_json());
+    assert!(response.contains("\"ok\":false"), "{response}");
+    assert!(response.contains("\"kind\":\"ir\""), "{response}");
+    assert!(response.contains("nesting deeper than"), "{response}");
+    let stats = client.ask("{\"cmd\":\"stats\"}");
+    assert!(stats.contains("\"ok\":true"), "{stats}");
+    client.ask("{\"cmd\":\"shutdown\"}");
+    server.join();
+}
+
+#[test]
+fn over_long_line_is_too_large_and_costs_only_its_connection() {
+    let server = spawn_server();
+    let mut bystander = connect(&server);
+
+    // A line of exactly the cap is read and answered like any other
+    // malformed request, on a connection that stays open.
+    let mut capped = connect(&server);
+    let response = capped.ask(&"x".repeat(MAX_LINE_BYTES));
+    assert!(response.contains("\"kind\":\"request\""), "{response}");
+    assert!(capped.ask("{\"cmd\":\"stats\"}").contains("\"ok\":true"));
+
+    // One byte more, with no newline ever sent: the daemon answers
+    // `too_large` without waiting for the line to end, then closes.
+    let mut hostile = TcpStream::connect(server.addr()).unwrap();
+    hostile.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]).unwrap();
+    let mut reader = BufReader::new(hostile);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"ok\":false"), "{line}");
+    assert!(line.contains("\"kind\":\"too_large\""), "{line}");
+    line.clear();
+    assert_eq!(
+        reader.read_line(&mut line).unwrap(),
+        0,
+        "not closed: {line}"
+    );
+
+    // Every other connection, old and new, keeps working.
+    assert!(capped.ask("{\"cmd\":\"stats\"}").contains("\"ok\":true"));
+    assert!(bystander.ask("{\"cmd\":\"stats\"}").contains("\"ok\":true"));
+    let mut fresh = connect(&server);
+    assert!(fresh.ask("{\"cmd\":\"stats\"}").contains("\"ok\":true"));
+    fresh.ask("{\"cmd\":\"shutdown\"}");
     server.join();
 }
 

@@ -517,8 +517,12 @@ impl<'e> Session<'e> {
                 .baselines
                 .get_or_compute(self.baseline_key.clone(), || {
                     computed = true;
-                    let (metrics, stats, trace, table) =
-                        capture_initial(&prepared, &self.config, self.config.trace_cap_bytes)?;
+                    let (metrics, stats, trace, table) = capture_initial(
+                        &prepared,
+                        &self.config,
+                        self.config.trace_cap_bytes,
+                        self.threads(),
+                    )?;
                     let replay = trace.map(|t| Arc::new(ReplayEngine::new(table, t)));
                     Ok(Baseline {
                         metrics,

@@ -18,14 +18,16 @@
 //! already part of the ASIC's memory traffic).
 
 use std::collections::HashSet;
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
+use std::thread::{Scope, ScopedJoinHandle};
 
-use corepart_cache::hierarchy::Hierarchy;
+use corepart_cache::hierarchy::{Hierarchy, MemEvent};
 use corepart_ir::cluster::ClusterId;
 use corepart_ir::op::BlockId;
 use corepart_isa::isa::InstClass;
 use corepart_isa::profile::CoreUtilization;
-use corepart_isa::simulator::{MemSink, RunStats, SimConfig, Simulator};
+use corepart_isa::simulator::{MemSink, RunStats, SimConfig, SimError, Simulator};
 use corepart_isa::trace::{ReferenceTrace, TraceBuilder};
 use corepart_isa::DecodeTable;
 use corepart_sched::binding::{bind, schedule_cluster, utilization};
@@ -39,6 +41,7 @@ use corepart_tech::units::{Cycles, Energy};
 
 use crate::bus_transfer::transfer_counts;
 use crate::error::CorepartError;
+use crate::parallel::resolve_threads;
 use crate::partition::{schedule_key, ScheduleKey};
 use crate::prepare::PreparedApp;
 use crate::system::{DesignMetrics, SystemConfig};
@@ -115,6 +118,217 @@ pub(crate) fn fresh_hierarchy(config: &SystemConfig) -> Hierarchy {
     )
 }
 
+/// References per chunk of a two-thread direct simulation's streamed
+/// reference stream. A run that emits fewer never starts the helper
+/// thread: its whole stream is applied on the caller's thread at the
+/// end.
+pub const STREAM_CHUNK_EVENTS: usize = 8 * 1024;
+
+/// Full chunks the simulator may run ahead of the helper thread before
+/// it blocks (the back-pressure bound on buffered references).
+const CHUNKS_AHEAD: usize = 4;
+
+/// The consumer end of a direct simulation: the cache hierarchy and,
+/// while capturing, the reference-trace builder.
+struct Tail {
+    hierarchy: Hierarchy,
+    builder: Option<TraceBuilder>,
+}
+
+impl Tail {
+    /// Applies one chunk of references, in stream order, to the
+    /// hierarchy and to the builder. The two share no state, so each
+    /// takes the chunk in its own pass: two tight loops measured faster
+    /// than one that alternates between them.
+    fn apply(&mut self, chunk: &[MemEvent]) {
+        for &event in chunk {
+            self.hierarchy.apply(event);
+        }
+        if let Some(builder) = &mut self.builder {
+            for &event in chunk {
+                match event {
+                    MemEvent::IFetch(addr) => builder.ifetch(addr),
+                    MemEvent::Read(addr) => builder.read(addr),
+                    MemEvent::Write(addr) => builder.write(addr),
+                }
+            }
+        }
+    }
+}
+
+/// The single-thread path: the simulator drives the tail directly.
+impl MemSink for Tail {
+    #[inline]
+    fn ifetch(&mut self, addr: u32) {
+        self.hierarchy.ifetch(addr);
+        if let Some(builder) = &mut self.builder {
+            builder.ifetch(addr);
+        }
+    }
+    #[inline]
+    fn read(&mut self, addr: u32) {
+        self.hierarchy.dread(addr);
+        if let Some(builder) = &mut self.builder {
+            builder.read(addr);
+        }
+    }
+    #[inline]
+    fn write(&mut self, addr: u32) {
+        self.hierarchy.dwrite(addr);
+        if let Some(builder) = &mut self.builder {
+            builder.write(addr);
+        }
+    }
+}
+
+/// The helper thread's end of the stream: full chunks go out over a
+/// bounded channel, emptied buffers come back for reuse.
+struct Helper<'scope> {
+    full: SyncSender<Vec<MemEvent>>,
+    empty: Receiver<Vec<MemEvent>>,
+    handle: ScopedJoinHandle<'scope, Tail>,
+}
+
+/// The two-thread path's [`MemSink`]: buffers references into chunks
+/// of [`STREAM_CHUNK_EVENTS`]. The first full chunk starts a helper
+/// thread in `scope` that owns the tail from then on and applies every
+/// chunk in order; a run that never fills a chunk applies its stream
+/// on the caller's thread in [`ChunkSink::finish`]. Either way the
+/// tail sees the same references in the same order.
+struct ChunkSink<'scope, 'env> {
+    chunk: Vec<MemEvent>,
+    scope: &'scope Scope<'scope, 'env>,
+    /// The tail, until the helper takes it.
+    inline: Option<Tail>,
+    helper: Option<Helper<'scope>>,
+}
+
+impl ChunkSink<'_, '_> {
+    #[inline]
+    fn push(&mut self, event: MemEvent) {
+        self.chunk.push(event);
+        if self.chunk.len() == STREAM_CHUNK_EVENTS {
+            self.send_full();
+        }
+    }
+
+    #[cold]
+    fn send_full(&mut self) {
+        let helper = match &self.helper {
+            Some(helper) => helper,
+            None => {
+                let tail = self.inline.take().expect("the sink owns its tail");
+                self.helper.insert(spawn_helper(self.scope, tail))
+            }
+        };
+        let next = helper
+            .empty
+            .try_recv()
+            .unwrap_or_else(|_| Vec::with_capacity(STREAM_CHUNK_EVENTS));
+        let full = std::mem::replace(&mut self.chunk, next);
+        // Fails only when the helper panicked; joining it re-raises that.
+        let _ = helper.full.send(full);
+    }
+
+    /// Applies the last, partial chunk and hands back the tail, joining
+    /// the helper thread when one was started.
+    fn finish(mut self) -> Tail {
+        let Some(helper) = self.helper.take() else {
+            let mut tail = self.inline.take().expect("the sink owns its tail");
+            tail.apply(&self.chunk);
+            return tail;
+        };
+        if !self.chunk.is_empty() {
+            let _ = helper.full.send(std::mem::take(&mut self.chunk));
+        }
+        drop(helper.full);
+        helper
+            .handle
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    }
+}
+
+/// Starts the helper thread: it applies every chunk it receives, in
+/// order, returns each emptied buffer, and hands the tail back once
+/// the sender is dropped.
+fn spawn_helper<'scope>(scope: &'scope Scope<'scope, '_>, mut tail: Tail) -> Helper<'scope> {
+    let (full, full_rx) = mpsc::sync_channel::<Vec<MemEvent>>(CHUNKS_AHEAD);
+    let (empty_tx, empty) = mpsc::channel();
+    let handle = scope.spawn(move || {
+        for mut chunk in full_rx {
+            tail.apply(&chunk);
+            chunk.clear();
+            // The simulator may have finished already; the buffer is
+            // then simply dropped.
+            let _ = empty_tx.send(chunk);
+        }
+        tail
+    });
+    Helper {
+        full,
+        empty,
+        handle,
+    }
+}
+
+impl MemSink for ChunkSink<'_, '_> {
+    #[inline]
+    fn ifetch(&mut self, addr: u32) {
+        self.push(MemEvent::IFetch(addr));
+    }
+    #[inline]
+    fn read(&mut self, addr: u32) {
+        self.push(MemEvent::Read(addr));
+    }
+    #[inline]
+    fn write(&mut self, addr: u32) {
+        self.push(MemEvent::Write(addr));
+    }
+}
+
+/// The one direct simulation: a fresh simulator with the workload
+/// arrays initialized runs `sim_config` on the caller's thread and
+/// streams its references through a fresh cache hierarchy (and into
+/// `builder`, when capturing). With `threads >= 2` the references go
+/// through a [`ChunkSink`], so a run that fills a chunk moves the
+/// hierarchy and the builder onto a helper thread; otherwise the
+/// simulator drives them directly.
+fn simulate(
+    prepared: &PreparedApp,
+    config: &SystemConfig,
+    sim_config: &SimConfig,
+    threads: usize,
+    builder: Option<TraceBuilder>,
+) -> Result<(RunStats, Tail, Arc<DecodeTable>), CorepartError> {
+    let mut sim =
+        Simulator::with_energy_table(&prepared.prog, &prepared.app, config.energy_table.clone());
+    for (name, data) in &prepared.workload.arrays {
+        sim.set_array(name, data)?;
+    }
+    let mut tail = Tail {
+        hierarchy: fresh_hierarchy(config),
+        builder,
+    };
+    let (stats, tail) = if threads < 2 {
+        (sim.run(sim_config, &mut tail)?, tail)
+    } else {
+        std::thread::scope(|scope| {
+            let mut sink = ChunkSink {
+                chunk: Vec::with_capacity(STREAM_CHUNK_EVENTS),
+                scope,
+                inline: Some(tail),
+                helper: None,
+            };
+            // On an error the sink drops here, which ends the helper's
+            // stream; the scope joins the helper before returning.
+            let stats = sim.run(sim_config, &mut sink)?;
+            Ok::<_, SimError>((stats, sink.finish()))
+        })?
+    };
+    Ok((stats, tail, Arc::clone(sim.decode_table())))
+}
+
 /// Direct simulation of one partitioned run: a fresh simulator with
 /// the workload arrays re-initialized, streaming through a fresh cache
 /// hierarchy. The reference every replay oracle compares against —
@@ -129,19 +343,17 @@ pub fn run_iss(
     config: &SystemConfig,
     hw_blocks: &HashSet<BlockId>,
 ) -> Result<VerifiedRun, CorepartError> {
-    let mut hierarchy = fresh_hierarchy(config);
-    let mut sim =
-        Simulator::with_energy_table(&prepared.prog, &prepared.app, config.energy_table.clone());
-    for (name, data) in &prepared.workload.arrays {
-        sim.set_array(name, data)?;
-    }
-    let stats = sim.run(
-        &SimConfig::partitioned(config.max_cycles, hw_blocks.clone()),
-        &mut HierarchySink(&mut hierarchy),
+    let sim_config = SimConfig::partitioned(config.max_cycles, hw_blocks.clone());
+    let (stats, tail, _) = simulate(
+        prepared,
+        config,
+        &sim_config,
+        resolve_threads(config.threads),
+        None,
     )?;
     Ok(VerifiedRun {
         stats,
-        report: hierarchy.report(),
+        report: tail.hierarchy.report(),
     })
 }
 
@@ -162,9 +374,10 @@ pub fn evaluate_initial(
 }
 
 /// [`evaluate_initial`] with the reference-trace capture piggybacked
-/// on the one simulation: the executed pc stream and every load/store
-/// address are recorded (up to `cap_bytes` of encoded trace) while the
-/// initial design is evaluated, at no extra simulation cost.
+/// on the one simulation: the initial design's reference stream — one
+/// fetch per executed instruction plus every load/store address — is
+/// encoded (up to `cap_bytes` of trace) from the same references the
+/// cache hierarchy receives, at no extra simulation cost.
 ///
 /// The third element is `None` when `cap_bytes` is 0 or the encoded
 /// trace outgrew the cap — callers then verify candidates by direct
@@ -179,16 +392,19 @@ pub fn evaluate_initial_captured(
     config: &SystemConfig,
     cap_bytes: usize,
 ) -> Result<(DesignMetrics, RunStats, Option<ReferenceTrace>), CorepartError> {
-    let (metrics, stats, trace, _) = capture_initial(prepared, config, cap_bytes)?;
+    let threads = resolve_threads(config.threads);
+    let (metrics, stats, trace, _) = capture_initial(prepared, config, cap_bytes, threads)?;
     Ok((metrics, stats, trace))
 }
 
-/// [`evaluate_initial_captured`] that also hands back the decode table
-/// the simulation ran on, so the replayer of the trace can share it.
+/// [`evaluate_initial_captured`] on `threads` (the session's resolved
+/// count) that also hands back the decode table the simulation ran on,
+/// so the replayer of the trace can share it.
 pub(crate) fn capture_initial(
     prepared: &PreparedApp,
     config: &SystemConfig,
     cap_bytes: usize,
+    threads: usize,
 ) -> Result<
     (
         DesignMetrics,
@@ -198,20 +414,17 @@ pub(crate) fn capture_initial(
     ),
     CorepartError,
 > {
-    let mut hierarchy = fresh_hierarchy(config);
-    let mut sim =
-        Simulator::with_energy_table(&prepared.prog, &prepared.app, config.energy_table.clone());
-    for (name, data) in &prepared.workload.arrays {
-        sim.set_array(name, data)?;
-    }
-    let mut builder = TraceBuilder::new(cap_bytes);
-    let stats = sim.run_recorded(
+    let (stats, tail, table) = simulate(
+        prepared,
+        config,
         &SimConfig::initial(config.max_cycles),
-        &mut HierarchySink(&mut hierarchy),
-        &mut builder,
+        threads,
+        Some(TraceBuilder::new(cap_bytes)),
     )?;
-    let trace = builder.finish(stats.return_value);
-    let report = hierarchy.report();
+    let trace = tail
+        .builder
+        .and_then(|builder| builder.finish(stats.return_value));
+    let report = tail.hierarchy.report();
     let stall_energy = config.energy_table.stall_per_cycle() * report.stall_cycles.count();
     let metrics = DesignMetrics {
         icache: report.icache_energy,
@@ -226,7 +439,7 @@ pub(crate) fn capture_initial(
         icache_miss_ratio: report.icache.miss_ratio(),
         dcache_miss_ratio: report.dcache.miss_ratio(),
     };
-    Ok((metrics, stats, trace, Arc::clone(sim.decode_table())))
+    Ok((metrics, stats, trace, table))
 }
 
 /// Evaluates a candidate partition end to end.

@@ -40,7 +40,9 @@
 //! search, and its `stats` then carries no `session` counters (no
 //! fresh session produced any).
 //! Error kinds mirror [`CorepartError`]: `ir`, `sim`, `sched`,
-//! `config`, plus `request` for lines the protocol itself rejects. A
+//! `config`, plus `request` for lines the protocol itself rejects and
+//! `too_large` for a line longer than [`MAX_LINE_BYTES`] (the daemon
+//! then closes that connection). A
 //! failing request never poisons the store: parse errors are answered
 //! before the store is touched, and deeper failures are memoized
 //! error values that later identical requests replay.
@@ -56,7 +58,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -91,6 +93,12 @@ pub const DEFAULT_PORT: u16 = 4860;
 /// (factor G), from "hardware is free" to "hardware is precious" —
 /// used when an explore request names no `weights`.
 pub const EXPLORE_WEIGHTS: [f64; 7] = [0.0, 0.1, 0.2, 0.5, 1.0, 2.0, 4.0];
+
+/// The longest request line the daemon reads, newline excluded. A
+/// longer line, or one that never ends, is answered with a typed
+/// `too_large` error and its connection is closed, so no connection
+/// buffers more than this.
+pub const MAX_LINE_BYTES: usize = 8 << 20;
 
 /// Construction knobs of a [`Server`].
 #[derive(Debug, Clone)]
@@ -1181,10 +1189,22 @@ fn serve_connection(
         return;
     };
 
-    let reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(read_half);
     let mut seq: u64 = 0;
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    loop {
+        let line = match read_request_line(&mut reader) {
+            LineRead::Line(line) => line,
+            LineRead::TooLarge => {
+                // Answered in order; the rest of the line is never read.
+                let message = format!(
+                    "request line longer than {MAX_LINE_BYTES} bytes; closing the connection"
+                );
+                let response = error_response_kind(None, "too_large", &message);
+                let _ = answer_inline(&tx, seq, response, false);
+                break;
+            }
+            LineRead::End => break,
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -1228,22 +1248,7 @@ fn serve_connection(
                     Err(message) => (error_response_kind(None, "request", &message), false),
                     Ok(Request::Compute(_)) => unreachable!("compute handled above"),
                 };
-                let sent = tx
-                    .send(WriterMsg::Expect {
-                        seq: this,
-                        id: None,
-                        ordered: true,
-                        deadline: None,
-                    })
-                    .and_then(|()| {
-                        tx.send(WriterMsg::Done {
-                            seq: this,
-                            response,
-                            stop,
-                        })
-                    })
-                    .is_ok();
-                if !sent || stop {
+                if !answer_inline(&tx, this, response, stop) || stop {
                     break;
                 }
             }
@@ -1251,6 +1256,60 @@ fn serve_connection(
     }
     drop(tx);
     let _ = writer.join();
+}
+
+/// Queues a response produced on the reader thread under sequence
+/// number `seq`, so it keeps its place in the response order. False
+/// when the writer is gone.
+fn answer_inline(tx: &mpsc::Sender<WriterMsg>, seq: u64, response: String, stop: bool) -> bool {
+    tx.send(WriterMsg::Expect {
+        seq,
+        id: None,
+        ordered: true,
+        deadline: None,
+    })
+    .and_then(|()| {
+        tx.send(WriterMsg::Done {
+            seq,
+            response,
+            stop,
+        })
+    })
+    .is_ok()
+}
+
+/// One read from a connection by [`read_request_line`].
+enum LineRead {
+    /// A line without its newline (or `\r\n`); the last line of the
+    /// stream may lack one.
+    Line(String),
+    /// More than [`MAX_LINE_BYTES`] arrived without a newline.
+    TooLarge,
+    /// End of stream, a read error, or a line that is not UTF-8.
+    End,
+}
+
+/// Reads one request line, buffering at most [`MAX_LINE_BYTES`] plus
+/// the newline.
+fn read_request_line(reader: &mut impl BufRead) -> LineRead {
+    let mut buf = Vec::new();
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    match reader.take(limit).read_until(b'\n', &mut buf) {
+        Ok(0) | Err(_) => return LineRead::End,
+        Ok(_) => {}
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_LINE_BYTES {
+        return LineRead::TooLarge;
+    }
+    match String::from_utf8(buf) {
+        Ok(line) => LineRead::Line(line),
+        Err(_) => LineRead::End,
+    }
 }
 
 /// The writer's per-sequence-number slot state.

@@ -22,20 +22,37 @@ use crate::error::IrError;
 use crate::lexer::{lex, SpannedTok, Tok};
 use crate::op::{BinOp, UnOp};
 
+/// The deepest nesting a program may have. Each parenthesized or
+/// otherwise nested expression, unary operator, operand of a
+/// binary-operator chain and statement block (an `else if` included)
+/// is one level. Every later stage walks the syntax tree recursively,
+/// so the bound keeps the stack use of parsing, lowering and
+/// interpretation bounded for any input: at the bound, all of them fit
+/// a default 2 MiB thread stack even in an unoptimized build.
+pub const MAX_NESTING: usize = 128;
+
 /// Parses a full program from source text.
 ///
 /// # Errors
 ///
 /// Returns [`IrError::Lex`] or [`IrError::Parse`] with the offending
-/// source location.
+/// source location; nesting deeper than [`MAX_NESTING`] is a
+/// [`IrError::Parse`].
 pub fn parse(src: &str) -> Result<Program, IrError> {
     let toks = lex(src)?;
-    Parser { toks, pos: 0 }.program()
+    Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    }
+    .program()
 }
 
 struct Parser {
     toks: Vec<SpannedTok>,
     pos: usize,
+    /// Current nesting level (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -64,6 +81,16 @@ impl Parser {
             span: self.span(),
             message: message.into(),
         })
+    }
+
+    /// Enters one more level of nesting; the caller leaves it by
+    /// decrementing `depth` when the nested construct ends.
+    fn enter(&mut self) -> Result<(), IrError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return self.err(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        Ok(())
     }
 
     fn expect(&mut self, want: &Tok, ctx: &str) -> Result<(), IrError> {
@@ -183,6 +210,7 @@ impl Parser {
 
     fn block(&mut self) -> Result<Vec<Stmt>, IrError> {
         self.expect(&Tok::LBrace, "to open block")?;
+        self.enter()?;
         let mut stmts = Vec::new();
         while self.peek() != &Tok::RBrace {
             if self.peek() == &Tok::Eof {
@@ -191,6 +219,7 @@ impl Parser {
             stmts.push(self.stmt()?);
         }
         self.bump(); // consume `}`
+        self.depth -= 1;
         Ok(stmts)
     }
 
@@ -211,7 +240,10 @@ impl Parser {
                 let else_body = if self.peek() == &Tok::Else {
                     self.bump();
                     if self.peek() == &Tok::If {
-                        vec![self.stmt()?]
+                        self.enter()?;
+                        let nested = self.stmt()?;
+                        self.depth -= 1;
+                        vec![nested]
                     } else {
                         self.block()?
                     }
@@ -315,12 +347,18 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<Expr, IrError> {
-        self.binary_expr(0)
+        self.enter()?;
+        let e = self.binary_expr(0)?;
+        self.depth -= 1;
+        Ok(e)
     }
 
-    /// Precedence-climbing binary expression parser.
+    /// Precedence-climbing binary expression parser. Each operator
+    /// of a chain deepens the left-leaning tree, and so the nesting, by
+    /// one level until the chain ends.
     fn binary_expr(&mut self, min_prec: u8) -> Result<Expr, IrError> {
         let mut lhs = self.unary_expr()?;
+        let mut chain = 0;
         loop {
             let (op, prec) = match self.peek() {
                 Tok::PipePipe => (BinOp::Or, 1),
@@ -348,32 +386,28 @@ impl Parser {
             }
             let span = self.span();
             self.bump();
+            self.enter()?;
+            chain += 1;
             let rhs = self.binary_expr(prec + 1)?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), span);
         }
+        self.depth -= chain;
         Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> Result<Expr, IrError> {
         let span = self.span();
-        match self.peek() {
-            Tok::Minus => {
-                self.bump();
-                let e = self.unary_expr()?;
-                Ok(Expr::Unary(UnOp::Neg, Box::new(e), span))
-            }
-            Tok::Bang => {
-                self.bump();
-                let e = self.unary_expr()?;
-                Ok(Expr::Unary(UnOp::Not, Box::new(e), span))
-            }
-            Tok::Tilde => {
-                self.bump();
-                let e = self.unary_expr()?;
-                Ok(Expr::Unary(UnOp::BitNot, Box::new(e), span))
-            }
-            _ => self.primary_expr(),
-        }
+        let op = match self.peek() {
+            Tok::Minus => UnOp::Neg,
+            Tok::Bang => UnOp::Not,
+            Tok::Tilde => UnOp::BitNot,
+            _ => return self.primary_expr(),
+        };
+        self.bump();
+        self.enter()?;
+        let e = self.unary_expr()?;
+        self.depth -= 1;
+        Ok(Expr::Unary(op, Box::new(e), span))
     }
 
     fn primary_expr(&mut self) -> Result<Expr, IrError> {
@@ -586,5 +620,61 @@ mod tests {
     fn unary_chain() {
         let p = parse("app t; func main() { var x = - - 3; var y = !~0; }").unwrap();
         assert_eq!(p.funcs[0].body.len(), 2);
+    }
+
+    /// `func main() { return E; }` with `E` at nesting level 2: one
+    /// level for the body block, one for the returned expression.
+    fn returning(e: &str) -> String {
+        format!("app t; var g = 0; func main() {{ return {e}; }}")
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_the_limit() {
+        let parens = |n: usize| format!("{}1{}", "(".repeat(n), ")".repeat(n));
+        let free = MAX_NESTING - 2;
+        assert!(parse(&returning(&parens(free))).is_ok());
+        let err = parse(&returning(&parens(free + 1))).unwrap_err();
+        assert!(matches!(err, IrError::Parse { .. }), "{err:?}");
+        let message = format!("nesting deeper than {MAX_NESTING} levels");
+        assert!(err.to_string().contains(&message), "{err}");
+
+        // Unary operators and binary-operator chains count level by level.
+        let negations = |n: usize| format!("{}1", "-".repeat(n));
+        assert!(parse(&returning(&negations(free))).is_ok());
+        assert!(parse(&returning(&negations(free + 1))).is_err());
+        let chain = |n: usize| vec!["1"; n + 1].join(" + ");
+        assert!(parse(&returning(&chain(free))).is_ok());
+        assert!(parse(&returning(&chain(free + 1))).is_err());
+
+        // Blocks and `else if` chains nest statements.
+        let blocks = |n: usize| {
+            format!(
+                "app t; var g = 0; func main() {{ {}{} }}",
+                "while (g) { ".repeat(n),
+                "} ".repeat(n)
+            )
+        };
+        assert!(parse(&blocks(MAX_NESTING - 1)).is_ok());
+        assert!(parse(&blocks(MAX_NESTING)).is_err());
+        let elifs = |n: usize| {
+            format!(
+                "app t; var g = 0; func main() {{ if (g) {{ }}{} }}",
+                " else if (g) { }".repeat(n)
+            )
+        };
+        assert!(parse(&elifs(MAX_NESTING - 2)).is_ok());
+        assert!(parse(&elifs(MAX_NESTING - 1)).is_err());
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_parse_error_not_a_stack_overflow() {
+        let n = 200_000;
+        for e in [
+            format!("{}1{}", "(".repeat(n), ")".repeat(n)),
+            format!("{}1", "-".repeat(n)),
+            vec!["1"; n].join("+"),
+        ] {
+            assert!(matches!(parse(&returning(&e)), Err(IrError::Parse { .. })));
+        }
     }
 }

@@ -68,26 +68,6 @@ impl MemSink for NullSink {
     }
 }
 
-/// Observer of the *executed* instruction stream, independent of any
-/// hardware/software split: every pc in execution order (hardware- and
-/// software-mapped alike) plus every load/store address. Used by
-/// [`crate::trace::TraceBuilder`] to capture a reference trace.
-pub trait ExecRecorder {
-    /// Instruction at `pc` is about to execute.
-    fn inst(&mut self, pc: u32);
-    /// A load or store touched `addr` (slot and data space alike).
-    fn data(&mut self, addr: u32);
-}
-
-/// A recorder that drops all events ([`Simulator::run`] uses it).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullRecorder;
-
-impl ExecRecorder for NullRecorder {
-    fn inst(&mut self, _pc: u32) {}
-    fn data(&mut self, _addr: u32) {}
-}
-
 /// Simulation parameters.
 #[derive(Debug, Clone, Default)]
 pub struct SimConfig {
@@ -497,7 +477,8 @@ impl<'a> Simulator<'a> {
     /// `sink`.
     ///
     /// Registers are cleared; data memory is kept so inputs set via
-    /// [`Simulator::set_array`] survive.
+    /// [`Simulator::set_array`] survive. The hot loop is driven by the
+    /// program's [`DecodeTable`].
     ///
     /// # Errors
     ///
@@ -506,26 +487,6 @@ impl<'a> Simulator<'a> {
         &mut self,
         config: &SimConfig,
         sink: &mut S,
-    ) -> Result<RunStats, SimError> {
-        self.run_recorded(config, sink, &mut NullRecorder)
-    }
-
-    /// [`Simulator::run`] with an [`ExecRecorder`] observing the
-    /// executed pc stream and every load/store address — the capture
-    /// half of the trace-replay verification engine
-    /// ([`crate::trace`]). Recording never changes execution or
-    /// accounting; `run` is exactly this with a [`NullRecorder`].
-    ///
-    /// The hot loop is driven by the program's [`DecodeTable`].
-    ///
-    /// # Errors
-    ///
-    /// See [`SimError`].
-    pub fn run_recorded<S: MemSink, R: ExecRecorder>(
-        &mut self,
-        config: &SimConfig,
-        sink: &mut S,
-        recorder: &mut R,
     ) -> Result<RunStats, SimError> {
         self.regs = [0; Reg::COUNT as usize];
 
@@ -555,7 +516,6 @@ impl<'a> Simulator<'a> {
 
         loop {
             let info = table.info.get(pc as usize).ok_or(SimError::BadPc { pc })?;
-            recorder.inst(pc);
             let bi = info.block_index;
             let is_hw = is_hw_block[bi];
 
@@ -637,7 +597,6 @@ impl<'a> Simulator<'a> {
                 MachInst::Ldw { rd, base, offset } => {
                     let addr = self.effective_addr(base, offset, pc)?;
                     let v = self.mem_read(addr, pc)?;
-                    recorder.data(addr);
                     self.set_reg(rd, v);
                     if is_hw {
                         if addr < SLOT_BASE {
@@ -652,7 +611,6 @@ impl<'a> Simulator<'a> {
                     let addr = self.effective_addr(base, offset, pc)?;
                     let v = self.reg(rs);
                     self.mem_write(addr, v, pc)?;
-                    recorder.data(addr);
                     if is_hw {
                         if addr < SLOT_BASE {
                             stats.hw_stores += 1;

@@ -10,8 +10,11 @@
 //! accounting consume, and any candidate's `hw_blocks` filter can be
 //! applied at *replay* time.
 //!
-//! * [`TraceBuilder`] is an [`ExecRecorder`] that encodes the streams
-//!   compactly while [`Simulator::run_recorded`](crate::simulator::Simulator::run_recorded) executes once.
+//! * [`TraceBuilder`] is a [`MemSink`] that encodes the streams
+//!   compactly from the reference stream of one
+//!   [`Simulator::run`](crate::simulator::Simulator::run) of the
+//!   initial design, where every executed instruction is fetched
+//!   exactly once and every load or store is one data reference.
 //! * [`ReferenceTrace`] is the finished, immutable capture.
 //! * [`DecodedTrace`] is the capture decoded once into flat form.
 //! * [`TraceReplayer::replay_batch`] — the one replay walk — re-runs
@@ -43,11 +46,11 @@ use corepart_ir::cdfg::Application;
 use corepart_ir::op::BlockId;
 use corepart_tech::units::{Cycles, Energy};
 
-use crate::codegen::{MachProgram, SLOT_BASE};
+use crate::codegen::{MachProgram, CODE_BASE, SLOT_BASE};
 use crate::decode::{AccessKind, DecodeTable};
 use crate::energy::EnergyTable;
 use crate::isa::InstClass;
-use crate::simulator::{ExecRecorder, MemSink, RunStats, SimConfig, SimError, TraceEntry};
+use crate::simulator::{MemSink, RunStats, SimConfig, SimError, TraceEntry};
 
 /// Segment size of the chunked encoding. Small enough that a capture
 /// never holds one huge allocation, large enough that the segment list
@@ -471,8 +474,15 @@ impl ReferenceTrace {
     }
 }
 
-/// An [`ExecRecorder`] that builds a [`ReferenceTrace`] while the
-/// simulator runs, under a byte cap.
+/// A [`MemSink`] that builds a [`ReferenceTrace`] from the reference
+/// stream of an initial-design run, under a byte cap.
+///
+/// With no hardware-mapped blocks the simulator fetches every executed
+/// instruction exactly once, at `CODE_BASE + 4 * pc`, and reports every
+/// load or store as one data reference, so that stream alone determines
+/// the executed pc sequence and the data-address sequence. A
+/// partitioned run's stream omits the hardware-mapped instructions and
+/// must not be captured.
 #[derive(Debug, Clone)]
 pub struct TraceBuilder {
     pcs: SegStream,
@@ -530,6 +540,16 @@ impl TraceBuilder {
         }
     }
 
+    /// A load or store touched `addr` (slot and data space alike).
+    fn data(&mut self, addr: u32) {
+        if self.overflowed {
+            return;
+        }
+        self.addrs.put_u32(addr);
+        self.data_events += 1;
+        self.spill_if_over_cap();
+    }
+
     /// Seals the capture. `return_value` is the finished run's return
     /// value ([`RunStats::return_value`]). Returns `None` when the cap
     /// was exceeded.
@@ -563,11 +583,12 @@ impl TraceBuilder {
     }
 }
 
-impl ExecRecorder for TraceBuilder {
-    fn inst(&mut self, pc: u32) {
+impl MemSink for TraceBuilder {
+    fn ifetch(&mut self, addr: u32) {
         if self.overflowed {
             return;
         }
+        let pc = (addr - CODE_BASE) / 4;
         // Run-length encoding: extend the current sequential stretch,
         // or emit it and start a new one at a taken branch.
         if self.run_len > 0 && pc == self.run_start + (self.run_len as u32) {
@@ -580,13 +601,12 @@ impl ExecRecorder for TraceBuilder {
         self.events += 1;
     }
 
-    fn data(&mut self, addr: u32) {
-        if self.overflowed {
-            return;
-        }
-        self.addrs.put_u32(addr);
-        self.data_events += 1;
-        self.spill_if_over_cap();
+    fn read(&mut self, addr: u32) {
+        self.data(addr);
+    }
+
+    fn write(&mut self, addr: u32) {
+        self.data(addr);
     }
 }
 
@@ -1488,7 +1508,7 @@ mod tests {
         }
         let mut builder = TraceBuilder::new(usize::MAX);
         let stats = sim
-            .run_recorded(&SimConfig::initial(10_000_000), &mut NullSink, &mut builder)
+            .run(&SimConfig::initial(10_000_000), &mut builder)
             .unwrap();
         let trace = builder.finish(stats.return_value).expect("under cap");
         (stats, trace)
@@ -1582,6 +1602,24 @@ mod tests {
         }
     }
 
+    /// Feeds one reference stream to two sinks.
+    struct Tee<'a, A, B>(&'a mut A, &'a mut B);
+
+    impl<A: MemSink, B: MemSink> MemSink for Tee<'_, A, B> {
+        fn ifetch(&mut self, a: u32) {
+            self.0.ifetch(a);
+            self.1.ifetch(a);
+        }
+        fn read(&mut self, a: u32) {
+            self.0.read(a);
+            self.1.read(a);
+        }
+        fn write(&mut self, a: u32) {
+            self.0.write(a);
+            self.1.write(a);
+        }
+    }
+
     #[test]
     fn replay_matches_direct_initial_run() {
         let input: Vec<i64> = (0..32).map(|i| i % 5).collect();
@@ -1618,10 +1656,9 @@ mod tests {
         let mut builder = TraceBuilder::new(usize::MAX);
         let mut direct_log = Log::default();
         let stats = sim
-            .run_recorded(
+            .run(
                 &SimConfig::initial(10_000_000),
-                &mut direct_log,
-                &mut builder,
+                &mut Tee(&mut direct_log, &mut builder),
             )
             .unwrap();
         let trace = builder.finish(stats.return_value).unwrap();
@@ -1799,7 +1836,7 @@ mod tests {
         let mut sim = Simulator::new(&prog, &app);
         let mut builder = TraceBuilder::new(64);
         let stats = sim
-            .run_recorded(&SimConfig::initial(10_000_000), &mut NullSink, &mut builder)
+            .run(&SimConfig::initial(10_000_000), &mut builder)
             .unwrap();
         assert!(builder.overflowed());
         assert!(builder.finish(stats.return_value).is_none());

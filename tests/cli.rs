@@ -291,6 +291,31 @@ fn unparseable_source_exits_one_with_parse_error() {
 }
 
 #[test]
+fn deeply_nested_source_exits_one_instead_of_overflowing_the_stack() {
+    // 200 000 nested parentheses once aborted the process with a stack
+    // overflow (exit 134); the parser's nesting bound makes it a typed
+    // parse error.
+    let n = 200_000;
+    let mut f = tempfile::NamedFile::new();
+    write!(
+        f.file,
+        "app deep;\nfunc main() {{ return {}1{}; }}\n",
+        "(".repeat(n),
+        ")".repeat(n)
+    )
+    .expect("write deep source");
+    let out = bin()
+        .args(["partition", f.path.to_str().expect("utf8")])
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(1), "deep nesting exits 1");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.starts_with("error: parse error"), "stderr: {err}");
+    assert!(err.contains("nesting deeper than"), "stderr: {err}");
+    assert!(out.stdout.is_empty(), "no partial stdout on failure");
+}
+
+#[test]
 fn out_of_range_vdd_exits_one_with_config_error() {
     // A supply below the threshold voltage is a typed configuration
     // error surfaced before any simulation: exit 1, `error:` prefix,

@@ -14,6 +14,10 @@
 //! reproduce direct simulation ([`run_iss`]): `RunStats` and
 //! `HierarchyReport` bit for bit. A search that falls back to direct
 //! simulation (capture over cap) must produce the identical outcome.
+//!
+//! Direct simulation itself runs on one thread or two — with two, the
+//! cache hierarchy and the trace capture move to a helper thread fed
+//! in chunks — and both paths must agree bit for bit, errors included.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -21,18 +25,158 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use corepart::engine::Engine;
-use corepart::evaluate::run_iss;
+use corepart::evaluate::{evaluate_initial_captured, run_iss, STREAM_CHUNK_EVENTS};
 use corepart::explore::{explore, hardware_weight_sweep};
 use corepart::ir::lower::lower;
 use corepart::ir::op::BlockId;
 use corepart::ir::parser::parse;
 use corepart::partition::{Partitioner, ScheduleKey};
-use corepart::prepare::{prepare, Workload};
+use corepart::prepare::{prepare, PreparedApp, Workload};
 use corepart::sched::binding::{bind, schedule_cluster, utilization};
 use corepart::sched::cache::{ScheduleCache, ScheduledCluster};
 use corepart::system::SystemConfig;
 use corepart::verify::{replay_batch, replay_batch_with, replay_run};
 use corepart_workloads::{all, by_name};
+
+/// Everything a baseline capture produces that a thread count could
+/// disturb: metrics, run statistics and, when the trace fits, its
+/// fingerprint, encoded size and event counts.
+type Captured = (
+    corepart::system::DesignMetrics,
+    corepart::isa::simulator::RunStats,
+    Option<(u64, usize, u64, u64)>,
+);
+
+fn capture_on(
+    prepared: &PreparedApp,
+    config: &SystemConfig,
+    threads: usize,
+    cap: usize,
+) -> Captured {
+    let config = config.clone().with_threads(threads);
+    let (metrics, stats, trace) =
+        evaluate_initial_captured(prepared, &config, cap).expect("initial run");
+    let trace = trace.map(|t| {
+        t.validate().expect("a fresh capture validates");
+        (t.fingerprint(), t.bytes(), t.events(), t.data_events())
+    });
+    (metrics, stats, trace)
+}
+
+/// Asserts that direct simulation on one thread and on two agree bit
+/// for bit on `prepared`: the baseline capture (metrics, statistics,
+/// trace) and [`run_iss`] of the initial design and of `hw`.
+fn assert_thread_counts_agree(name: &str, prepared: &PreparedApp, hw: &HashSet<BlockId>) {
+    let config = SystemConfig::new();
+    let cap = config.trace_cap_bytes;
+    let one = capture_on(prepared, &config, 1, cap);
+    let two = capture_on(prepared, &config, 2, cap);
+    assert!(one.2.is_some(), "`{name}` fits the default trace cap");
+    assert_eq!(one, two, "baseline capture diverged on `{name}`");
+    for set in [&HashSet::new(), hw] {
+        let direct = |threads| {
+            run_iss(prepared, &config.clone().with_threads(threads), set).expect("direct run")
+        };
+        let (one, two) = (direct(1), direct(2));
+        assert_eq!(one.stats, two.stats, "RunStats diverged on `{name}`");
+        assert_eq!(
+            one.report, two.report,
+            "HierarchyReport diverged on `{name}`"
+        );
+    }
+}
+
+fn references(stats: &corepart::isa::simulator::RunStats) -> u64 {
+    stats.sw_ifetches + stats.sw_reads + stats.sw_writes
+}
+
+#[test]
+fn direct_simulation_is_thread_count_invariant_on_paper_workloads() {
+    for w in all() {
+        let app = w.app().expect("workload lowers");
+        let workload = Workload::from_arrays(w.arrays(1));
+        let prepared = prepare(app, workload, &SystemConfig::new()).expect("prepares");
+        let (_, stats, _) = capture_on(&prepared, &SystemConfig::new(), 1, 0);
+        // Long enough that the two-thread run starts its helper.
+        assert!(
+            references(&stats) > STREAM_CHUNK_EVENTS as u64,
+            "`{}`",
+            w.name
+        );
+        let hot = prepared.chain.iter().find(|c| c.is_loop()).expect("a loop");
+        let hw = hot.blocks.iter().copied().collect();
+        assert_thread_counts_agree(w.name, &prepared, &hw);
+    }
+}
+
+#[test]
+fn direct_simulation_is_thread_count_invariant_on_generated_apps() {
+    for seed in 1..=12 {
+        let generated = corepart_conform::generate(seed);
+        let app = lower(&parse(&generated.source()).expect("parses")).expect("lowers");
+        let workload = Workload::from_arrays(generated.workload_arrays());
+        let prepared = prepare(app, workload, &SystemConfig::new()).expect("prepares");
+        let hw = prepared
+            .chain
+            .iter()
+            .take(1)
+            .flat_map(|c| c.blocks.iter().copied())
+            .collect();
+        assert_thread_counts_agree(&format!("generated #{seed}"), &prepared, &hw);
+    }
+}
+
+#[test]
+fn capture_caps_and_cycle_limits_are_thread_count_invariant() {
+    let w = by_name("ckey").expect("bundled");
+    let app = w.app().expect("lowers");
+    let prepared = prepare(
+        app,
+        Workload::from_arrays(w.arrays(1)),
+        &SystemConfig::new(),
+    )
+    .expect("prepares");
+    let config = SystemConfig::new();
+
+    // A cap of 0 disables capture and a 64-byte cap overflows at once:
+    // both give no trace and unchanged metrics, on either path.
+    let full = capture_on(&prepared, &config, 1, config.trace_cap_bytes);
+    for cap in [0, 64] {
+        for threads in [1, 2] {
+            let capped = capture_on(&prepared, &config, threads, cap);
+            assert_eq!(capped.2, None, "cap {cap}, threads {threads}");
+            assert_eq!((&capped.0, &capped.1), (&full.0, &full.1), "cap {cap}");
+        }
+    }
+
+    // A cycle budget that runs out half way, long after the helper has
+    // started: both paths fail with the same typed error. The helper is
+    // scoped, so each call returning means it was joined.
+    let mut limited = config.clone();
+    limited.max_cycles = full.1.cycles.count() / 2;
+    assert!(references(&full.1) / 2 > 4 * STREAM_CHUNK_EVENTS as u64);
+    let describe = |e: corepart::CorepartError| format!("{e:?}");
+    let capture_errors: Vec<String> = [1, 2]
+        .map(|threads| {
+            let config = limited.clone().with_threads(threads);
+            describe(evaluate_initial_captured(&prepared, &config, usize::MAX).unwrap_err())
+        })
+        .to_vec();
+    let direct_errors: Vec<String> = [1, 2]
+        .map(|threads| {
+            let config = limited.clone().with_threads(threads);
+            describe(run_iss(&prepared, &config, &HashSet::new()).unwrap_err())
+        })
+        .to_vec();
+    assert!(
+        capture_errors[0].contains("CycleLimit"),
+        "{}",
+        capture_errors[0]
+    );
+    assert_eq!(capture_errors[0], capture_errors[1]);
+    assert_eq!(direct_errors[0], direct_errors[1]);
+    assert_eq!(capture_errors[0], direct_errors[0]);
+}
 
 #[test]
 fn parallel_search_matches_sequential_on_all_six_workloads() {
