@@ -14,7 +14,7 @@
 //! verification engine on every application — direct instruction-set
 //! simulation of the chosen partition versus a replay of the captured
 //! reference trace, checked bit-identical — plus the batched replay
-//! kernel (K candidates per decoded-trace walk versus K one-lane
+//! kernel (K candidates per trace walk versus K one-lane
 //! replays, over the K ∈ {1, 4, 16} × threads ∈ {1, 2, 4} grid of
 //! lane groups), and times an 8-point hardware-weight sweep on every
 //! application two ways: the seed's sequential path
@@ -33,7 +33,9 @@
 //! throughput (Minstr/s) on every initial design, bare and with the
 //! full baseline capture on one thread and on two, and checks that
 //! capture leaves the run statistics bit-identical to the bare run and
-//! that both thread counts agree bit for bit.
+//! that both thread counts agree bit for bit; each row also records the
+//! finished capture's heap size (`trace_bytes`), a deterministic work
+//! count.
 //! Everything lands in `BENCH_partition.json`.
 //!
 //! ```text
@@ -56,7 +58,7 @@ use corepart::evaluate::{
 use corepart::explore::{explore, hardware_weight_sweep, DesignPoint};
 use corepart::ir::op::BlockId;
 use corepart::isa::simulator::{NullSink, RunStats, SimConfig, Simulator};
-use corepart::json::{outcome_to_json, parse_json, result_field, JsonValue};
+use corepart::json::{outcome_to_json_at, parse_json, result_field, JsonValue};
 use corepart::parallel::resolve_threads;
 use corepart::partition::{PartitionOutcome, Partitioner};
 use corepart::prepare::{PreparedApp, Workload};
@@ -224,7 +226,10 @@ fn median_min_max(mut xs: Vec<f64>) -> (f64, f64, f64) {
 /// fingerprints, and direct simulation of the initial design
 /// ([`run_iss`]) on one and two threads reports equal cache-hierarchy
 /// results: neither the hierarchy, the trace capture nor the helper
-/// thread may change the accounting. Returns the JSON row.
+/// thread may change the accounting. The row also records
+/// `trace_bytes`, the finished capture's
+/// [`corepart::isa::ReferenceTrace::heap_bytes`] — deterministic,
+/// and equal at both thread counts. Returns the JSON row.
 fn measure_simulator(w: &PaperWorkload) -> String {
     let config = SystemConfig::new();
     let app = w.app().expect("bundled workload lowers");
@@ -237,6 +242,7 @@ fn measure_simulator(w: &PaperWorkload) -> String {
     let mut bare = Vec::with_capacity(SIM_REPS);
     let mut capture = [Vec::with_capacity(SIM_REPS), Vec::with_capacity(SIM_REPS)];
     let mut instructions = 0;
+    let mut trace_bytes = 0;
     let mut reference: Option<RunStats> = None;
     let mut identical = true;
     for rep in 0..SIM_REPS {
@@ -268,13 +274,14 @@ fn measure_simulator(w: &PaperWorkload) -> String {
             let secs = started.elapsed().as_secs_f64();
             capture[threads - 1].push(instructions as f64 / secs / 1e6);
             let trace = trace.expect("paper workload trace fits the default cap");
-            (metrics, captured, trace.fingerprint())
+            (metrics, captured, (trace.fingerprint(), trace.heap_bytes()))
         });
         if order[0] == 2 {
             runs.reverse();
         }
         identical &= runs[0].1 == *reference && runs[1].1 == *reference;
         identical &= runs[0].0 == runs[1].0 && runs[0].2 == runs[1].2;
+        (_, trace_bytes) = runs[0].2;
     }
     let direct = [1, 2].map(|threads| {
         run_iss(prepared, &on(threads), &HashSet::new()).expect("direct simulation")
@@ -286,8 +293,17 @@ fn measure_simulator(w: &PaperWorkload) -> String {
     let (t1_med, t1_min, t1_max) = median_min_max(capture_t1);
     let (t2_med, t2_min, t2_max) = median_min_max(capture_t2);
     println!(
-        "{:<8} {:>12} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10}",
-        w.name, instructions, bare_med, bare_max, t1_med, t1_max, t2_med, t2_max, identical
+        "{:<8} {:>12} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>12} {:>10}",
+        w.name,
+        instructions,
+        bare_med,
+        bare_max,
+        t1_med,
+        t1_max,
+        t2_med,
+        t2_max,
+        trace_bytes,
+        identical
     );
     assert!(
         identical,
@@ -300,7 +316,7 @@ fn measure_simulator(w: &PaperWorkload) -> String {
             "\"bare_minstr_per_s\":{{\"median\":{:.3},\"min\":{:.3},\"max\":{:.3}}},",
             "\"capture_minstr_per_s\":{{\"median\":{:.3},\"min\":{:.3},\"max\":{:.3}}},",
             "\"capture_threads2_minstr_per_s\":{{\"median\":{:.3},\"min\":{:.3},\"max\":{:.3}}},",
-            "\"identical\":{}}}"
+            "\"trace_bytes\":{},\"identical\":{}}}"
         ),
         w.name,
         instructions,
@@ -314,6 +330,7 @@ fn measure_simulator(w: &PaperWorkload) -> String {
         t2_med,
         t2_min,
         t2_max,
+        trace_bytes,
         identical
     )
 }
@@ -851,7 +868,7 @@ fn main() {
         "simulator: initial-design runs, Minstr/s over {SIM_REPS} reps (capture at threads 1, 2)\n"
     );
     println!(
-        "{:<8} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "{:<8} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12} {:>10}",
         "app",
         "instrs",
         "bare med",
@@ -860,6 +877,7 @@ fn main() {
         "t1 max",
         "t2 med",
         "t2 max",
+        "trace bytes",
         "identical"
     );
     let simulator_rows: Vec<String> = selected.iter().map(measure_simulator).collect();
@@ -931,7 +949,7 @@ fn main() {
         let prepared = session.prepared().expect("bundled workload prepares");
         let partitioner = Partitioner::new(&session).expect("initial run");
         let verify = measure_verify(prepared, config, &partitioner, &run.ours, run.w.name);
-        let oj = outcome_to_json(run.w.name, &run.ours);
+        let oj = outcome_to_json_at(run.w.name, &run.ours, None);
         outcome_rows.push(match verify {
             // Splice the verify object into the outcome record.
             Some(v) => format!("{},{}}}", &oj[..oj.len() - 1], v),
@@ -940,7 +958,7 @@ fn main() {
     }
 
     // Batched replay kernel: per-candidate verify cost at K candidates
-    // per decoded-trace walk versus K one-candidate replays.
+    // per trace walk versus K one-candidate replays.
     println!("\nbatched replay: K candidates per trace walk vs K one-lane replays\n");
     println!(
         "{:<8} {:>4} {:>3} {:>14} {:>14} {:>9} {:>10}",

@@ -7,7 +7,7 @@
 //!   run, the capture is discarded and every verification falls back
 //!   to direct simulation, **bit-identically**
 //!   ([`corepart::system::SystemConfig::trace_cap_bytes`]);
-//! * **corrupt-trace** — a capture whose bytes were damaged fails its
+//! * **corrupt-trace** — a capture whose columns were damaged fails its
 //!   fingerprint validation and replay refuses it with
 //!   [`SimError::TraceCorrupt`] — it must never panic and never return
 //!   statistics;
@@ -137,12 +137,12 @@ fn trace_damage(app: &Application, workload: &Workload) -> Vec<Violation> {
     };
     let hw_blocks = std::collections::HashSet::new();
 
-    // Corrupt one byte of whichever stream has one.
+    // Corrupt one byte of whichever column has one.
     let mut corrupted = trace.clone();
     if !corrupted.corrupt_byte(true, 0) && !corrupted.corrupt_byte(false, 0) {
         violations.push(err(
             "corrupt-trace",
-            "capture has no bytes to corrupt".to_string(),
+            "capture has no column bytes to corrupt".to_string(),
         ));
     } else {
         if corrupted.validate().is_ok() {
@@ -171,7 +171,7 @@ fn trace_damage(app: &Application, workload: &Workload) -> Vec<Violation> {
         }
     }
 
-    // Truncate the pc stream and re-stamp the fingerprint, so only the
+    // Truncate the pc columns and re-stamp the fingerprint, so only the
     // replay-side event-conservation check can notice.
     let mut truncated = trace.clone();
     let removed = truncated.truncate_pcs(3);
@@ -179,7 +179,7 @@ fn trace_damage(app: &Application, workload: &Workload) -> Vec<Violation> {
     if removed == 0 {
         violations.push(err(
             "truncated-trace",
-            "capture has no pc bytes to truncate".to_string(),
+            "capture has no pc stretches to truncate".to_string(),
         ));
     } else {
         if let Err(e) = truncated.validate() {

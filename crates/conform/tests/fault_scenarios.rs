@@ -74,7 +74,7 @@ fn corrupted_trace_is_rejected_not_replayed() {
     let config = session.config();
 
     let mut corrupted = trace.clone();
-    assert!(corrupted.corrupt_byte(true, 0), "addr stream has bytes");
+    assert!(corrupted.corrupt_byte(true, 0), "address column has bytes");
     // Validation sees the damage...
     let validation = corrupted.validate();
     assert!(matches!(validation, Err(SimError::TraceCorrupt { .. })));
@@ -90,9 +90,9 @@ fn corrupted_trace_is_rejected_not_replayed() {
         Ok(Err(other)) => panic!("expected TraceCorrupt, got {other}"),
         Err(_) => panic!("replay of a corrupted capture panicked"),
     }
-    // The pc stream is equally protected.
+    // The pc columns are equally protected.
     let mut pc_corrupted = trace.clone();
-    assert!(pc_corrupted.corrupt_byte(false, 0), "pc stream has bytes");
+    assert!(pc_corrupted.corrupt_byte(false, 0), "pc columns have bytes");
     assert!(matches!(
         pc_corrupted.validate(),
         Err(SimError::TraceCorrupt { .. })
@@ -108,7 +108,10 @@ fn truncated_trace_fails_event_conservation() {
     let config = session.config();
 
     let mut truncated = trace.clone();
-    assert!(truncated.truncate_pcs(3) > 0, "pc stream has bytes to cut");
+    assert!(
+        truncated.truncate_pcs(3) > 0,
+        "pc columns have stretches to cut"
+    );
     // Re-stamping the fingerprint makes validation pass — only the
     // replay-side conservation check can now catch the damage.
     truncated.refingerprint();
@@ -137,7 +140,10 @@ fn truncated_trace_fails_the_whole_batch() {
     let config = session.config();
 
     let mut truncated = trace.clone();
-    assert!(truncated.truncate_pcs(3) > 0, "pc stream has bytes to cut");
+    assert!(
+        truncated.truncate_pcs(3) > 0,
+        "pc columns have stretches to cut"
+    );
     truncated.refingerprint();
     assert!(truncated.validate().is_ok());
 

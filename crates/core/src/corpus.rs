@@ -36,8 +36,7 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{BufRead, BufReader, Write as _};
-use std::net::TcpStream;
+use std::io::{ErrorKind, Write as _};
 use std::path::Path;
 
 use corepart_ir::ast::{Program, Stmt};
@@ -50,7 +49,7 @@ use crate::json::{parse_json, JsonValue};
 use crate::parallel::{par_map, resolve_threads};
 use crate::partition::Partitioner;
 use crate::prepare::Workload;
-use crate::serve::{ComputeKind, ComputeRequest, CorpusMeta};
+use crate::serve::{Client, ComputeKind, ComputeRequest, CorpusMeta};
 use crate::system::SystemConfig;
 use corepart_tech::units::GateEq;
 
@@ -959,25 +958,20 @@ fn evaluate_chunk(
 /// reorder logic.
 struct RemoteCorpus {
     addr: String,
-    conns: Vec<(BufReader<TcpStream>, TcpStream)>,
+    conns: Vec<Client>,
 }
 
 impl RemoteCorpus {
     /// Opens every connection up front, so a dead address fails the
     /// run before any journal state is touched.
     fn connect(options: &RemoteOptions) -> Result<RemoteCorpus, CorepartError> {
-        let n = options.connections.max(1);
-        let mut conns = Vec::with_capacity(n);
-        for _ in 0..n {
-            let stream = TcpStream::connect(&options.addr).map_err(|e| CorepartError::Config {
-                message: format!("cannot connect to serve daemon {}: {e}", options.addr),
-            })?;
-            let _ = stream.set_nodelay(true);
-            let writer = stream.try_clone().map_err(|e| CorepartError::Config {
-                message: format!("cannot clone connection to {}: {e}", options.addr),
-            })?;
-            conns.push((BufReader::new(stream), writer));
-        }
+        let conns = (0..options.connections.max(1))
+            .map(|_| {
+                Client::connect(&options.addr).map_err(|e| CorepartError::Config {
+                    message: format!("cannot connect to serve daemon {}: {e}", options.addr),
+                })
+            })
+            .collect::<Result<_, _>>()?;
         Ok(RemoteCorpus {
             addr: options.addr.clone(),
             conns,
@@ -991,7 +985,7 @@ impl RemoteCorpus {
         entries: &[CorpusEntry],
         options: &CorpusOptions,
     ) -> Result<ChunkRecord, CorepartError> {
-        let addr = self.addr.clone();
+        let addr = self.addr.as_str();
         let net = |e: std::io::Error| CorepartError::Config {
             message: format!("serve daemon {addr}: connection failed mid-chunk: {e}"),
         };
@@ -1001,39 +995,37 @@ impl RemoteCorpus {
         }
         // Write phase: every request of the chunk is in flight before
         // the first response is read — the pipelining that lets one
-        // client keep every store shard busy.
-        for ((_, writer), batch) in self.conns.iter_mut().zip(&batches) {
-            let mut text = String::new();
-            for entry in batch {
-                text.push_str(&corpus_request(entry, options).to_json());
-                text.push('\n');
+        // client keep every store shard busy. One write per connection.
+        for (conn, batch) in self.conns.iter_mut().zip(&batches) {
+            if batch.is_empty() {
+                continue;
             }
-            writer
-                .write_all(text.as_bytes())
-                .and_then(|()| writer.flush())
-                .map_err(net)?;
+            let lines: Vec<String> = batch
+                .iter()
+                .map(|entry| corpus_request(entry, options).to_json())
+                .collect();
+            conn.send(&lines.join("\n")).map_err(net)?;
         }
         // Read phase: per connection, responses arrive in request
         // order (corpus requests stay `ordered`).
         let mut results: Vec<Option<(CorpusRow, Vec<DesignPoint>)>> =
             entries.iter().map(|_| None).collect();
-        for (c, batch) in batches.iter().enumerate() {
+        for (conn, batch) in self.conns.iter_mut().zip(&batches) {
             for entry in batch {
-                let mut line = String::new();
-                let read = self.conns[c].0.read_line(&mut line).map_err(net)?;
-                if read == 0 {
-                    return Err(CorepartError::Config {
+                let line = conn.recv().map_err(|e| match e.kind() {
+                    ErrorKind::UnexpectedEof => CorepartError::Config {
                         message: format!(
                             "serve daemon {addr} closed the connection mid-chunk \
                              (entry {} unanswered); re-run with --resume",
                             entry.index
                         ),
-                    });
-                }
+                    },
+                    _ => net(e),
+                })?;
                 // Entries are consecutive corpus indices, so the slot
                 // follows from the first entry's index.
                 let pos = (entry.index - entries[0].index) as usize;
-                results[pos] = Some(parse_corpus_response(line.trim_end(), entry, &addr)?);
+                results[pos] = Some(parse_corpus_response(line.trim_end(), entry, addr)?);
             }
         }
         let mut record = ChunkRecord::default();

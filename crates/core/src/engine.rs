@@ -73,7 +73,7 @@ pub struct Baseline {
 
 impl Baseline {
     /// Owned heap footprint in bytes: the run statistics plus — when a
-    /// capture exists — the replay engine's trace, decode, tables and
+    /// capture exists — the replay engine's trace, tables and
     /// verified-run memo. This is the store's byte-budget charge for
     /// keeping the baseline warm; it grows as the replay memo fills, so
     /// the store re-measures it after every request.
@@ -148,7 +148,7 @@ fn prep_fingerprint(config: &SystemConfig) -> String {
 /// [`SystemConfig::operating_point`] is deliberately *excluded*:
 /// simulation and replay always run at the base process, so sessions
 /// that differ only in their operating point share one baseline, one
-/// captured trace, and one decoded trace — a node×vdd sweep costs one
+/// captured trace — a node×vdd sweep costs one
 /// replay plus cheap re-weighting passes, not one simulation per point.
 fn baseline_fingerprint(config: &SystemConfig) -> String {
     format!(
@@ -355,9 +355,9 @@ pub struct SessionStats {
     /// Verifications served by the replay memo without replaying.
     pub replay_hits: u64,
     /// Batched replay walks executed (each verifies K candidate sets
-    /// in one pass over the decoded trace).
+    /// in one pass over the trace).
     pub batched_replays: u64,
-    /// Trace events whose decode was shared instead of repeated:
+    /// Trace events whose walk was shared instead of repeated:
     /// `events × (lanes − 1)`, summed over batches.
     pub batch_events_shared: u64,
     /// Wall time spent inside batched replay walks, nanoseconds.

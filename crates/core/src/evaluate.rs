@@ -376,11 +376,12 @@ pub fn evaluate_initial(
 /// [`evaluate_initial`] with the reference-trace capture piggybacked
 /// on the one simulation: the initial design's reference stream — one
 /// fetch per executed instruction plus every load/store address — is
-/// encoded (up to `cap_bytes` of trace) from the same references the
-/// cache hierarchy receives, at no extra simulation cost.
+/// appended to the trace columns (allocating at most `cap_bytes`) from
+/// the same references the cache hierarchy receives, at no extra
+/// simulation cost.
 ///
-/// The third element is `None` when `cap_bytes` is 0 or the encoded
-/// trace outgrew the cap — callers then verify candidates by direct
+/// The third element is `None` when `cap_bytes` is 0 or the columns
+/// would have outgrown the cap — callers then verify candidates by direct
 /// simulation instead of replay. Metrics and statistics are unaffected
 /// by the capture either way.
 ///

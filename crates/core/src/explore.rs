@@ -240,10 +240,10 @@ pub fn explore_in(
     });
 
     // Phase 2: verify every configuration's winner through the
-    // batched replay kernel — one walk of the decoded trace per
-    // shared replay engine, however many configurations share it (a
-    // factor sweep shares one baseline, so its K winners cost one
-    // decode + one K-lane walk instead of K one-lane walks).
+    // batched replay kernel — one walk of the trace per shared replay
+    // engine, however many configurations share it (a factor sweep
+    // shares one baseline, so its K winners cost one K-lane walk
+    // instead of K one-lane walks).
     // Verification *results* are published through each engine's memo;
     // batch errors are dropped here because each configuration's
     // `finish` below reproduces its own error through the normal

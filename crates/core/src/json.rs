@@ -206,57 +206,57 @@ pub fn corpus_to_json(outcome: &CorpusOutcome) -> String {
     )
 }
 
-/// Serializes a partitioning outcome (initial + optional best +
-/// search statistics).
-pub fn outcome_to_json(name: &str, outcome: &PartitionOutcome) -> String {
+/// The members that describe one partitioned design — its clusters,
+/// resource set, metrics, utilizations and communication words —
+/// shared by a search's `best` object and a `verify` payload.
+fn design_members(
+    partition: &crate::evaluate::Partition,
+    detail: &crate::evaluate::PartitionDetail,
+) -> String {
+    let clusters: Vec<String> = partition.clusters.iter().map(|c| c.0.to_string()).collect();
+    format!(
+        concat!(
+            "\"clusters\":[{}],\"set\":\"{}\",\"metrics\":{},",
+            "\"u_r\":{},\"u_up\":{},\"comm_words\":{}"
+        ),
+        clusters.join(","),
+        json_escape(partition.set.name()),
+        metrics_to_json(&detail.metrics),
+        num(detail.u_r),
+        num(detail.u_up),
+        detail.comm_words,
+    )
+}
+
+/// The `best` object of both outcome writers: the winning design, or
+/// `null` when the search kept the initial design.
+fn best_to_json(outcome: &PartitionOutcome) -> String {
+    outcome
+        .best
+        .as_ref()
+        .map(|(partition, detail)| format!("{{{}}}", design_members(partition, detail)))
+        .unwrap_or_else(|| "null".to_owned())
+}
+
+/// Appends the `operating_point` member of both outcome writers — the
+/// point, its weights, and the initial and best designs re-weighed to
+/// it — or returns `base` unchanged without a point.
+fn with_outcome_point(
+    base: String,
+    outcome: &PartitionOutcome,
+    point: Option<&ResolvedPoint>,
+) -> String {
+    let Some(rp) = point else {
+        return base;
+    };
+    let initial = weighted_to_json(&rp.weigh(&outcome.initial));
     let best = outcome
         .best
         .as_ref()
-        .map(|(partition, detail)| {
-            let clusters: Vec<String> =
-                partition.clusters.iter().map(|c| c.0.to_string()).collect();
-            format!(
-                concat!(
-                    "{{\"clusters\":[{}],\"set\":\"{}\",\"metrics\":{},",
-                    "\"u_r\":{},\"u_up\":{},\"comm_words\":{}}}"
-                ),
-                clusters.join(","),
-                json_escape(partition.set.name()),
-                metrics_to_json(&detail.metrics),
-                num(detail.u_r),
-                num(detail.u_up),
-                detail.comm_words,
-            )
-        })
+        .map(|(_, detail)| weighted_to_json(&rp.weigh(&detail.metrics)))
         .unwrap_or_else(|| "null".to_owned());
-    let s = &outcome.search;
-    format!(
-        concat!(
-            "{{\"app\":\"{}\",\"initial\":{},\"best\":{},",
-            "\"search\":{{\"candidates\":{},\"estimated\":{},",
-            "\"rejected_by_utilization\":{},\"infeasible\":{},",
-            "\"growth_steps\":{},\"verifications\":{},\"replayed\":{},",
-            "\"batched_replays\":{},",
-            "\"cache_hits\":{},\"cache_misses\":{},",
-            "\"estimate_nanos\":{},\"growth_nanos\":{},\"verify_nanos\":{}}}}}"
-        ),
-        json_escape(name),
-        metrics_to_json(&outcome.initial),
-        best,
-        s.candidates,
-        s.estimated,
-        s.rejected_by_utilization,
-        s.infeasible,
-        s.growth_steps,
-        s.verifications,
-        s.replayed,
-        s.batched_replays,
-        s.cache_hits,
-        s.cache_misses,
-        s.estimate_nanos,
-        s.growth_nanos,
-        s.verify_nanos,
-    )
+    let extra = format!(",\"initial\":{initial},\"best\":{best}");
+    with_member(&base, "operating_point", &point_member(rp, &extra))
 }
 
 /// Appends one member to a serialized JSON object without re-encoding
@@ -300,65 +300,89 @@ fn point_member(rp: &ResolvedPoint, extra: &str) -> String {
     )
 }
 
-/// [`outcome_to_json`] plus, when an operating point is set, a trailing
+/// Serializes a partitioning outcome (initial + optional best +
+/// search statistics) plus, when an operating point is set, a trailing
 /// `operating_point` member carrying the point, its weights, and the
-/// initial/best designs re-weighed to it. With `None` the output is
-/// byte-identical to [`outcome_to_json`].
+/// initial/best designs re-weighed to it.
 pub fn outcome_to_json_at(
     name: &str,
     outcome: &PartitionOutcome,
     point: Option<&ResolvedPoint>,
 ) -> String {
-    let base = outcome_to_json(name, outcome);
-    match point {
-        None => base,
-        Some(rp) => {
-            let initial = weighted_to_json(&rp.weigh(&outcome.initial));
-            let best = outcome
-                .best
-                .as_ref()
-                .map(|(_, detail)| weighted_to_json(&rp.weigh(&detail.metrics)))
-                .unwrap_or_else(|| "null".to_owned());
-            let extra = format!(",\"initial\":{initial},\"best\":{best}");
-            with_member(&base, "operating_point", &point_member(rp, &extra))
-        }
-    }
+    let s = &outcome.search;
+    let base = format!(
+        concat!(
+            "{{\"app\":\"{}\",\"initial\":{},\"best\":{},",
+            "\"search\":{{\"candidates\":{},\"estimated\":{},",
+            "\"rejected_by_utilization\":{},\"infeasible\":{},",
+            "\"growth_steps\":{},\"verifications\":{},\"replayed\":{},",
+            "\"batched_replays\":{},",
+            "\"cache_hits\":{},\"cache_misses\":{},",
+            "\"estimate_nanos\":{},\"growth_nanos\":{},\"verify_nanos\":{}}}}}"
+        ),
+        json_escape(name),
+        metrics_to_json(&outcome.initial),
+        best_to_json(outcome),
+        s.candidates,
+        s.estimated,
+        s.rejected_by_utilization,
+        s.infeasible,
+        s.growth_steps,
+        s.verifications,
+        s.replayed,
+        s.batched_replays,
+        s.cache_hits,
+        s.cache_misses,
+        s.estimate_nanos,
+        s.growth_nanos,
+        s.verify_nanos,
+    );
+    with_outcome_point(base, outcome, point)
 }
 
-/// [`outcome_result_json`] with the same optional `operating_point`
-/// member as [`outcome_to_json_at`] — the serve `result` payload stays
-/// deterministic because the weighting pass is pure arithmetic over the
-/// deterministic base metrics.
+/// Serializes the *deterministic* part of a partitioning outcome: the
+/// app name, the initial design point and the best partition found,
+/// with the same optional `operating_point` member as
+/// [`outcome_to_json_at`].
+///
+/// This is the serve protocol's `result` payload. It deliberately
+/// excludes everything [`outcome_to_json_at`] adds for diagnostics —
+/// wall-clock nanos, replay/cache counters — because those differ
+/// between a warm store and a fresh engine even when the answer is the
+/// same. The served-vs-fresh oracle byte-compares exactly this; the
+/// weighting pass is pure arithmetic over the deterministic base
+/// metrics, so the payload stays deterministic with a point too.
 pub fn outcome_result_json_at(
     name: &str,
     outcome: &PartitionOutcome,
     point: Option<&ResolvedPoint>,
 ) -> String {
-    let base = outcome_result_json(name, outcome);
-    match point {
-        None => base,
-        Some(rp) => {
-            let initial = weighted_to_json(&rp.weigh(&outcome.initial));
-            let best = outcome
-                .best
-                .as_ref()
-                .map(|(_, detail)| weighted_to_json(&rp.weigh(&detail.metrics)))
-                .unwrap_or_else(|| "null".to_owned());
-            let extra = format!(",\"initial\":{initial},\"best\":{best}");
-            with_member(&base, "operating_point", &point_member(rp, &extra))
-        }
-    }
+    let base = format!(
+        "{{\"app\":\"{}\",\"initial\":{},\"best\":{}}}",
+        json_escape(name),
+        metrics_to_json(&outcome.initial),
+        best_to_json(outcome),
+    );
+    with_outcome_point(base, outcome, point)
 }
 
-/// [`verify_result_json`] with the optional `operating_point` member
-/// (the verified design re-weighed to the point).
+/// Serializes the deterministic result of one explicit-partition
+/// verification (the serve protocol's `verify` payload): the same
+/// fields [`outcome_result_json_at`] reports for a search winner, so
+/// clients read both with one shape, plus the optional
+/// `operating_point` member (the verified design re-weighed to the
+/// point).
 pub fn verify_result_json_at(
     name: &str,
     partition: &crate::evaluate::Partition,
     detail: &crate::evaluate::PartitionDetail,
     point: Option<&ResolvedPoint>,
 ) -> String {
-    let base = verify_result_json(name, partition, detail);
+    let base = format!(
+        "{{\"app\":\"{}\",{}}}",
+        json_escape(name),
+        design_members(partition, detail)
+    );
     match point {
         None => base,
         Some(rp) => {
@@ -454,68 +478,6 @@ pub fn exploration_to_json(ex: &Exploration) -> String {
         })
         .collect();
     format!("{{\"points\":[{}]}}", rows.join(","))
-}
-
-/// Serializes the *deterministic* part of a partitioning outcome: the
-/// app name, the initial design point and the best partition found.
-///
-/// This is the serve protocol's `result` payload. It deliberately
-/// excludes everything [`outcome_to_json`] adds for diagnostics —
-/// wall-clock nanos, replay/cache counters — because those differ
-/// between a warm store and a fresh engine even when the answer is the
-/// same. The served-vs-fresh oracle byte-compares exactly this.
-pub fn outcome_result_json(name: &str, outcome: &PartitionOutcome) -> String {
-    let best = outcome
-        .best
-        .as_ref()
-        .map(|(partition, detail)| {
-            let clusters: Vec<String> =
-                partition.clusters.iter().map(|c| c.0.to_string()).collect();
-            format!(
-                concat!(
-                    "{{\"clusters\":[{}],\"set\":\"{}\",\"metrics\":{},",
-                    "\"u_r\":{},\"u_up\":{},\"comm_words\":{}}}"
-                ),
-                clusters.join(","),
-                json_escape(partition.set.name()),
-                metrics_to_json(&detail.metrics),
-                num(detail.u_r),
-                num(detail.u_up),
-                detail.comm_words,
-            )
-        })
-        .unwrap_or_else(|| "null".to_owned());
-    format!(
-        "{{\"app\":\"{}\",\"initial\":{},\"best\":{}}}",
-        json_escape(name),
-        metrics_to_json(&outcome.initial),
-        best,
-    )
-}
-
-/// Serializes the deterministic result of one explicit-partition
-/// verification (the serve protocol's `verify` payload): the same
-/// fields [`outcome_result_json`] reports for a search winner, so
-/// clients read both with one shape.
-pub fn verify_result_json(
-    name: &str,
-    partition: &crate::evaluate::Partition,
-    detail: &crate::evaluate::PartitionDetail,
-) -> String {
-    let clusters: Vec<String> = partition.clusters.iter().map(|c| c.0.to_string()).collect();
-    format!(
-        concat!(
-            "{{\"app\":\"{}\",\"clusters\":[{}],\"set\":\"{}\",",
-            "\"metrics\":{},\"u_r\":{},\"u_up\":{},\"comm_words\":{}}}"
-        ),
-        json_escape(name),
-        clusters.join(","),
-        json_escape(partition.set.name()),
-        metrics_to_json(&detail.metrics),
-        num(detail.u_r),
-        num(detail.u_up),
-        detail.comm_words,
-    )
 }
 
 /// A parsed JSON value — the request side of the serve protocol. The

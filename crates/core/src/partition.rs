@@ -103,7 +103,7 @@ pub struct SearchStats {
     pub replayed: usize,
     /// Batched replay walks run on this search's behalf (each walk
     /// verifies every uncached candidate of a round in one pass over
-    /// the decoded trace).
+    /// the trace).
     pub batched_replays: usize,
     /// Schedule-cache lookups served from memory during this run.
     pub cache_hits: u64,

@@ -140,11 +140,11 @@ impl Default for ServeOptions {
 /// The four compute commands of the serve protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ComputeKind {
-    /// Run the full design flow (`outcome_result_json` payload).
+    /// Run the full design flow (`outcome_result_json_at` payload).
     Partition,
-    /// Sweep the hardware weight (`exploration_to_json` payload).
+    /// Sweep the hardware weight (`exploration_to_json_at` payload).
     Explore,
-    /// Evaluate one explicit partition (`verify_result_json` payload).
+    /// Evaluate one explicit partition (`verify_result_json_at` payload).
     Verify,
     /// Evaluate one corpus entry — the `G` sweep reduced to a results
     /// row plus its design points (the distributed corpus client's

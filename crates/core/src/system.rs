@@ -71,16 +71,17 @@ pub struct SystemConfig {
     pub threads: usize,
     /// Byte cap of the reference-trace capture backing the replay
     /// verification engine ([`crate::verify`]). The initial simulation
-    /// records its executed pc stream and load/store addresses
-    /// (delta-encoded varints in 256 KiB segments, roughly one byte per
-    /// executed instruction) so every candidate verification replays
-    /// the capture instead of re-simulating. When the encoded trace
-    /// would exceed this cap, the capture is discarded mid-run and
-    /// verification transparently falls back to direct simulation —
-    /// results are bit-identical either way, only wall time changes.
+    /// records its executed pc stream and load/store addresses (three
+    /// `u32` columns: eight bytes per sequential stretch, four per data
+    /// access) so every candidate verification replays the capture
+    /// instead of re-simulating. When growing the columns would take
+    /// their allocated bytes past this cap, the capture is discarded
+    /// mid-run and verification transparently falls back to direct
+    /// simulation — results are bit-identical either way, only wall
+    /// time changes.
     /// `0` disables capture entirely. Default: 128 MiB, comfortably
-    /// above the ~6 MiB the longest paper workload (`ckey`, 5.2 M
-    /// cycles) needs.
+    /// above the 9.7 MiB (10 152 200 bytes) the longest paper workload
+    /// (`ckey`, 5.2 M cycles) needs.
     pub trace_cap_bytes: usize,
     /// Technology-node scaling table resolving [`SystemConfig::operating_point`]
     /// into pure energy/time/area weights (default: the CMOS6-anchored

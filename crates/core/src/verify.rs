@@ -9,13 +9,18 @@
 //! evaluation, [`crate::evaluate::evaluate_initial_captured`]) and
 //! verifies each candidate by *replaying* that capture with the
 //! candidate's hardware-block set applied at replay time: no
-//! re-interpretation, no re-decoding, no `set_array`
-//! re-initialization.
+//! re-interpretation, no `set_array` re-initialization.
 //!
-//! Every replay — one candidate or K — is one walk of the batch kernel
-//! ([`TraceReplayer::replay_batch`]) over the decoded capture, with one
-//! cache [`Hierarchy`] per lane; threading splits the K lanes into
-//! contiguous groups, each its own uninterrupted walk. Replay
+//! The capture is held in one form: the stretch and address columns
+//! that [`corepart_isa::TraceBuilder`] appends during the run are the
+//! columns the kernel walks, so no replay decodes anything first and a
+//! warm [`ReplayEngine`] holds one copy of its trace. Every replay —
+//! one candidate or K — is one walk of the batch kernel
+//! ([`TraceReplayer::replay_batch`]) with one cache [`Hierarchy`] per
+//! lane; threading splits the K lanes into contiguous groups, each its
+//! own uninterrupted walk. Every entry point checks the trace's
+//! fingerprint first ([`ReferenceTrace::validate`]: once per
+//! [`ReplayEngine`], on every call of the one-shot functions). Replay
 //! reproduces direct simulation ([`crate::evaluate::run_iss`]):
 //! [`RunStats`] and [`HierarchyReport`] **bit for bit**, the same
 //! `f64` operations in the same order.
@@ -31,14 +36,14 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use corepart_cache::hierarchy::Hierarchy;
 use corepart_cache::HierarchyReport;
 use corepart_ir::op::BlockId;
 use corepart_isa::simulator::{RunStats, SimConfig, SimError};
-use corepart_isa::trace::{DecodedTrace, ReferenceTrace, TraceReplayer};
+use corepart_isa::trace::{ReferenceTrace, TraceReplayer};
 use corepart_isa::DecodeTable;
 use corepart_sched::cache::MemoCache;
 
@@ -59,8 +64,8 @@ pub struct VerifiedRun {
     pub report: HierarchyReport,
 }
 
-/// Replays `trace` once under `hw_blocks`, uncached: builds the per-pc
-/// replay table, decodes the capture, and streams the µP-side
+/// Replays `trace` once under `hw_blocks`, uncached: validates the
+/// capture, builds the per-pc replay table, and streams the µP-side
 /// references through a fresh cache hierarchy in a one-lane batch
 /// walk.
 ///
@@ -73,8 +78,8 @@ pub struct VerifiedRun {
 ///
 /// [`SimError::CycleLimit`] exactly when the equivalent direct
 /// simulation would hit it; [`SimError::TraceCorrupt`] when the trace
-/// fails its fingerprint validation or decodes to fewer events than
-/// it recorded (damaged or truncated capture); other [`SimError`]s
+/// fails its fingerprint validation or walks fewer events than it
+/// recorded (damaged or truncated capture); other [`SimError`]s
 /// only on a trace that does not belong to `prepared`.
 pub fn replay_run(
     prepared: &PreparedApp,
@@ -84,26 +89,26 @@ pub fn replay_run(
 ) -> Result<VerifiedRun, SimError> {
     trace.validate()?;
     let replayer = TraceReplayer::new(&prepared.prog, &prepared.app, &config.energy_table);
-    replay_one(&replayer, &DecodedTrace::decode(trace), config, hw_blocks)
+    replay_one(&replayer, trace, config, hw_blocks)
 }
 
 /// One candidate through the batch kernel: a walk of one lane.
 fn replay_one(
     replayer: &TraceReplayer,
-    decoded: &DecodedTrace,
+    trace: &ReferenceTrace,
     config: &SystemConfig,
     hw_blocks: &HashSet<BlockId>,
 ) -> Result<VerifiedRun, SimError> {
-    let mut lanes = walk(replayer, decoded, config, &[hw_blocks])?;
+    let mut lanes = walk(replayer, trace, config, &[hw_blocks])?;
     lanes.pop().expect("one lane")
 }
 
-/// One uninterrupted batch walk of `decoded`: a fresh cache
+/// One uninterrupted batch walk of `trace`: a fresh cache
 /// [`Hierarchy`] per candidate, per-candidate results in candidate
 /// order, a trace-level failure as the top-level `Err`.
 fn walk(
     replayer: &TraceReplayer,
-    decoded: &DecodedTrace,
+    trace: &ReferenceTrace,
     config: &SystemConfig,
     candidates: &[&HashSet<BlockId>],
 ) -> Result<Vec<Result<VerifiedRun, SimError>>, SimError> {
@@ -114,7 +119,7 @@ fn walk(
     let mut hierarchies: Vec<Hierarchy> =
         candidates.iter().map(|_| fresh_hierarchy(config)).collect();
     let mut sinks: Vec<HierarchySink<'_>> = hierarchies.iter_mut().map(HierarchySink).collect();
-    let lanes = replayer.replay_batch(decoded, &sim_configs, &mut sinks)?;
+    let lanes = replayer.replay_batch(trace, &sim_configs, &mut sinks)?;
     drop(sinks);
     Ok(lanes
         .into_iter()
@@ -128,7 +133,7 @@ fn walk(
         .collect())
 }
 
-/// Verifies `candidates` against the *already decoded* trace on up to
+/// Verifies `candidates` against the *already validated* trace on up to
 /// `threads` workers. The candidates are cut into contiguous lane
 /// groups of at most `⌈K / threads⌉` lanes; each group is one
 /// uninterrupted [`walk`] with its own hierarchies, and the group
@@ -142,7 +147,7 @@ fn walk(
 /// wins, which keeps the result deterministic across thread counts.
 fn batch_with(
     replayer: &TraceReplayer,
-    decoded: &DecodedTrace,
+    trace: &ReferenceTrace,
     config: &SystemConfig,
     candidates: &[&HashSet<BlockId>],
     threads: usize,
@@ -150,7 +155,7 @@ fn batch_with(
     let lanes_per_group = candidates.len().div_ceil(threads.max(1)).max(1);
     let groups: Vec<&[&HashSet<BlockId>]> = candidates.chunks(lanes_per_group).collect();
     let outputs = par_map(&groups, groups.len(), |_, group| {
-        walk(replayer, decoded, config, group)
+        walk(replayer, trace, config, group)
     });
     let mut results = Vec::with_capacity(candidates.len());
     for group in outputs {
@@ -160,7 +165,7 @@ fn batch_with(
 }
 
 /// Replays `trace` once for K candidate hardware-block sets, uncached:
-/// validates and decodes the capture, then verifies every candidate in
+/// validates the capture, then verifies every candidate in
 /// a single batched walk — the K-candidate generalization of
 /// [`replay_run`], bit-identical to K independent direct simulations
 /// (pinned by `tests/determinism.rs` and the conform differential).
@@ -192,9 +197,8 @@ pub fn replay_batch_with(
 ) -> Result<Vec<VerifiedRun>, SimError> {
     trace.validate()?;
     let replayer = TraceReplayer::new(&prepared.prog, &prepared.app, &config.energy_table);
-    let decoded = DecodedTrace::decode(trace);
     let refs: Vec<&HashSet<BlockId>> = candidates.iter().collect();
-    batch_with(&replayer, &decoded, config, &refs, threads)?
+    batch_with(&replayer, trace, config, &refs, threads)?
         .into_iter()
         .collect()
 }
@@ -214,15 +218,12 @@ pub struct ReplayEngine {
     trace: Arc<ReferenceTrace>,
     replayer: TraceReplayer,
     cache: MemoCache<Vec<BlockId>, VerifiedRun, SimError>,
-    /// The trace decoded into flat event form, built lazily on the
-    /// first replay and reused by every replay after it.
-    decoded: OnceLock<DecodedTrace>,
     /// Batched walks executed.
     batches: AtomicU64,
-    /// Trace events whose decode was *shared* instead of repeated:
+    /// Trace events whose walk was *shared* instead of repeated:
     /// `events × (lanes − 1)`, summed over batches.
     batch_events_shared: AtomicU64,
-    /// Wall time spent inside batched walks (decode + K-lane replay).
+    /// Wall time spent inside batched walks.
     batch_nanos: AtomicU64,
     /// Fingerprint validation of the capture, run once at
     /// construction; every [`ReplayEngine::verify`] refuses a trace
@@ -237,15 +238,12 @@ impl corepart_sched::cache::HeapBytes for VerifiedRun {
 }
 
 impl ReplayEngine {
-    /// Owned heap footprint in bytes: the encoded trace, the per-pc
-    /// replay tables, the lazy SoA decode (when built) and the
-    /// verified-run memo. Grows as verifications are memoized, so the
-    /// store re-measures the owning baseline after every request.
+    /// Owned heap footprint in bytes: the trace, the per-pc replay
+    /// tables and the verified-run memo. Only the memo grows, as
+    /// verifications are memoized, so the store re-measures the owning
+    /// baseline after every request.
     pub fn heap_bytes(&self) -> usize {
-        self.trace.heap_bytes()
-            + self.replayer.heap_bytes()
-            + self.decoded.get().map_or(0, |d| d.heap_bytes())
-            + self.cache.bytes() as usize
+        self.trace.heap_bytes() + self.replayer.heap_bytes() + self.cache.bytes() as usize
     }
 
     /// Builds the engine for a trace over the decode table of the
@@ -259,7 +257,6 @@ impl ReplayEngine {
             validated: trace.validate(),
             trace: Arc::new(trace),
             cache: MemoCache::new(),
-            decoded: OnceLock::new(),
             batches: AtomicU64::new(0),
             batch_events_shared: AtomicU64::new(0),
             batch_nanos: AtomicU64::new(0),
@@ -269,11 +266,6 @@ impl ReplayEngine {
     /// The capture this engine replays.
     pub fn trace(&self) -> &ReferenceTrace {
         &self.trace
-    }
-
-    fn decoded(&self) -> &DecodedTrace {
-        self.decoded
-            .get_or_init(|| DecodedTrace::decode(&self.trace))
     }
 
     /// Verifies the hardware-block set `hw_blocks`: replays the capture
@@ -293,7 +285,7 @@ impl ReplayEngine {
         let mut key: Vec<BlockId> = hw_blocks.iter().copied().collect();
         key.sort_unstable();
         self.cache.get_or_compute(key, || {
-            replay_one(&self.replayer, self.decoded(), config, hw_blocks)
+            replay_one(&self.replayer, &self.trace, config, hw_blocks)
         })
     }
 
@@ -360,14 +352,13 @@ impl ReplayEngine {
             candidates.iter().map(|_| None).collect();
         if !fresh.is_empty() {
             let started = Instant::now();
-            let decoded = self.decoded();
             let sets: Vec<&HashSet<BlockId>> = fresh.iter().map(|&i| &candidates[i]).collect();
             // A trace-level `Err` here aborts before anything is
             // memoized: the damage poisons every candidate alike.
-            let run = batch_with(&self.replayer, decoded, config, &sets, threads)?;
+            let run = batch_with(&self.replayer, &self.trace, config, &sets, threads)?;
             self.batches.fetch_add(1, Ordering::Relaxed);
             self.batch_events_shared.fetch_add(
-                decoded.events() * (sets.len() as u64 - 1),
+                self.trace.events() * (sets.len() as u64 - 1),
                 Ordering::Relaxed,
             );
             self.batch_nanos
@@ -389,7 +380,7 @@ impl ReplayEngine {
                 // hit. Recompute as a one-lane walk only if it raced
                 // away (conform's evict hook can do that).
                 None => self.cache.get_or_compute(key, || {
-                    replay_one(&self.replayer, self.decoded(), config, &candidates[i])
+                    replay_one(&self.replayer, &self.trace, config, &candidates[i])
                 }),
             };
             out.push(entry?);
@@ -412,7 +403,7 @@ impl ReplayEngine {
         self.batches.load(Ordering::Relaxed)
     }
 
-    /// Trace events whose decode was shared instead of repeated,
+    /// Trace events whose walk was shared instead of repeated,
     /// summed over batches: `events × (lanes − 1)` per batch.
     pub fn batch_events_shared(&self) -> u64 {
         self.batch_events_shared.load(Ordering::Relaxed)
@@ -509,6 +500,42 @@ mod tests {
         let memoized = engine.verify(config, &hw_blocks).unwrap();
         assert_eq!(one_shot, *memoized);
         assert!(engine.trace().events() > 0);
+    }
+
+    #[test]
+    fn warm_engine_holds_one_copy_of_its_trace() {
+        let (factory, app, workload) = setup();
+        let session = factory.session(&app, &workload);
+        let prepared = session.prepared().unwrap();
+        let config = session.config();
+        let engine = session
+            .replay_engine()
+            .unwrap()
+            .expect("capture fits")
+            .clone();
+        let hot = prepared.chain.iter().find(|c| c.is_loop()).unwrap().id;
+        let hw_blocks: HashSet<BlockId> =
+            prepared.chain.cluster(hot).blocks.iter().copied().collect();
+
+        // A fresh engine: the trace, the replay tables, an empty memo.
+        let cold = engine.heap_bytes();
+        assert_eq!(engine.cache.bytes(), 0);
+        let run = engine.verify(config, &hw_blocks).unwrap();
+        // The first verify adds exactly its memo entry: no second form
+        // of the trace is built beside the columns.
+        let entry = corepart_sched::cache::HeapBytes::heap_bytes(&*run)
+            + corepart_sched::cache::CACHE_ENTRY_OVERHEAD;
+        assert!(
+            engine.heap_bytes() <= cold + entry,
+            "warm {} > cold {cold} + memo entry {entry}",
+            engine.heap_bytes()
+        );
+        engine.verify_batch(config, &[HashSet::new()]).unwrap();
+        assert_eq!(
+            engine.heap_bytes(),
+            cold + engine.cache.bytes() as usize,
+            "only the memo grows"
+        );
     }
 
     #[test]

@@ -258,9 +258,9 @@ pub enum SimError {
         given: usize,
     },
     /// A reference trace failed an integrity check: its stored
-    /// fingerprint does not match its streams, or replay decoded a
+    /// fingerprint does not match its columns, or replay walked a
     /// different number of events than the capture recorded
-    /// (truncated or corrupted segments). Replay refuses to produce
+    /// (truncated or corrupted columns). Replay refuses to produce
     /// statistics from such a trace rather than silently diverge.
     TraceCorrupt {
         /// What the integrity check found.

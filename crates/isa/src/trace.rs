@@ -10,35 +10,35 @@
 //! accounting consume, and any candidate's `hw_blocks` filter can be
 //! applied at *replay* time.
 //!
-//! * [`TraceBuilder`] is a [`MemSink`] that encodes the streams
-//!   compactly from the reference stream of one
+//! * [`TraceBuilder`] is a [`MemSink`] that appends the reference
+//!   stream of one
 //!   [`Simulator::run`](crate::simulator::Simulator::run) of the
 //!   initial design, where every executed instruction is fetched
-//!   exactly once and every load or store is one data reference.
+//!   exactly once and every load or store is one data reference,
+//!   straight into the columns the replay walks.
 //! * [`ReferenceTrace`] is the finished, immutable capture.
-//! * [`DecodedTrace`] is the capture decoded once into flat form.
 //! * [`TraceReplayer::replay_batch`] — the one replay walk — re-runs
 //!   the accounting of
 //!   [`Simulator::run`](crate::simulator::Simulator::run) over a
-//!   decoded trace for K hardware-block sets at once (a single
-//!   candidate is a batch of one), reproducing each lane's
-//!   [`RunStats`] — and its [`MemSink`] reference stream — **bit for
-//!   bit** (the same `f64` operations in the same order).
+//!   capture for K hardware-block sets at once (a single candidate is
+//!   a batch of one), reproducing each lane's [`RunStats`] — and its
+//!   [`MemSink`] reference stream — **bit for bit** (the same `f64`
+//!   operations in the same order).
 //!
 //! ## Bounded memory
 //!
-//! The pc stream is run-length encoded — execution is sequential
-//! except at taken branches, so each maximal `pc, pc+1, …` stretch
-//! becomes one `(start delta, length)` zigzag-LEB128 varint pair —
-//! and the data stream holds one fixed-width 4-byte record per access
-//! (decode speed beats the byte or two a varint would save). Both
-//! streams live in fixed-size segments, so a long run costs a few
-//! bytes per *branch* plus four bytes per data access and never
-//! reallocates large buffers. A caller-supplied byte cap bounds
-//! the total: when the encoded size would exceed it, the builder frees
-//! everything and [`TraceBuilder::finish`] returns `None` — callers
-//! fall back to direct simulation, trading time for memory, never
-//! correctness.
+//! The capture is three `u32` columns, the one form both capture and
+//! replay use. Execution is sequential except at taken branches, so the
+//! pc stream is held as one `(start, length)` pair per maximal
+//! `pc, pc+1, …` stretch, in a start column and a length column (a
+//! stretch never runs past the end of the program, so its length fits
+//! a `u32`). The data stream is the third column, one address per
+//! executed load or store. A run costs eight bytes per taken branch
+//! plus four per data access. A caller-supplied byte cap bounds the
+//! columns' allocated bytes: when growing a column would pass it, the
+//! builder frees everything and [`TraceBuilder::finish`] returns `None`
+//! — callers fall back to direct simulation, trading time for memory,
+//! never correctness.
 
 use std::sync::Arc;
 
@@ -52,155 +52,9 @@ use crate::energy::EnergyTable;
 use crate::isa::InstClass;
 use crate::simulator::{MemSink, RunStats, SimConfig, SimError, TraceEntry};
 
-/// Segment size of the chunked encoding. Small enough that a capture
-/// never holds one huge allocation, large enough that the segment list
-/// stays short (a 5M-cycle run is ~20 segments).
-const SEGMENT_BYTES: usize = 256 * 1024;
-
-/// A segmented varint byte stream. Varints never straddle a segment
-/// boundary: a new segment is started whenever the current one has
-/// reached [`SEGMENT_BYTES`], and each segment keeps 10 spare bytes of
-/// capacity (the longest LEB128 encoding of a `u64`).
-#[derive(Debug, Clone, Default)]
-struct SegStream {
-    segments: Vec<Vec<u8>>,
-    bytes: usize,
-}
-
-impl SegStream {
-    /// Owned heap footprint: segment capacities plus the spine.
-    fn heap_bytes(&self) -> usize {
-        self.segments.iter().map(|s| s.capacity()).sum::<usize>()
-            + self.segments.capacity() * std::mem::size_of::<Vec<u8>>()
-    }
-
-    fn put(&mut self, mut v: u64) {
-        let segment = match self.segments.last_mut() {
-            Some(s) if s.len() < SEGMENT_BYTES => s,
-            _ => {
-                self.segments.push(Vec::with_capacity(SEGMENT_BYTES + 10));
-                self.segments.last_mut().expect("just pushed")
-            }
-        };
-        loop {
-            let byte = (v & 0x7f) as u8;
-            v >>= 7;
-            if v == 0 {
-                segment.push(byte);
-                self.bytes += 1;
-                return;
-            }
-            segment.push(byte | 0x80);
-            self.bytes += 1;
-        }
-    }
-
-    /// Appends a fixed-width little-endian `u32` record (used by the
-    /// data-address stream, where decode speed beats the byte or two a
-    /// varint would save).
-    fn put_u32(&mut self, v: u32) {
-        let segment = match self.segments.last_mut() {
-            Some(s) if s.len() < SEGMENT_BYTES => s,
-            _ => {
-                self.segments.push(Vec::with_capacity(SEGMENT_BYTES + 10));
-                self.segments.last_mut().expect("just pushed")
-            }
-        };
-        segment.extend_from_slice(&v.to_le_bytes());
-        self.bytes += 4;
-    }
-
-    fn reader(&self) -> SegReader<'_> {
-        SegReader {
-            segments: &self.segments,
-            segment: 0,
-            offset: 0,
-        }
-    }
-}
-
-/// Sequential decoder over a [`SegStream`].
-#[derive(Debug, Clone)]
-struct SegReader<'a> {
-    segments: &'a [Vec<u8>],
-    segment: usize,
-    offset: usize,
-}
-
-impl SegReader<'_> {
-    fn next(&mut self) -> Option<u64> {
-        loop {
-            let s = self.segments.get(self.segment)?;
-            if self.offset < s.len() {
-                break;
-            }
-            self.segment += 1;
-            self.offset = 0;
-        }
-        let s = &self.segments[self.segment];
-        let mut v: u64 = 0;
-        let mut shift = 0;
-        loop {
-            let byte = *s.get(self.offset)?;
-            self.offset += 1;
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Some(v);
-            }
-            shift += 7;
-        }
-    }
-
-    /// Decodes one fixed-width record written by [`SegStream::put_u32`]
-    /// (records never straddle a segment boundary).
-    #[inline]
-    fn next_u32(&mut self) -> Option<u32> {
-        loop {
-            let s = self.segments.get(self.segment)?;
-            if self.offset < s.len() {
-                break;
-            }
-            self.segment += 1;
-            self.offset = 0;
-        }
-        let s = &self.segments[self.segment];
-        let bytes = s.get(self.offset..self.offset + 4)?;
-        self.offset += 4;
-        Some(u32::from_le_bytes(bytes.try_into().expect("4 bytes")))
-    }
-}
-
-/// The trace integrity hash over the counts, the return value and both
-/// encoded byte streams — the one definition shared by
-/// [`TraceBuilder::finish`] (which stamps it into the capture) and
-/// [`ReferenceTrace::validate`] (which recomputes and compares it).
-///
-/// Four independent 64-bit lanes each take one little-endian word of
-/// every 32-byte block (the xxHash64 round), so the multiplies of a
-/// block overlap instead of chaining byte by byte. Each segment is
-/// hashed as its whole blocks, then its zero-padded tail block, then
-/// its byte length. Every step is a bijection of the lane it updates
-/// and the final lane merge is a bijection of each lane, so changing
-/// any single byte always changes the hash; other damage (truncation,
-/// several bytes) is caught with the odds of a 64-bit hash. An
-/// in-memory checksum only: it is never stored or sent.
-fn fingerprint_of(
-    events: u64,
-    data_events: u64,
-    return_bits: u64,
-    pcs: &SegStream,
-    addrs: &SegStream,
-) -> u64 {
-    let mut h = WordHash::new();
-    h.block([events, data_events, return_bits, 0]);
-    for stream in [pcs, addrs] {
-        for segment in &stream.segments {
-            h.bytes(segment);
-        }
-        h.lanes[0] = xxh_round(h.lanes[0], stream.segments.len() as u64);
-    }
-    h.finish()
-}
+/// Elements a column reserves when it first grows; every later growth
+/// doubles its capacity.
+const MIN_COLUMN: usize = 1024;
 
 const XXH_P1: u64 = 0x9e37_79b1_85eb_ca87;
 const XXH_P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
@@ -216,7 +70,7 @@ fn xxh_round(acc: u64, word: u64) -> u64 {
         .wrapping_mul(XXH_P1)
 }
 
-/// The four-lane state of [`fingerprint_of`].
+/// The four-lane state of [`ReferenceTrace::hash`].
 struct WordHash {
     lanes: [u64; 4],
 }
@@ -240,23 +94,22 @@ impl WordHash {
         }
     }
 
-    /// Hashes one segment: whole 32-byte blocks, the zero-padded tail
-    /// block (when there is a tail), then the length.
-    fn bytes(&mut self, bytes: &[u8]) {
-        let word = |b: &[u8], i: usize| {
-            u64::from_le_bytes(b[8 * i..8 * i + 8].try_into().expect("8 bytes"))
-        };
-        let mut blocks = bytes.chunks_exact(32);
+    /// Hashes one column: whole blocks of four words (eight elements,
+    /// two to a word), the zero-padded tail block (when there is a
+    /// tail), then the length in elements.
+    fn column(&mut self, column: &[u32]) {
+        let word = |c: &[u32], i: usize| u64::from(c[2 * i]) | u64::from(c[2 * i + 1]) << 32;
+        let mut blocks = column.chunks_exact(8);
         for b in &mut blocks {
             self.block([word(b, 0), word(b, 1), word(b, 2), word(b, 3)]);
         }
         let tail = blocks.remainder();
         if !tail.is_empty() {
-            let mut b = [0u8; 32];
+            let mut b = [0u32; 8];
             b[..tail.len()].copy_from_slice(tail);
             self.block([word(&b, 0), word(&b, 1), word(&b, 2), word(&b, 3)]);
         }
-        self.lanes[0] = xxh_round(self.lanes[0], bytes.len() as u64);
+        self.lanes[0] = xxh_round(self.lanes[0], column.len() as u64);
     }
 
     /// Merges the lanes (each step a bijection of the merged lane and
@@ -276,56 +129,22 @@ impl WordHash {
     }
 }
 
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// Decoder of the fixed-width data-address stream.
-#[derive(Debug, Clone)]
-struct AddrReader<'a> {
-    inner: SegReader<'a>,
-}
-
-impl AddrReader<'_> {
-    #[inline]
-    fn next(&mut self) -> Option<u32> {
-        self.inner.next_u32()
-    }
-}
-
-/// Decoder of the run-length-encoded pc stream: yields one
-/// `(start pc, length)` pair per maximal sequential stretch.
-#[derive(Debug, Clone)]
-struct RunReader<'a> {
-    inner: SegReader<'a>,
-    prev_start: i64,
-}
-
-impl RunReader<'_> {
-    fn next(&mut self) -> Option<(u32, u64)> {
-        let delta = unzigzag(self.inner.next()?);
-        let start = self.prev_start + delta;
-        self.prev_start = start;
-        let len = self.inner.next()?;
-        Some((u32::try_from(start).ok()?, len))
-    }
-}
-
 /// The immutable capture of one reference execution: the executed pc
-/// stream, the data-address stream (one entry per executed load/store,
-/// in execution order), and the run's return value.
+/// stream as sequential stretches, the data-address stream (one entry
+/// per executed load/store, in execution order), and the run's return
+/// value.
 ///
 /// A trace is tied to the exact ([`MachProgram`], workload) pair it was
 /// captured from; the [`fingerprint`](ReferenceTrace::fingerprint)
 /// identifies that pair for memoization.
 #[derive(Debug, Clone)]
 pub struct ReferenceTrace {
-    pcs: SegStream,
-    addrs: SegStream,
+    /// First pc of each maximal sequential stretch, in execution order.
+    starts: Vec<u32>,
+    /// Instructions in each stretch.
+    lens: Vec<u32>,
+    /// Address of each executed load or store, in execution order.
+    addrs: Vec<u32>,
     events: u64,
     data_events: u64,
     return_value: i64,
@@ -343,16 +162,13 @@ impl ReferenceTrace {
         self.data_events
     }
 
-    /// Encoded size in bytes (excluding constant-size bookkeeping).
-    pub fn bytes(&self) -> usize {
-        self.pcs.bytes + self.addrs.bytes
-    }
-
-    /// Owned heap footprint in bytes (allocated segment capacities, not
-    /// just encoded payload) — what an artifact store charges against
-    /// its byte budget for keeping this trace warm.
+    /// Owned heap footprint in bytes (the columns' allocated capacity,
+    /// which the byte cap bounds, plus this struct) — what an artifact
+    /// store charges against its byte budget for keeping this trace
+    /// warm.
     pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.pcs.heap_bytes() + self.addrs.heap_bytes()
+        std::mem::size_of::<Self>()
+            + 4 * (self.starts.capacity() + self.lens.capacity() + self.addrs.capacity())
     }
 
     /// The run's return value (register `r1` at `halt`).
@@ -360,37 +176,31 @@ impl ReferenceTrace {
         self.return_value
     }
 
-    /// Integrity hash over the encoded streams and event counts (see
+    /// Integrity hash over the columns and event counts (see
     /// [`ReferenceTrace::validate`]); equal captures of one execution
     /// hash equal.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
 
-    /// Recomputes the fingerprint from the encoded streams and
-    /// compares it against the one stamped at capture time — the
-    /// integrity gate for traces whose bytes may have been damaged
-    /// after capture. [`TraceReplayer::replay_batch`]'s own
-    /// conservation checks catch truncation (fewer decoded events than
-    /// recorded); this check additionally catches any byte-level
-    /// corruption that leaves the counts plausible.
+    /// Recomputes the fingerprint from the columns and compares it
+    /// against the one stamped at capture time — the integrity gate
+    /// for traces whose columns may have been damaged after capture.
+    /// [`TraceReplayer::replay_batch`]'s own conservation checks catch
+    /// truncation (fewer walked events than recorded); this check
+    /// additionally catches any element-level corruption that leaves
+    /// the counts plausible.
     ///
     /// # Errors
     ///
-    /// [`SimError::TraceCorrupt`] when the streams no longer hash to
+    /// [`SimError::TraceCorrupt`] when the columns no longer hash to
     /// the stored fingerprint.
     pub fn validate(&self) -> Result<(), SimError> {
-        let h = fingerprint_of(
-            self.events,
-            self.data_events,
-            self.return_value as u64,
-            &self.pcs,
-            &self.addrs,
-        );
+        let h = self.hash();
         if h != self.fingerprint {
             return Err(SimError::TraceCorrupt {
                 detail: format!(
-                    "fingerprint mismatch: captured {:#018x}, streams hash to {h:#018x}",
+                    "fingerprint mismatch: captured {:#018x}, columns hash to {h:#018x}",
                     self.fingerprint
                 ),
             });
@@ -398,17 +208,26 @@ impl ReferenceTrace {
         Ok(())
     }
 
-    fn pc_reader(&self) -> RunReader<'_> {
-        RunReader {
-            inner: self.pcs.reader(),
-            prev_start: 0,
+    /// The integrity hash over the counts, the return value and the
+    /// three columns — the one definition shared by
+    /// [`TraceBuilder::finish`] (which stamps it into the capture) and
+    /// [`ReferenceTrace::validate`] (which recomputes and compares it).
+    ///
+    /// Four independent 64-bit lanes each take one word of every
+    /// four-word block (the xxHash64 round), so the multiplies of a
+    /// block overlap instead of chaining word by word. Every step is a
+    /// bijection of the lane it updates and the final lane merge is a
+    /// bijection of each lane, so changing any single element always
+    /// changes the hash; other damage (truncation, several elements) is
+    /// caught with the odds of a 64-bit hash. An in-memory checksum
+    /// only: it is never stored or sent.
+    fn hash(&self) -> u64 {
+        let mut h = WordHash::new();
+        h.block([self.events, self.data_events, self.return_value as u64, 0]);
+        for column in [&self.starts, &self.lens, &self.addrs] {
+            h.column(column);
         }
-    }
-
-    fn addr_reader(&self) -> AddrReader<'_> {
-        AddrReader {
-            inner: self.addrs.reader(),
-        }
+        h.finish()
     }
 }
 
@@ -418,60 +237,64 @@ impl ReferenceTrace {
 /// supported API surface.
 #[cfg(feature = "conform")]
 impl ReferenceTrace {
-    /// Flips every bit of one encoded byte (of the data-address stream
-    /// when `addr_stream`, of the pc stream otherwise). Returns `false`
-    /// when `index` is past the end of that stream.
+    /// Flips every bit of one byte of the columns, counting each
+    /// element as four little-endian bytes: of the address column when
+    /// `addr_stream`, of the start then the length column otherwise.
+    /// Returns `false` when `index` is past the end.
     pub fn corrupt_byte(&mut self, addr_stream: bool, index: usize) -> bool {
-        let stream = if addr_stream {
-            &mut self.addrs
+        let mut element = index / 4;
+        let columns = if addr_stream {
+            vec![&mut self.addrs]
         } else {
-            &mut self.pcs
+            vec![&mut self.starts, &mut self.lens]
         };
-        let mut remaining = index;
-        for segment in &mut stream.segments {
-            if remaining < segment.len() {
-                segment[remaining] ^= 0xff;
+        for column in columns {
+            if let Some(word) = column.get_mut(element) {
+                *word ^= 0xff << (8 * (index % 4));
                 return true;
             }
-            remaining -= segment.len();
+            element -= column.len();
         }
         false
     }
 
-    /// Drops up to `n` trailing bytes of the encoded pc stream,
-    /// returning how many were actually removed — a truncated capture,
-    /// as if segments were lost after the run.
+    /// Drops up to `n` trailing stretches of the pc columns, returning
+    /// how many were actually removed — a truncated capture, as if the
+    /// end of the run were lost.
     pub fn truncate_pcs(&mut self, n: usize) -> usize {
-        let mut dropped = 0;
-        while dropped < n {
-            match self.pcs.segments.last_mut() {
-                Some(last) if last.is_empty() => {
-                    self.pcs.segments.pop();
-                }
-                Some(last) => {
-                    last.pop();
-                    self.pcs.bytes -= 1;
-                    dropped += 1;
-                }
-                None => break,
-            }
-        }
+        let keep = self.starts.len().saturating_sub(n);
+        let dropped = self.starts.len() - keep;
+        self.starts.truncate(keep);
+        self.lens.truncate(keep);
         dropped
     }
 
-    /// Re-stamps the fingerprint from the *current* streams so
+    /// Re-stamps the fingerprint from the *current* columns so
     /// [`ReferenceTrace::validate`] passes again — used to build
     /// internally-consistent-looking truncated traces that only the
     /// replay-time conservation checks can reject.
     pub fn refingerprint(&mut self) {
-        self.fingerprint = fingerprint_of(
-            self.events,
-            self.data_events,
-            self.return_value as u64,
-            &self.pcs,
-            &self.addrs,
-        );
+        self.fingerprint = self.hash();
     }
+}
+
+/// Appends `v` to `column`. A full column doubles its capacity (at
+/// least [`MIN_COLUMN`] elements) unless that would take the columns'
+/// `allocated` bytes past `cap`: then nothing is appended and the
+/// result is `false`.
+#[inline]
+fn push_capped(column: &mut Vec<u32>, v: u32, allocated: &mut usize, cap: usize) -> bool {
+    if column.len() == column.capacity() {
+        let grow = column.capacity().max(MIN_COLUMN);
+        if *allocated + 4 * grow > cap {
+            return false;
+        }
+        let before = column.capacity();
+        column.reserve_exact(grow);
+        *allocated += 4 * (column.capacity() - before);
+    }
+    column.push(v);
+    true
 }
 
 /// A [`MemSink`] that builds a [`ReferenceTrace`] from the reference
@@ -485,30 +308,30 @@ impl ReferenceTrace {
 /// must not be captured.
 #[derive(Debug, Clone)]
 pub struct TraceBuilder {
-    pcs: SegStream,
-    addrs: SegStream,
-    prev_run_start: i64,
+    starts: Vec<u32>,
+    lens: Vec<u32>,
+    addrs: Vec<u32>,
+    /// The open stretch, appended when the next fetch leaves it.
     run_start: u32,
-    run_len: u64,
-    events: u64,
-    data_events: u64,
+    run_len: u32,
+    /// Allocated bytes of the three columns.
+    allocated: usize,
     cap_bytes: usize,
     overflowed: bool,
 }
 
 impl TraceBuilder {
-    /// A builder that keeps at most `cap_bytes` of encoded trace.
-    /// `0` disables capture entirely (every event overflows), which is
-    /// the transparent path to "always simulate directly".
+    /// A builder whose columns may allocate at most `cap_bytes`. `0`
+    /// disables capture entirely (every event overflows), which is the
+    /// transparent path to "always simulate directly".
     pub fn new(cap_bytes: usize) -> Self {
         TraceBuilder {
-            pcs: SegStream::default(),
-            addrs: SegStream::default(),
-            prev_run_start: 0,
+            starts: Vec::new(),
+            lens: Vec::new(),
+            addrs: Vec::new(),
             run_start: 0,
             run_len: 0,
-            events: 0,
-            data_events: 0,
+            allocated: 0,
             cap_bytes,
             overflowed: cap_bytes == 0,
         }
@@ -520,85 +343,75 @@ impl TraceBuilder {
     }
 
     fn flush_run(&mut self) {
-        if self.run_len > 0 {
-            self.pcs
-                .put(zigzag(i64::from(self.run_start) - self.prev_run_start));
-            self.pcs.put(self.run_len);
-            self.prev_run_start = i64::from(self.run_start);
-            self.run_len = 0;
-            self.spill_if_over_cap();
+        if self.run_len == 0 || self.overflowed {
+            return;
         }
+        let (allocated, cap) = (&mut self.allocated, self.cap_bytes);
+        if !(push_capped(&mut self.starts, self.run_start, allocated, cap)
+            && push_capped(&mut self.lens, self.run_len, allocated, cap))
+        {
+            self.overflow();
+        }
+        self.run_len = 0;
     }
 
-    fn spill_if_over_cap(&mut self) {
-        if self.pcs.bytes + self.addrs.bytes > self.cap_bytes {
-            self.overflowed = true;
-            // Free the memory eagerly: the rest of the run keeps
-            // executing, and the half-trace is useless.
-            self.pcs = SegStream::default();
-            self.addrs = SegStream::default();
-        }
+    /// Frees the columns eagerly: the rest of the run keeps executing,
+    /// and the half-trace is useless.
+    fn overflow(&mut self) {
+        self.overflowed = true;
+        self.starts = Vec::new();
+        self.lens = Vec::new();
+        self.addrs = Vec::new();
+        self.allocated = 0;
     }
 
     /// A load or store touched `addr` (slot and data space alike).
     fn data(&mut self, addr: u32) {
-        if self.overflowed {
-            return;
+        if !self.overflowed
+            && !push_capped(&mut self.addrs, addr, &mut self.allocated, self.cap_bytes)
+        {
+            self.overflow();
         }
-        self.addrs.put_u32(addr);
-        self.data_events += 1;
-        self.spill_if_over_cap();
     }
 
-    /// Seals the capture. `return_value` is the finished run's return
-    /// value ([`RunStats::return_value`]). Returns `None` when the cap
-    /// was exceeded.
+    /// Seals the capture and shrinks its columns to their length.
+    /// `return_value` is the finished run's return value
+    /// ([`RunStats::return_value`]). Returns `None` when the cap was
+    /// exceeded.
     pub fn finish(mut self, return_value: i64) -> Option<ReferenceTrace> {
-        if self.overflowed {
-            return None;
-        }
         self.flush_run();
         if self.overflowed {
             return None;
         }
-        let h = fingerprint_of(
-            self.events,
-            self.data_events,
-            self.return_value_bits(return_value),
-            &self.pcs,
-            &self.addrs,
-        );
-        Some(ReferenceTrace {
-            pcs: self.pcs,
+        let mut trace = ReferenceTrace {
+            events: self.lens.iter().map(|&len| u64::from(len)).sum(),
+            data_events: self.addrs.len() as u64,
+            starts: self.starts,
+            lens: self.lens,
             addrs: self.addrs,
-            events: self.events,
-            data_events: self.data_events,
             return_value,
-            fingerprint: h,
-        })
-    }
-
-    fn return_value_bits(&self, return_value: i64) -> u64 {
-        return_value as u64
+            fingerprint: 0,
+        };
+        trace.starts.shrink_to_fit();
+        trace.lens.shrink_to_fit();
+        trace.addrs.shrink_to_fit();
+        trace.fingerprint = trace.hash();
+        Some(trace)
     }
 }
 
 impl MemSink for TraceBuilder {
     fn ifetch(&mut self, addr: u32) {
-        if self.overflowed {
-            return;
-        }
         let pc = (addr - CODE_BASE) / 4;
-        // Run-length encoding: extend the current sequential stretch,
-        // or emit it and start a new one at a taken branch.
-        if self.run_len > 0 && pc == self.run_start + (self.run_len as u32) {
+        // Extend the open sequential stretch, or append it and open a
+        // new one at a taken branch.
+        if self.run_len > 0 && pc == self.run_start + self.run_len {
             self.run_len += 1;
         } else {
             self.flush_run();
             self.run_start = pc;
             self.run_len = 1;
         }
-        self.events += 1;
     }
 
     fn read(&mut self, addr: u32) {
@@ -607,69 +420,6 @@ impl MemSink for TraceBuilder {
 
     fn write(&mut self, addr: u32) {
         self.data(addr);
-    }
-}
-
-/// A [`ReferenceTrace`] decoded once into flat in-memory form, ready
-/// to be walked any number of times without re-parsing the varint/RLE
-/// encoding: one `(start, length)` pair per sequential stretch
-/// (structure-of-arrays) plus the raw data-address records.
-///
-/// Decoding is the per-candidate cost that
-/// [`TraceReplayer::replay_batch`] amortizes: K candidates share one
-/// decoded walk instead of K decodes of the encoded streams.
-#[derive(Debug, Clone)]
-pub struct DecodedTrace {
-    starts: Vec<u32>,
-    lens: Vec<u64>,
-    addrs: Vec<u32>,
-    events: u64,
-    data_events: u64,
-    return_value: i64,
-}
-
-impl DecodedTrace {
-    /// Decodes the pc and data-address streams to exhaustion. A
-    /// truncated or damaged capture decodes fewer records than the
-    /// trace header claims; that shortfall is *not* an error here —
-    /// the conservation checks of [`TraceReplayer::replay_batch`]
-    /// reject it.
-    pub fn decode(trace: &ReferenceTrace) -> Self {
-        let mut starts = Vec::new();
-        let mut lens = Vec::new();
-        let mut runs = trace.pc_reader();
-        while let Some((start, len)) = runs.next() {
-            starts.push(start);
-            lens.push(len);
-        }
-        let mut addrs = Vec::with_capacity(trace.data_events as usize);
-        let mut reader = trace.addr_reader();
-        while let Some(addr) = reader.next() {
-            addrs.push(addr);
-        }
-        DecodedTrace {
-            starts,
-            lens,
-            addrs,
-            events: trace.events,
-            data_events: trace.data_events,
-            return_value: trace.return_value,
-        }
-    }
-
-    /// Executed instructions the source trace recorded.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Owned heap footprint of the decoded SoA form (stretch starts,
-    /// lengths and the address column) — the byte-budget charge for
-    /// keeping a decode warm next to its encoded trace.
-    pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.starts.capacity() * std::mem::size_of::<u32>()
-            + self.lens.capacity() * std::mem::size_of::<u64>()
-            + self.addrs.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -787,8 +537,8 @@ impl Lanes {
 ///
 /// It is driven by the program's shared [`DecodeTable`] (class,
 /// latency, block, base energy, … per pc) plus replay-only prefix
-/// tables built from it; [`TraceReplayer::replay_batch`] then walks the decoded
-/// pc/address streams executing *only* the accounting — no instruction
+/// tables built from it; [`TraceReplayer::replay_batch`] then walks the
+/// trace's pc and address columns executing *only* the accounting — no instruction
 /// semantics, no register file, no data memory — in exactly the order
 /// the direct run performs it, so every counter and every `f64` in the
 /// resulting [`RunStats`] is bit-identical to a fresh
@@ -977,7 +727,7 @@ impl TraceReplayer {
         }
     }
 
-    /// Replays a decoded trace for K candidate configurations in one
+    /// Replays a captured trace for K candidate configurations in one
     /// walk of the event stream, streaming each lane's µP-side
     /// references into its own sink — the bit-exact equivalent of K
     /// `Simulator::run(config, sink)` calls for the captured execution.
@@ -988,8 +738,8 @@ impl TraceReplayer {
     /// per-candidate accounting is independent state, so interleaving
     /// the lanes changes nothing about any lane's `f64` sequence and
     /// every returned [`RunStats`] is bit-identical to direct
-    /// simulation. What the lanes *share* is the decode: the stretch
-    /// walk, bounds checks and address records are paid once instead
+    /// simulation. What the lanes *share* is the walk: the stretch
+    /// loop, bounds checks and address records are paid once instead
     /// of K times.
     ///
     /// Each maximal same-block run inside a stretch is classified per
@@ -1019,7 +769,7 @@ impl TraceReplayer {
     /// When `configs` and `sinks` have different lengths.
     pub fn replay_batch<S: MemSink>(
         &self,
-        decoded: &DecodedTrace,
+        trace: &ReferenceTrace,
         configs: &[SimConfig],
         sinks: &mut [S],
     ) -> Result<Vec<Result<RunStats, SimError>>, SimError> {
@@ -1033,20 +783,20 @@ impl TraceReplayer {
             return Ok(Vec::new());
         }
         let mut lanes = Lanes::new(self.table.n_blocks, configs);
-        // Shared decode cursors and the previous-block memo of the
+        // Shared walk cursors and the previous-block memo of the
         // block-entry accounting. The memo is lane-independent — every
         // live lane walks every run — so one scalar replaces K copies.
-        let mut decoded_insts = 0u64;
+        let mut walked_insts = 0u64;
         let mut addr_index = 0usize;
         let mut prev_block: Option<BlockId> = None;
 
-        for (&start, &len) in decoded.starts.iter().zip(&decoded.lens) {
+        for (&start, &len) in trace.starts.iter().zip(&trace.lens) {
             let lo = start as usize;
             let hi = lo
                 .checked_add(len as usize)
                 .filter(|&hi| hi <= self.table.info.len())
                 .ok_or(SimError::BadPc { pc: start })?;
-            decoded_insts = decoded_insts.wrapping_add(len);
+            walked_insts += u64::from(len);
             let stretch_a_lo = self.access_prefix[lo] as usize;
 
             // The stretch, segmented into maximal same-block runs: the
@@ -1060,7 +810,7 @@ impl TraceReplayer {
                 let rend = (self.run_end[pos] as usize).min(hi);
                 let first = &self.table.info[pos];
                 let bi = first.block_index;
-                // Address records of this run in the decoded stream:
+                // Address records of this run in the address column:
                 // position-determined, identical for every lane.
                 let run_a_lo = self.access_prefix[pos] as usize;
                 let run_base = addr_index + (run_a_lo - stretch_a_lo);
@@ -1109,9 +859,9 @@ impl TraceReplayer {
                 prev_block = Some(first.block);
 
                 if all_bulk {
-                    self.run_vectorized(decoded, &mut lanes, sinks, pos, rend, run_base)?;
+                    self.run_vectorized(trace, &mut lanes, sinks, pos, rend, run_base)?;
                 } else {
-                    self.run_scalar(decoded, configs, &mut lanes, sinks, pos, rend, run_base)?;
+                    self.run_scalar(trace, configs, &mut lanes, sinks, pos, rend, run_base)?;
                 }
                 pos = rend;
             }
@@ -1123,31 +873,31 @@ impl TraceReplayer {
 
             if lanes.live == 0 {
                 // Every candidate died on its own: like the direct
-                // run's early return, nothing further is decoded.
+                // run's early return, nothing further is walked.
                 break;
             }
         }
 
-        // Conservation checks: a well-formed trace decodes exactly the
+        // Conservation checks: a well-formed trace walks exactly the
         // number of instructions and data accesses it recorded, and
         // leaves no trailing data-address records. A truncated or
-        // damaged capture that survives decoding this far must not
-        // yield partial statistics (byte-level corruption with intact
+        // damaged capture that survives the walk this far must not
+        // yield partial statistics (element-level corruption with intact
         // counts is the job of [`ReferenceTrace::validate`]). Skipped
         // only when every lane already died — the walk stopped early.
         if lanes.live > 0
-            && (decoded_insts != decoded.events
-                || addr_index as u64 != decoded.data_events
-                || addr_index != decoded.addrs.len())
+            && (walked_insts != trace.events
+                || addr_index as u64 != trace.data_events
+                || addr_index != trace.addrs.len())
         {
             return Err(SimError::TraceCorrupt {
                 detail: format!(
-                    "decoded {decoded_insts} of {} recorded instructions and {addr_index} of {} recorded data accesses",
-                    decoded.events, decoded.data_events
+                    "walked {walked_insts} of {} recorded instructions and {addr_index} of {} recorded data accesses",
+                    trace.events, trace.data_events
                 ),
             });
         }
-        Ok(self.fold(decoded, lanes))
+        Ok(self.fold(trace, lanes))
     }
 
     /// The all-lanes-bulk vector path of one software run: every lane
@@ -1160,7 +910,7 @@ impl TraceReplayer {
     #[allow(clippy::too_many_arguments)]
     fn run_vectorized<S: MemSink>(
         &self,
-        decoded: &DecodedTrace,
+        trace: &ReferenceTrace,
         lanes: &mut Lanes,
         sinks: &mut [S],
         pos: usize,
@@ -1229,7 +979,7 @@ impl TraceReplayer {
         let run_a_lo = self.access_prefix[pos] as usize;
         let run_a_hi = self.access_prefix[rend] as usize;
         for (ai, ordinal) in (run_base..).zip(run_a_lo..run_a_hi) {
-            let Some(&addr) = decoded.addrs.get(ai) else {
+            let Some(&addr) = trace.addrs.get(ai) else {
                 // A missing address record is trace damage: it poisons
                 // the whole batch.
                 return Err(SimError::BadAccess {
@@ -1261,7 +1011,7 @@ impl TraceReplayer {
     #[allow(clippy::too_many_arguments)]
     fn run_scalar<S: MemSink>(
         &self,
-        decoded: &DecodedTrace,
+        trace: &ReferenceTrace,
         configs: &[SimConfig],
         lanes: &mut Lanes,
         sinks: &mut [S],
@@ -1286,7 +1036,7 @@ impl TraceReplayer {
                     // ordinal instead of by instruction.
                     lanes.prev_class[l] = None;
                     for (ai, ordinal) in (run_base..).zip(run_a_lo..run_a_hi) {
-                        let Some(&addr) = decoded.addrs.get(ai) else {
+                        let Some(&addr) = trace.addrs.get(ai) else {
                             return Err(SimError::BadAccess {
                                 addr: 0,
                                 pc: self.access_pc[ordinal],
@@ -1333,7 +1083,7 @@ impl TraceReplayer {
                     lanes.block_energy[bi * n + l] = block_energy;
                     lanes.block_cycles[bi * n + l] += run_latency;
                     for (ai, ordinal) in (run_base..).zip(run_a_lo..run_a_hi) {
-                        let Some(&addr) = decoded.addrs.get(ai) else {
+                        let Some(&addr) = trace.addrs.get(ai) else {
                             return Err(SimError::BadAccess {
                                 addr: 0,
                                 pc: self.access_pc[ordinal],
@@ -1397,7 +1147,7 @@ impl TraceReplayer {
                         match info.access {
                             AccessKind::None => {}
                             AccessKind::Load => {
-                                let Some(&addr) = decoded.addrs.get(ai) else {
+                                let Some(&addr) = trace.addrs.get(ai) else {
                                     return Err(SimError::BadAccess {
                                         addr: 0,
                                         pc: (pos + off) as u32,
@@ -1408,7 +1158,7 @@ impl TraceReplayer {
                                 sinks[l].read(addr);
                             }
                             AccessKind::Store => {
-                                let Some(&addr) = decoded.addrs.get(ai) else {
+                                let Some(&addr) = trace.addrs.get(ai) else {
                                     return Err(SimError::BadAccess {
                                         addr: 0,
                                         pc: (pos + off) as u32,
@@ -1432,7 +1182,7 @@ impl TraceReplayer {
 
     /// Folds the structure-of-arrays lane state of a finished walk
     /// into per-candidate [`RunStats`].
-    fn fold(&self, decoded: &DecodedTrace, mut lanes: Lanes) -> Vec<Result<RunStats, SimError>> {
+    fn fold(&self, trace: &ReferenceTrace, mut lanes: Lanes) -> Vec<Result<RunStats, SimError>> {
         let n = lanes.n;
         let mut out = Vec::with_capacity(n);
         for l in 0..n {
@@ -1468,7 +1218,7 @@ impl TraceReplayer {
                 }
             }
             stats.trace = std::mem::take(&mut lanes.traces[l]);
-            stats.return_value = decoded.return_value;
+            stats.return_value = trace.return_value;
             out.push(Ok(stats));
         }
         out
@@ -1514,44 +1264,6 @@ mod tests {
         (stats, trace)
     }
 
-    #[test]
-    fn varint_zigzag_roundtrip() {
-        let mut s = SegStream::default();
-        let values = [
-            0i64,
-            1,
-            -1,
-            2,
-            -2,
-            127,
-            -128,
-            300_000,
-            -300_000,
-            i64::from(u32::MAX),
-        ];
-        for &v in &values {
-            s.put(zigzag(v));
-        }
-        let mut r = s.reader();
-        for &v in &values {
-            assert_eq!(unzigzag(r.next().unwrap()), v);
-        }
-        assert!(r.next().is_none());
-    }
-
-    #[test]
-    fn segments_stay_bounded() {
-        let mut s = SegStream::default();
-        for i in 0..2_000_000u64 {
-            s.put(i % 7);
-        }
-        for segment in &s.segments {
-            assert!(segment.len() <= SEGMENT_BYTES + 10);
-            assert!(segment.capacity() <= SEGMENT_BYTES + 10);
-        }
-        assert!(s.segments.len() > 1);
-    }
-
     /// Direct simulation of `config` on `input` — the reference every
     /// replay must match bit for bit.
     fn direct<S: MemSink>(
@@ -1577,11 +1289,7 @@ mod tests {
     ) -> (Result<RunStats, SimError>, S) {
         let mut sinks = [sink];
         let mut lanes = replayer
-            .replay_batch(
-                &DecodedTrace::decode(trace),
-                std::slice::from_ref(config),
-                &mut sinks,
-            )
+            .replay_batch(trace, std::slice::from_ref(config), &mut sinks)
             .expect("intact trace");
         let [sink] = sinks;
         (lanes.pop().expect("one lane"), sink)
@@ -1706,9 +1414,7 @@ mod tests {
         let (app, prog) = setup(TWO_LOOPS);
         let (_, trace) = capture(&app, &prog, Some(("a", &input)));
         let replayer = TraceReplayer::new(&prog, &app, &EnergyTable::default());
-        let decoded = DecodedTrace::decode(&trace);
-        assert_eq!(decoded.events(), trace.events());
-        assert!(decoded.starts.len() > 1);
+        assert!(trace.starts.len() > 1);
 
         // Lanes: all-software, each structural loop alone, everything.
         let loops: Vec<HashSet<BlockId>> = app
@@ -1727,9 +1433,7 @@ mod tests {
             .map(|hw| SimConfig::partitioned(10_000_000, hw.clone()))
             .collect();
         let mut sinks: Vec<NullSink> = configs.iter().map(|_| NullSink).collect();
-        let batch = replayer
-            .replay_batch(&decoded, &configs, &mut sinks)
-            .unwrap();
+        let batch = replayer.replay_batch(&trace, &configs, &mut sinks).unwrap();
         assert_eq!(batch.len(), configs.len());
         for (config, lane) in configs.iter().zip(&batch) {
             let alone = direct(&app, &prog, Some(("a", &input)), config, &mut NullSink).unwrap();
@@ -1742,7 +1446,6 @@ mod tests {
         let (app, prog) = setup(TWO_LOOPS);
         let (_, trace) = capture(&app, &prog, None);
         let replayer = TraceReplayer::new(&prog, &app, &EnergyTable::default());
-        let decoded = DecodedTrace::decode(&trace);
         let first_loop = app.structure().iter().find(|n| n.is_loop()).expect("loop");
         let hw: HashSet<BlockId> = first_loop.blocks().iter().copied().collect();
         let configs = [
@@ -1751,7 +1454,7 @@ mod tests {
         ];
         let mut batch_logs = vec![Log::default(); configs.len()];
         replayer
-            .replay_batch(&decoded, &configs, &mut batch_logs)
+            .replay_batch(&trace, &configs, &mut batch_logs)
             .unwrap();
         for (config, log) in configs.iter().zip(&batch_logs) {
             let mut direct_log = Log::default();
@@ -1766,12 +1469,9 @@ mod tests {
         let (full, trace) = capture(&app, &prog, None);
         assert!(full.cycles.count() > 100);
         let replayer = TraceReplayer::new(&prog, &app, &EnergyTable::default());
-        let decoded = DecodedTrace::decode(&trace);
         let configs = [SimConfig::initial(100), SimConfig::initial(10_000_000)];
         let mut sinks = [NullSink, NullSink];
-        let batch = replayer
-            .replay_batch(&decoded, &configs, &mut sinks)
-            .unwrap();
+        let batch = replayer.replay_batch(&trace, &configs, &mut sinks).unwrap();
         assert!(matches!(batch[0], Err(SimError::CycleLimit { limit: 100 })));
         let surviving = direct(&app, &prog, None, &configs[1], &mut NullSink).unwrap();
         assert_eq!(batch[1].as_ref().unwrap(), &surviving);
@@ -1781,7 +1481,7 @@ mod tests {
         let all_limited = [SimConfig::initial(100), SimConfig::initial(101)];
         let mut sinks = [NullSink, NullSink];
         let batch = replayer
-            .replay_batch(&decoded, &all_limited, &mut sinks)
+            .replay_batch(&trace, &all_limited, &mut sinks)
             .unwrap();
         assert!(batch
             .iter()
@@ -1822,10 +1522,9 @@ mod tests {
         let (app, prog) = setup(TWO_LOOPS);
         let (_, trace) = capture(&app, &prog, None);
         let replayer = TraceReplayer::new(&prog, &app, &EnergyTable::default());
-        let decoded = DecodedTrace::decode(&trace);
         let mut sinks: Vec<NullSink> = Vec::new();
         assert!(replayer
-            .replay_batch(&decoded, &[], &mut sinks)
+            .replay_batch(&trace, &[], &mut sinks)
             .unwrap()
             .is_empty());
     }
@@ -1866,199 +1565,195 @@ mod tests {
         // address/pc streams diverge and so does the hash.
         assert_eq!(ta.fingerprint(), ta2.fingerprint());
         assert_ne!(ta.fingerprint(), tb.fingerprint());
-        assert!(ta.bytes() > 0);
+        assert!(ta.heap_bytes() > std::mem::size_of::<ReferenceTrace>());
         assert!(ta.events() > 0);
         assert!(ta.data_events() > 0);
     }
 
-    /// Flips every bit of byte `index` of `stream`.
-    fn flip(stream: &mut SegStream, mut index: usize) {
-        for segment in &mut stream.segments {
-            if index < segment.len() {
-                segment[index] ^= 0xff;
-                return;
-            }
-            index -= segment.len();
-        }
-        panic!("byte index past the end of the stream");
-    }
+    /// Column names in hash order, for failure messages.
+    const COLUMNS: [&str; 3] = ["start", "length", "address"];
 
-    /// Drops the last `n` encoded bytes of `stream`.
-    fn truncate(stream: &mut SegStream, mut n: usize) {
-        while n > 0 {
-            let last = stream.segments.last_mut().expect("bytes left to drop");
-            let cut = n.min(last.len());
-            last.truncate(last.len() - cut);
-            stream.bytes -= cut;
-            n -= cut;
-            if last.is_empty() {
-                stream.segments.pop();
-            }
+    /// Column `c` of `trace` in hash order (starts, lengths, addresses).
+    fn column_mut(trace: &mut ReferenceTrace, c: usize) -> &mut Vec<u32> {
+        match c {
+            0 => &mut trace.starts,
+            1 => &mut trace.lens,
+            _ => &mut trace.addrs,
         }
     }
 
-    /// Byte positions of `stream` at the edges of the hash's layout:
-    /// every segment's first byte, its last byte, and its last 40
-    /// bytes (the zero-padded tail block and the sub-word tail).
-    fn edge_positions(stream: &SegStream) -> Vec<usize> {
-        let mut positions = Vec::new();
-        let mut base = 0;
-        for segment in &stream.segments {
-            let len = segment.len();
-            if len > 0 {
-                positions.push(base);
-                positions.extend((len.saturating_sub(40)..len).map(|i| base + i));
+    /// Flips every bit of byte `index` of `column`, counting each
+    /// element as four little-endian bytes.
+    fn flip(column: &mut [u32], index: usize) {
+        column[index / 4] ^= 0xff << (8 * (index % 4));
+    }
+
+    /// A stamped trace over synthetic columns of the given lengths.
+    /// Every fourth element is zero, so some cuts remove only zeros and
+    /// leave the zero-padded tail block unchanged: only the hashed
+    /// length tells them apart.
+    fn synthetic(lens: [usize; 3]) -> ReferenceTrace {
+        let column = |c: usize| -> Vec<u32> {
+            (0..lens[c] as u32)
+                .map(|i| match i % 4 {
+                    3 => 0,
+                    _ => i.wrapping_mul(0x9e37_79b9) ^ (0x5a5a + c as u32),
+                })
+                .collect()
+        };
+        let mut trace = ReferenceTrace {
+            starts: column(0),
+            lens: column(1),
+            addrs: column(2),
+            events: 11,
+            data_events: 7,
+            return_value: 42,
+            fingerprint: 0,
+        };
+        trace.fingerprint = trace.hash();
+        trace
+    }
+
+    #[test]
+    fn fingerprint_changes_under_every_single_byte_flip_and_truncation() {
+        // Column lengths around the two-element word and the
+        // eight-element (four-word) block, odd tails and empty columns
+        // included; every byte of every column is flipped in turn and
+        // every truncation tried.
+        let layouts: [[usize; 3]; 9] = [
+            [1, 1, 0],
+            [2, 3, 7],
+            [7, 8, 9],
+            [8, 0, 15],
+            [9, 16, 17],
+            [15, 17, 1],
+            [16, 31, 32],
+            [17, 33, 0],
+            [0, 40, 65],
+        ];
+        for layout in layouts {
+            let trace = synthetic(layout);
+            assert!(trace.validate().is_ok());
+            for c in 0..3 {
+                let mut damaged = trace.clone();
+                for index in 0..4 * layout[c] {
+                    flip(column_mut(&mut damaged, c), index);
+                    assert!(
+                        damaged.validate().is_err(),
+                        "{layout:?} {} column byte {index}",
+                        COLUMNS[c]
+                    );
+                    flip(column_mut(&mut damaged, c), index);
+                }
+                for n in 1..=layout[c] {
+                    let mut cut = trace.clone();
+                    column_mut(&mut cut, c).truncate(layout[c] - n);
+                    assert!(
+                        cut.validate().is_err(),
+                        "{layout:?} {} column cut {n}",
+                        COLUMNS[c]
+                    );
+                }
             }
-            base += len;
         }
+    }
+
+    /// 80 000 data accesses: every column spans thousands of hash
+    /// blocks.
+    const BIG_LOOP: &str = "app big; var a[64]; func main() { var s = 0; for (var i = 0; i < 40000; i = i + 1) { s = s + a[i & 63]; a[(i + 1) & 63] = s; } return s; }";
+
+    /// The capture of [`BIG_LOOP`], built once.
+    fn big_trace() -> &'static ReferenceTrace {
+        static TRACE: std::sync::OnceLock<ReferenceTrace> = std::sync::OnceLock::new();
+        TRACE.get_or_init(|| {
+            let (app, prog) = setup(BIG_LOOP);
+            let (_, trace) = capture(&app, &prog, None);
+            assert_eq!(trace.data_events(), 80_000);
+            assert!(trace.starts.len() > 1_000, "one stretch per iteration");
+            trace
+        })
+    }
+
+    /// Element positions of a column of `len` elements at the edges of
+    /// the hash's layout: the first, second and middle block edges, and
+    /// the last nine elements (the tail block and the one before it).
+    fn edge_positions(len: usize) -> Vec<usize> {
+        let mid = len / 16 * 8;
+        let mut positions: Vec<usize> = [0, 1, 7, 8, 15, 16, mid.saturating_sub(1), mid]
+            .into_iter()
+            .chain(len.saturating_sub(9)..len)
+            .filter(|&i| i < len)
+            .collect();
         positions.sort_unstable();
         positions.dedup();
         positions
     }
 
-    fn stream_of(segment_lens: &[usize], salt: u8) -> SegStream {
-        let segments: Vec<Vec<u8>> = segment_lens
-            .iter()
-            .enumerate()
-            .map(|(s, &len)| {
-                (0..len)
-                    .map(|i| (i as u8).wrapping_mul(37).wrapping_add(salt ^ s as u8))
-                    .collect()
-            })
-            .collect();
-        SegStream {
-            bytes: segment_lens.iter().sum(),
-            segments,
-        }
-    }
-
-    #[test]
-    fn fingerprint_changes_under_every_single_byte_flip_and_truncation() {
-        // Segment layouts around the 8-byte word and 32-byte block
-        // boundaries, including empty segments; every byte of both
-        // streams is flipped in turn and every truncation tried.
-        let layouts: [&[usize]; 9] = [
-            &[1],
-            &[7],
-            &[8],
-            &[31],
-            &[32],
-            &[33, 64],
-            &[40, 0, 17],
-            &[65, 9],
-            &[0, 96, 3],
-        ];
-        for layout in layouts {
-            let streams = [stream_of(layout, 0x5a), stream_of(&[layout[0] + 3], 0xa5)];
-            let hash = |s: &[SegStream; 2]| fingerprint_of(11, 7, 42, &s[0], &s[1]);
-            let base = hash(&streams);
-            for which in 0..2 {
-                for index in 0..streams[which].bytes {
-                    let mut damaged = streams.clone();
-                    flip(&mut damaged[which], index);
-                    assert_ne!(
-                        hash(&damaged),
-                        base,
-                        "{layout:?} stream {which} byte {index}"
-                    );
-                }
-                for n in 1..=streams[which].bytes {
-                    let mut damaged = streams.clone();
-                    truncate(&mut damaged[which], n);
-                    assert_ne!(hash(&damaged), base, "{layout:?} stream {which} cut {n}");
-                }
-            }
-        }
-    }
-
-    /// 80 000 data accesses: a data-address stream of two segments.
-    const BIG_LOOP: &str = "app big; var a[64]; func main() { var s = 0; for (var i = 0; i < 40000; i = i + 1) { s = s + a[i & 63]; a[(i + 1) & 63] = s; } return s; }";
-
-    /// A capture whose data-address stream spans two segments.
-    fn multi_segment_trace() -> &'static ReferenceTrace {
-        static TRACE: std::sync::OnceLock<ReferenceTrace> = std::sync::OnceLock::new();
-        TRACE.get_or_init(|| {
-            let (app, prog) = setup(BIG_LOOP);
-            let (_, trace) = capture(&app, &prog, None);
-            assert!(
-                trace.addrs.segments.len() >= 2,
-                "address stream spans segments"
-            );
-            trace
-        })
-    }
-
     #[test]
     fn validate_rejects_damage_at_every_segment_edge() {
-        let trace = multi_segment_trace();
+        let trace = big_trace();
         assert!(trace.validate().is_ok());
         let (app, prog) = setup(BIG_LOOP);
         let (_, again) = capture(&app, &prog, None);
         assert_eq!(again.fingerprint(), trace.fingerprint());
-        for addr_stream in [false, true] {
-            let stream = if addr_stream {
-                &trace.addrs
-            } else {
-                &trace.pcs
-            };
-            for index in edge_positions(stream) {
-                let mut damaged = trace.clone();
-                flip(
-                    if addr_stream {
-                        &mut damaged.addrs
-                    } else {
-                        &mut damaged.pcs
-                    },
-                    index,
-                );
-                assert!(
-                    damaged.validate().is_err(),
-                    "flip at {index} of {} stream passed",
-                    if addr_stream { "addr" } else { "pc" }
-                );
+        let mut damaged = trace.clone();
+        for (c, name) in COLUMNS.iter().enumerate() {
+            let len = column_mut(&mut damaged, c).len();
+            for element in edge_positions(len) {
+                for byte in 0..4 {
+                    flip(column_mut(&mut damaged, c), 4 * element + byte);
+                    assert!(
+                        damaged.validate().is_err(),
+                        "flip of byte {byte} of {name} element {element} passed"
+                    );
+                    flip(column_mut(&mut damaged, c), 4 * element + byte);
+                }
             }
+            let mut cut = trace.clone();
+            column_mut(&mut cut, c).pop();
+            assert!(cut.validate().is_err(), "{name} column cut 1");
         }
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::Config::with_cases(64))]
 
-        /// Any single flipped byte, and any truncation, of either
-        /// stream of a capture fails validation.
+        /// Any single flipped byte, and any truncation, of any column
+        /// of a capture fails validation.
         #[test]
         fn validate_rejects_any_flip_or_truncation(
-            addr_stream in proptest::arbitrary::any::<bool>(),
+            c in 0usize..3,
             position in 0.0f64..1.0,
         ) {
-            let trace = multi_segment_trace();
+            let trace = big_trace();
             let mut flipped = trace.clone();
             let mut cut = trace.clone();
-            let (flip_stream, cut_stream) = if addr_stream {
-                (&mut flipped.addrs, &mut cut.addrs)
-            } else {
-                (&mut flipped.pcs, &mut cut.pcs)
-            };
-            let len = flip_stream.bytes;
-            let index = ((len as f64 * position) as usize).min(len - 1);
-            flip(flip_stream, index);
-            truncate(cut_stream, index + 1);
+            let bytes = 4 * column_mut(&mut flipped, c).len();
+            let index = ((bytes as f64 * position) as usize).min(bytes - 1);
+            flip(column_mut(&mut flipped, c), index);
+            column_mut(&mut cut, c).truncate(index / 4);
             proptest::prop_assert!(flipped.validate().is_err(), "flip at {}", index);
-            proptest::prop_assert!(cut.validate().is_err(), "cut of {}", index + 1);
+            proptest::prop_assert!(cut.validate().is_err(), "cut to {}", index / 4);
         }
     }
 
     #[test]
     fn trace_is_compact() {
         let (app, prog) = setup(TWO_LOOPS);
-        let (direct, trace) = capture(&app, &prog, None);
-        // Mostly ±1 pc deltas and word-stride addresses: ~1 byte per
-        // event plus ~1-2 bytes per data access.
-        let events = direct.block_counts.iter().sum::<u64>() + direct.sw_ifetches;
+        let (_, trace) = capture(&app, &prog, None);
+        // Shrunk at finish: eight bytes per stretch, four per data
+        // access, plus the struct.
+        let bound = 8 * trace.starts.len()
+            + 4 * trace.data_events() as usize
+            + std::mem::size_of::<ReferenceTrace>();
         assert!(
-            (trace.bytes() as u64) < 4 * events,
-            "{} bytes for ~{} events",
-            trace.bytes(),
-            events
+            trace.heap_bytes() <= bound,
+            "{} heap bytes, bound {bound}",
+            trace.heap_bytes()
+        );
+        assert_eq!(
+            trace.events(),
+            trace.lens.iter().map(|&l| u64::from(l)).sum::<u64>()
         );
     }
 }

@@ -40,7 +40,7 @@ use corepart_workloads::{all, by_name};
 
 /// Everything a baseline capture produces that a thread count could
 /// disturb: metrics, run statistics and, when the trace fits, its
-/// fingerprint, encoded size and event counts.
+/// fingerprint, heap size and event counts.
 type Captured = (
     corepart::system::DesignMetrics,
     corepart::isa::simulator::RunStats,
@@ -58,7 +58,7 @@ fn capture_on(
         evaluate_initial_captured(prepared, &config, cap).expect("initial run");
     let trace = trace.map(|t| {
         t.validate().expect("a fresh capture validates");
-        (t.fingerprint(), t.bytes(), t.events(), t.data_events())
+        (t.fingerprint(), t.heap_bytes(), t.events(), t.data_events())
     });
     (metrics, stats, trace)
 }
