@@ -1,19 +1,20 @@
-//! Criterion benchmarks of the batched single-decode replay kernel:
-//! verifying K candidate hardware-block sets through
-//! `corepart::verify::replay_batch` (one decoded walk, K accounting
-//! lanes) against K independent `replay_run` calls (K one-lane walks,
-//! each with its own decode).
+//! Criterion benchmarks of the batched replay kernel: verifying K
+//! candidate hardware-block sets through one
+//! `ReplayEngine::verify_batch` (one walk, K accounting lanes) against
+//! K `ReplayEngine::verify` calls (K one-lane walks). Every iteration
+//! builds a fresh engine (trace copy, replay tables, fingerprint
+//! check) so the memo never answers; both sides pay that once.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use corepart::evaluate::evaluate_initial_captured;
+use corepart::evaluate::evaluate_initial;
 use corepart::prepare::{prepare, PreparedApp, Workload};
 use corepart::system::SystemConfig;
-use corepart::verify::{replay_batch, replay_batch_with, replay_run};
+use corepart::verify::ReplayEngine;
 use corepart_ir::op::BlockId;
-use corepart_isa::trace::ReferenceTrace;
 use corepart_workloads::by_name;
 
 fn prepared_digs(config: &SystemConfig) -> PreparedApp {
@@ -26,10 +27,13 @@ fn prepared_digs(config: &SystemConfig) -> PreparedApp {
     .expect("prepares")
 }
 
-fn capture_trace(prepared: &PreparedApp, config: &SystemConfig) -> ReferenceTrace {
-    let (_, _, trace) =
-        evaluate_initial_captured(prepared, config, config.trace_cap_bytes).expect("runs");
-    trace.expect("fits the cap")
+/// A fresh engine over the capture: an empty memo, so every verify
+/// walks the trace.
+fn fresh(captured: &ReplayEngine) -> ReplayEngine {
+    ReplayEngine::new(
+        Arc::clone(captured.table()),
+        std::hint::black_box(captured.trace()).clone(),
+    )
 }
 
 /// Deterministic candidate k: cluster i is hardware iff bit `i % 4` of
@@ -48,7 +52,10 @@ fn candidate_set(prepared: &PreparedApp, k: usize) -> HashSet<BlockId> {
 fn bench_batched_replay(c: &mut Criterion) {
     let config = SystemConfig::new();
     let prepared = prepared_digs(&config);
-    let trace = capture_trace(&prepared, &config);
+    let captured = evaluate_initial(&prepared, &config, 1)
+        .expect("runs")
+        .replay
+        .expect("fits the cap");
 
     for k in [1usize, 4, 16] {
         let candidates: Vec<HashSet<BlockId>> =
@@ -56,13 +63,9 @@ fn bench_batched_replay(c: &mut Criterion) {
 
         c.bench_function(&format!("batched-replay/digs/k{k}"), |b| {
             b.iter(|| {
-                replay_batch(
-                    &prepared,
-                    &config,
-                    std::hint::black_box(&trace),
-                    &candidates,
-                )
-                .expect("replays")
+                fresh(&captured)
+                    .verify_batch(&config, &candidates)
+                    .expect("replays")
             })
         });
 
@@ -73,26 +76,19 @@ fn bench_batched_replay(c: &mut Criterion) {
         for threads in [2usize, 4] {
             c.bench_function(&format!("batched-replay/digs/k{k}-t{threads}"), |b| {
                 b.iter(|| {
-                    replay_batch_with(
-                        &prepared,
-                        &config,
-                        std::hint::black_box(&trace),
-                        &candidates,
-                        threads,
-                    )
-                    .expect("replays")
+                    fresh(&captured)
+                        .verify_batch_with(&config, &candidates, threads)
+                        .expect("replays")
                 })
             });
         }
 
         c.bench_function(&format!("one-lane-replay/digs/k{k}"), |b| {
             b.iter(|| {
+                let engine = fresh(&captured);
                 candidates
                     .iter()
-                    .map(|hw| {
-                        replay_run(&prepared, &config, std::hint::black_box(&trace), hw)
-                            .expect("replays")
-                    })
+                    .map(|hw| engine.verify(&config, hw).expect("replays"))
                     .collect::<Vec<_>>()
             })
         });

@@ -1,16 +1,18 @@
 //! Criterion benchmarks of the trace-capture/replay verification
 //! engine: a plain direct simulation, the same run with trace capture
-//! enabled (capture overhead), and the hierarchy-accounted one-shot
-//! replay that replaces re-simulation during partition verification.
+//! enabled (capture overhead), and the hierarchy-accounted replay of
+//! one candidate that replaces re-simulation during partition
+//! verification.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use corepart::evaluate::{evaluate_initial_captured, run_iss};
+use corepart::evaluate::{evaluate_initial, run_iss};
 use corepart::prepare::{prepare, PreparedApp, Workload};
 use corepart::system::SystemConfig;
-use corepart::verify::replay_run;
+use corepart::verify::ReplayEngine;
 use corepart_ir::op::BlockId;
 use corepart_workloads::by_name;
 
@@ -43,15 +45,12 @@ fn bench_capture_overhead(c: &mut Criterion) {
     let prepared = prepared_digs(&config);
     c.bench_function("trace-capture/digs", |b| {
         b.iter(|| {
-            evaluate_initial_captured(
-                std::hint::black_box(&prepared),
-                &config,
-                config.trace_cap_bytes,
-            )
-            .expect("runs")
-            .2
-            .expect("fits the cap")
-            .events()
+            evaluate_initial(std::hint::black_box(&prepared), &config, 1)
+                .expect("runs")
+                .replay
+                .expect("fits the cap")
+                .trace()
+                .events()
         })
     });
 }
@@ -59,9 +58,10 @@ fn bench_capture_overhead(c: &mut Criterion) {
 fn bench_hierarchy_replay(c: &mut Criterion) {
     let config = SystemConfig::new();
     let prepared = prepared_digs(&config);
-    let (_, _, trace) =
-        evaluate_initial_captured(&prepared, &config, config.trace_cap_bytes).expect("runs");
-    let trace = trace.expect("fits the cap");
+    let captured = evaluate_initial(&prepared, &config, 1)
+        .expect("runs")
+        .replay
+        .expect("fits the cap");
     // Verification replays under a candidate hardware-block set: use
     // the first structural loop, which is what pre-selection favors.
     let hw: HashSet<BlockId> = prepared
@@ -70,11 +70,17 @@ fn bench_hierarchy_replay(c: &mut Criterion) {
         .find(|c| c.is_loop())
         .map(|c| c.blocks.iter().copied().collect())
         .unwrap_or_default();
+    // A fresh engine per iteration (trace copy, replay tables,
+    // fingerprint check), so the memo never answers and every
+    // iteration walks the trace.
     c.bench_function("hierarchy-replay/digs", |b| {
         b.iter(|| {
-            let run =
-                replay_run(&prepared, &config, std::hint::black_box(&trace), &hw).expect("replays");
-            (run.stats.cycles, run.report)
+            let engine = ReplayEngine::new(
+                Arc::clone(captured.table()),
+                std::hint::black_box(captured.trace()).clone(),
+            );
+            let run = engine.verify(&config, &hw).expect("replays");
+            (run.stats.cycles, run.report.clone())
         })
     });
 }

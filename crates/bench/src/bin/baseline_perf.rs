@@ -24,7 +24,8 @@
 //! A serve section spawns real daemons to measure pipelined-vs-serial
 //! serving on one connection (responses pinned byte-identical) and a
 //! same-fingerprint verify storm through the cross-request coalescing
-//! path (lanes of one `replay_batch` call, again byte-identical).
+//! path (lanes of one `ReplayEngine::verify_batch_with` call, again
+//! byte-identical).
 //! A final corpus section pushes 24 *generated* applications through
 //! the resumable sharded corpus runner ([`corepart::corpus`]) and
 //! reports apps/sec, the aggregate Pareto-frontier size, and a
@@ -35,7 +36,13 @@
 //! capture leaves the run statistics bit-identical to the bare run and
 //! that both thread counts agree bit for bit; each row also records the
 //! finished capture's heap size (`trace_bytes`), a deterministic work
-//! count.
+//! count. Each `workloads` row also records `explore_trace_uses`: the
+//! replay walks, replays and memo hits of the shared trace after one
+//! `explore` over the serve default weights on a fresh engine — how
+//! often one capture is used, another deterministic work count.
+//! Every replay here goes through a [`ReplayEngine`]; a timed replay
+//! runs on a fresh engine built before the clock starts, so it never
+//! hits the memo and never pays for building the engine.
 //! Everything lands in `BENCH_partition.json`.
 //!
 //! ```text
@@ -47,15 +54,14 @@
 //! engine`.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::Instant;
 
 use corepart::baselines::performance_partition;
 use corepart::corpus::CorpusOptions;
 use corepart::engine::Engine;
-use corepart::evaluate::{
-    evaluate_initial_captured, evaluate_partition, evaluate_partition_with, run_iss,
-};
-use corepart::explore::{explore, hardware_weight_sweep, DesignPoint};
+use corepart::evaluate::{evaluate_initial, evaluate_partition, evaluate_partition_with, run_iss};
+use corepart::explore::{explore, explore_in, hardware_weight_sweep, DesignPoint};
 use corepart::ir::op::BlockId;
 use corepart::isa::simulator::{NullSink, RunStats, SimConfig, Simulator};
 use corepart::json::{outcome_to_json_at, parse_json, result_field, JsonValue};
@@ -64,10 +70,11 @@ use corepart::partition::{PartitionOutcome, Partitioner};
 use corepart::prepare::{PreparedApp, Workload};
 use corepart::serve::{
     handle_line, respond_fresh, Client, ComputeKind, ComputeRequest, ServeOptions, Server,
+    EXPLORE_WEIGHTS,
 };
 use corepart::store::{ArtifactStore, StoreOptions};
 use corepart::system::{ResolvedPoint, SystemConfig};
-use corepart::verify::{replay_batch_with, replay_run};
+use corepart::verify::{ReplayEngine, VerifiedRun};
 use corepart_bench::SEED;
 use corepart_conform::corpus::run_gen_corpus;
 use corepart_tech::scaling::OperatingPoint;
@@ -144,11 +151,7 @@ fn measure_verify(
     const REPS: usize = 3;
     let (partition, _) = ours.best.as_ref()?;
     let engine = partitioner.replay_engine()?;
-
-    let mut hw_set: HashSet<BlockId> = HashSet::new();
-    for &cid in &partition.clusters {
-        hw_set.extend(prepared.chain.cluster(cid).blocks.iter().copied());
-    }
+    let hw_set = partitioner.hw_set_of(partition);
 
     let mut direct_nanos = u128::MAX;
     let mut direct = None;
@@ -163,10 +166,11 @@ fn measure_verify(
     let mut replay_nanos = u128::MAX;
     let mut replayed = None;
     for _ in 0..REPS {
+        let fresh = fresh_engine(engine);
         let started = Instant::now();
-        let run = replay_run(prepared, config, engine.trace(), &hw_set).expect("replay");
+        let run = fresh.verify(config, &hw_set).expect("replay");
         replay_nanos = replay_nanos.min(started.elapsed().as_nanos());
-        replayed = Some(run);
+        replayed = Some(VerifiedRun::clone(&run));
     }
     let replayed = replayed.expect("at least one rep");
 
@@ -204,6 +208,33 @@ fn measure_verify(
     ))
 }
 
+/// A fresh engine over `engine`'s capture and decode table: an empty
+/// memo, so its first verify of any set walks the trace.
+fn fresh_engine(engine: &ReplayEngine) -> ReplayEngine {
+    ReplayEngine::new(Arc::clone(engine.table()), engine.trace().clone())
+}
+
+/// How often one capture is used: one `explore` over the serve default
+/// weights ([`EXPLORE_WEIGHTS`]) on a fresh engine, then the walks,
+/// replays and memo hits of the replay engine every weight shares.
+/// Deterministic for every thread count. Returns the
+/// `"explore_trace_uses"` JSON fragment.
+fn measure_explore_trace_uses(w: &PaperWorkload) -> String {
+    let config = SystemConfig::new();
+    let app = w.app().expect("bundled workload lowers");
+    let workload = Workload::from_arrays(w.arrays(SEED));
+    let engine = Engine::new(config.clone()).expect("engine");
+    let configs = hardware_weight_sweep(&EXPLORE_WEIGHTS, &config);
+    explore_in(&engine, &app, &workload, &configs).expect("explore runs");
+    let session = engine.session(&app, &workload);
+    let (walks, replays, hits) = match session.replay_engine().expect("pooled baseline") {
+        Some(replay) => (replay.batches(), replay.replays(), replay.hits()),
+        None => (0, 0, 0),
+    };
+    println!("{:<8} {:>7} {:>8} {:>6}", w.name, walks, replays, hits);
+    format!("\"explore_trace_uses\":{{\"walks\":{walks},\"replays\":{replays},\"hits\":{hits}}}")
+}
+
 /// Repetitions of each timed simulator run.
 const SIM_REPS: usize = 5;
 
@@ -215,8 +246,8 @@ fn median_min_max(mut xs: Vec<f64>) -> (f64, f64, f64) {
 
 /// Instruction-set-simulator throughput on one application's initial
 /// design: the bare run (fresh simulator, [`NullSink`]) and the full
-/// baseline capture run ([`evaluate_initial_captured`]: cache
-/// hierarchy plus reference-trace capture and its fingerprint) on one
+/// baseline capture run ([`evaluate_initial`]: cache hierarchy plus
+/// reference-trace capture, its fingerprint and the replay engine) on one
 /// thread and on two (the hierarchy and the capture on a helper
 /// thread), each in million executed instructions per second over
 /// [`SIM_REPS`] repetitions (the two capture runs alternate which goes
@@ -268,13 +299,18 @@ fn measure_simulator(w: &PaperWorkload) -> String {
         let order = if rep % 2 == 0 { [1, 2] } else { [2, 1] };
         let mut runs = order.map(|threads| {
             let started = Instant::now();
-            let (metrics, captured, trace) =
-                evaluate_initial_captured(prepared, &on(threads), config.trace_cap_bytes)
-                    .expect("capture run");
+            let baseline = evaluate_initial(prepared, &config, threads).expect("capture run");
             let secs = started.elapsed().as_secs_f64();
             capture[threads - 1].push(instructions as f64 / secs / 1e6);
-            let trace = trace.expect("paper workload trace fits the default cap");
-            (metrics, captured, (trace.fingerprint(), trace.heap_bytes()))
+            let replay = baseline
+                .replay
+                .expect("paper workload trace fits the default cap");
+            let trace = replay.trace();
+            (
+                baseline.metrics,
+                baseline.stats,
+                (trace.fingerprint(), trace.heap_bytes()),
+            )
         });
         if order[0] == 2 {
             runs.reverse();
@@ -350,9 +386,11 @@ fn candidate_set(prepared: &PreparedApp, k: usize) -> HashSet<BlockId> {
 }
 
 /// Times the batched replay kernel against K one-candidate
-/// `replay_run` calls (the `seq` columns: K one-lane walks) over the
+/// [`ReplayEngine::verify`] calls (the `seq` columns: K one-lane walks,
+/// each on a fresh engine) over the
 /// K × threads scaling grid (K ∈ {1, 4, 16}, threads ∈ {1, 2, 4}) on
-/// deterministic candidate sets. At threads > 1 the K lanes are split
+/// deterministic candidate sets; every timed call runs on a fresh
+/// engine built before the clock starts. At threads > 1 the K lanes are split
 /// into contiguous lane groups, each one uninterrupted walk on its own
 /// worker. `identical` holds when both the one-lane replays and every
 /// cell's batched lanes equal direct simulation ([`run_iss`]) of the
@@ -366,7 +404,6 @@ fn measure_batch(
 ) -> Option<Vec<String>> {
     const REPS: usize = 3;
     let engine = partitioner.replay_engine()?;
-    let trace = engine.trace();
 
     let all: Vec<HashSet<BlockId>> = (0..16).map(|i| candidate_set(prepared, i)).collect();
     let direct: Vec<_> = all
@@ -381,12 +418,16 @@ fn measure_batch(
         let mut seq_nanos = u128::MAX;
         let mut one_lane = None;
         for _ in 0..REPS {
-            let started = Instant::now();
-            let runs: Vec<_> = candidates
-                .iter()
-                .map(|hw| replay_run(prepared, config, trace, hw).expect("one-lane replay"))
-                .collect();
-            seq_nanos = seq_nanos.min(started.elapsed().as_nanos());
+            let mut nanos = 0;
+            let mut runs = Vec::with_capacity(k);
+            for hw in candidates {
+                let fresh = fresh_engine(engine);
+                let started = Instant::now();
+                let run = fresh.verify(config, hw).expect("one-lane replay");
+                nanos += started.elapsed().as_nanos();
+                runs.push(VerifiedRun::clone(&run));
+            }
+            seq_nanos = seq_nanos.min(nanos);
             one_lane = Some(runs);
         }
         let one_lane = one_lane.expect("at least one rep");
@@ -395,13 +436,17 @@ fn measure_batch(
             let mut batch_nanos = u128::MAX;
             let mut batched = None;
             for _ in 0..REPS {
+                let fresh = fresh_engine(engine);
                 let started = Instant::now();
-                let runs = replay_batch_with(prepared, config, trace, candidates, threads)
+                let runs = fresh
+                    .verify_batch_with(config, candidates, threads)
                     .expect("batched replay");
                 batch_nanos = batch_nanos.min(started.elapsed().as_nanos());
                 batched = Some(runs);
             }
 
+            let batched: Option<Vec<VerifiedRun>> =
+                batched.map(|runs| runs.iter().map(|run| VerifiedRun::clone(run)).collect());
             let identical = one_lane == reference && batched.as_deref() == Some(reference);
             let speedup = seq_nanos as f64 / batch_nanos.max(1) as f64;
             println!(
@@ -555,7 +600,6 @@ fn measure_serve_zipf(selected: &[PaperWorkload], per_app_bytes: &[u64], total: 
         &StoreOptions {
             shards: 2,
             budget_bytes,
-            ..StoreOptions::default()
         },
     )
     .expect("store");
@@ -955,6 +999,17 @@ fn main() {
             Some(v) => format!("{},{}}}", &oj[..oj.len() - 1], v),
             None => oj,
         });
+    }
+
+    // Trace reuse: how many verifies one capture serves in an explore.
+    println!(
+        "\ntrace uses: one explore over {} weights on a fresh engine\n",
+        EXPLORE_WEIGHTS.len()
+    );
+    println!("{:<8} {:>7} {:>8} {:>6}", "app", "walks", "replays", "hits");
+    for (row, (run, _)) in outcome_rows.iter_mut().zip(&runs) {
+        let uses = measure_explore_trace_uses(&run.w);
+        *row = format!("{},{}}}", &row[..row.len() - 1], uses);
     }
 
     // Batched replay kernel: per-candidate verify cost at K candidates

@@ -33,14 +33,15 @@
 //! `corepart-sched`; production code cannot reach them.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 use corepart::engine::Engine;
 use corepart::error::CorepartError;
-use corepart::evaluate::{evaluate_initial_captured, Partition};
+use corepart::evaluate::{evaluate_initial, Partition};
 use corepart::flow::DesignFlow;
 use corepart::partition::{schedule_key, Partitioner};
 use corepart::prepare::Workload;
-use corepart::verify::{replay_batch, replay_batch_with, replay_run};
+use corepart::verify::ReplayEngine;
 use corepart_ir::cdfg::Application;
 use corepart_ir::op::BlockId;
 use corepart_isa::simulator::SimError;
@@ -125,15 +126,22 @@ fn trace_damage(app: &Application, workload: &Workload) -> Vec<Violation> {
         Ok(p) => (p, session.config()),
         Err(e) => return vec![err("error", format!("prepare: {e}"))],
     };
-    let trace = match evaluate_initial_captured(prepared, config, usize::MAX) {
-        Ok((_, _, Some(trace))) => trace,
-        Ok((_, _, None)) => {
-            return vec![err(
-                "corrupt-trace",
-                "uncapped capture unexpectedly absent".to_string(),
-            )]
-        }
+    let uncapped = config.clone().with_trace_cap(usize::MAX);
+    let captured = match evaluate_initial(prepared, &uncapped, 1) {
+        Ok(baseline) => baseline.replay,
         Err(e) => return vec![err("error", format!("captured evaluation: {e}"))],
+    };
+    let Some(captured) = captured else {
+        return vec![err(
+            "corrupt-trace",
+            "uncapped capture unexpectedly absent".to_string(),
+        )];
+    };
+    let trace = captured.trace();
+    // Every probe replays its damaged copy on an engine of its own, so
+    // no probe is answered from another's memo.
+    let engine_for = |damaged: &corepart_isa::trace::ReferenceTrace| {
+        ReplayEngine::new(Arc::clone(captured.table()), damaged.clone())
     };
     let hw_blocks = std::collections::HashSet::new();
 
@@ -152,7 +160,7 @@ fn trace_damage(app: &Application, workload: &Workload) -> Vec<Violation> {
             ));
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            replay_run(prepared, config, &corrupted, &hw_blocks)
+            engine_for(&corrupted).verify(config, &hw_blocks)
         }));
         match outcome {
             Err(_) => violations.push(err(
@@ -189,7 +197,7 @@ fn trace_damage(app: &Application, workload: &Workload) -> Vec<Violation> {
             ));
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            replay_run(prepared, config, &truncated, &hw_blocks)
+            engine_for(&truncated).verify(config, &hw_blocks)
         }));
         match outcome {
             Err(_) => violations.push(err(
@@ -229,7 +237,7 @@ fn trace_damage(app: &Application, workload: &Workload) -> Vec<Violation> {
             .collect();
         let candidates = vec![hw_blocks.clone(), all_blocks];
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            replay_batch(prepared, config, &truncated, &candidates)
+            engine_for(&truncated).verify_batch(config, &candidates)
         }));
         match outcome {
             Err(_) => violations.push(err(
@@ -251,7 +259,7 @@ fn trace_damage(app: &Application, workload: &Workload) -> Vec<Violation> {
         // the truncated capture on its own, yet the whole batch must
         // fail as one TraceCorrupt, with no partial lane results.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            replay_batch_with(prepared, config, &truncated, &candidates, 2)
+            engine_for(&truncated).verify_batch_with(config, &candidates, 2)
         }));
         match outcome {
             Err(_) => violations.push(err(

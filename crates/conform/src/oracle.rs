@@ -44,6 +44,7 @@
 //! well-formed, terminating) application is itself a violation.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use corepart::engine::Engine;
 use corepart::evaluate::{evaluate_partition, run_iss};
@@ -53,7 +54,7 @@ use corepart::objective::Objective;
 use corepart::partition::{PartitionOutcome, Partitioner};
 use corepart::prepare::Workload;
 use corepart::system::{DesignMetrics, SystemConfig};
-use corepart::verify::replay_batch_with;
+use corepart::verify::ReplayEngine;
 use corepart_ir::cdfg::Application;
 use corepart_ir::lower::lower;
 use corepart_ir::parser::parse;
@@ -349,10 +350,10 @@ fn stream_invariance(partitioner: &Partitioner<'_>) -> Vec<Violation> {
     violations
 }
 
-/// Differential: the batched single-decode replay kernel is
+/// Differential: the batched replay kernel is
 /// bit-identical to direct simulation for a K-candidate batch mixing
 /// the empty set, the first few cluster sets, and their union — the
-/// shared decode, the interleaved per-lane accounting and the split
+/// shared walk, the interleaved per-lane accounting and the split
 /// into lane groups on several threads must not perturb a single f64
 /// in any lane.
 fn batch_vs_direct(partitioner: &Partitioner<'_>) -> Vec<Violation> {
@@ -390,7 +391,10 @@ fn batch_vs_direct(partitioner: &Partitioner<'_>) -> Vec<Violation> {
     };
 
     for threads in [1usize, 3] {
-        match replay_batch_with(prepared, config, trace, &candidates, threads) {
+        // A fresh engine per thread count, so every lane is walked
+        // rather than served from the previous pass's memo.
+        let fresh = ReplayEngine::new(Arc::clone(engine.table()), trace.clone());
+        match fresh.verify_batch_with(config, &candidates, threads) {
             Ok(batched) => {
                 if batched.len() != direct.len() {
                     violations.push(Violation::new(
@@ -404,7 +408,7 @@ fn batch_vs_direct(partitioner: &Partitioner<'_>) -> Vec<Violation> {
                     continue;
                 }
                 for (i, (got, want)) in batched.iter().zip(&direct).enumerate() {
-                    if got != want {
+                    if got.as_ref() != want {
                         violations.push(Violation::new(
                             "batch-vs-direct",
                             format!(

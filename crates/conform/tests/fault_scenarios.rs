@@ -5,14 +5,15 @@
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 use corepart::engine::Engine;
-use corepart::evaluate::{evaluate_initial_captured, run_iss, Partition};
+use corepart::evaluate::{evaluate_initial, run_iss, Partition};
 use corepart::flow::DesignFlow;
 use corepart::partition::{schedule_key, Partitioner};
 use corepart::prepare::Workload;
 use corepart::system::SystemConfig;
-use corepart::verify::{replay_batch, replay_run};
+use corepart::verify::ReplayEngine;
 use corepart_ir::lower::lower;
 use corepart_ir::op::BlockId;
 use corepart_ir::parser::parse;
@@ -36,15 +37,26 @@ fn app() -> corepart_ir::cdfg::Application {
     lower(&parse(APP).unwrap()).unwrap()
 }
 
-/// A capture of the reference run, plus the session pieces replay
-/// needs.
-fn captured(engine: &Engine) -> (ReferenceTrace, corepart_ir::cdfg::Application, Workload) {
+/// The replay engine of an uncapped capture of the reference run,
+/// plus the session pieces replay needs.
+fn captured(engine: &Engine) -> (Arc<ReplayEngine>, corepart_ir::cdfg::Application, Workload) {
     let application = app();
     let load = workload();
     let session = engine.session(&application, &load);
     let prepared = session.prepared().unwrap();
-    let (_, _, trace) = evaluate_initial_captured(prepared, session.config(), usize::MAX).unwrap();
-    (trace.expect("uncapped capture exists"), application, load)
+    let uncapped = session.config().clone().with_trace_cap(usize::MAX);
+    let baseline = evaluate_initial(prepared, &uncapped, 1).unwrap();
+    (
+        baseline.replay.expect("uncapped capture exists"),
+        application,
+        load,
+    )
+}
+
+/// A fresh engine over `damaged`, on the capture's own decode table:
+/// the only way to replay a trace.
+fn engine_over(captured: &ReplayEngine, damaged: &ReferenceTrace) -> ReplayEngine {
+    ReplayEngine::new(Arc::clone(captured.table()), damaged.clone())
 }
 
 #[test]
@@ -68,10 +80,10 @@ fn cap_overflow_falls_back_bit_identically() {
 #[test]
 fn corrupted_trace_is_rejected_not_replayed() {
     let engine = Engine::new(SystemConfig::new()).unwrap();
-    let (trace, application, load) = captured(&engine);
+    let (capture, application, load) = captured(&engine);
     let session = engine.session(&application, &load);
-    let prepared = session.prepared().unwrap();
     let config = session.config();
+    let trace = capture.trace();
 
     let mut corrupted = trace.clone();
     assert!(corrupted.corrupt_byte(true, 0), "address column has bytes");
@@ -82,10 +94,12 @@ fn corrupted_trace_is_rejected_not_replayed() {
     assert!(message.contains("fingerprint mismatch"), "got: {message}");
     // ...and replay refuses without panicking and without statistics.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        replay_run(prepared, config, &corrupted, &HashSet::new())
+        engine_over(&capture, &corrupted).verify(config, &HashSet::new())
     }));
     match outcome {
-        Ok(Err(SimError::TraceCorrupt { .. })) => {}
+        Ok(Err(SimError::TraceCorrupt { detail })) => {
+            assert!(detail.contains("fingerprint mismatch"), "got: {detail}");
+        }
         Ok(Ok(_)) => panic!("replay of a corrupted capture produced statistics"),
         Ok(Err(other)) => panic!("expected TraceCorrupt, got {other}"),
         Err(_) => panic!("replay of a corrupted capture panicked"),
@@ -97,17 +111,23 @@ fn corrupted_trace_is_rejected_not_replayed() {
         pc_corrupted.validate(),
         Err(SimError::TraceCorrupt { .. })
     ));
+    match engine_over(&capture, &pc_corrupted).verify(config, &HashSet::new()) {
+        Err(SimError::TraceCorrupt { detail }) => {
+            assert!(detail.contains("fingerprint mismatch"), "got: {detail}");
+        }
+        Err(other) => panic!("expected TraceCorrupt, got {other}"),
+        Ok(_) => panic!("replay of a pc-corrupted capture produced statistics"),
+    }
 }
 
 #[test]
 fn truncated_trace_fails_event_conservation() {
     let engine = Engine::new(SystemConfig::new()).unwrap();
-    let (trace, application, load) = captured(&engine);
+    let (capture, application, load) = captured(&engine);
     let session = engine.session(&application, &load);
-    let prepared = session.prepared().unwrap();
     let config = session.config();
 
-    let mut truncated = trace.clone();
+    let mut truncated = capture.trace().clone();
     assert!(
         truncated.truncate_pcs(3) > 0,
         "pc columns have stretches to cut"
@@ -116,7 +136,7 @@ fn truncated_trace_fails_event_conservation() {
     // replay-side conservation check can now catch the damage.
     truncated.refingerprint();
     assert!(truncated.validate().is_ok());
-    match replay_run(prepared, config, &truncated, &HashSet::new()) {
+    match engine_over(&capture, &truncated).verify(config, &HashSet::new()) {
         Err(SimError::TraceCorrupt { detail }) => {
             assert!(detail.contains("recorded"), "got: {detail}");
         }
@@ -134,12 +154,12 @@ fn truncated_trace_fails_event_conservation() {
 #[test]
 fn truncated_trace_fails_the_whole_batch() {
     let engine = Engine::new(SystemConfig::new()).unwrap();
-    let (trace, application, load) = captured(&engine);
+    let (capture, application, load) = captured(&engine);
     let session = engine.session(&application, &load);
     let prepared = session.prepared().unwrap();
     let config = session.config();
 
-    let mut truncated = trace.clone();
+    let mut truncated = capture.trace().clone();
     assert!(
         truncated.truncate_pcs(3) > 0,
         "pc columns have stretches to cut"
@@ -150,30 +170,43 @@ fn truncated_trace_fails_the_whole_batch() {
     // One all-software lane plus an all-hardware lane: the batched
     // kernel must reject the damaged capture wholesale with the typed
     // error — no panic, no partial lane results — even though each
-    // lane alone replays cleanly on the undamaged capture.
+    // lane alone replays cleanly on the undamaged capture. On two
+    // threads each lane group walks the damaged capture on its own,
+    // and the batch must still fail as one.
     let all_blocks: HashSet<BlockId> = (0..prepared.app.blocks().len())
         .map(|b| BlockId(b as u32))
         .collect();
     let candidates = vec![HashSet::new(), all_blocks];
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        replay_batch(prepared, config, &truncated, &candidates)
-    }));
-    match outcome {
-        Ok(Err(SimError::TraceCorrupt { detail })) => {
-            assert!(detail.contains("recorded"), "got: {detail}");
+    for threads in [1usize, 2] {
+        let damaged = engine_over(&capture, &truncated);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            damaged.verify_batch_with(config, &candidates, threads)
+        }));
+        match outcome {
+            Ok(Err(SimError::TraceCorrupt { detail })) => {
+                assert!(
+                    detail.contains("recorded"),
+                    "threads={threads}, got: {detail}"
+                );
+            }
+            Ok(Ok(_)) => panic!(
+                "batched replay of a truncated capture produced lane results (threads={threads})"
+            ),
+            Ok(Err(other)) => panic!("expected TraceCorrupt, got {other} (threads={threads})"),
+            Err(_) => panic!("batched replay of a truncated capture panicked (threads={threads})"),
         }
-        Ok(Ok(_)) => panic!("batched replay of a truncated capture produced lane results"),
-        Ok(Err(other)) => panic!("expected TraceCorrupt, got {other}"),
-        Err(_) => panic!("batched replay of a truncated capture panicked"),
+        assert_eq!(damaged.replays(), 0, "a damaged walk memoizes nothing");
     }
 
     // The same batch over the undamaged capture verifies every lane.
-    let clean = replay_batch(prepared, config, &trace, &candidates).unwrap();
+    let clean = engine_over(&capture, capture.trace())
+        .verify_batch(config, &candidates)
+        .unwrap();
     assert_eq!(clean.len(), candidates.len());
     for (hw, lane) in candidates.iter().zip(&clean) {
         assert_eq!(
             run_iss(prepared, config, hw).unwrap(),
-            *lane,
+            **lane,
             "clean batch lane diverged from direct simulation"
         );
     }

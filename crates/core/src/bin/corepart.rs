@@ -59,6 +59,7 @@ use corepart::corpus::{
 };
 use corepart::engine::Engine;
 use corepart::error::CorepartError;
+use corepart::evaluate::Partition;
 use corepart::explore::{explore, explore_nodes, hardware_weight_sweep};
 use corepart::flow::DesignFlow;
 use corepart::json::corpus_to_json;
@@ -516,7 +517,6 @@ fn run(args: &Args) -> Result<(), String> {
             let engine = Engine::new(config).map_err(|e| e.to_string())?;
             let session = engine.session(&app, &workload);
             let config = session.config();
-            let prepared = session.prepared().map_err(|e| e.to_string())?;
             let partitioner = Partitioner::new(&session).map_err(|e| e.to_string())?;
             let cand = partitioner
                 .candidates()
@@ -526,18 +526,16 @@ fn run(args: &Args) -> Result<(), String> {
             let set = config
                 .resource_set(args.set_index)
                 .map_err(|e| e.to_string())?;
-            let blocks = prepared.chain.cluster(cand.cluster).blocks.clone();
-            let sched = corepart_sched::binding::schedule_cluster(
-                &prepared.app,
-                &blocks,
-                set,
-                &config.library,
-            )
-            .map_err(|e| e.to_string())?;
-            let binding = corepart_sched::binding::bind(&sched, &config.library);
+            let scheduled = partitioner
+                .scheduled(&Partition::single(cand.cluster, set.clone()))
+                .map_err(|e| e.to_string())?;
             print!(
                 "{}",
-                corepart_sched::gantt::render_cluster(&sched, &binding, &config.library)
+                corepart_sched::gantt::render_cluster(
+                    &scheduled.sched,
+                    &scheduled.binding,
+                    &config.library
+                )
             );
             Ok(())
         }

@@ -25,9 +25,12 @@
 //! artifact was freshly computed or served from a sibling session, and
 //! the pass-through schedule-cache / replay hit counters.
 //!
-//! This module is the **only** place in `corepart` that constructs
-//! `PreparedApp` baselines, [`ScheduleCache`]s, or [`ReplayEngine`]s —
-//! every consumer goes through a session.
+//! This module is the **only** place in `corepart` that pools
+//! prepared applications, [`Baseline`]s and [`ScheduleCache`]s — every
+//! consumer goes through a session. A baseline, with its
+//! [`ReplayEngine`], is computed by
+//! [`crate::evaluate::evaluate_initial`], the one run of the initial
+//! design; the session only pools the result.
 //!
 //! ## Laziness rules
 //!
@@ -48,7 +51,7 @@ use corepart_ir::cdfg::Application;
 use corepart_sched::cache::{MemoCache, ScheduleCache};
 
 use crate::error::CorepartError;
-use crate::evaluate::capture_initial;
+use crate::evaluate::evaluate_initial;
 use crate::parallel::resolve_threads;
 use crate::partition::ScheduleKey;
 use crate::prepare::{prepare, PreparedApp, Workload};
@@ -354,14 +357,9 @@ pub struct SessionStats {
     pub replays: u64,
     /// Verifications served by the replay memo without replaying.
     pub replay_hits: u64,
-    /// Batched replay walks executed (each verifies K candidate sets
-    /// in one pass over the trace).
+    /// Replay walks executed, one per kernel call whether it verified
+    /// one candidate set or K ([`ReplayEngine::batches`]).
     pub batched_replays: u64,
-    /// Trace events whose walk was shared instead of repeated:
-    /// `events × (lanes − 1)`, summed over batches.
-    pub batch_events_shared: u64,
-    /// Wall time spent inside batched replay walks, nanoseconds.
-    pub batch_nanos: u64,
 }
 
 /// One partitioning session: an `(Application, Workload,
@@ -517,18 +515,7 @@ impl<'e> Session<'e> {
                 .baselines
                 .get_or_compute(self.baseline_key.clone(), || {
                     computed = true;
-                    let (metrics, stats, trace, table) = capture_initial(
-                        &prepared,
-                        &self.config,
-                        self.config.trace_cap_bytes,
-                        self.threads(),
-                    )?;
-                    let replay = trace.map(|t| Arc::new(ReplayEngine::new(table, t)));
-                    Ok(Baseline {
-                        metrics,
-                        stats,
-                        replay,
-                    })
+                    evaluate_initial(&prepared, &self.config, self.threads())
                 });
             self.cells
                 .baseline_nanos
@@ -588,8 +575,6 @@ impl<'e> Session<'e> {
             replays: replay.map_or(0, |r| r.replays()),
             replay_hits: replay.map_or(0, |r| r.hits()),
             batched_replays: replay.map_or(0, |r| r.batches()),
-            batch_events_shared: replay.map_or(0, |r| r.batch_events_shared()),
-            batch_nanos: replay.map_or(0, |r| r.batch_nanos()),
         }
     }
 }

@@ -5,8 +5,19 @@
 //! (§4): a partition changes not only the µP and ASIC energies but the
 //! access patterns — and therefore the energies — of both caches and
 //! the main memory. This module runs the full simulation stack for the
-//! initial design ([`evaluate_initial`]) and for any candidate
-//! partition ([`evaluate_partition`]), producing the Table-1 metrics.
+//! initial design and for any candidate partition, producing the
+//! Table-1 metrics.
+//!
+//! * [`evaluate_initial`] is the one run of the initial design. It
+//!   captures the reference trace while it simulates and returns the
+//!   [`Baseline`]: metrics, run statistics and the [`ReplayEngine`]
+//!   over the capture. [`crate::engine::Session::baseline`] pools its
+//!   result; no other library code builds a replay engine.
+//! * [`evaluate_partition_with`] evaluates a candidate. Its µP and
+//!   cache side is a [`ReplayEngine::verify`] when a capture exists and
+//!   a direct simulation ([`run_iss`]) otherwise, bit-identical either
+//!   way; [`evaluate_partition`] is the uncached reference, always
+//!   direct.
 //!
 //! A partitioned run executes the *same* machine program with the
 //! cluster blocks marked as hardware: the µP pays nothing for them, the
@@ -28,7 +39,7 @@ use corepart_ir::op::BlockId;
 use corepart_isa::isa::InstClass;
 use corepart_isa::profile::CoreUtilization;
 use corepart_isa::simulator::{MemSink, RunStats, SimConfig, SimError, Simulator};
-use corepart_isa::trace::{ReferenceTrace, TraceBuilder};
+use corepart_isa::trace::TraceBuilder;
 use corepart_isa::DecodeTable;
 use corepart_sched::binding::{bind, schedule_cluster, utilization};
 use corepart_sched::cache::{ScheduleCache, ScheduledCluster};
@@ -40,6 +51,7 @@ use corepart_tech::resource::ResourceSet;
 use corepart_tech::units::{Cycles, Energy};
 
 use crate::bus_transfer::transfer_counts;
+use crate::engine::Baseline;
 use crate::error::CorepartError;
 use crate::parallel::resolve_threads;
 use crate::partition::{schedule_key, ScheduleKey};
@@ -357,10 +369,21 @@ pub fn run_iss(
     })
 }
 
-/// Evaluates the initial (all-software) design.
+/// Evaluates the initial (all-software) design — the one simulation of
+/// it every search starts from — on `threads` workers, and returns the
+/// [`Baseline`]: Table 1's "I" row, the per-block run statistics
+/// (reused by pre-selection and `U_µP`), and the [`ReplayEngine`] that
+/// verifies candidates from this run's reference trace.
 ///
-/// Returns the metrics and the raw run statistics (per-block energy
-/// attribution is reused by pre-selection and `U_µP`).
+/// The capture rides on the same simulation: the reference stream —
+/// one fetch per executed instruction plus every load/store address —
+/// is appended to the trace columns (allocating at most
+/// [`SystemConfig::trace_cap_bytes`]) from the references the cache
+/// hierarchy receives, and the engine replays it over the decode table
+/// the simulation ran on. `replay` is `None` when the cap is 0 or the
+/// columns would have outgrown it; verification then simulates
+/// directly ([`run_iss`]). Metrics and statistics depend neither on
+/// the capture nor on `threads`.
 ///
 /// # Errors
 ///
@@ -368,63 +391,19 @@ pub fn run_iss(
 pub fn evaluate_initial(
     prepared: &PreparedApp,
     config: &SystemConfig,
-) -> Result<(DesignMetrics, RunStats), CorepartError> {
-    let (metrics, stats, _) = evaluate_initial_captured(prepared, config, 0)?;
-    Ok((metrics, stats))
-}
-
-/// [`evaluate_initial`] with the reference-trace capture piggybacked
-/// on the one simulation: the initial design's reference stream — one
-/// fetch per executed instruction plus every load/store address — is
-/// appended to the trace columns (allocating at most `cap_bytes`) from
-/// the same references the cache hierarchy receives, at no extra
-/// simulation cost.
-///
-/// The third element is `None` when `cap_bytes` is 0 or the columns
-/// would have outgrown the cap — callers then verify candidates by direct
-/// simulation instead of replay. Metrics and statistics are unaffected
-/// by the capture either way.
-///
-/// # Errors
-///
-/// Simulation failures ([`CorepartError::Sim`]) or bad workload arrays.
-pub fn evaluate_initial_captured(
-    prepared: &PreparedApp,
-    config: &SystemConfig,
-    cap_bytes: usize,
-) -> Result<(DesignMetrics, RunStats, Option<ReferenceTrace>), CorepartError> {
-    let threads = resolve_threads(config.threads);
-    let (metrics, stats, trace, _) = capture_initial(prepared, config, cap_bytes, threads)?;
-    Ok((metrics, stats, trace))
-}
-
-/// [`evaluate_initial_captured`] on `threads` (the session's resolved
-/// count) that also hands back the decode table the simulation ran on,
-/// so the replayer of the trace can share it.
-pub(crate) fn capture_initial(
-    prepared: &PreparedApp,
-    config: &SystemConfig,
-    cap_bytes: usize,
     threads: usize,
-) -> Result<
-    (
-        DesignMetrics,
-        RunStats,
-        Option<ReferenceTrace>,
-        Arc<DecodeTable>,
-    ),
-    CorepartError,
-> {
+) -> Result<Baseline, CorepartError> {
     let (stats, tail, table) = simulate(
         prepared,
         config,
         &SimConfig::initial(config.max_cycles),
         threads,
-        Some(TraceBuilder::new(cap_bytes)),
+        Some(TraceBuilder::new(config.trace_cap_bytes)),
     )?;
-    let trace = tail
+    let replay = tail
         .builder
-        .and_then(|builder| builder.finish(stats.return_value));
+        .and_then(|builder| builder.finish(stats.return_value))
+        .map(|trace| Arc::new(ReplayEngine::new(table, trace)));
     let report = tail.hierarchy.report();
     let stall_energy = config.energy_table.stall_per_cycle() * report.stall_cycles.count();
     let metrics = DesignMetrics {
@@ -440,13 +419,61 @@ pub(crate) fn capture_initial(
         icache_miss_ratio: report.icache.miss_ratio(),
         dcache_miss_ratio: report.dcache.miss_ratio(),
     };
-    Ok((metrics, stats, trace, table))
+    Ok(Baseline {
+        metrics,
+        stats,
+        replay,
+    })
+}
+
+/// The blocks of `clusters`, in cluster order: the block list a
+/// partition's datapath is scheduled over and, as a set, the
+/// hardware-block set it is verified under.
+pub(crate) fn cluster_blocks(
+    prepared: &PreparedApp,
+    clusters: impl IntoIterator<Item = ClusterId>,
+) -> Vec<BlockId> {
+    clusters
+        .into_iter()
+        .flat_map(|cid| prepared.chain.cluster(cid).blocks.iter().copied())
+        .collect()
+}
+
+/// The schedule trio of `partition` over its `blocks` — list schedule,
+/// binding, utilization (Fig. 1 lines 8–10) — served from and feeding
+/// `cache` when one is given, computed afresh otherwise.
+///
+/// # Errors
+///
+/// [`CorepartError::Sched`] when the resource set cannot execute the
+/// blocks.
+pub(crate) fn schedule_trio(
+    prepared: &PreparedApp,
+    config: &SystemConfig,
+    partition: &Partition,
+    blocks: &[BlockId],
+    cache: Option<&ScheduleCache<ScheduleKey>>,
+) -> Result<Arc<ScheduledCluster>, CorepartError> {
+    let compute = || -> Result<ScheduledCluster, SchedError> {
+        let sched = schedule_cluster(&prepared.app, blocks, &partition.set, &config.library)?;
+        let binding = bind(&sched, &config.library);
+        let util = utilization(&sched, &binding, &prepared.profile, &config.library);
+        Ok(ScheduledCluster {
+            sched,
+            binding,
+            util,
+        })
+    };
+    Ok(match cache {
+        Some(cache) => cache.get_or_compute(schedule_key(partition), compute)?,
+        None => Arc::new(compute()?),
+    })
 }
 
 /// Evaluates a candidate partition end to end.
 ///
-/// `initial_stats` is the initial run (for `U_µP`); get it from
-/// [`evaluate_initial`].
+/// `initial_stats` is the initial run (for `U_µP`): the
+/// [`Baseline::stats`] of [`evaluate_initial`].
 ///
 /// # Errors
 ///
@@ -486,29 +513,12 @@ pub fn evaluate_partition_with(
             message: "a partition needs at least one cluster".into(),
         });
     }
-    // Hardware blocks, in chain order.
-    let mut hw_blocks: Vec<BlockId> = Vec::new();
-    for &cid in &partition.clusters {
-        hw_blocks.extend(prepared.chain.cluster(cid).blocks.iter().copied());
-    }
+    let hw_blocks = cluster_blocks(prepared, partition.clusters.iter().copied());
     let hw_set: HashSet<BlockId> = hw_blocks.iter().copied().collect();
 
     // --- ASIC side: schedule, bind, utilization, energy (Fig. 1
     // lines 8-11 and 14-15). ---
-    let compute = || -> Result<ScheduledCluster, SchedError> {
-        let sched = schedule_cluster(&prepared.app, &hw_blocks, &partition.set, &config.library)?;
-        let binding = bind(&sched, &config.library);
-        let util = utilization(&sched, &binding, &prepared.profile, &config.library);
-        Ok(ScheduledCluster {
-            sched,
-            binding,
-            util,
-        })
-    };
-    let synth: Arc<ScheduledCluster> = match schedules {
-        Some(cache) => cache.get_or_compute(schedule_key(partition), compute)?,
-        None => Arc::new(compute()?),
-    };
+    let synth = schedule_trio(prepared, config, partition, &hw_blocks, schedules)?;
     let ScheduledCluster {
         sched,
         binding,
@@ -630,7 +640,9 @@ mod tests {
     fn initial_metrics_sensible() {
         let p = prepared(DSP, dsp_workload());
         let config = SystemConfig::new();
-        let (m, stats) = evaluate_initial(&p, &config).unwrap();
+        let Baseline {
+            metrics: m, stats, ..
+        } = evaluate_initial(&p, &config, 1).unwrap();
         assert!(m.up_core.joules() > 0.0);
         assert!(m.icache.joules() > 0.0);
         assert!(m.dcache.joules() > 0.0);
@@ -646,7 +658,11 @@ mod tests {
     fn partition_moves_energy_to_asic() {
         let p = prepared(DSP, dsp_workload());
         let config = SystemConfig::new();
-        let (initial, stats) = evaluate_initial(&p, &config).unwrap();
+        let Baseline {
+            metrics: initial,
+            stats,
+            ..
+        } = evaluate_initial(&p, &config, 1).unwrap();
         let hot = p.chain.iter().find(|c| c.is_loop()).unwrap().id;
         let part = Partition::single(hot, config.resource_sets[2].clone());
         let d = evaluate_partition(&p, &part, &stats, &config).unwrap();
@@ -671,7 +687,11 @@ mod tests {
         // magnitude when the µP no longer fetches the hot loop.
         let p = prepared(DSP, dsp_workload());
         let config = SystemConfig::new();
-        let (initial, stats) = evaluate_initial(&p, &config).unwrap();
+        let Baseline {
+            metrics: initial,
+            stats,
+            ..
+        } = evaluate_initial(&p, &config, 1).unwrap();
         let hot = p.chain.iter().find(|c| c.is_loop()).unwrap().id;
         let part = Partition::single(hot, config.resource_sets[2].clone());
         let d = evaluate_partition(&p, &part, &stats, &config).unwrap();
@@ -690,7 +710,7 @@ mod tests {
             Workload::empty(),
         );
         let config = SystemConfig::new();
-        let (_, stats) = evaluate_initial(&p, &config).unwrap();
+        let stats = evaluate_initial(&p, &config, 1).unwrap().stats;
         let hot = p.chain.iter().find(|c| c.is_loop()).unwrap().id;
         // s-scalar has no divider.
         let part = Partition::single(hot, config.resource_sets[1].clone());
@@ -702,7 +722,7 @@ mod tests {
     fn empty_partition_rejected() {
         let p = prepared(DSP, dsp_workload());
         let config = SystemConfig::new();
-        let (_, stats) = evaluate_initial(&p, &config).unwrap();
+        let stats = evaluate_initial(&p, &config, 1).unwrap().stats;
         let part = Partition {
             clusters: vec![],
             set: config.resource_sets[0].clone(),
@@ -717,7 +737,7 @@ mod tests {
     fn two_cluster_partition_shares_one_datapath() {
         let p = prepared(DSP, dsp_workload());
         let config = SystemConfig::new();
-        let (_, stats) = evaluate_initial(&p, &config).unwrap();
+        let stats = evaluate_initial(&p, &config, 1).unwrap().stats;
         let loops: Vec<ClusterId> = p
             .chain
             .iter()

@@ -77,8 +77,7 @@ pub use corpus::{
 pub use engine::{Baseline, Engine, Session, SessionStats};
 pub use error::CorepartError;
 pub use evaluate::{
-    evaluate_initial, evaluate_initial_captured, evaluate_partition, evaluate_partition_with,
-    Partition, PartitionDetail,
+    evaluate_initial, evaluate_partition, evaluate_partition_with, Partition, PartitionDetail,
 };
 pub use explore::{explore, explore_in, DesignPoint, Exploration};
 pub use flow::{DesignFlow, FlowResult};
@@ -90,7 +89,7 @@ pub use report::{figure6, render_figure6, Figure6Point, Table1, Table1Entry};
 pub use serve::{ServeOptions, Server};
 pub use store::{ArtifactStore, PipelineStats, StoreOptions, StoreStats};
 pub use system::{DesignMetrics, SystemConfig};
-pub use verify::{replay_run, ReplayEngine, VerifiedRun};
+pub use verify::{ReplayEngine, VerifiedRun};
 
 // Re-export the substrate crates so downstream users need only one
 // dependency.

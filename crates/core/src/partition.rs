@@ -43,9 +43,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use corepart_ir::cluster::ClusterId;
+use corepart_ir::op::BlockId;
 use corepart_isa::profile::CoreUtilization;
 use corepart_isa::simulator::RunStats;
-use corepart_sched::binding::{bind, schedule_cluster, utilization};
 use corepart_sched::cache::{ScheduleCache, ScheduledCluster};
 use corepart_sched::datapath::estimate_datapath;
 use corepart_sched::energy::estimate_energy;
@@ -56,7 +56,9 @@ use corepart_tech::units::Energy;
 use crate::bus_transfer::transfer_counts;
 use crate::engine::Session;
 use crate::error::CorepartError;
-use crate::evaluate::{evaluate_partition_with, Partition, PartitionDetail};
+use crate::evaluate::{
+    cluster_blocks, evaluate_partition_with, schedule_trio, Partition, PartitionDetail,
+};
 use crate::objective::Objective;
 use crate::parallel::par_map;
 use crate::prepare::PreparedApp;
@@ -101,9 +103,9 @@ pub struct SearchStats {
     /// Verifications served by the trace-replay engine instead of a
     /// fresh instruction-set simulation.
     pub replayed: usize,
-    /// Batched replay walks run on this search's behalf (each walk
-    /// verifies every uncached candidate of a round in one pass over
-    /// the trace).
+    /// Replay walks run by this search's verification: 1 when the
+    /// winner was replayed afresh, 0 when the replay memo already held
+    /// it (an `explore` batch verified it first) or no trace exists.
     pub batched_replays: usize,
     /// Schedule-cache lookups served from memory during this run.
     pub cache_hits: u64,
@@ -312,30 +314,14 @@ impl<'a> Partitioner<'a> {
     /// The (memoized) [`CorepartError::Sched`] when the partition's
     /// resource set cannot execute its clusters.
     pub fn scheduled(&self, partition: &Partition) -> Result<Arc<ScheduledCluster>, CorepartError> {
-        let mut hw_blocks = Vec::new();
-        for &cid in &partition.clusters {
-            hw_blocks.extend(self.prepared.chain.cluster(cid).blocks.iter().copied());
-        }
-        Ok(self.cache.get_or_compute(schedule_key(partition), || {
-            let sched = schedule_cluster(
-                &self.prepared.app,
-                &hw_blocks,
-                &partition.set,
-                &self.config.library,
-            )?;
-            let binding = bind(&sched, &self.config.library);
-            let util = utilization(
-                &sched,
-                &binding,
-                &self.prepared.profile,
-                &self.config.library,
-            );
-            Ok(ScheduledCluster {
-                sched,
-                binding,
-                util,
-            })
-        })?)
+        let blocks = cluster_blocks(self.prepared, partition.clusters.iter().copied());
+        schedule_trio(
+            self.prepared,
+            self.config,
+            partition,
+            &blocks,
+            Some(&self.cache),
+        )
     }
 
     /// The objective value of a verified design.
@@ -371,11 +357,14 @@ impl<'a> Partitioner<'a> {
         partition: &Partition,
         enforce_gate: bool,
     ) -> Result<Option<EstimatedCandidate>, CorepartError> {
-        let mut hw_blocks = Vec::new();
-        for &cid in &partition.clusters {
-            hw_blocks.extend(self.prepared.chain.cluster(cid).blocks.iter().copied());
-        }
-        let synth = self.scheduled(partition)?;
+        let hw_blocks = cluster_blocks(self.prepared, partition.clusters.iter().copied());
+        let synth = schedule_trio(
+            self.prepared,
+            self.config,
+            partition,
+            &hw_blocks,
+            Some(&self.cache),
+        )?;
         let ScheduledCluster {
             sched,
             binding,
@@ -444,12 +433,10 @@ impl<'a> Partitioner<'a> {
     /// clusters, in chain order — the exact set verification replays
     /// under (and the [`crate::verify::ReplayEngine`] memo key, once
     /// sorted).
-    pub fn hw_set_of(&self, partition: &Partition) -> HashSet<corepart_ir::op::BlockId> {
-        let mut hw = HashSet::new();
-        for &cid in &partition.clusters {
-            hw.extend(self.prepared.chain.cluster(cid).blocks.iter().copied());
-        }
-        hw
+    pub fn hw_set_of(&self, partition: &Partition) -> HashSet<BlockId> {
+        cluster_blocks(self.prepared, partition.clusters.iter().copied())
+            .into_iter()
+            .collect()
     }
 
     /// Runs the full Fig. 1 search: pre-selection, the estimate loop
@@ -457,32 +444,14 @@ impl<'a> Partitioner<'a> {
     /// final verification.
     ///
     /// Equivalent to [`Partitioner::search`] followed by
-    /// [`Partitioner::finish`], with the winning candidate's replay
-    /// seeded through the batched kernel when a trace is available
-    /// (`explore` seeds many winners per batch; a single run's batch
-    /// has one lane — still one decode instead of a streaming parse).
+    /// [`Partitioner::finish`].
     ///
     /// # Errors
     ///
     /// Simulation failures during verification (estimate-phase
     /// infeasibilities are skipped and counted instead).
     pub fn run(&self) -> Result<PartitionOutcome, CorepartError> {
-        let mut phase = self.search()?;
-        if let (Some(best), Some(engine)) = (&phase.best, &self.replay) {
-            let before = engine.batches();
-            // A batch error is deliberately dropped: `finish` re-asks
-            // the memo (per-candidate errors were cached there) or the
-            // one-lane replay (trace-level errors memoize nothing) and
-            // reproduces the identical error through the normal
-            // evaluation route.
-            let _ = engine.verify_batch_with(
-                self.config,
-                std::slice::from_ref(&self.hw_set_of(&best.partition)),
-                self.threads,
-            );
-            phase.search.batched_replays += (engine.batches() - before) as usize;
-        }
-        self.finish(phase)
+        self.finish(self.search()?)
     }
 
     /// The search half of [`Partitioner::run`] — pre-selection, the
@@ -606,7 +575,7 @@ impl<'a> Partitioner<'a> {
     /// 14–15 plus the §3.5 "could the total system energy be
     /// reduced?" check — closing a [`SearchPhase`]. When the winner's
     /// replay was pre-seeded by a batch, the evaluation here is a memo
-    /// hit; the outcome is bit-identical either way.
+    /// hit and walks nothing; the outcome is bit-identical either way.
     ///
     /// # Errors
     ///
@@ -633,7 +602,10 @@ impl<'a> Partitioner<'a> {
         if self.replay.is_some() {
             search.replayed += 1;
         }
+        let walks = || self.replay.as_ref().map_or(0, |r| r.batches());
+        let walks_before = walks();
         let detail = self.evaluate(&best.partition)?;
+        search.batched_replays += (walks() - walks_before) as usize;
         let verified_better =
             detail.metrics.total_energy().joules() < self.initial.total_energy().joules();
         search.verify_nanos = verify_started.elapsed().as_nanos() as u64;
@@ -655,9 +627,7 @@ impl<'a> Partitioner<'a> {
 #[derive(Debug)]
 pub struct SearchPhase {
     /// Statistics so far; `finish` completes the verification fields.
-    /// Public within the crate so `run`/`explore` can attribute
-    /// batched walks to the search they verified.
-    pub(crate) search: SearchStats,
+    search: SearchStats,
     best: Option<EstimatedCandidate>,
     hits_before: u64,
     misses_before: u64,

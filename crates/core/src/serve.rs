@@ -73,7 +73,7 @@ use corepart_ir::parser::parse;
 use crate::corpus::{evaluate_corpus_entry, point_to_line, source_features, CorpusEntry};
 use crate::engine::{session_identity, Engine, Fnv64, SessionStats};
 use crate::error::CorepartError;
-use crate::evaluate::Partition;
+use crate::evaluate::{cluster_blocks, Partition};
 use crate::explore::{explore_in, hardware_weight_sweep};
 use corepart_tech::scaling::OperatingPoint;
 
@@ -983,18 +983,8 @@ fn prewarm_verify_group(store: &ArtifactStore, fingerprint: u64, group: &[&Compu
         if req.clusters.is_empty() || req.clusters.iter().any(|&c| c as usize >= chain_len) {
             continue;
         }
-        let mut hw = HashSet::new();
-        for &cid in &req.clusters {
-            hw.extend(
-                prepared
-                    .chain
-                    .cluster(ClusterId(cid))
-                    .blocks
-                    .iter()
-                    .copied(),
-            );
-        }
-        lanes.push(hw);
+        let blocks = cluster_blocks(prepared, req.clusters.iter().map(|&c| ClusterId(c)));
+        lanes.push(blocks.into_iter().collect());
     }
     if lanes.len() < 2 {
         return;
@@ -1051,7 +1041,6 @@ impl Server {
             &StoreOptions {
                 shards: opts.shards,
                 budget_bytes: opts.budget_bytes,
-                ..StoreOptions::default()
             },
         )?);
         let listener =

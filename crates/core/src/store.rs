@@ -19,7 +19,7 @@
 //!   exceed the budget, even across racing shards.
 //! * **LRU + admission control.** When a reservation fails, the shard
 //!   evicts its own least-recently-used *cold* entries first. Hot
-//!   entries (touched by [`StoreOptions::hot_touches`]+ requests) are
+//!   entries (touched by `HOT_TOUCHES` or more requests) are
 //!   never evicted to admit a cold, first-time artifact — a one-shot
 //!   trace cannot flush a hot baseline; the newcomer is declined
 //!   instead (computed, served, and dropped). Ties are broken by
@@ -57,17 +57,17 @@ pub struct StoreOptions {
     pub shards: usize,
     /// Store-wide byte budget over all accounted artifacts.
     pub budget_bytes: u64,
-    /// Touch count from which an entry counts as *hot* (protected from
-    /// eviction by cold, first-time admissions).
-    pub hot_touches: u64,
 }
+
+/// Touch count from which an entry counts as *hot* (protected from
+/// eviction by cold, first-time admissions).
+const HOT_TOUCHES: u64 = 2;
 
 impl Default for StoreOptions {
     fn default() -> Self {
         StoreOptions {
             shards: 4,
             budget_bytes: 128 << 20,
-            hot_touches: 2,
         }
     }
 }
@@ -273,7 +273,6 @@ impl StoreStats {
 pub struct ArtifactStore {
     shards: Vec<StoreShard>,
     budget: u64,
-    hot_touches: u64,
     /// Accounted bytes across all shards (CAS-reserved, never above
     /// `budget`).
     used: AtomicU64,
@@ -319,7 +318,6 @@ impl ArtifactStore {
         Ok(ArtifactStore {
             shards,
             budget: opts.budget_bytes,
-            hot_touches: opts.hot_touches.max(1),
             used: AtomicU64::new(0),
             tick: AtomicU64::new(0),
             queue_wait_nanos: AtomicU64::new(0),
@@ -536,7 +534,7 @@ impl ArtifactStore {
                         if kind.grows() {
                             match shard.engine.artifact_bytes(kind, &ekey.key) {
                                 Some(now) if now > entry.bytes => {
-                                    let hot = entry.touches >= self.hot_touches;
+                                    let hot = entry.touches >= HOT_TOUCHES;
                                     let delta = now - entry.bytes;
                                     let protect = (kind, ekey.key.as_str());
                                     if self.reserve_or_evict(
@@ -613,8 +611,7 @@ impl ArtifactStore {
             if self.try_reserve(need) {
                 return true;
             }
-            let Some(victim) = pick_victim(ledger, Some(protect), allow_hot, self.hot_touches)
-            else {
+            let Some(victim) = pick_victim(ledger, Some(protect), allow_hot) else {
                 return false;
             };
             self.evict_entry(shard, ledger, &victim);
@@ -734,7 +731,7 @@ fn record_request(
 }
 
 /// Deterministic victim selection: the least-recently-used *cold*
-/// entry first (touches below `hot_touches`); hot entries only when
+/// entry first (touches below `HOT_TOUCHES`); hot entries only when
 /// `allow_hot`. Ties on the LRU tick — e.g. two entries admitted by
 /// one request — break by `(kind, key)`, never by hash-map iteration
 /// order.
@@ -742,13 +739,12 @@ fn pick_victim(
     ledger: &Ledger,
     protect: Option<(ArtifactKind, &str)>,
     allow_hot: bool,
-    hot_touches: u64,
 ) -> Option<EntryKey> {
     let candidate = |hot_pass: bool| {
         ledger
             .entries()
             .filter(|&(kind, key, _)| Some((kind, key)) != protect)
-            .filter(|(_, _, e)| (e.touches >= hot_touches) == hot_pass)
+            .filter(|(_, _, e)| (e.touches >= HOT_TOUCHES) == hot_pass)
             .min_by_key(|&(kind, key, e)| (e.tick, kind, key))
             .map(|(kind, key, _)| EntryKey {
                 kind,
@@ -812,7 +808,7 @@ mod tests {
             ("c", ArtifactKind::Baseline, 2, 1),
         ]);
         for _ in 0..8 {
-            let v = pick_victim(&ledger, None, false, 2).unwrap();
+            let v = pick_victim(&ledger, None, false).unwrap();
             assert_eq!((v.kind, v.key.as_str()), (ArtifactKind::Baseline, "a"));
         }
         // Same tick, different kinds: ledger order (Prepared < Baseline
@@ -821,7 +817,7 @@ mod tests {
             ("x", ArtifactKind::Schedule, 5, 0),
             ("x", ArtifactKind::Prepared, 5, 0),
         ]);
-        let v = pick_victim(&ledger, None, false, 2).unwrap();
+        let v = pick_victim(&ledger, None, false).unwrap();
         assert_eq!(v.kind, ArtifactKind::Prepared);
     }
 
@@ -833,13 +829,13 @@ mod tests {
             ("hot", ArtifactKind::Baseline, 1, 5),
             ("cold", ArtifactKind::Baseline, 9, 1),
         ]);
-        let v = pick_victim(&ledger, None, false, 2).unwrap();
+        let v = pick_victim(&ledger, None, false).unwrap();
         assert_eq!(v.key, "cold");
         // With only hot entries left, a cold admission finds no victim…
         let ledger = ledger_of(&[("hot", ArtifactKind::Baseline, 1, 5)]);
-        assert!(pick_victim(&ledger, None, false, 2).is_none());
+        assert!(pick_victim(&ledger, None, false).is_none());
         // …while a hot requester may reclaim from its peers.
-        let v = pick_victim(&ledger, None, true, 2).unwrap();
+        let v = pick_victim(&ledger, None, true).unwrap();
         assert_eq!(v.key, "hot");
     }
 
@@ -847,7 +843,7 @@ mod tests {
     fn protected_entry_is_never_the_victim() {
         let ledger = ledger_of(&[("only", ArtifactKind::Baseline, 1, 0)]);
         let protect = (ArtifactKind::Baseline, "only");
-        assert!(pick_victim(&ledger, Some(protect), true, 2).is_none());
+        assert!(pick_victim(&ledger, Some(protect), true).is_none());
     }
 
     #[test]
@@ -858,16 +854,16 @@ mod tests {
             ("req", ArtifactKind::Result, 1, 1),
             ("app", ArtifactKind::Baseline, 2, 1),
         ]);
-        let v = pick_victim(&ledger, None, false, 2).unwrap();
+        let v = pick_victim(&ledger, None, false).unwrap();
         assert_eq!((v.kind, v.key.as_str()), (ArtifactKind::Result, "req"));
         let ledger = ledger_of(&[
             ("req", ArtifactKind::Result, 3, 1),
             ("app", ArtifactKind::Schedule, 3, 1),
         ]);
-        let v = pick_victim(&ledger, None, false, 2).unwrap();
+        let v = pick_victim(&ledger, None, false).unwrap();
         assert_eq!(v.kind, ArtifactKind::Schedule);
         let protect = (ArtifactKind::Result, "req");
-        let v = pick_victim(&ledger, Some(protect), false, 2).unwrap();
+        let v = pick_victim(&ledger, Some(protect), false).unwrap();
         assert_eq!(v.kind, ArtifactKind::Schedule);
     }
 
@@ -878,7 +874,6 @@ mod tests {
             &StoreOptions {
                 shards: 1,
                 budget_bytes: 1000,
-                hot_touches: 2,
             },
         )
         .unwrap();
@@ -956,7 +951,6 @@ mod tests {
             &StoreOptions {
                 shards: 1,
                 budget_bytes: 1000,
-                hot_touches: 2,
             },
         )
         .unwrap();

@@ -4,31 +4,33 @@
 //! search: a full instruction-set simulation plus the cache hierarchy
 //! per candidate. But [`SimConfig::hw_blocks`] changes *accounting*
 //! only — every candidate executes the identical instruction stream —
-//! so the engine simulates **once** per prepared application/workload
-//! (capturing the reference trace during the initial-design
-//! evaluation, [`crate::evaluate::evaluate_initial_captured`]) and
-//! verifies each candidate by *replaying* that capture with the
-//! candidate's hardware-block set applied at replay time: no
-//! re-interpretation, no `set_array` re-initialization.
+//! so the initial design is simulated **once** per prepared
+//! application/workload, capturing its reference trace on the way
+//! ([`crate::evaluate::evaluate_initial`]), and each candidate is
+//! verified by *replaying* that capture with the candidate's
+//! hardware-block set applied at replay time: no re-interpretation, no
+//! `set_array` re-initialization.
 //!
-//! The capture is held in one form: the stretch and address columns
-//! that [`corepart_isa::TraceBuilder`] appends during the run are the
-//! columns the kernel walks, so no replay decodes anything first and a
-//! warm [`ReplayEngine`] holds one copy of its trace. Every replay —
-//! one candidate or K — is one walk of the batch kernel
+//! [`ReplayEngine`] is the only way to replay. It is built once per
+//! capture, over the decode table of the simulation that captured it,
+//! and checks the trace's fingerprint once, at construction
+//! ([`ReferenceTrace::validate`]); every verify of a trace that failed
+//! it is [`SimError::TraceCorrupt`]. The capture is held in one form:
+//! the stretch and address columns that [`corepart_isa::TraceBuilder`]
+//! appends during the run are the columns the kernel walks. Every
+//! replay — one candidate or K — is one walk of the batch kernel
 //! ([`TraceReplayer::replay_batch`]) with one cache [`Hierarchy`] per
-//! lane; threading splits the K lanes into contiguous groups, each its
-//! own uninterrupted walk. Every entry point checks the trace's
-//! fingerprint first ([`ReferenceTrace::validate`]: once per
-//! [`ReplayEngine`], on every call of the one-shot functions). Replay
-//! reproduces direct simulation ([`crate::evaluate::run_iss`]):
-//! [`RunStats`] and [`HierarchyReport`] **bit for bit**, the same
-//! `f64` operations in the same order.
+//! lane, counted once in [`ReplayEngine::batches`]; threading splits
+//! the K lanes into contiguous groups, each its own uninterrupted pass.
+//! Replay reproduces direct simulation ([`crate::evaluate::run_iss`]):
+//! [`RunStats`] and [`HierarchyReport`] **bit for bit**, the same `f64`
+//! operations in the same order.
 //!
-//! Results are memoized per (trace fingerprint, hardware-block set) in
-//! the same compute-once [`MemoCache`] the schedule trio uses —
-//! distinct candidates that induce the same hardware-block set (e.g.
-//! the same clusters under different resource sets) share one replay.
+//! Results are memoized per hardware-block set (the trace is fixed per
+//! engine) in the same compute-once [`MemoCache`] the schedule trio
+//! uses — distinct candidates that induce the same hardware-block set
+//! (e.g. the same clusters under different resource sets) share one
+//! replay.
 //!
 //! When the capture was discarded (byte cap exceeded, or capture
 //! disabled), there is no engine and callers fall back to direct
@@ -37,7 +39,6 @@
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use corepart_cache::hierarchy::Hierarchy;
 use corepart_cache::HierarchyReport;
@@ -49,7 +50,6 @@ use corepart_sched::cache::MemoCache;
 
 use crate::evaluate::{fresh_hierarchy, HierarchySink};
 use crate::parallel::par_map;
-use crate::prepare::PreparedApp;
 use crate::system::SystemConfig;
 
 /// The product of one verified partitioned run — the µP-side
@@ -64,49 +64,10 @@ pub struct VerifiedRun {
     pub report: HierarchyReport,
 }
 
-/// Replays `trace` once under `hw_blocks`, uncached: validates the
-/// capture, builds the per-pc replay table, and streams the µP-side
-/// references through a fresh cache hierarchy in a one-lane batch
-/// walk.
-///
-/// This is the one-shot path ([`ReplayEngine`] memoizes it); it is
-/// also what benchmarks and equivalence tests call directly. Its
-/// reference is direct simulation,
-/// [`crate::evaluate::run_iss`].
-///
-/// # Errors
-///
-/// [`SimError::CycleLimit`] exactly when the equivalent direct
-/// simulation would hit it; [`SimError::TraceCorrupt`] when the trace
-/// fails its fingerprint validation or walks fewer events than it
-/// recorded (damaged or truncated capture); other [`SimError`]s
-/// only on a trace that does not belong to `prepared`.
-pub fn replay_run(
-    prepared: &PreparedApp,
-    config: &SystemConfig,
-    trace: &ReferenceTrace,
-    hw_blocks: &HashSet<BlockId>,
-) -> Result<VerifiedRun, SimError> {
-    trace.validate()?;
-    let replayer = TraceReplayer::new(&prepared.prog, &prepared.app, &config.energy_table);
-    replay_one(&replayer, trace, config, hw_blocks)
-}
-
-/// One candidate through the batch kernel: a walk of one lane.
-fn replay_one(
-    replayer: &TraceReplayer,
-    trace: &ReferenceTrace,
-    config: &SystemConfig,
-    hw_blocks: &HashSet<BlockId>,
-) -> Result<VerifiedRun, SimError> {
-    let mut lanes = walk(replayer, trace, config, &[hw_blocks])?;
-    lanes.pop().expect("one lane")
-}
-
-/// One uninterrupted batch walk of `trace`: a fresh cache
-/// [`Hierarchy`] per candidate, per-candidate results in candidate
-/// order, a trace-level failure as the top-level `Err`.
-fn walk(
+/// One uninterrupted pass of the batch kernel over `trace`: a fresh
+/// cache [`Hierarchy`] per candidate, per-candidate results in
+/// candidate order, a trace-level failure as the top-level `Err`.
+fn walk_group(
     replayer: &TraceReplayer,
     trace: &ReferenceTrace,
     config: &SystemConfig,
@@ -133,101 +94,25 @@ fn walk(
         .collect())
 }
 
-/// Verifies `candidates` against the *already validated* trace on up to
-/// `threads` workers. The candidates are cut into contiguous lane
-/// groups of at most `⌈K / threads⌉` lanes; each group is one
-/// uninterrupted [`walk`] with its own hierarchies, and the group
-/// outputs are concatenated in group order, which is candidate order.
-/// Every lane performs exactly its own operation sequence whatever
-/// group it lands in, so the output is bit-identical for every
-/// `threads` value.
-///
-/// Trace-level errors are lane-independent, so every group that
-/// reaches the damage hits the identical one; the lowest group's `Err`
-/// wins, which keeps the result deterministic across thread counts.
-fn batch_with(
-    replayer: &TraceReplayer,
-    trace: &ReferenceTrace,
-    config: &SystemConfig,
-    candidates: &[&HashSet<BlockId>],
-    threads: usize,
-) -> Result<Vec<Result<VerifiedRun, SimError>>, SimError> {
-    let lanes_per_group = candidates.len().div_ceil(threads.max(1)).max(1);
-    let groups: Vec<&[&HashSet<BlockId>]> = candidates.chunks(lanes_per_group).collect();
-    let outputs = par_map(&groups, groups.len(), |_, group| {
-        walk(replayer, trace, config, group)
-    });
-    let mut results = Vec::with_capacity(candidates.len());
-    for group in outputs {
-        results.extend(group?);
-    }
-    Ok(results)
-}
-
-/// Replays `trace` once for K candidate hardware-block sets, uncached:
-/// validates the capture, then verifies every candidate in
-/// a single batched walk — the K-candidate generalization of
-/// [`replay_run`], bit-identical to K independent direct simulations
-/// (pinned by `tests/determinism.rs` and the conform differential).
-///
-/// # Errors
-///
-/// All-or-nothing: the first failing candidate's [`SimError`] (in
-/// candidate order) fails the whole batch — a batch never returns
-/// partial results. Trace-level damage ([`SimError::TraceCorrupt`])
-/// poisons every candidate alike.
-pub fn replay_batch(
-    prepared: &PreparedApp,
-    config: &SystemConfig,
-    trace: &ReferenceTrace,
-    candidates: &[HashSet<BlockId>],
-) -> Result<Vec<VerifiedRun>, SimError> {
-    replay_batch_with(prepared, config, trace, candidates, 1)
-}
-
-/// [`replay_batch`] spread over up to `threads` contiguous lane groups,
-/// each one uninterrupted walk. Bit-identical to [`replay_batch`] for
-/// every `threads` value — threading changes scheduling, never results.
-pub fn replay_batch_with(
-    prepared: &PreparedApp,
-    config: &SystemConfig,
-    trace: &ReferenceTrace,
-    candidates: &[HashSet<BlockId>],
-    threads: usize,
-) -> Result<Vec<VerifiedRun>, SimError> {
-    trace.validate()?;
-    let replayer = TraceReplayer::new(&prepared.prog, &prepared.app, &config.energy_table);
-    let refs: Vec<&HashSet<BlockId>> = candidates.iter().collect();
-    batch_with(&replayer, trace, config, &refs, threads)?
-        .into_iter()
-        .collect()
-}
-
 /// A memoizing replay engine bound to one captured reference trace.
 ///
 /// The engine owns the capture, the precomputed per-pc replay table,
 /// and a compute-once cache keyed by the sorted hardware-block set
-/// (the trace fingerprint is fixed per engine, so the pair uniquely
-/// identifies a verified run). Like the schedule cache, one engine
-/// must only be shared across configurations with equal baseline
-/// parameters (caches, process, memory, energy table, cycle guard) —
+/// (the trace is fixed per engine, so the set uniquely identifies a
+/// verified run). Like the schedule cache, one engine must only be
+/// shared across configurations with equal baseline parameters
+/// (caches, process, memory, energy table, cycle guard) —
 /// [`crate::engine`] guarantees this by pooling replay engines inside
 /// the baseline artifact, keyed on the baseline fingerprint.
 #[derive(Debug)]
 pub struct ReplayEngine {
-    trace: Arc<ReferenceTrace>,
+    trace: ReferenceTrace,
     replayer: TraceReplayer,
     cache: MemoCache<Vec<BlockId>, VerifiedRun, SimError>,
-    /// Batched walks executed.
+    /// Replay walks run, one per kernel call whatever its lane count.
     batches: AtomicU64,
-    /// Trace events whose walk was *shared* instead of repeated:
-    /// `events × (lanes − 1)`, summed over batches.
-    batch_events_shared: AtomicU64,
-    /// Wall time spent inside batched walks.
-    batch_nanos: AtomicU64,
     /// Fingerprint validation of the capture, run once at
-    /// construction; every [`ReplayEngine::verify`] refuses a trace
-    /// that failed it.
+    /// construction; every verify refuses a trace that failed it.
     validated: Result<(), SimError>,
 }
 
@@ -235,6 +120,13 @@ impl corepart_sched::cache::HeapBytes for VerifiedRun {
     fn heap_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.stats.heap_bytes()
     }
+}
+
+/// The memo key of a hardware-block set: its blocks, sorted.
+fn memo_key(hw_blocks: &HashSet<BlockId>) -> Vec<BlockId> {
+    let mut key: Vec<BlockId> = hw_blocks.iter().copied().collect();
+    key.sort_unstable();
+    key
 }
 
 impl ReplayEngine {
@@ -249,17 +141,15 @@ impl ReplayEngine {
     /// Builds the engine for a trace over the decode table of the
     /// simulation that captured it, so the program is not decoded a
     /// second time. The trace's fingerprint is validated here, once; a
-    /// damaged capture turns every later [`ReplayEngine::verify`] into
+    /// damaged capture turns every later verify into
     /// [`SimError::TraceCorrupt`].
     pub fn new(table: Arc<DecodeTable>, trace: ReferenceTrace) -> Self {
         ReplayEngine {
             replayer: TraceReplayer::from_table(table),
             validated: trace.validate(),
-            trace: Arc::new(trace),
+            trace,
             cache: MemoCache::new(),
             batches: AtomicU64::new(0),
-            batch_events_shared: AtomicU64::new(0),
-            batch_nanos: AtomicU64::new(0),
         }
     }
 
@@ -268,44 +158,94 @@ impl ReplayEngine {
         &self.trace
     }
 
+    /// The decode table the capture is replayed over — what a second
+    /// engine on the same program (a copy of the trace, say) is built
+    /// with.
+    pub fn table(&self) -> &Arc<DecodeTable> {
+        self.replayer.table()
+    }
+
+    /// The one replay walk: verifies `candidates` against the validated
+    /// trace on up to `threads` workers, counted once in
+    /// [`ReplayEngine::batches`]. The candidates are cut into contiguous
+    /// lane groups of at most `⌈K / threads⌉` lanes; each group is one
+    /// uninterrupted pass with its own hierarchies, and the group
+    /// outputs are concatenated in group order, which is candidate
+    /// order. Every lane performs exactly its own operation sequence
+    /// whatever group it lands in, so the output is bit-identical for
+    /// every `threads` value.
+    ///
+    /// Trace-level errors are lane-independent, so every group that
+    /// reaches the damage hits the identical one; the lowest group's
+    /// `Err` wins, which keeps the result deterministic across thread
+    /// counts.
+    fn walk(
+        &self,
+        config: &SystemConfig,
+        candidates: &[&HashSet<BlockId>],
+        threads: usize,
+    ) -> Result<Vec<Result<VerifiedRun, SimError>>, SimError> {
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        let lanes_per_group = candidates.len().div_ceil(threads.max(1)).max(1);
+        let groups: Vec<&[&HashSet<BlockId>]> = candidates.chunks(lanes_per_group).collect();
+        let outputs = par_map(&groups, groups.len(), |_, group| {
+            walk_group(&self.replayer, &self.trace, config, group)
+        });
+        let mut results = Vec::with_capacity(candidates.len());
+        for group in outputs {
+            results.extend(group?);
+        }
+        Ok(results)
+    }
+
+    /// One candidate through the kernel: a walk of one lane.
+    fn replay_one(
+        &self,
+        config: &SystemConfig,
+        hw_blocks: &HashSet<BlockId>,
+    ) -> Result<VerifiedRun, SimError> {
+        let mut lanes = self.walk(config, &[hw_blocks], 1)?;
+        lanes.pop().expect("one lane")
+    }
+
     /// Verifies the hardware-block set `hw_blocks`: replays the capture
-    /// (a one-lane batch walk) on first request, serves the shared
-    /// result afterwards.
+    /// (a one-lane walk) on first request, serves the shared result
+    /// afterwards.
     ///
     /// # Errors
     ///
-    /// The (cached) [`SimError`] when the replay fails — exactly when
-    /// the equivalent direct simulation would.
+    /// [`SimError::TraceCorrupt`] when the capture failed its
+    /// fingerprint validation or walks fewer events than it recorded
+    /// (a damaged or truncated capture); otherwise the (cached)
+    /// [`SimError`] of the replay — exactly when the equivalent direct
+    /// simulation would fail.
     pub fn verify(
         &self,
         config: &SystemConfig,
         hw_blocks: &HashSet<BlockId>,
     ) -> Result<Arc<VerifiedRun>, SimError> {
         self.validated.clone()?;
-        let mut key: Vec<BlockId> = hw_blocks.iter().copied().collect();
-        key.sort_unstable();
-        self.cache.get_or_compute(key, || {
-            replay_one(&self.replayer, &self.trace, config, hw_blocks)
-        })
+        self.cache
+            .get_or_compute(memo_key(hw_blocks), || self.replay_one(config, hw_blocks))
     }
 
     /// Verifies K candidate hardware-block sets with at most **one**
     /// walk of the trace, memo-integrated: candidates whose sorted set
     /// is already memoized (and duplicates within `candidates`) are
     /// served from the cache as ordinary hits; only the remaining
-    /// first-occurrence sets enter the batched walk, whose per-lane
-    /// results are then published through the memo (each charged as
-    /// one miss — the counters read exactly as if the candidates had
-    /// been verified sequentially).
+    /// first-occurrence sets enter the walk, whose per-lane results are
+    /// then published through the memo (each charged as one miss — the
+    /// counters read exactly as if the candidates had been verified
+    /// one at a time).
     ///
     /// Results come back in candidate order and are bit-identical to
     /// K separate [`ReplayEngine::verify`] calls.
     ///
     /// # Errors
     ///
-    /// All-or-nothing, like one-at-a-time verification would fail: the first
-    /// failing candidate's [`SimError`] (in candidate order) fails the
-    /// whole call. A trace-level failure (damaged capture) fails the
+    /// All-or-nothing, like one-at-a-time verification would fail: the
+    /// first failing candidate's [`SimError`] (in candidate order) fails
+    /// the whole call. A trace-level failure (damaged capture) fails the
     /// batch before anything is memoized; a per-candidate failure
     /// ([`SimError::CycleLimit`]) is memoized for its set, exactly as
     /// [`ReplayEngine::verify`] caches it.
@@ -319,7 +259,7 @@ impl ReplayEngine {
 
     /// [`ReplayEngine::verify_batch`] with the fresh lanes spread over
     /// up to `threads` contiguous lane groups, each one uninterrupted
-    /// walk. Results — and the memo contents published from them — are
+    /// pass. Results — and the memo contents published from them — are
     /// bit-identical for every `threads` value; only wall time differs.
     pub fn verify_batch_with(
         &self,
@@ -328,17 +268,10 @@ impl ReplayEngine {
         threads: usize,
     ) -> Result<Vec<Arc<VerifiedRun>>, SimError> {
         self.validated.clone()?;
-        let keys: Vec<Vec<BlockId>> = candidates
-            .iter()
-            .map(|hw| {
-                let mut key: Vec<BlockId> = hw.iter().copied().collect();
-                key.sort_unstable();
-                key
-            })
-            .collect();
+        let keys: Vec<Vec<BlockId>> = candidates.iter().map(memo_key).collect();
 
         // Plan: only the first occurrence of each not-yet-memoized set
-        // earns a batch lane. `peek` charges no counters — the
+        // earns a lane. `peek` charges no counters — the
         // `get_or_compute` below does the hit/miss accounting.
         let mut seen: HashSet<&[BlockId]> = HashSet::new();
         let fresh: Vec<usize> = keys
@@ -351,18 +284,10 @@ impl ReplayEngine {
         let mut lane_results: Vec<Option<Result<VerifiedRun, SimError>>> =
             candidates.iter().map(|_| None).collect();
         if !fresh.is_empty() {
-            let started = Instant::now();
             let sets: Vec<&HashSet<BlockId>> = fresh.iter().map(|&i| &candidates[i]).collect();
             // A trace-level `Err` here aborts before anything is
             // memoized: the damage poisons every candidate alike.
-            let run = batch_with(&self.replayer, &self.trace, config, &sets, threads)?;
-            self.batches.fetch_add(1, Ordering::Relaxed);
-            self.batch_events_shared.fetch_add(
-                self.trace.events() * (sets.len() as u64 - 1),
-                Ordering::Relaxed,
-            );
-            self.batch_nanos
-                .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            let run = self.walk(config, &sets, threads)?;
             for (&i, lane) in fresh.iter().zip(run) {
                 lane_results[i] = Some(lane);
             }
@@ -371,17 +296,17 @@ impl ReplayEngine {
         let mut out = Vec::with_capacity(candidates.len());
         for ((i, key), lane) in keys.into_iter().enumerate().zip(&mut lane_results) {
             let entry = match lane.take() {
-                // A batch lane publishes its result as this key's one
-                // miss; under a racing single verify the memo's
-                // first writer wins and this lane is a hit — either
-                // way the value is bit-identical.
+                // A lane publishes its result as this key's one miss;
+                // under a racing single verify the memo's first writer
+                // wins and this lane is a hit — either way the value is
+                // bit-identical.
                 Some(result) => self.cache.get_or_compute(key, || result),
                 // Memoized (or duplicate-in-batch) set: an ordinary
                 // hit. Recompute as a one-lane walk only if it raced
                 // away (conform's evict hook can do that).
-                None => self.cache.get_or_compute(key, || {
-                    replay_one(&self.replayer, &self.trace, config, &candidates[i])
-                }),
+                None => self
+                    .cache
+                    .get_or_compute(key, || self.replay_one(config, &candidates[i])),
             };
             out.push(entry?);
         }
@@ -398,20 +323,11 @@ impl ReplayEngine {
         self.cache.hits()
     }
 
-    /// Batched walks executed by [`ReplayEngine::verify_batch`].
+    /// Replay walks run: one per [`ReplayEngine::verify`] miss and one
+    /// per [`ReplayEngine::verify_batch`] call with any fresh set,
+    /// whatever its lane count.
     pub fn batches(&self) -> u64 {
         self.batches.load(Ordering::Relaxed)
-    }
-
-    /// Trace events whose walk was shared instead of repeated,
-    /// summed over batches: `events × (lanes − 1)` per batch.
-    pub fn batch_events_shared(&self) -> u64 {
-        self.batch_events_shared.load(Ordering::Relaxed)
-    }
-
-    /// Wall time spent inside batched walks.
-    pub fn batch_nanos(&self) -> u64 {
-        self.batch_nanos.load(Ordering::Relaxed)
     }
 }
 
@@ -419,7 +335,7 @@ impl ReplayEngine {
 mod tests {
     use super::*;
     use crate::engine::Engine;
-    use crate::evaluate::{evaluate_initial_captured, evaluate_partition, Partition};
+    use crate::evaluate::{evaluate_initial, evaluate_partition, Partition};
     use crate::prepare::Workload;
     use corepart_ir::lower::lower;
     use corepart_ir::parser::parse;
@@ -482,27 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn one_shot_replay_matches_engine() {
-        let (factory, app, workload) = setup();
-        let session = factory.session(&app, &workload);
-        let prepared = session.prepared().unwrap();
-        let config = session.config();
-        let engine = session
-            .replay_engine()
-            .unwrap()
-            .expect("capture fits")
-            .clone();
-        let hot = prepared.chain.iter().find(|c| c.is_loop()).unwrap().id;
-        let hw_blocks: HashSet<BlockId> =
-            prepared.chain.cluster(hot).blocks.iter().copied().collect();
-
-        let one_shot = replay_run(prepared, config, engine.trace(), &hw_blocks).unwrap();
-        let memoized = engine.verify(config, &hw_blocks).unwrap();
-        assert_eq!(one_shot, *memoized);
-        assert!(engine.trace().events() > 0);
-    }
-
-    #[test]
     fn warm_engine_holds_one_copy_of_its_trace() {
         let (factory, app, workload) = setup();
         let session = factory.session(&app, &workload);
@@ -562,8 +457,16 @@ mod tests {
             .map(|hw| crate::evaluate::run_iss(prepared, config, hw).unwrap())
             .collect();
         for threads in [1usize, 2, 3, 8] {
-            let got = replay_batch_with(prepared, config, engine.trace(), &sets, threads).unwrap();
+            // A fresh engine per thread count, so every lane is walked.
+            let fresh = ReplayEngine::new(Arc::clone(engine.table()), engine.trace().clone());
+            let got: Vec<VerifiedRun> = fresh
+                .verify_batch_with(config, &sets, threads)
+                .unwrap()
+                .iter()
+                .map(|run| (**run).clone())
+                .collect();
             assert_eq!(got, direct, "threads={threads}");
+            assert_eq!(fresh.batches(), 1, "threads={threads}");
         }
     }
 
@@ -573,14 +476,38 @@ mod tests {
         let session = factory.session(&app, &workload);
         let prepared = session.prepared().unwrap();
         let config = session.config();
-        let (metrics_off, stats_off, trace) =
-            evaluate_initial_captured(prepared, config, 0).unwrap();
-        assert!(trace.is_none());
+        let off = evaluate_initial(prepared, &config.clone().with_trace_cap(0), 1).unwrap();
+        assert!(off.replay.is_none());
         // And the capture never perturbs the evaluation itself.
-        let (metrics_on, stats_on, trace_on) =
-            evaluate_initial_captured(prepared, config, usize::MAX).unwrap();
-        assert!(trace_on.is_some());
-        assert_eq!(metrics_off, metrics_on);
-        assert_eq!(stats_off, stats_on);
+        let on = evaluate_initial(prepared, &config.clone().with_trace_cap(usize::MAX), 1).unwrap();
+        assert!(on.replay.is_some());
+        assert_eq!(off.metrics, on.metrics);
+        assert_eq!(off.stats, on.stats);
+    }
+
+    #[test]
+    fn every_walk_is_counted_once() {
+        let (factory, app, workload) = setup();
+        let session = factory.session(&app, &workload);
+        let prepared = session.prepared().unwrap();
+        let config = session.config();
+        let engine = session.replay_engine().unwrap().expect("capture fits");
+        let engine = ReplayEngine::new(Arc::clone(engine.table()), engine.trace().clone());
+        let clusters: Vec<HashSet<BlockId>> = prepared
+            .chain
+            .iter()
+            .map(|cluster| cluster.blocks.iter().copied().collect())
+            .collect();
+        assert!(clusters.len() >= 3, "needs three distinct sets");
+
+        assert_eq!(engine.batches(), 0, "a fresh engine has walked nothing");
+        engine.verify(config, &clusters[0]).unwrap();
+        assert_eq!(engine.batches(), 1, "a new set is one one-lane walk");
+        engine.verify(config, &clusters[0]).unwrap();
+        assert_eq!(engine.batches(), 1, "a memo hit walks nothing");
+        engine.verify_batch(config, &clusters[1..]).unwrap();
+        assert_eq!(engine.batches(), 2, "K new sets are one walk");
+        engine.verify_batch(config, &clusters).unwrap();
+        assert_eq!(engine.batches(), 2, "an all-hit batch walks nothing");
     }
 }

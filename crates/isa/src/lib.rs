@@ -56,5 +56,5 @@ pub use decode::DecodeTable;
 pub use energy::EnergyTable;
 pub use isa::{AluOp, InstClass, MachInst, Reg, RegImm};
 pub use profile::{CoreResource, CoreUtilization};
-pub use simulator::{MemSink, NullSink, RunStats, SimConfig, SimError, Simulator, TraceEntry};
+pub use simulator::{MemSink, NullSink, RunStats, SimConfig, SimError, Simulator};
 pub use trace::{ReferenceTrace, TraceBuilder, TraceReplayer};

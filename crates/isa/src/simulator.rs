@@ -77,10 +77,6 @@ pub struct SimConfig {
     /// IR blocks whose instructions execute on the ASIC core: free for
     /// the µP, tallied separately.
     pub hw_blocks: HashSet<BlockId>,
-    /// When non-zero, capture the first `trace_limit` executed µP
-    /// instructions into [`RunStats::trace`] (a debugging aid; hardware
-    /// -mapped instructions are not traced).
-    pub trace_limit: usize,
 }
 
 impl SimConfig {
@@ -89,7 +85,6 @@ impl SimConfig {
         SimConfig {
             max_cycles,
             hw_blocks: HashSet::new(),
-            trace_limit: 0,
         }
     }
 
@@ -98,26 +93,8 @@ impl SimConfig {
         SimConfig {
             max_cycles,
             hw_blocks,
-            trace_limit: 0,
         }
     }
-
-    /// Returns a copy that captures an execution trace.
-    pub fn with_trace(mut self, limit: usize) -> Self {
-        self.trace_limit = limit;
-        self
-    }
-}
-
-/// One traced µP instruction execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// Program counter (instruction index).
-    pub pc: u32,
-    /// The executed instruction.
-    pub inst: MachInst,
-    /// µP cycle count *after* this instruction.
-    pub cycles: u64,
 }
 
 /// Statistics of one simulated run.
@@ -156,9 +133,6 @@ pub struct RunStats {
     pub sw_ifetches: u64,
     /// `main`'s return value (register `r1` at `halt`).
     pub return_value: i64,
-    /// Captured execution trace (first [`SimConfig::trace_limit`] µP
-    /// instructions; empty when tracing is off).
-    pub trace: Vec<TraceEntry>,
 }
 
 impl RunStats {
@@ -182,7 +156,6 @@ impl RunStats {
             sw_writes: 0,
             sw_ifetches: 0,
             return_value: 0,
-            trace: Vec::new(),
         }
     }
 
@@ -200,7 +173,6 @@ impl RunStats {
             + self.block_counts.capacity() * size_of::<u64>()
             + self.block_cycles.capacity() * size_of::<u64>()
             + self.block_energy.capacity() * size_of::<Energy>()
-            + self.trace.capacity() * size_of::<TraceEntry>()
     }
 
     /// Total µP cycles attributed to a set of blocks.
@@ -552,13 +524,6 @@ impl<'a> Simulator<'a> {
                 stats.block_class_cycles[bi][info.class_index] += info.latency;
                 stats.sw_ifetches += 1;
                 sink.ifetch(info.inst_addr);
-                if stats.trace.len() < config.trace_limit {
-                    stats.trace.push(TraceEntry {
-                        pc,
-                        inst: info.inst,
-                        cycles,
-                    });
-                }
             } else {
                 // Leaving the µP's instruction stream resets the
                 // circuit-state history.
@@ -864,45 +829,6 @@ mod tests {
             sim.set_array("a", &[1, 2, 3]),
             Err(SimError::DataTooLong { .. })
         ));
-    }
-
-    #[test]
-    fn trace_captures_executed_instructions() {
-        let (app, prog) = setup("app t; func main() { var x = 2; var y = 3; return x + y; }");
-        let mut sim = Simulator::new(&prog, &app);
-        let stats = sim
-            .run(&SimConfig::initial(100_000).with_trace(64), &mut NullSink)
-            .unwrap();
-        assert!(!stats.trace.is_empty());
-        assert_eq!(stats.trace.len() as u64, stats.sw_ifetches.min(64));
-        // Trace entries appear in cycle order and end at a halt.
-        for w in stats.trace.windows(2) {
-            assert!(w[0].cycles <= w[1].cycles);
-        }
-        assert!(matches!(
-            stats.trace.last().expect("non-empty").inst,
-            MachInst::Halt
-        ));
-    }
-
-    #[test]
-    fn trace_limit_caps_capture() {
-        let (app, prog) = setup(
-            "app t; var g = 0; func main() { for (var i = 0; i < 100; i = i + 1) { g = g + i; } }",
-        );
-        let stats = Simulator::new(&prog, &app)
-            .run(&SimConfig::initial(1_000_000).with_trace(10), &mut NullSink)
-            .unwrap();
-        assert_eq!(stats.trace.len(), 10);
-    }
-
-    #[test]
-    fn tracing_off_by_default() {
-        let (app, prog) = setup("app t; func main() { return 1; }");
-        let stats = Simulator::new(&prog, &app)
-            .run(&SimConfig::initial(1000), &mut NullSink)
-            .unwrap();
-        assert!(stats.trace.is_empty());
     }
 
     #[test]

@@ -50,7 +50,7 @@ use crate::codegen::{MachProgram, CODE_BASE, SLOT_BASE};
 use crate::decode::{AccessKind, DecodeTable};
 use crate::energy::EnergyTable;
 use crate::isa::InstClass;
-use crate::simulator::{MemSink, RunStats, SimConfig, SimError, TraceEntry};
+use crate::simulator::{MemSink, RunStats, SimConfig, SimError};
 
 /// Elements a column reserves when it first grows; every later growth
 /// doubles its capacity.
@@ -468,7 +468,6 @@ struct Lanes {
     prev_class: Vec<Option<InstClass>>,
     prev_was_hw: Vec<bool>,
     dead: Vec<Option<SimError>>,
-    traces: Vec<Vec<TraceEntry>>,
     // Row-major lane matrices, `[row * n + lane]`.
     /// Per-block hardware flag per lane (`n_blocks` rows).
     is_hw: Vec<bool>,
@@ -517,7 +516,6 @@ impl Lanes {
             prev_class: vec![None; n],
             prev_was_hw: vec![false; n],
             dead: vec![None; n],
-            traces: vec![Vec::new(); n],
             is_hw,
             inst_counts: vec![0; 8 * n],
             class_cycles: vec![0; 8 * n],
@@ -648,6 +646,11 @@ impl TraceReplayer {
             + self.class_cycle_prefix.capacity() * size_of::<[u64; 8]>()
             + self.switch_prefix.capacity() * size_of::<u64>()
             + self.intra_energy.capacity() * size_of::<Energy>()
+    }
+
+    /// The decoded program the tables were built from.
+    pub fn table(&self) -> &Arc<DecodeTable> {
+        &self.table
     }
 
     /// Builds the replay tables for one compiled program.
@@ -847,7 +850,6 @@ impl TraceReplayer {
                     let config = &configs[l];
                     let bulk = (config.max_cycles == 0
                         || lanes.cycles[l] + run_latency <= config.max_cycles)
-                        && config.trace_limit == 0
                         && sinks[l].ifetch_run_hits(first.inst_addr, run_len);
                     lanes.choice[l] = if bulk {
                         RunChoice::Bulk
@@ -1100,11 +1102,10 @@ impl TraceReplayer {
                 }
                 RunChoice::Exact => {
                     // Exact per-instruction body: cycle-limit death at
-                    // the precise pc, interleaved sink calls, optional
-                    // trace capture. A lane that dies keeps its partial
-                    // row updates — they are discarded with the lane's
-                    // error at the fold, as in the direct run's early
-                    // return.
+                    // the precise pc, interleaved sink calls. A lane
+                    // that dies keeps its partial row updates — they
+                    // are discarded with the lane's error at the fold,
+                    // as in the direct run's early return.
                     let config = &configs[l];
                     let mut ai = run_base;
                     let mut cycles = lanes.cycles[l];
@@ -1137,13 +1138,6 @@ impl TraceReplayer {
                             info.latency;
                         lanes.sw_ifetches[l] += 1;
                         sinks[l].ifetch(info.inst_addr);
-                        if lanes.traces[l].len() < config.trace_limit {
-                            lanes.traces[l].push(TraceEntry {
-                                pc: (pos + off) as u32,
-                                inst: info.inst,
-                                cycles,
-                            });
-                        }
                         match info.access {
                             AccessKind::None => {}
                             AccessKind::Load => {
@@ -1217,7 +1211,6 @@ impl TraceReplayer {
                     stats.hw_block_entries.insert(BlockId(b as u32), entries);
                 }
             }
-            stats.trace = std::mem::take(&mut lanes.traces[l]);
             stats.return_value = trace.return_value;
             out.push(Ok(stats));
         }
@@ -1379,19 +1372,6 @@ mod tests {
             Log::default(),
         );
         assert_eq!(direct_log, replay_log);
-    }
-
-    #[test]
-    fn replay_supports_debug_tracing() {
-        let (app, prog) = setup(TWO_LOOPS);
-        let (_, trace) = capture(&app, &prog, None);
-        let config = SimConfig::initial(10_000_000).with_trace(16);
-        let direct = direct(&app, &prog, None, &config, &mut NullSink).unwrap();
-        let replayer = TraceReplayer::new(&prog, &app, &EnergyTable::default());
-        let (replayed, _) = replay_one(&replayer, &trace, &config, NullSink);
-        let replayed = replayed.unwrap();
-        assert_eq!(replayed.trace.len(), 16);
-        assert_eq!(direct, replayed);
     }
 
     #[test]

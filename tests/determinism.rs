@@ -24,8 +24,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use corepart::engine::Baseline;
 use corepart::engine::Engine;
-use corepart::evaluate::{evaluate_initial_captured, run_iss, STREAM_CHUNK_EVENTS};
+use corepart::evaluate::{evaluate_initial, run_iss, STREAM_CHUNK_EVENTS};
 use corepart::explore::{explore, hardware_weight_sweep};
 use corepart::ir::lower::lower;
 use corepart::ir::op::BlockId;
@@ -35,7 +36,6 @@ use corepart::prepare::{prepare, PreparedApp, Workload};
 use corepart::sched::binding::{bind, schedule_cluster, utilization};
 use corepart::sched::cache::{ScheduleCache, ScheduledCluster};
 use corepart::system::SystemConfig;
-use corepart::verify::{replay_batch, replay_batch_with, replay_run};
 use corepart_workloads::{all, by_name};
 
 /// Everything a baseline capture produces that a thread count could
@@ -53,14 +53,26 @@ fn capture_on(
     threads: usize,
     cap: usize,
 ) -> Captured {
-    let config = config.clone().with_threads(threads);
-    let (metrics, stats, trace) =
-        evaluate_initial_captured(prepared, &config, cap).expect("initial run");
-    let trace = trace.map(|t| {
+    let config = config.clone().with_trace_cap(cap);
+    let Baseline {
+        metrics,
+        stats,
+        replay,
+    } = evaluate_initial(prepared, &config, threads).expect("initial run");
+    let trace = replay.map(|engine| {
+        let t = engine.trace();
         t.validate().expect("a fresh capture validates");
         (t.fingerprint(), t.heap_bytes(), t.events(), t.data_events())
     });
     (metrics, stats, trace)
+}
+
+/// The baseline of an uncapped capture on the default thread count —
+/// its replay engine is the one replay reference of the proptests.
+fn uncapped_baseline(prepared: &PreparedApp, config: &SystemConfig) -> Baseline {
+    let config = config.clone().with_trace_cap(usize::MAX);
+    let threads = corepart::resolve_threads(config.threads);
+    evaluate_initial(prepared, &config, threads).expect("initial run")
 }
 
 /// Asserts that direct simulation on one thread and on two agree bit
@@ -158,8 +170,8 @@ fn capture_caps_and_cycle_limits_are_thread_count_invariant() {
     let describe = |e: corepart::CorepartError| format!("{e:?}");
     let capture_errors: Vec<String> = [1, 2]
         .map(|threads| {
-            let config = limited.clone().with_threads(threads);
-            describe(evaluate_initial_captured(&prepared, &config, usize::MAX).unwrap_err())
+            let config = limited.clone().with_trace_cap(usize::MAX);
+            describe(evaluate_initial(&prepared, &config, threads).unwrap_err())
         })
         .to_vec();
     let direct_errors: Vec<String> = [1, 2]
@@ -339,7 +351,7 @@ fn replay_matches_direct_simulation_on_all_six_workloads() {
             .collect();
 
         let direct = run_iss(prepared, config, &hw).expect("direct simulation");
-        let replayed = replay_run(prepared, config, engine.trace(), &hw).expect("replay");
+        let replayed = engine.verify(config, &hw).expect("replay");
         assert_eq!(
             direct.stats, replayed.stats,
             "RunStats diverged on `{}`",
@@ -370,7 +382,6 @@ fn batched_replay_matches_sequential_on_fixed_candidate_sets() {
         let engine = partitioner
             .replay_engine()
             .expect("paper workload fits the default trace cap");
-        let trace = engine.trace();
 
         let mut candidates: Vec<HashSet<BlockId>> = vec![HashSet::new()];
         let mut union: HashSet<BlockId> = HashSet::new();
@@ -381,11 +392,14 @@ fn batched_replay_matches_sequential_on_fixed_candidate_sets() {
         }
         candidates.push(union);
 
-        let batched = replay_batch(prepared, config, trace, &candidates).expect("batched replay");
+        let batched = engine
+            .verify_batch(config, &candidates)
+            .expect("batched replay");
+        assert_eq!(engine.batches(), 1, "one walk verifies every lane");
         assert_eq!(batched.len(), candidates.len());
         for (hw, got) in candidates.iter().zip(&batched) {
             let direct = run_iss(prepared, config, hw).expect("direct simulation");
-            assert_eq!(&direct, got, "batched lane diverged on `{name}`");
+            assert_eq!(&direct, &**got, "batched lane diverged on `{name}`");
         }
     }
 }
@@ -500,13 +514,12 @@ proptest! {
             .map(|b| BlockId(b as u32))
             .collect();
 
-        let (_, _, trace) =
-            corepart::evaluate::evaluate_initial_captured(&prepared, &config, usize::MAX)
-                .expect("initial run");
-        let trace = trace.expect("tiny program fits");
+        let engine = uncapped_baseline(&prepared, &config)
+            .replay
+            .expect("tiny program fits");
 
         let direct = run_iss(&prepared, &config, &hw).expect("direct simulation");
-        let replayed = replay_run(&prepared, &config, &trace, &hw).expect("replay");
+        let replayed = engine.verify(&config, &hw).expect("replay");
         prop_assert_eq!(&direct.stats, &replayed.stats);
         prop_assert_eq!(&direct.report, &replayed.report);
     }
@@ -548,16 +561,15 @@ proptest! {
             })
             .collect();
 
-        let (_, _, trace) =
-            corepart::evaluate::evaluate_initial_captured(&prepared, &config, usize::MAX)
-                .expect("initial run");
-        let trace = trace.expect("paper workload fits");
+        let engine = uncapped_baseline(&prepared, &config)
+            .replay
+            .expect("paper workload fits");
 
-        let batched = replay_batch(&prepared, &config, &trace, &candidates).expect("batch");
+        let batched = engine.verify_batch(&config, &candidates).expect("batch");
         prop_assert_eq!(batched.len(), candidates.len());
         for (hw, got) in candidates.iter().zip(&batched) {
             let direct = run_iss(&prepared, &config, hw).expect("direct simulation");
-            prop_assert_eq!(&direct, got);
+            prop_assert_eq!(&direct, &**got);
         }
     }
 }
@@ -599,17 +611,17 @@ proptest! {
             })
             .collect();
 
-        let (_, _, trace) =
-            corepart::evaluate::evaluate_initial_captured(&prepared, &config, usize::MAX)
-                .expect("initial run");
-        let trace = trace.expect("paper workload fits");
+        let engine = uncapped_baseline(&prepared, &config)
+            .replay
+            .expect("paper workload fits");
 
-        let batched =
-            replay_batch_with(&prepared, &config, &trace, &candidates, threads).expect("batch");
+        let batched = engine
+            .verify_batch_with(&config, &candidates, threads)
+            .expect("batch");
         prop_assert_eq!(batched.len(), candidates.len());
         for (hw, got) in candidates.iter().zip(&batched) {
             let direct = run_iss(&prepared, &config, hw).expect("direct simulation");
-            prop_assert_eq!(&direct, got);
+            prop_assert_eq!(&direct, &**got);
         }
     }
 }

@@ -181,7 +181,9 @@ fn initial_evaluation_is_deterministic() {
             &config,
         )
         .expect("prepares");
-        let (m, _) = evaluate_initial(&prepared, &config).expect("evaluates");
+        let m = evaluate_initial(&prepared, &config, 1)
+            .expect("evaluates")
+            .metrics;
         (m.total_energy().joules(), m.total_cycles().count())
     };
     assert_eq!(run(), run());

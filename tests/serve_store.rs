@@ -36,7 +36,6 @@ fn store_with(shards: usize, budget_bytes: u64) -> ArtifactStore {
         &StoreOptions {
             shards,
             budget_bytes,
-            hot_touches: 2,
         },
     )
     .unwrap()
