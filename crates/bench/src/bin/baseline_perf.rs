@@ -28,8 +28,10 @@
 //! byte-identical).
 //! A final corpus section pushes 24 *generated* applications through
 //! the resumable sharded corpus runner ([`corepart::corpus`]) and
-//! reports apps/sec, the aggregate Pareto-frontier size, and a
-//! byte-identical determinism re-run.
+//! reports apps/sec, the aggregate Pareto-frontier size, a
+//! byte-identical determinism re-run, and `trace_uses`: the replay
+//! walks, replays and memo hits of every entry's capture after its `G`
+//! sweep on a fresh engine, summed over the entries.
 //! A simulator section, run first, reports instruction-set-simulator
 //! throughput (Minstr/s) on every initial design, bare and with the
 //! full baseline capture on one thread and on two, and checks that
@@ -58,7 +60,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use corepart::baselines::performance_partition;
-use corepart::corpus::CorpusOptions;
+use corepart::corpus::{evaluate_corpus_entry, CorpusOptions};
 use corepart::engine::Engine;
 use corepart::evaluate::{evaluate_initial, evaluate_partition, evaluate_partition_with, run_iss};
 use corepart::explore::{explore, explore_in, hardware_weight_sweep, DesignPoint};
@@ -76,7 +78,7 @@ use corepart::store::{ArtifactStore, StoreOptions};
 use corepart::system::{ResolvedPoint, SystemConfig};
 use corepart::verify::{ReplayEngine, VerifiedRun};
 use corepart_bench::SEED;
-use corepart_conform::corpus::run_gen_corpus;
+use corepart_conform::corpus::{gen_entry, run_gen_corpus};
 use corepart_tech::scaling::OperatingPoint;
 use corepart_tech::units::GateEq;
 use corepart_workloads::{all, by_name, PaperWorkload};
@@ -233,6 +235,29 @@ fn measure_explore_trace_uses(w: &PaperWorkload) -> String {
     };
     println!("{:<8} {:>7} {:>8} {:>6}", w.name, walks, replays, hits);
     format!("\"explore_trace_uses\":{{\"walks\":{walks},\"replays\":{replays},\"hits\":{hits}}}")
+}
+
+/// How often each corpus entry's capture is used: every generated
+/// entry `gen_entry(SEED, 0..apps)` through [`evaluate_corpus_entry`]
+/// on a fresh threads-1 engine (what the corpus runner's per-chunk
+/// engines run), then the walks, replays and memo hits of the entry's
+/// replay engine, summed over the entries. Deterministic. Returns the
+/// `"trace_uses"` JSON fragment.
+fn measure_corpus_trace_uses(options: &CorpusOptions, apps: u64) -> String {
+    let (mut walks, mut replays, mut hits) = (0, 0, 0);
+    for index in 0..apps {
+        let entry = gen_entry(SEED, index).expect("generated entry lowers");
+        let engine = Engine::new(options.base.clone().with_threads(1)).expect("engine");
+        evaluate_corpus_entry(&engine, &entry, options).expect("corpus entry evaluates");
+        let session = engine.session(&entry.app, &entry.workload);
+        if let Some(replay) = session.replay_engine().expect("pooled baseline") {
+            walks += replay.batches();
+            replays += replay.replays();
+            hits += replay.hits();
+        }
+    }
+    println!("trace uses: {walks} walks, {replays} replays, {hits} hits over {apps} entries");
+    format!("\"trace_uses\":{{\"walks\":{walks},\"replays\":{replays},\"hits\":{hits}}}")
 }
 
 /// Repetitions of each timed simulator run.
@@ -1316,11 +1341,12 @@ fn main() {
             identical,
             "corpus results file must be byte-identical across reruns"
         );
+        let trace_uses = measure_corpus_trace_uses(&options, CORPUS_APPS);
         format!(
             concat!(
                 "{{\"apps\":{},\"chunk\":{},\"threads\":{},\"total_nanos\":{},",
                 "\"apps_per_sec\":{:.4},\"frontier_points\":{},",
-                "\"feature_buckets\":{},\"identical\":{}}}"
+                "\"feature_buckets\":{},\"identical\":{},{}}}"
             ),
             CORPUS_APPS,
             options.chunk,
@@ -1329,7 +1355,8 @@ fn main() {
             apps_per_sec,
             outcome.frontier.len(),
             outcome.features.len(),
-            identical
+            identical,
+            trace_uses
         )
     };
 

@@ -313,11 +313,6 @@ impl Hierarchy {
     pub fn dcache(&self) -> &Cache {
         &self.dcache
     }
-
-    /// The main-memory energy model in use.
-    pub fn memory_model(&self) -> &MemoryEnergyModel {
-        &self.mem_model
-    }
 }
 
 #[cfg(test)]

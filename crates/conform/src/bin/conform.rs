@@ -6,8 +6,7 @@
 //!         [--report PATH] [--verbose]
 //! conform corpus [--seed N] [--count N] [--out P] [--journal P]
 //!                [--chunk N] [--limit N] [--resume] [--threads N]
-//!                [--interrupt-after-chunks N] [--json]
-//!                [--connect host:port] [--connections N]
+//!                [--json] [--connect host:port] [--connections N]
 //! ```
 //!
 //! With `--connect`, corpus chunks are shipped to a running
@@ -32,8 +31,7 @@ const USAGE: &str = "usage: conform [--seed N] [--cases N] [--fault-every N] \
                      [--max-shrink N] [--report PATH] [--verbose]\n       \
                      conform corpus [--seed N] [--count N] [--out P] [--journal P] \
                      [--chunk N] [--limit N] [--resume] [--threads N] \
-                     [--interrupt-after-chunks N] [--json] \
-                     [--connect host:port] [--connections N]";
+                     [--json] [--connect host:port] [--connections N]";
 
 fn parse_u64(flag: &str, value: Option<String>) -> Result<u64, String> {
     let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
@@ -75,7 +73,6 @@ struct CorpusArgs {
     limit: Option<u64>,
     resume: bool,
     threads: usize,
-    interrupt_after_chunks: Option<usize>,
     json: bool,
     connect: Option<String>,
     connections: usize,
@@ -91,7 +88,6 @@ fn parse_corpus_args(args: impl Iterator<Item = String>) -> Result<CorpusArgs, S
         limit: None,
         resume: false,
         threads: 0,
-        interrupt_after_chunks: None,
         json: false,
         connect: None,
         connections: 1,
@@ -109,10 +105,6 @@ fn parse_corpus_args(args: impl Iterator<Item = String>) -> Result<CorpusArgs, S
             "--limit" => parsed.limit = Some(parse_u64("--limit", args.next())?),
             "--resume" => parsed.resume = true,
             "--threads" => parsed.threads = parse_u64("--threads", args.next())? as usize,
-            "--interrupt-after-chunks" => {
-                parsed.interrupt_after_chunks =
-                    Some(parse_u64("--interrupt-after-chunks", args.next())? as usize);
-            }
             "--json" => parsed.json = true,
             "--connect" => {
                 parsed.connect = Some(args.next().ok_or("--connect needs host:port")?);
@@ -134,7 +126,6 @@ fn corpus_main(args: CorpusArgs) -> ExitCode {
     }
     options.threads = args.threads;
     options.limit = args.limit;
-    options.interrupt_after_chunks = args.interrupt_after_chunks;
     let journal = args
         .journal
         .unwrap_or_else(|| PathBuf::from(format!("{}.journal", args.out.display())));

@@ -50,13 +50,13 @@ pub fn gen_entry(seed: u64, index: u64) -> Result<CorpusEntry, CorepartError> {
 }
 
 /// Runs (or resumes) a generated corpus of `count` apps rooted at
-/// `seed` — see [`corepart::corpus::run_corpus`] for the journal/resume contract. The
+/// `seed` — see [`corepart::corpus::run_corpus_with`] for the journal/resume contract. The
 /// provider tag is derived from `seed`, so a journal written for one
 /// seed refuses to resume under another.
 ///
 /// # Errors
 ///
-/// Everything [`corepart::corpus::run_corpus`] can raise, plus generator parse/lower
+/// Everything [`corepart::corpus::run_corpus_with`] can raise, plus generator parse/lower
 /// failures from [`gen_entry`].
 pub fn run_gen_corpus(
     seed: u64,

@@ -133,7 +133,7 @@ fn remote_corpus_matches_local_byte_for_byte() {
     let out_resumed = scratch.path("resumed.tsv");
     let journal_resumed = scratch.path("resumed.journal");
     let mut interrupted = small_options();
-    interrupted.interrupt_after_chunks = Some(1);
+    interrupted.limit = Some(2);
     let partial = run_gen_corpus_with(
         13,
         6,

@@ -403,7 +403,7 @@ pub fn evaluate_initial(
     let replay = tail
         .builder
         .and_then(|builder| builder.finish(stats.return_value))
-        .map(|trace| Arc::new(ReplayEngine::new(table, trace)));
+        .map(|trace| Arc::new(ReplayEngine::from_capture(table, trace)));
     let report = tail.hierarchy.report();
     let stall_energy = config.energy_table.stall_per_cycle() * report.stall_cycles.count();
     let metrics = DesignMetrics {

@@ -324,11 +324,6 @@ impl<'a> Partitioner<'a> {
         )
     }
 
-    /// The objective value of a verified design.
-    pub fn objective_value(&self, metrics: &DesignMetrics) -> f64 {
-        self.objective.value(metrics.total_energy(), metrics.geq)
-    }
-
     /// Estimate phase for one candidate partition (no simulation):
     /// schedule + bind + `U_R` + quick energies + `OF`.
     ///

@@ -43,11 +43,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use corepart_ir::cdfg::Application;
-
 use crate::engine::{ArtifactKind, Engine};
 use crate::error::CorepartError;
-use crate::prepare::Workload;
 use crate::system::SystemConfig;
 
 /// Construction knobs of an [`ArtifactStore`].
@@ -379,13 +376,6 @@ impl ArtifactStore {
             .fetch_add(queue_nanos, Ordering::Relaxed);
         self.compute_nanos
             .fetch_add(compute_nanos, Ordering::Relaxed);
-    }
-
-    /// The routing fingerprint of an `(application, workload)` pair —
-    /// identity only, no config knobs, so every configuration of one
-    /// app lands on the same shard and shares its artifacts.
-    pub fn fingerprint(app: &Application, workload: &Workload) -> u64 {
-        crate::engine::fnv64(&crate::engine::session_identity(app, workload))
     }
 
     /// Runs `f` against the warm engine of `fingerprint`'s shard, then

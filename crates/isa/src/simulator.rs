@@ -24,7 +24,7 @@ use corepart_ir::cdfg::Application;
 use corepart_ir::op::BlockId;
 use corepart_tech::units::{Cycles, Energy};
 
-use crate::codegen::{MachProgram, VarLoc, DATA_BASE, SLOT_BASE};
+use crate::codegen::{MachProgram, DATA_BASE, SLOT_BASE};
 use crate::decode::DecodeTable;
 use crate::energy::EnergyTable;
 use crate::isa::{InstClass, MachInst, Reg, RegImm};
@@ -175,16 +175,6 @@ impl RunStats {
             + self.block_energy.capacity() * size_of::<Energy>()
     }
 
-    /// Total µP cycles attributed to a set of blocks.
-    pub fn cycles_of(&self, blocks: &[BlockId]) -> Cycles {
-        Cycles::new(
-            blocks
-                .iter()
-                .map(|&b| self.block_cycles[b.0 as usize])
-                .sum(),
-        )
-    }
-
     /// Total µP energy attributed to a set of blocks.
     pub fn energy_of(&self, blocks: &[BlockId]) -> Energy {
         blocks
@@ -269,7 +259,6 @@ impl Error for SimError {}
 /// source application.
 #[derive(Debug, Clone)]
 pub struct Simulator<'a> {
-    prog: &'a MachProgram,
     app: &'a Application,
     energy: EnergyTable,
     table: Arc<DecodeTable>,
@@ -308,7 +297,6 @@ impl<'a> Simulator<'a> {
             // reserve one word per variable as the upper bound.
             .max(app.vars().len());
         Simulator {
-            prog,
             app,
             table: Arc::new(DecodeTable::new(prog, app, &energy)),
             energy,
@@ -356,14 +344,6 @@ impl<'a> Simulator<'a> {
             .ok_or_else(|| SimError::UnknownArray { name: name.into() })?;
         let base = info.base_word as usize;
         Ok(&self.data[base..base + info.len as usize])
-    }
-
-    /// Reads the machine value of an IR variable after a run.
-    pub fn var_value(&self, v: corepart_ir::op::VarId) -> i64 {
-        match self.prog.var_loc(v) {
-            VarLoc::Reg(r) => self.regs[r.0 as usize],
-            VarLoc::Slot(addr) => self.slots[((addr - SLOT_BASE) / 4) as usize],
-        }
     }
 
     fn reg(&self, r: Reg) -> i64 {

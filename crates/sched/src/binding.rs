@@ -39,14 +39,6 @@ pub struct ClusterSchedule {
 }
 
 impl ClusterSchedule {
-    /// The schedule of `block`, if it belongs to the cluster.
-    pub fn schedule_of(&self, block: BlockId) -> Option<&BlockSchedule> {
-        self.blocks
-            .iter()
-            .position(|&b| b == block)
-            .map(|i| &self.schedules[i])
-    }
-
     /// Static schedule length summed over blocks (one pass through every
     /// block once).
     pub fn static_length(&self) -> u64 {

@@ -123,12 +123,6 @@ impl BlockDfg {
     pub fn is_empty(&self) -> bool {
         self.classes.is_empty()
     }
-
-    /// Indices in a valid topological order (instructions are already
-    /// topological because edges only point forward).
-    pub fn topo_order(&self) -> Vec<usize> {
-        (0..self.len()).collect()
-    }
 }
 
 #[cfg(test)]

@@ -251,11 +251,6 @@ impl Power {
         Power(mw * 1e-3)
     }
 
-    /// Creates a power from microwatts.
-    pub fn from_microwatts(uw: f64) -> Self {
-        Power(uw * 1e-6)
-    }
-
     /// Returns the value in watts.
     pub fn watts(self) -> f64 {
         self.0

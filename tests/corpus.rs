@@ -8,8 +8,12 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use proptest::prelude::*;
 
-use corepart::corpus::{CorpusOptions, ParetoAccumulator};
+use corepart::corpus::{
+    evaluate_corpus_entry, CorpusEntry, CorpusOptions, CorpusRow, ParetoAccumulator,
+};
+use corepart::engine::Engine;
 use corepart::explore::{DesignPoint, Exploration};
+use corepart::partition::Partitioner;
 use corepart::system::SystemConfig;
 use corepart_conform::corpus::{gen_entry, run_gen_corpus};
 use corepart_tech::units::{Cycles, Energy, GateEq};
@@ -121,7 +125,7 @@ fn interrupted_and_resumed_run_matches_uninterrupted() {
     let out_b = scratch.path("resume-b.tsv");
     let journal_b = scratch.path("resume-b.journal");
     let mut interrupted_options = small_options();
-    interrupted_options.interrupt_after_chunks = Some(1);
+    interrupted_options.limit = Some(2);
     let partial = run_gen_corpus(23, 6, interrupted_options, &journal_b, &out_b, false)
         .expect("interrupted run still succeeds");
     assert!(!partial.finished, "the interrupt must stop the run early");
@@ -147,7 +151,7 @@ fn truncated_journal_discards_the_partial_chunk() {
     let out = scratch.path("trunc.tsv");
     let journal = scratch.path("trunc.journal");
     let mut options = small_options();
-    options.interrupt_after_chunks = Some(2);
+    options.limit = Some(4);
     run_gen_corpus(31, 6, options, &journal, &out, false).expect("partial run");
 
     // Chop the journal mid-way through its second chunk, simulating a
@@ -214,4 +218,116 @@ fn gen_entries_are_deterministic_and_featureful() {
         assert_eq!(a.features, b.features);
         assert!(a.features.array_bytes > 0);
     }
+}
+
+/// The per-weight reference for [`evaluate_corpus_entry`]: every weight
+/// on a fresh engine through its own `Partitioner::run`, one row and
+/// one point per outcome, and the minimum-energy row (ties to the
+/// earlier weight).
+fn per_weight_reference(
+    entry: &CorpusEntry,
+    options: &CorpusOptions,
+) -> (CorpusRow, Vec<DesignPoint>) {
+    let mut rows: Vec<CorpusRow> = Vec::new();
+    let mut points: Vec<DesignPoint> = Vec::new();
+    for &g in &options.g_sweep {
+        let base = &options.base;
+        let engine = Engine::new(base.clone().with_factors(base.factor_f, g).with_threads(1))
+            .expect("engine");
+        let session = engine.session(&entry.app, &entry.workload);
+        let chain = &session.prepared().expect("prepares").chain;
+        let partitioner = Partitioner::new(&session).expect("baseline");
+        let outcome = partitioner.run().expect("search");
+        if points.is_empty() {
+            points.push(DesignPoint {
+                label: format!("{} initial", entry.name),
+                energy: outcome.initial.total_energy(),
+                cycles: outcome.initial.total_cycles(),
+                geq: GateEq::ZERO,
+                saving_percent: 0.0,
+                is_initial: true,
+            });
+        }
+        let (initial_energy, initial_cycles) = (points[0].energy, points[0].cycles);
+        let (chosen, hw_clusters, hw_blocks) = match &outcome.best {
+            Some((partition, detail)) => (
+                &detail.metrics,
+                partition.clusters.len() as u32,
+                partitioner.hw_set_of(partition).len() as u32,
+            ),
+            None => (&outcome.initial, 0, 0),
+        };
+        points.push(DesignPoint {
+            label: format!("{} G={g}", entry.name),
+            energy: chosen.total_energy(),
+            cycles: chosen.total_cycles(),
+            geq: chosen.geq,
+            saving_percent: (chosen.total_energy())
+                .percent_saving(initial_energy)
+                .unwrap_or(0.0),
+            is_initial: false,
+        });
+        rows.push(CorpusRow {
+            index: entry.index,
+            seed: entry.seed,
+            name: entry.name.clone(),
+            clusters: chain.len() as u32,
+            loop_clusters: chain.iter().filter(|c| c.is_loop()).count() as u32,
+            loop_depth: entry.features.loop_depth,
+            array_bytes: entry.features.array_bytes,
+            stmts: entry.features.stmts,
+            candidates: outcome.search.candidates as u32,
+            estimated: outcome.search.estimated as u32,
+            growth_steps: outcome.search.growth_steps as u32,
+            verifications: outcome.search.verifications as u32,
+            hw_clusters,
+            hw_blocks,
+            geq_cells: chosen.geq.cells(),
+            initial_j: initial_energy.joules(),
+            best_j: chosen.total_energy().joules(),
+            saving_pct: outcome.energy_saving_percent().unwrap_or(0.0),
+            initial_cycles: initial_cycles.count(),
+            best_cycles: chosen.total_cycles().count(),
+            time_pct: outcome.time_change_percent().unwrap_or(0.0),
+        });
+    }
+    let best = rows
+        .into_iter()
+        .reduce(|best, row| if row.best_j < best.best_j { row } else { best })
+        .expect("non-empty sweep");
+    (best, points)
+}
+
+/// A corpus entry's `G` sweep runs through the shared factor sweep
+/// (one search per weight, one batched verify, then each finish), and
+/// its row and points equal the per-weight runs bit for bit.
+#[test]
+fn corpus_entry_matches_per_weight_runs() {
+    let options = CorpusOptions::new(SystemConfig::new());
+    let engine = Engine::new(SystemConfig::new().with_threads(1)).expect("engine");
+    for index in 0..16 {
+        let entry = gen_entry(9, index).expect("generates");
+        let (row, points) = evaluate_corpus_entry(&engine, &entry, &options).expect("evaluates");
+        let (want_row, want_points) = per_weight_reference(&entry, &options);
+        assert_eq!(row.to_line(), want_row.to_line(), "entry {index}: row");
+        assert_eq!(points, want_points, "entry {index}: points");
+    }
+}
+
+/// The weights of one entry share one baseline, so their winners are
+/// verified in one walk of its trace: `gen_entry(9, 3)` has two
+/// distinct winners, replayed as two lanes of a single walk.
+#[test]
+fn corpus_entry_walks_its_trace_once() {
+    let options = CorpusOptions::new(SystemConfig::new());
+    let engine = Engine::new(SystemConfig::new().with_threads(1)).expect("engine");
+    let entry = gen_entry(9, 3).expect("generates");
+    evaluate_corpus_entry(&engine, &entry, &options).expect("evaluates");
+    let session = engine.session(&entry.app, &entry.workload);
+    let replay = session
+        .replay_engine()
+        .expect("pooled baseline")
+        .expect("the trace was captured");
+    assert_eq!(replay.replays(), 2, "two distinct winners");
+    assert_eq!(replay.batches(), 1, "one walk for every winner");
 }
