@@ -11,9 +11,11 @@
 //!   byte-stable for a given provider/configuration — see
 //!   [`CorpusRow`]),
 //! * an incremental **global 3D Pareto frontier** over every explored
-//!   design point, maintained by [`ParetoAccumulator`] and pinned
-//!   bit-identical to a one-shot [`Exploration::pareto_frontier`] over
-//!   the concatenated point set,
+//!   design point: each chunk's points are folded into the running
+//!   frontier by the crate's one Pareto staircase
+//!   ([`crate::explore`](mod@crate::explore)), which leaves it equal
+//!   to the one-shot frontier over the concatenated point set (see
+//!   [`CorpusOutcome::frontier`]),
 //! * **per-feature statistics** (energy saving vs. loop depth, array
 //!   footprint, cluster count, hardware-block count) from
 //!   [`feature_stats`].
@@ -41,6 +43,7 @@
 //! one.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::fs;
 use std::io::{ErrorKind, Write as _};
 use std::path::Path;
@@ -48,10 +51,10 @@ use std::path::Path;
 use corepart_ir::ast::{Program, Stmt};
 use corepart_ir::cdfg::Application;
 
-use crate::engine::Engine;
+use crate::engine::{Engine, Fnv64};
 use crate::error::CorepartError;
 use crate::evaluate::cluster_blocks;
-use crate::explore::{sweep, DesignPoint, Exploration};
+use crate::explore::{design_mask, sweep, DesignPoint};
 use crate::json::{parse_json, JsonValue};
 use crate::parallel::{par_map, resolve_threads};
 use crate::prepare::Workload;
@@ -204,12 +207,14 @@ impl CorpusOptions {
     /// on. Thread count and limits are deliberately excluded — they
     /// change wall time, never results.
     fn params(&self, count: u64) -> String {
+        let mut config = Fnv64::default();
+        let _ = write!(config, "{:?}", self.base);
         format!(
             "count={count} chunk={} gsweep={:?} provider={} config={:016x}",
             self.chunk,
             self.g_sweep,
             sanitize(&self.provider_tag),
-            fingerprint64(format!("{:?}", self.base).as_bytes()),
+            config.0,
         )
     }
 }
@@ -240,12 +245,9 @@ impl RemoteOptions {
 /// Public so providers can fold their own identity (a directory
 /// listing, a generator revision) into [`CorpusOptions::provider_tag`].
 pub fn fingerprint64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut hash = Fnv64::default();
+    hash.write_bytes(bytes);
+    hash.0
 }
 
 /// Collapses whitespace to `_` so a value fits one tab-separated cell.
@@ -421,61 +423,6 @@ pub fn render_columnar(rows: &[CorpusRow]) -> String {
         out.push('\n');
     }
     out
-}
-
-// ---------------------------------------------------------------------
-// Incremental Pareto aggregation
-// ---------------------------------------------------------------------
-
-/// Incrementally maintains the global 3D (energy, cycles, hardware)
-/// Pareto frontier over every design point fed in so far.
-///
-/// Invariant (pinned by a property test): after any sequence of
-/// [`ParetoAccumulator::add`] calls, [`ParetoAccumulator::frontier`]
-/// equals the one-shot [`Exploration::pareto_frontier`] over the
-/// concatenation of every point ever added, in concatenation order.
-/// This holds because domination is transitive — a point discarded
-/// against an early batch would also be discarded against the full
-/// set, and the survivor that discarded it survives or is itself
-/// replaced by a dominator — and because coincident points keep their
-/// first-in-input representative either way.
-#[derive(Debug, Clone, Default)]
-pub struct ParetoAccumulator {
-    points: Vec<DesignPoint>,
-}
-
-impl ParetoAccumulator {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds a batch of design points into the frontier.
-    pub fn add<I: IntoIterator<Item = DesignPoint>>(&mut self, batch: I) {
-        self.points.extend(batch);
-        let ex = Exploration {
-            points: std::mem::take(&mut self.points),
-        };
-        // `pareto_frontier` yields survivors in input order, so the
-        // compacted set keeps the concatenation order the invariant
-        // depends on.
-        self.points = ex.pareto_frontier().into_iter().cloned().collect();
-    }
-
-    /// The current frontier, in first-added order.
-    pub fn frontier(&self) -> &[DesignPoint] {
-        &self.points
-    }
-
-    /// Number of points on the current frontier.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True when no points have been added.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -774,7 +721,10 @@ pub struct CorpusOutcome {
     /// Every processed row, in corpus order.
     pub rows: Vec<CorpusRow>,
     /// The aggregate Pareto frontier over every processed design
-    /// point.
+    /// point, in first-seen order: the one-shot frontier of all points
+    /// in corpus order, since dominance is transitive (a point dropped
+    /// against an early chunk is also dropped against the whole set)
+    /// and coincident points keep their first member either way.
     pub frontier: Vec<DesignPoint>,
     /// Per-feature saving statistics over the processed rows.
     pub features: Vec<FeatureStat>,
@@ -834,7 +784,7 @@ where
 
     let chunks = count.div_ceil(options.chunk as u64) as usize;
     let threads = resolve_threads(options.threads);
-    let mut aggregate = ParetoAccumulator::new();
+    let mut frontier: Vec<DesignPoint> = Vec::new();
     let mut rows: Vec<CorpusRow> = Vec::with_capacity(count as usize);
     let mut evaluated: u64 = 0;
     let mut replayed: u64 = 0;
@@ -876,7 +826,9 @@ where
                 record
             }
         };
-        aggregate.add(record.points);
+        frontier.extend(record.points);
+        let mut keep = design_mask(&frontier).into_iter();
+        frontier.retain(|_| keep.next() == Some(true));
         rows.extend(record.rows);
         chunks_done += 1;
     }
@@ -895,7 +847,7 @@ where
         replayed,
         finished,
         rows,
-        frontier: aggregate.frontier().to_vec(),
+        frontier,
         features,
     })
 }
@@ -1169,17 +1121,6 @@ mod tests {
     use corepart_ir::parser::parse;
     use corepart_tech::units::{Cycles, Energy};
 
-    fn point(label: &str, e: f64, c: u64, g: u64) -> DesignPoint {
-        DesignPoint {
-            label: label.into(),
-            energy: Energy::from_microjoules(e),
-            cycles: Cycles::new(c),
-            geq: GateEq::new(g),
-            saving_percent: 0.0,
-            is_initial: false,
-        }
-    }
-
     #[test]
     fn source_features_count_depth_and_footprint() {
         let program = parse(
@@ -1235,30 +1176,6 @@ mod tests {
         assert_eq!(parsed.time_pct.to_bits(), row.time_pct.to_bits());
         assert_eq!(parsed.to_line(), row.to_line());
         assert!(CorpusRow::parse_line("1\t2\t3").is_err());
-    }
-
-    #[test]
-    fn accumulator_matches_one_shot_frontier() {
-        let all = vec![
-            point("a", 10.0, 100, 0),
-            point("b", 5.0, 100, 0),
-            point("c", 5.0, 100, 0), // coincident with b: b kept
-            point("d", 7.0, 50, 10),
-            point("e", 4.0, 200, 5),
-        ];
-        let mut acc = ParetoAccumulator::new();
-        acc.add(all[..2].to_vec());
-        acc.add(all[2..4].to_vec());
-        acc.add(all[4..].to_vec());
-        let one_shot: Vec<DesignPoint> = Exploration { points: all }
-            .pareto_frontier()
-            .into_iter()
-            .cloned()
-            .collect();
-        assert_eq!(acc.frontier(), &one_shot[..]);
-        assert!(acc.frontier().iter().all(|p| p.label != "a"));
-        assert!(!acc.is_empty());
-        assert_eq!(acc.len(), one_shot.len());
     }
 
     #[test]

@@ -43,6 +43,7 @@
 //!   or simulate fails identically — and exactly once — for every
 //!   session sharing the artifact.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -87,16 +88,9 @@ impl Baseline {
     }
 }
 
-/// 64-bit FNV-1a over a fingerprint string — stable, dependency-free,
-/// and fast enough for the once-per-session key computation.
-pub(crate) fn fnv64(text: &str) -> u64 {
-    let mut hash = Fnv64::default();
-    hash.write_bytes(text.as_bytes());
-    hash.0
-}
-
-/// [`fnv64`] streamed: text written piecewise (also through `write!`)
-/// hashes to the same value as its concatenation, without building it.
+/// 64-bit FNV-1a, streamed: text written piecewise (also through
+/// `write!`) hashes to the same value as its concatenation, without
+/// building it. [`crate::corpus::fingerprint64`] is the one-shot form.
 pub(crate) struct Fnv64(pub(crate) u64);
 
 impl Default for Fnv64 {
@@ -126,11 +120,9 @@ impl std::fmt::Write for Fnv64 {
 /// uses the same prefix to attribute pool entries to the request that
 /// touched them.
 pub(crate) fn session_identity(app: &Application, workload: &Workload) -> String {
-    format!(
-        "{}#{:016x}",
-        app.name(),
-        fnv64(&format!("{app:?}|{workload:?}"))
-    )
+    let mut hash = Fnv64::default();
+    let _ = write!(hash, "{app:?}|{workload:?}");
+    format!("{}#{:016x}", app.name(), hash.0)
 }
 
 /// What [`prepare`] consumes from a configuration: sessions whose
@@ -734,5 +726,32 @@ mod tests {
         assert!(stats.prepare_nanos > 0);
         assert!(stats.baseline_nanos > 0);
         assert_eq!(stats.replays, 1, "one verification, one replay");
+    }
+
+    #[test]
+    fn streamed_identity_matches_the_text_definition() {
+        // Every paper app and a run of generated apps: the streamed
+        // hash must equal FNV-1a of the formatted text, or every pool
+        // key and store attribution would move.
+        let mut inputs: Vec<(String, Workload)> = corepart_workloads::all()
+            .iter()
+            .map(|w| (w.source.to_owned(), Workload::from_arrays(w.arrays(1))))
+            .collect();
+        for seed in 0..32 {
+            let gen = corepart_conform::generate(seed);
+            inputs.push((gen.source(), Workload::from_arrays(gen.workload_arrays())));
+        }
+        for (source, workload) in inputs {
+            let app = lower(&parse(&source).unwrap()).unwrap();
+            let text = format!("{app:?}|{workload:?}");
+            assert_eq!(
+                session_identity(&app, &workload),
+                format!(
+                    "{}#{:016x}",
+                    app.name(),
+                    crate::corpus::fingerprint64(text.as_bytes())
+                )
+            );
+        }
     }
 }

@@ -6,7 +6,9 @@
 //! loop: sweep any combination of knobs (resource sets, objective
 //! balance, cache geometry), collect every verified design point, and
 //! extract the energy/hardware/performance Pareto frontier a designer
-//! would actually choose from.
+//! would actually choose from. One `O(n log n)` staircase computes
+//! every frontier in the crate — a sweep's, a node sweep's, the corpus
+//! runner's running aggregate, and the JSON writers' `pareto` flags.
 //!
 //! The sweep is engineered for breadth: every configuration opens one
 //! [`Session`](crate::engine::Session) on a shared [`Engine`], whose compute-once artifact
@@ -79,63 +81,11 @@ pub struct Exploration {
 }
 
 impl Exploration {
-    /// The Pareto-optimal subset over (energy, cycles, hardware).
-    ///
-    /// Coincident points (identical on all three axes) are reported
-    /// once, keeping the first label.
-    ///
-    /// Runs in `O(n log n)`: points are visited in (energy, cycles,
-    /// hardware, input-order) order, so every point that could
-    /// disqualify `p` — a dominator, or a coincident point earlier in
-    /// the input — is visited before `p`. A cycles→hardware staircase
-    /// (least hardware seen at any cycle count ≤ c, strictly
-    /// decreasing) then answers "is some earlier point ≤ `p` on the
-    /// remaining two axes" in one ordered-map probe; since earlier
-    /// visits also mean energy ≤ `p.energy`, a positive probe is
-    /// exactly a dominator or an earlier coincident point, matching
-    /// the quadratic all-pairs scan this replaces.
+    /// The Pareto-optimal subset over (energy, cycles, hardware), in
+    /// input order. Coincident points (identical on all three axes)
+    /// are reported once, keeping the first label.
     pub fn pareto_frontier(&self) -> Vec<&DesignPoint> {
-        let mut order: Vec<usize> = (0..self.points.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (pa, pb) = (&self.points[a], &self.points[b]);
-            pa.energy
-                .joules()
-                .total_cmp(&pb.energy.joules())
-                .then(pa.cycles.cmp(&pb.cycles))
-                .then(pa.geq.cmp(&pb.geq))
-                .then(a.cmp(&b))
-        });
-
-        let mut staircase: BTreeMap<Cycles, GateEq> = BTreeMap::new();
-        let mut keep = vec![false; self.points.len()];
-        for &i in &order {
-            let p = &self.points[i];
-            let covered = staircase
-                .range(..=p.cycles)
-                .next_back()
-                .is_some_and(|(_, &geq)| geq <= p.geq);
-            if covered {
-                continue;
-            }
-            keep[i] = true;
-            // Insert (cycles, geq) and evict the staircase steps it
-            // obsoletes (same or more cycles, same or more hardware),
-            // preserving the strictly-decreasing-hardware invariant.
-            let obsolete: Vec<Cycles> = staircase
-                .range(p.cycles..)
-                .take_while(|(_, &geq)| geq >= p.geq)
-                .map(|(&cycles, _)| cycles)
-                .collect();
-            for cycles in obsolete {
-                staircase.remove(&cycles);
-            }
-            staircase.insert(p.cycles, p.geq);
-        }
-        self.points
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| keep[i].then_some(p))
-            .collect()
+        kept(&self.points, &design_mask(&self.points))
     }
 
     /// The minimum-energy point.
@@ -405,67 +355,11 @@ pub struct NodeExploration {
     pub points: Vec<NodePoint>,
 }
 
-/// Total order on `f64` for the frontier staircase (`total_cmp`).
-#[derive(PartialEq)]
-struct F64Key(f64);
-
-impl Eq for F64Key {}
-
-impl PartialOrd for F64Key {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for F64Key {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
 impl NodeExploration {
-    /// The Pareto-optimal subset over (energy, time, area) — the same
-    /// `O(n log n)` energy-sorted time→area staircase as
-    /// [`Exploration::pareto_frontier`], on real-valued axes.
+    /// The Pareto-optimal subset over (energy, time, area), in input
+    /// order, under the same rule as [`Exploration::pareto_frontier`].
     pub fn pareto_frontier(&self) -> Vec<&NodePoint> {
-        let mut order: Vec<usize> = (0..self.points.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (pa, pb) = (&self.points[a], &self.points[b]);
-            pa.energy
-                .joules()
-                .total_cmp(&pb.energy.joules())
-                .then(pa.time.secs().total_cmp(&pb.time.secs()))
-                .then(pa.area_cells.total_cmp(&pb.area_cells))
-                .then(a.cmp(&b))
-        });
-
-        let mut staircase: BTreeMap<F64Key, f64> = BTreeMap::new();
-        let mut keep = vec![false; self.points.len()];
-        for &i in &order {
-            let p = &self.points[i];
-            let covered = staircase
-                .range(..=F64Key(p.time.secs()))
-                .next_back()
-                .is_some_and(|(_, &area)| area <= p.area_cells);
-            if covered {
-                continue;
-            }
-            keep[i] = true;
-            let obsolete: Vec<f64> = staircase
-                .range(F64Key(p.time.secs())..)
-                .take_while(|(_, &area)| area >= p.area_cells)
-                .map(|(k, _)| k.0)
-                .collect();
-            for time in obsolete {
-                staircase.remove(&F64Key(time));
-            }
-            staircase.insert(F64Key(p.time.secs()), p.area_cells);
-        }
-        self.points
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| keep[i].then_some(p))
-            .collect()
+        kept(&self.points, &node_mask(&self.points))
     }
 
     /// The minimum-energy point across all operating points.
@@ -495,6 +389,96 @@ impl NodeExploration {
         }
         out
     }
+}
+
+/// Which of `points` are on the (energy, cycles, hardware) Pareto
+/// frontier: [`Exploration::pareto_frontier`], the JSON `pareto` flags
+/// and the corpus runner's running frontier.
+pub(crate) fn design_mask(points: &[DesignPoint]) -> Vec<bool> {
+    pareto_mask(points, |p| (F64Key(p.energy.joules()), p.cycles, p.geq))
+}
+
+/// Which of `points` are on the (energy, time, area) Pareto frontier.
+pub(crate) fn node_mask(points: &[NodePoint]) -> Vec<bool> {
+    pareto_mask(points, |p| {
+        let (e, t, a) = (p.energy.joules(), p.time.secs(), p.area_cells);
+        (F64Key(e), F64Key(t), F64Key(a))
+    })
+}
+
+/// The members of `points` that `mask` keeps, in input order.
+fn kept<'a, T>(points: &'a [T], mask: &[bool]) -> Vec<&'a T> {
+    points
+        .iter()
+        .zip(mask)
+        .filter_map(|(p, &keep)| keep.then_some(p))
+        .collect()
+}
+
+/// Total order on `f64` (`total_cmp`) for the real-valued axes.
+#[derive(Clone, Copy, PartialEq)]
+struct F64Key(f64);
+
+impl Eq for F64Key {}
+
+impl PartialOrd for F64Key {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for F64Key {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+/// The crate's one Pareto frontier over three minimised axes `axes(p)`:
+/// `p` is kept unless another point is no worse on every axis and
+/// better on one, or an earlier point coincides with it on all three.
+///
+/// `O(n log n)`: points are visited in (axes, input-order) order, so
+/// every point that could disqualify `p` is visited before it, with
+/// axis 1 ≤ `p`'s. A staircase of the least axis 3 seen at any axis 2
+/// (strictly decreasing) then answers "is an earlier point ≤ `p` on
+/// axes 2 and 3" in one ordered-map probe, which is exactly the
+/// all-pairs scan's answer.
+fn pareto_mask<T, A, B, C>(points: &[T], axes: impl Fn(&T) -> (A, B, C)) -> Vec<bool>
+where
+    A: Ord,
+    B: Ord + Copy,
+    C: Ord + Copy,
+{
+    let keys: Vec<(A, B, C)> = points.iter().map(axes).collect();
+    let mut order: Vec<usize> = (0..points.len()).collect();
+    // A stable sort: equal keys stay in input order.
+    order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
+
+    let mut staircase: BTreeMap<B, C> = BTreeMap::new();
+    let mut keep = vec![false; points.len()];
+    for i in order {
+        let (_, b, c) = keys[i];
+        let covered = staircase
+            .range(..=b)
+            .next_back()
+            .is_some_and(|(_, &least)| least <= c);
+        if covered {
+            continue;
+        }
+        keep[i] = true;
+        // Insert (b, c) and evict the steps it obsoletes (same or more
+        // of both axes), keeping the staircase strictly decreasing.
+        let obsolete: Vec<B> = staircase
+            .range(b..)
+            .take_while(|(_, &step)| step >= c)
+            .map(|(&key, _)| key)
+            .collect();
+        for key in obsolete {
+            staircase.remove(&key);
+        }
+        staircase.insert(b, c);
+    }
+    keep
 }
 
 /// Explores an application over configurations × nodes × vdd points.

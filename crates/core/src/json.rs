@@ -8,7 +8,7 @@
 use std::fmt::Write as _;
 
 use crate::corpus::{CorpusOutcome, CorpusRow, FeatureStat};
-use crate::explore::{Exploration, NodeExploration};
+use crate::explore::{design_mask, node_mask, DesignPoint, Exploration, NodeExploration};
 use crate::partition::PartitionOutcome;
 use crate::report::{Figure6Point, Table1, Table1Entry};
 use crate::system::{DesignMetrics, ResolvedPoint, WeightedMetrics};
@@ -172,20 +172,7 @@ pub fn corpus_to_json(outcome: &CorpusOutcome) -> String {
     let frontier: Vec<String> = outcome
         .frontier
         .iter()
-        .map(|p| {
-            format!(
-                concat!(
-                    "{{\"label\":\"{}\",\"energy_j\":{},\"cycles\":{},",
-                    "\"geq_cells\":{},\"saving_pct\":{},\"initial\":{}}}"
-                ),
-                json_escape(&p.label),
-                num(p.energy.joules()),
-                p.cycles.count(),
-                p.geq.cells(),
-                num(p.saving_percent),
-                p.is_initial,
-            )
-        })
+        .map(|p| format!("{{{}}}", design_point_members(p)))
         .collect();
     let features: Vec<String> = outcome.features.iter().map(feature_stat_to_json).collect();
     format!(
@@ -421,12 +408,11 @@ pub fn exploration_to_json_at(ex: &Exploration, point: Option<&ResolvedPoint>) -
 /// re-weighted (base point × operating point) entry with its 3D
 /// Pareto-frontier membership.
 pub fn node_exploration_to_json(nx: &NodeExploration) -> String {
-    let frontier = nx.pareto_frontier();
     let rows: Vec<String> = nx
         .points
         .iter()
-        .map(|p| {
-            let on_frontier = frontier.iter().any(|f| std::ptr::eq(*f, p));
+        .zip(node_mask(&nx.points))
+        .map(|(p, on_frontier)| {
             format!(
                 concat!(
                     "{{\"label\":\"{}\",\"node_nm\":{},\"vdd\":{},",
@@ -455,29 +441,30 @@ pub fn node_exploration_to_json(nx: &NodeExploration) -> String {
 /// Serializes an exploration sweep: every design point with its
 /// Pareto-frontier membership.
 pub fn exploration_to_json(ex: &Exploration) -> String {
-    let frontier = ex.pareto_frontier();
     let rows: Vec<String> = ex
         .points
         .iter()
-        .map(|p| {
-            let on_frontier = frontier.iter().any(|f| std::ptr::eq(*f, p));
-            format!(
-                concat!(
-                    "{{\"label\":\"{}\",\"energy_j\":{},\"cycles\":{},",
-                    "\"geq_cells\":{},\"saving_pct\":{},\"initial\":{},",
-                    "\"pareto\":{}}}"
-                ),
-                json_escape(&p.label),
-                num(p.energy.joules()),
-                p.cycles.count(),
-                p.geq.cells(),
-                num(p.saving_percent),
-                p.is_initial,
-                on_frontier,
-            )
-        })
+        .zip(design_mask(&ex.points))
+        .map(|(p, pareto)| format!("{{{},\"pareto\":{pareto}}}", design_point_members(p)))
         .collect();
     format!("{{\"points\":[{}]}}", rows.join(","))
+}
+
+/// The members of one design point's object, shared by exploration
+/// rows and the corpus frontier.
+fn design_point_members(p: &DesignPoint) -> String {
+    format!(
+        concat!(
+            "\"label\":\"{}\",\"energy_j\":{},\"cycles\":{},",
+            "\"geq_cells\":{},\"saving_pct\":{},\"initial\":{}"
+        ),
+        json_escape(&p.label),
+        num(p.energy.joules()),
+        p.cycles.count(),
+        p.geq.cells(),
+        num(p.saving_percent),
+        p.is_initial,
+    )
 }
 
 /// A parsed JSON value — the request side of the serve protocol. The

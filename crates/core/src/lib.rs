@@ -71,8 +71,7 @@ pub mod system;
 pub mod verify;
 
 pub use corpus::{
-    run_corpus_with, CorpusEntry, CorpusOptions, CorpusOutcome, CorpusRow, ParetoAccumulator,
-    RemoteOptions,
+    run_corpus_with, CorpusEntry, CorpusOptions, CorpusOutcome, CorpusRow, RemoteOptions,
 };
 pub use engine::{Baseline, Engine, Session, SessionStats};
 pub use error::CorepartError;

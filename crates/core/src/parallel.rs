@@ -15,24 +15,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 /// Resolves a worker-thread count: an explicit request wins, then the
-/// `COREPART_THREADS` environment variable, then `RAYON_NUM_THREADS`
-/// (honoured for familiarity even though the engine does not use
-/// rayon), then the machine's available parallelism.
+/// `COREPART_THREADS` environment variable, then the machine's
+/// available parallelism.
 pub fn resolve_threads(requested: usize) -> usize {
     if requested > 0 {
         return requested;
     }
-    for var in ["COREPART_THREADS", "RAYON_NUM_THREADS"] {
-        if let Ok(value) = std::env::var(var) {
-            if let Ok(n) = value.trim().parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
+    std::env::var("COREPART_THREADS")
+        .ok()
+        .and_then(|value| value.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
         .unwrap_or(1)
 }
 

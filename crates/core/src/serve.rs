@@ -65,6 +65,7 @@ use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use corepart_ir::ast::Program;
 use corepart_ir::cdfg::Application;
 use corepart_ir::cluster::ClusterId;
 use corepart_ir::lower::lower;
@@ -475,8 +476,12 @@ pub fn request_fingerprint(req: &ComputeRequest) -> u64 {
     hash.0
 }
 
-fn parse_app(source: &str) -> Result<Application, CorepartError> {
-    Ok(lower(&parse(source)?)?)
+/// Parses and lowers a request's source, keeping the parsed program
+/// for the corpus features.
+fn parse_app(source: &str) -> Result<(Program, Application), CorepartError> {
+    let program = parse(source)?;
+    let app = lower(&program)?;
+    Ok((program, app))
 }
 
 /// The per-request configuration: the daemon base with the request's
@@ -507,6 +512,7 @@ type ComputeOutput = (String, Option<SessionStats>);
 fn compute_result(
     engine: &Engine,
     req: &ComputeRequest,
+    program: &Program,
     app: &Application,
     workload: &Workload,
     config: SystemConfig,
@@ -579,7 +585,6 @@ fn compute_result(
             base.operating_point = None;
             let mut options = crate::corpus::CorpusOptions::new(base);
             options.g_sweep = g_sweep;
-            let features = source_features(&parse(&req.source)?);
             let entry = CorpusEntry {
                 index: meta.index,
                 seed: meta.seed,
@@ -587,7 +592,7 @@ fn compute_result(
                 source: req.source.clone(),
                 app: app.clone(),
                 workload: workload.clone(),
-                features,
+                features: source_features(program),
             };
             let (row, points) = evaluate_corpus_entry(engine, &entry, &options)?;
             let rendered: Vec<String> = points
@@ -790,15 +795,15 @@ fn answer_compute(store: &ArtifactStore, req: &ComputeRequest, fingerprint: u64)
     if let Some((result, rstats)) = store.memoized_result(fingerprint, &key) {
         return success_response(req, &result, Some(&rstats), None);
     }
-    let app = match parse_app(&req.source) {
-        Ok(app) => app,
+    let (program, app) = match parse_app(&req.source) {
+        Ok(parsed) => parsed,
         Err(e) => return error_response(req.id, &e),
     };
     let workload = Workload::from_arrays(req.arrays.clone());
     let identity = session_identity(&app, &workload);
     let config = effective_config(store.base_config(), req);
     let (outcome, rstats) = store.compute_and_memoize(fingerprint, &identity, &key, |engine| {
-        compute_result(engine, req, &app, &workload, config)
+        compute_result(engine, req, &program, &app, &workload, config)
     });
     match outcome {
         Ok((result, session)) => success_response(req, &result, Some(&rstats), session),
@@ -810,8 +815,8 @@ fn answer_compute(store: &ArtifactStore, req: &ComputeRequest, fingerprint: u64)
 /// the oracle the served (warm) path must byte-match on the `result`
 /// field (the `stats` field legitimately differs).
 pub fn respond_fresh(base: &SystemConfig, req: &ComputeRequest) -> String {
-    let app = match parse_app(&req.source) {
-        Ok(app) => app,
+    let (program, app) = match parse_app(&req.source) {
+        Ok(parsed) => parsed,
         Err(e) => return error_response(req.id, &e),
     };
     let workload = Workload::from_arrays(req.arrays.clone());
@@ -820,7 +825,7 @@ pub fn respond_fresh(base: &SystemConfig, req: &ComputeRequest) -> String {
         Ok(engine) => engine,
         Err(e) => return error_response(req.id, &e),
     };
-    match compute_result(&engine, req, &app, &workload, config) {
+    match compute_result(&engine, req, &program, &app, &workload, config) {
         Ok((result, session)) => success_response(req, &result, None, session),
         Err(e) => error_response(req.id, &e),
     }
@@ -964,7 +969,7 @@ fn coalesce_verifies(store: &ArtifactStore, batch: &[Job]) {
 /// per-lane errors.
 fn prewarm_verify_group(store: &ArtifactStore, fingerprint: u64, group: &[&ComputeRequest]) {
     let first = group[0];
-    let Ok(app) = parse_app(&first.source) else {
+    let Ok((_, app)) = parse_app(&first.source) else {
         return;
     };
     let workload = Workload::from_arrays(first.arrays.clone());
@@ -1711,7 +1716,7 @@ mod tests {
                 text.push(',');
             }
         }
-        crate::engine::fnv64(&text)
+        crate::corpus::fingerprint64(text.as_bytes())
     }
 
     #[test]

@@ -65,9 +65,9 @@ pub struct SystemConfig {
     pub optimize_ir: bool,
     /// Worker threads for the parallel estimate grid and the
     /// exploration sweep. `0` (the default) resolves automatically:
-    /// `COREPART_THREADS`, then `RAYON_NUM_THREADS`, then the machine's
-    /// available parallelism. Results are bit-identical for every
-    /// value — the knob only trades wall time.
+    /// `COREPART_THREADS`, then the machine's available parallelism.
+    /// Results are bit-identical for every value — the knob only trades
+    /// wall time.
     pub threads: usize,
     /// Byte cap of the reference-trace capture backing the replay
     /// verification engine ([`crate::verify`]). The initial simulation

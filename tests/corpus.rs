@@ -1,17 +1,19 @@
-//! Corpus-runner integration tests: the incremental-Pareto property,
+//! Corpus-runner integration tests: the runner's chunked Pareto fold,
 //! byte-determinism of the columnar results file, and the
 //! interrupt/resume contract (the journal replay must reconstruct the
 //! exact run an uninterrupted invocation would have produced).
 
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use proptest::prelude::*;
 
 use corepart::corpus::{
-    evaluate_corpus_entry, CorpusEntry, CorpusOptions, CorpusRow, ParetoAccumulator,
+    evaluate_corpus_entry, point_to_line, run_corpus_with, CorpusEntry, CorpusOptions, CorpusRow,
 };
 use corepart::engine::Engine;
+use corepart::error::CorepartError;
 use corepart::explore::{DesignPoint, Exploration};
 use corepart::partition::Partitioner;
 use corepart::system::SystemConfig;
@@ -54,17 +56,24 @@ fn small_options() -> CorpusOptions {
     options
 }
 
+/// Never called: every chunk of the run is already in its journal.
+fn no_entries(index: u64) -> Result<CorpusEntry, CorepartError> {
+    unreachable!("entry {index} is journaled")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Satellite 1: folding any chunking of a point stream through
-    /// [`ParetoAccumulator`] is bit-identical to one one-shot
-    /// [`Exploration::pareto_frontier`] over the concatenation. Small
-    /// coordinate ranges force plenty of dominance and coincidence.
+    /// The runner folds each chunk's points into its running frontier;
+    /// for any chunking of a point stream the result is the one-shot
+    /// [`Exploration::pareto_frontier`] over the concatenation. The
+    /// stream enters as a journal of one chunk per batch, which the
+    /// runner resumes and folds chunk by chunk. Small coordinate
+    /// ranges force plenty of dominance and coincidence.
     #[test]
     fn incremental_pareto_matches_one_shot(
-        raw in prop::collection::vec((0u32..24, 0u64..24, 0u64..24), 0..60),
-        chunk in 1usize..9,
+        raw in prop::collection::vec((0u32..24, 0u64..24, 0u64..24), 1..60),
+        batch in 1usize..9,
     ) {
         let points: Vec<DesignPoint> = raw
             .iter()
@@ -78,16 +87,43 @@ proptest! {
                 is_initial: false,
             })
             .collect();
-        let mut acc = ParetoAccumulator::new();
-        for batch in points.chunks(chunk) {
-            acc.add(batch.to_vec());
+        let mut scratch = Scratch(Vec::new());
+        let journal = scratch.path("fold.journal");
+        let out = scratch.path("fold.tsv");
+        let mut options = CorpusOptions::new(SystemConfig::new());
+        options.chunk = 1;
+        let count = points.chunks(batch).len() as u64;
+        // A run stopped before its first chunk writes the journal header.
+        options.limit = Some(0);
+        run_corpus_with(count, no_entries, &options, &journal, &out, false, None)
+            .expect("header written");
+        let mut text = String::new();
+        for (k, chunk) in points.chunks(batch).enumerate() {
+            // One placeholder row per chunk (`chunk = 1`), then its points.
+            text.push_str(&format!("chunk\t{k}\nrow\t{k}\t0\tstub"));
+            text.push_str(&"\t0".repeat(18));
+            text.push('\n');
+            for p in chunk {
+                text.push_str(&point_to_line(p));
+                text.push('\n');
+            }
+            text.push_str(&format!("end\t{k}\n"));
         }
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(&journal)
+            .and_then(|mut file| file.write_all(text.as_bytes()))
+            .expect("chunks appended");
+        options.limit = None;
+        let outcome = run_corpus_with(count, no_entries, &options, &journal, &out, true, None)
+            .expect("journal resumes");
+        prop_assert_eq!(outcome.replayed, count);
         let one_shot: Vec<DesignPoint> = Exploration { points }
             .pareto_frontier()
             .into_iter()
             .cloned()
             .collect();
-        prop_assert_eq!(acc.frontier(), &one_shot[..]);
+        prop_assert_eq!(outcome.frontier, one_shot);
     }
 }
 
