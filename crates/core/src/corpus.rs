@@ -45,6 +45,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
+use std::hash::Hasher;
 use std::io::{ErrorKind, Write as _};
 use std::path::Path;
 
@@ -204,17 +205,20 @@ impl CorpusOptions {
     }
 
     /// The journal parameter line: everything a resumed run must agree
-    /// on. Thread count and limits are deliberately excluded — they
-    /// change wall time, never results.
+    /// on. Thread counts (the base's is hashed at its default) and
+    /// limits are deliberately excluded — they change wall time, never
+    /// results.
     fn params(&self, count: u64) -> String {
+        let mut base = self.base.clone();
+        base.threads = SystemConfig::new().threads;
         let mut config = Fnv64::default();
-        let _ = write!(config, "{:?}", self.base);
+        let _ = write!(config, "{base:?}");
         format!(
             "count={count} chunk={} gsweep={:?} provider={} config={:016x}",
             self.chunk,
             self.g_sweep,
             sanitize(&self.provider_tag),
-            config.0,
+            config.finish(),
         )
     }
 }
@@ -246,8 +250,8 @@ impl RemoteOptions {
 /// listing, a generator revision) into [`CorpusOptions::provider_tag`].
 pub fn fingerprint64(bytes: &[u8]) -> u64 {
     let mut hash = Fnv64::default();
-    hash.write_bytes(bytes);
-    hash.0
+    hash.write(bytes);
+    hash.finish()
 }
 
 /// Collapses whitespace to `_` so a value fits one tab-separated cell.

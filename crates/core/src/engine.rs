@@ -11,11 +11,13 @@
 //!
 //! * An [`Engine`] owns the base [`SystemConfig`], the resolved thread
 //!   policy, and three compute-once artifact pools (generalized
-//!   [`MemoCache`]s) keyed by *fingerprints* — the exact configuration
-//!   fields each stage consumes. Two sessions whose configurations
-//!   agree on a stage's fingerprint share that stage's artifact, even
-//!   when they disagree elsewhere (e.g. an objective-factor sweep
-//!   shares one baseline simulation across every weight).
+//!   [`MemoCache`]s) keyed by a `PoolKey`: the content identity of the
+//!   `(Application, Workload)` pair (their derived `Hash`) plus a hash
+//!   of the exact configuration fields each stage consumes. Two
+//!   sessions on the same pair whose configurations agree on a stage's
+//!   fields share that stage's artifact, even when they disagree
+//!   elsewhere (e.g. an objective-factor sweep shares one baseline
+//!   simulation across every weight).
 //! * A [`Session`] is opened per `(Application, Workload,
 //!   config-group)` and owns *references into* the pools: the typed
 //!   stage artifacts `PreparedApp → Baseline → Arc<ScheduleCache>`,
@@ -34,7 +36,7 @@
 //!
 //! ## Laziness rules
 //!
-//! * Opening a session performs no work beyond fingerprinting.
+//! * Opening a session performs no work beyond hashing its pool keys.
 //! * `prepared()` triggers preparation; `baseline()` triggers
 //!   preparation + the initial-design simulation (capturing the
 //!   reference trace, see [`SystemConfig::trace_cap_bytes`]);
@@ -44,6 +46,7 @@
 //!   session sharing the artifact.
 
 use std::fmt::Write as _;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -88,10 +91,11 @@ impl Baseline {
     }
 }
 
-/// 64-bit FNV-1a, streamed: text written piecewise (also through
-/// `write!`) hashes to the same value as its concatenation, without
-/// building it. [`crate::corpus::fingerprint64`] is the one-shot form.
-pub(crate) struct Fnv64(pub(crate) u64);
+/// 64-bit FNV-1a, streamed: bytes written piecewise — as a [`Hasher`]
+/// fed by a derived `Hash`, or as text through `write!` — hash to the
+/// same value as their concatenation, without building it.
+/// [`crate::corpus::fingerprint64`] is the one-shot form.
+pub(crate) struct Fnv64(u64);
 
 impl Default for Fnv64 {
     fn default() -> Self {
@@ -99,67 +103,78 @@ impl Default for Fnv64 {
     }
 }
 
-impl Fnv64 {
-    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
+impl Hasher for Fnv64 {
+    fn write(&mut self, bytes: &[u8]) {
         for byte in bytes {
             self.0 ^= u64::from(*byte);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl std::fmt::Write for Fnv64 {
     fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.write_bytes(s.as_bytes());
+        self.write(s.as_bytes());
         Ok(())
     }
 }
 
-/// The `(application, workload)` identity every session key starts
-/// with: the name plus a hash of the full (Debug) content. The store
-/// uses the same prefix to attribute pool entries to the request that
-/// touched them.
-pub(crate) fn session_identity(app: &Application, workload: &Workload) -> String {
+/// The content identity of an `(application, workload)` pair: their
+/// derived `Hash` streamed through [`Fnv64`]. Every pool key carries
+/// it, and the store attributes pool entries to the request that
+/// touched them by it.
+pub(crate) fn identity(app: &Application, workload: &Workload) -> u64 {
     let mut hash = Fnv64::default();
-    let _ = write!(hash, "{app:?}|{workload:?}");
-    format!("{}#{:016x}", app.name(), hash.0)
+    (app, workload).hash(&mut hash);
+    hash.finish()
 }
 
-/// What [`prepare`] consumes from a configuration: sessions whose
-/// configurations agree here (for the same application + workload)
-/// share one prepared application.
-fn prep_fingerprint(config: &SystemConfig) -> String {
-    format!("{:?}|{:?}", config.optimize_ir, config.max_cycles)
+/// The key of one engine pool entry: the `(application, workload)`
+/// [`identity`] plus a hash of the configuration fields its stage
+/// consumes. Sessions that agree on both share the artifact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub(crate) struct PoolKey {
+    pub(crate) identity: u64,
+    pub(crate) stage: u64,
 }
 
-/// What the baseline simulation consumes on top of preparation.
-///
-/// `trace_cap_bytes` is *included*: a session configured with a
-/// different cap owns a different baseline artifact (its replay engine
-/// may be present or absent), so e.g. a `trace_cap_bytes = 0` session
-/// genuinely falls back to direct verification instead of borrowing a
-/// sibling's capture.
-///
-/// [`SystemConfig::operating_point`] is deliberately *excluded*:
-/// simulation and replay always run at the base process, so sessions
-/// that differ only in their operating point share one baseline, one
-/// captured trace — a node×vdd sweep costs one
-/// replay plus cheap re-weighting passes, not one simulation per point.
-fn baseline_fingerprint(config: &SystemConfig) -> String {
-    format!(
-        "{:?}|{:?}|{:?}|{:?}|{:?}|{}",
-        config.icache,
-        config.dcache,
-        config.process,
-        config.memory_bytes,
-        config.energy_table,
-        config.trace_cap_bytes
-    )
-}
-
-/// What cached schedules depend on besides the prepared application.
-fn library_fingerprint(config: &SystemConfig) -> String {
-    format!("{:?}", config.library)
+/// The prepared-application, baseline and schedule-cache keys of one
+/// session. Each stage hashes the `Debug` text (the process, energy and
+/// library types hold `f64`) of exactly the fields it consumes:
+/// preparation `optimize_ir` and `max_cycles`; the baseline those plus
+/// the caches, process, memory size, energy table and `trace_cap_bytes`
+/// (so a capped session falls back to direct verification instead of
+/// borrowing a sibling's capture); schedules those plus the resource
+/// library. [`SystemConfig::operating_point`] stays out: simulation and
+/// replay run at the base process, so a node×vdd sweep shares one
+/// baseline and re-weights it per point.
+fn stage_keys(identity: u64, config: &SystemConfig) -> [PoolKey; 3] {
+    let key = |fields: &dyn std::fmt::Debug| {
+        let mut hash = Fnv64::default();
+        let _ = write!(hash, "{fields:?}");
+        PoolKey {
+            identity,
+            stage: hash.finish(),
+        }
+    };
+    let prep = (config.optimize_ir, config.max_cycles);
+    [
+        key(&prep),
+        key(&(
+            prep,
+            &config.icache,
+            &config.dcache,
+            &config.process,
+            config.memory_bytes,
+            &config.energy_table,
+            config.trace_cap_bytes,
+        )),
+        key(&(prep, &config.library)),
+    ]
 }
 
 /// The partitioning engine: the base configuration, the resolved
@@ -173,9 +188,9 @@ fn library_fingerprint(config: &SystemConfig) -> String {
 pub struct Engine {
     config: SystemConfig,
     threads: usize,
-    prepared: MemoCache<String, PreparedApp, CorepartError>,
-    baselines: MemoCache<String, Baseline, CorepartError>,
-    schedules: MemoCache<String, ScheduleCache<ScheduleKey>, CorepartError>,
+    prepared: MemoCache<PoolKey, PreparedApp, CorepartError>,
+    baselines: MemoCache<PoolKey, Baseline, CorepartError>,
+    schedules: MemoCache<PoolKey, ScheduleCache<ScheduleKey>, CorepartError>,
 }
 
 impl Engine {
@@ -217,7 +232,7 @@ impl Engine {
 
     /// Opens a session on a *different* configuration (one config
     /// group of a sweep), still sharing this engine's artifact pools
-    /// wherever the stage fingerprints agree.
+    /// wherever the stage keys agree.
     ///
     /// # Errors
     ///
@@ -235,13 +250,11 @@ impl Engine {
     /// Every key currently stored in the `kind` pool (completed or
     /// still computing) — the store reconciles its byte ledger against
     /// this snapshot after each request.
-    pub(crate) fn pool_keys(&self, kind: ArtifactKind) -> Vec<String> {
+    pub(crate) fn pool_keys(&self, kind: ArtifactKind) -> Vec<PoolKey> {
         match kind {
             ArtifactKind::Prepared => self.prepared.keys(),
             ArtifactKind::Baseline => self.baselines.keys(),
             ArtifactKind::Schedule => self.schedules.keys(),
-            // Result payloads live in the store's shards, not here.
-            ArtifactKind::Result => Vec::new(),
         }
     }
 
@@ -249,43 +262,39 @@ impl Engine {
     /// its computation is still in flight. Failed computations weigh a
     /// fixed bookkeeping charge — the memoized error is small and worth
     /// keeping (growth re-asks about the same infeasible combinations).
-    pub(crate) fn artifact_bytes(&self, kind: ArtifactKind, key: &str) -> Option<u64> {
+    pub(crate) fn artifact_bytes(&self, kind: ArtifactKind, key: PoolKey) -> Option<u64> {
         /// Charge for a memoized failure or an empty cache shell.
         const ERR_BYTES: u64 = 256;
         match kind {
-            ArtifactKind::Prepared => self.prepared.peek(&key.to_owned()).map(|r| match r {
+            ArtifactKind::Prepared => self.prepared.peek(&key).map(|r| match r {
                 Ok(p) => p.heap_bytes() as u64,
                 Err(_) => ERR_BYTES,
             }),
-            ArtifactKind::Baseline => self.baselines.peek(&key.to_owned()).map(|r| match r {
+            ArtifactKind::Baseline => self.baselines.peek(&key).map(|r| match r {
                 Ok(b) => b.heap_bytes() as u64,
                 Err(_) => ERR_BYTES,
             }),
-            ArtifactKind::Schedule => self.schedules.peek(&key.to_owned()).map(|r| match r {
+            ArtifactKind::Schedule => self.schedules.peek(&key).map(|r| match r {
                 Ok(c) => ERR_BYTES + c.bytes(),
                 Err(_) => ERR_BYTES,
             }),
-            ArtifactKind::Result => None,
         }
     }
 
     /// Drops one pool entry (the store's eviction primitive). The next
     /// session needing it recomputes bit-identically — cached values
     /// are pure functions of their keys.
-    pub(crate) fn evict_artifact(&self, kind: ArtifactKind, key: &str) -> bool {
+    pub(crate) fn evict_artifact(&self, kind: ArtifactKind, key: PoolKey) -> bool {
         match kind {
-            ArtifactKind::Prepared => self.prepared.evict(&key.to_owned()),
-            ArtifactKind::Baseline => self.baselines.evict(&key.to_owned()),
-            ArtifactKind::Schedule => self.schedules.evict(&key.to_owned()),
-            ArtifactKind::Result => false,
+            ArtifactKind::Prepared => self.prepared.evict(&key),
+            ArtifactKind::Baseline => self.baselines.evict(&key),
+            ArtifactKind::Schedule => self.schedules.evict(&key),
         }
     }
 }
 
-/// Which pool an accounted artifact lives in. The store's ledger keys
-/// entries by `(kind, pool key)`: the first three kinds are the
-/// engine's compute-once pools; `Result` entries are memoized serve
-/// responses owned by the store's shards themselves.
+/// Which engine pool an accounted artifact lives in. The store's
+/// ledger keys these entries by `(kind, pool key)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ArtifactKind {
     /// The prepared application (profile, compiled program, chain).
@@ -294,13 +303,11 @@ pub enum ArtifactKind {
     Baseline,
     /// A shared schedule cache (grows as the search touches keys).
     Schedule,
-    /// A memoized deterministic serve `result` payload (store-owned).
-    Result,
 }
 
 impl ArtifactKind {
-    /// The engine pool kinds, in ledger order — what the store's
-    /// settle pass scans (`Result` entries are admitted explicitly).
+    /// Every pool kind, in ledger order — what the store's settle pass
+    /// scans.
     pub const ALL: [ArtifactKind; 3] = [
         ArtifactKind::Prepared,
         ArtifactKind::Baseline,
@@ -310,7 +317,7 @@ impl ArtifactKind {
     /// Whether entries of this kind can grow after admission (and must
     /// therefore be re-measured on every touch, not just once).
     pub fn grows(self) -> bool {
-        !matches!(self, ArtifactKind::Prepared | ArtifactKind::Result)
+        self != ArtifactKind::Prepared
     }
 }
 
@@ -367,9 +374,9 @@ pub struct Session<'e> {
     app: Application,
     workload: Workload,
     config: SystemConfig,
-    prep_key: String,
-    baseline_key: String,
-    cache_key: String,
+    prep_key: PoolKey,
+    baseline_key: PoolKey,
+    cache_key: PoolKey,
     prepared: OnceLock<Result<Arc<PreparedApp>, CorepartError>>,
     baseline: OnceLock<Result<Arc<Baseline>, CorepartError>>,
     schedules: OnceLock<Arc<ScheduleCache<ScheduleKey>>>,
@@ -383,13 +390,7 @@ impl<'e> Session<'e> {
         workload: Workload,
         config: SystemConfig,
     ) -> Self {
-        // The application/workload identity is their full (Debug)
-        // content, hashed; the name is kept alongside for readability
-        // of keys in logs and tests.
-        let identity = session_identity(&app, &workload);
-        let prep_key = format!("{identity}|{}", prep_fingerprint(&config));
-        let baseline_key = format!("{prep_key}|{}", baseline_fingerprint(&config));
-        let cache_key = format!("{prep_key}|{}", library_fingerprint(&config));
+        let [prep_key, baseline_key, cache_key] = stage_keys(identity(&app, &workload), &config);
         Session {
             engine,
             app,
@@ -466,13 +467,10 @@ impl<'e> Session<'e> {
         self.prepared.get_or_init(|| {
             let started = Instant::now();
             let mut computed = false;
-            let result = self
-                .engine
-                .prepared
-                .get_or_compute(self.prep_key.clone(), || {
-                    computed = true;
-                    prepare(self.app.clone(), self.workload.clone(), &self.config)
-                });
+            let result = self.engine.prepared.get_or_compute(self.prep_key, || {
+                computed = true;
+                prepare(self.app.clone(), self.workload.clone(), &self.config)
+            });
             self.cells
                 .prepare_nanos
                 .store(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -502,13 +500,10 @@ impl<'e> Session<'e> {
         let slot = self.baseline.get_or_init(|| {
             let started = Instant::now();
             let mut computed = false;
-            let result = self
-                .engine
-                .baselines
-                .get_or_compute(self.baseline_key.clone(), || {
-                    computed = true;
-                    evaluate_initial(&prepared, &self.config, self.threads())
-                });
+            let result = self.engine.baselines.get_or_compute(self.baseline_key, || {
+                computed = true;
+                evaluate_initial(&prepared, &self.config, self.threads())
+            });
             self.cells
                 .baseline_nanos
                 .store(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -540,7 +535,7 @@ impl<'e> Session<'e> {
         self.schedules.get_or_init(|| {
             self.engine
                 .schedules
-                .get_or_compute(self.cache_key.clone(), || Ok(ScheduleCache::new()))
+                .get_or_compute(self.cache_key, || Ok(ScheduleCache::new()))
                 // The compute closure is infallible; the pool's error
                 // arm is unreachable, but degrade to a private cache
                 // rather than panicking if it ever weren't.
@@ -608,7 +603,7 @@ mod tests {
         let prepared_b = b.prepared_arc().unwrap();
         assert!(
             Arc::ptr_eq(&prepared_a, &prepared_b),
-            "same (app, workload, prep fingerprint) must share one PreparedApp"
+            "same (app, workload, prep fields) must share one PreparedApp"
         );
         assert!(b.stats().prepare_shared, "second session is served");
 
@@ -674,7 +669,7 @@ mod tests {
         scaled.baseline().unwrap();
         assert!(
             scaled.stats().baseline_shared,
-            "the operating point must stay out of the baseline fingerprint"
+            "the operating point must stay out of the baseline key"
         );
         let (Ok(Some(ra)), Ok(Some(rb))) = (base.replay_engine(), scaled.replay_engine()) else {
             panic!("both sessions should carry the shared capture");
@@ -729,29 +724,113 @@ mod tests {
     }
 
     #[test]
-    fn streamed_identity_matches_the_text_definition() {
-        // Every paper app and a run of generated apps: the streamed
-        // hash must equal FNV-1a of the formatted text, or every pool
-        // key and store attribution would move.
+    fn one_changed_input_gets_its_own_identity_and_baseline() {
+        let engine = Engine::new(SystemConfig::new()).unwrap();
+        let (app, workload) = (app(), workload());
+        let base = engine.session(&app, &workload);
+        base.baseline().unwrap();
+
+        let constant = lower(&parse(&SRC.replace("* 7", "* 8")).unwrap()).unwrap();
+        let mut element = workload.clone();
+        element.arrays[0].1[5] += 1;
+        for (app, workload) in [(&constant, &workload), (&app, &element)] {
+            let changed = engine.session(app, workload);
+            assert_ne!(changed.prep_key.identity, base.prep_key.identity);
+            changed.baseline().unwrap();
+            assert!(!changed.stats().prepare_shared);
+            assert!(!changed.stats().baseline_shared, "no shared baseline");
+        }
+    }
+
+    #[test]
+    fn paper_and_generated_apps_have_distinct_identities() {
         let mut inputs: Vec<(String, Workload)> = corepart_workloads::all()
             .iter()
             .map(|w| (w.source.to_owned(), Workload::from_arrays(w.arrays(1))))
             .collect();
-        for seed in 0..32 {
+        for seed in 0..256 {
             let gen = corepart_conform::generate(seed);
             inputs.push((gen.source(), Workload::from_arrays(gen.workload_arrays())));
         }
-        for (source, workload) in inputs {
-            let app = lower(&parse(&source).unwrap()).unwrap();
-            let text = format!("{app:?}|{workload:?}");
-            assert_eq!(
-                session_identity(&app, &workload),
-                format!(
-                    "{}#{:016x}",
-                    app.name(),
-                    crate::corpus::fingerprint64(text.as_bytes())
-                )
-            );
+        let identities: std::collections::HashSet<u64> = inputs
+            .iter()
+            .map(|(source, workload)| identity(&lower(&parse(source).unwrap()).unwrap(), workload))
+            .collect();
+        assert_eq!(identities.len(), 6 + 256);
+    }
+
+    #[test]
+    fn each_stage_key_moves_with_exactly_the_fields_it_consumes() {
+        use corepart_cache::config::CacheConfig;
+        use corepart_isa::energy::EnergyTable;
+        use corepart_tech::resource::ResourceLibrary;
+        use corepart_tech::scaling::OperatingPoint;
+
+        type Edit = fn(&mut SystemConfig);
+        // One row per field: does the [prep, baseline, schedule] key move?
+        let rows: [(&str, Edit, [bool; 3]); 14] = [
+            ("optimize_ir", |c| c.optimize_ir = true, [true; 3]),
+            ("max_cycles", |c| c.max_cycles += 1, [true; 3]),
+            (
+                "icache",
+                |c| c.icache = CacheConfig::default_dcache(),
+                [false, true, false],
+            ),
+            (
+                "dcache",
+                |c| c.dcache = CacheConfig::default_icache(),
+                [false, true, false],
+            ),
+            (
+                "process",
+                |c| c.process = c.process.scaled_to(0.35),
+                [false, true, false],
+            ),
+            (
+                "memory_bytes",
+                |c| c.memory_bytes *= 2,
+                [false, true, false],
+            ),
+            (
+                "energy_table",
+                |c| c.energy_table = EnergyTable::for_process(&c.process.scaled_to(0.35)),
+                [false, true, false],
+            ),
+            (
+                "trace_cap_bytes",
+                |c| c.trace_cap_bytes = 0,
+                [false, true, false],
+            ),
+            (
+                "library",
+                |c| c.library = ResourceLibrary::for_process(&c.process.scaled_to(0.35)),
+                [false, false, true],
+            ),
+            ("factor_f", |c| c.factor_f = 4.0, [false; 3]),
+            ("factor_g", |c| c.factor_g = 0.5, [false; 3]),
+            ("n_max", |c| c.n_max = 3, [false; 3]),
+            ("threads", |c| c.threads = 7, [false; 3]),
+            (
+                "operating_point",
+                |c| {
+                    c.operating_point = Some(OperatingPoint {
+                        node_nm: 180,
+                        vdd: 1.8,
+                    })
+                },
+                [false; 3],
+            ),
+        ];
+        let base = SystemConfig::new();
+        let before = stage_keys(42, &base);
+        for (field, edit, moves) in rows {
+            let mut config = base.clone();
+            edit(&mut config);
+            let after = stage_keys(42, &config);
+            for (i, stage) in ["prep", "baseline", "schedule"].into_iter().enumerate() {
+                assert_eq!(after[i] != before[i], moves[i], "{field} → {stage} key");
+                assert_eq!(after[i].identity, 42);
+            }
         }
     }
 }

@@ -133,8 +133,8 @@ impl Exploration {
 /// baseline point.
 ///
 /// Preparation, the baseline simulation, and the schedule cache are
-/// shared across configurations wherever their stage fingerprints
-/// allow (see [`crate::engine`]), and the searches run in parallel;
+/// shared across configurations wherever their stage keys allow (see
+/// [`crate::engine`]), and the searches run in parallel;
 /// the resulting points are identical to running each configuration
 /// from scratch, sequentially.
 ///
@@ -291,8 +291,8 @@ pub(crate) fn sweep(
             continue;
         };
         let set = partitioner.hw_set_of(&best.partition);
-        // Sessions share a replay engine only when their baseline
-        // fingerprints agree, which covers every configuration field
+        // Sessions share a replay engine only when their baseline keys
+        // agree, which covers every configuration field
         // the replay consumes — any group member's config verifies
         // every member's winner identically.
         match groups.iter_mut().find(|(e, _, _)| Arc::ptr_eq(e, replay)) {

@@ -11,7 +11,7 @@ use crate::error::CorepartError;
 use crate::system::SystemConfig;
 
 /// Input data of one run: named arrays and their contents.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Workload {
     /// `(array name, contents)` pairs applied before every simulation.
     pub arrays: Vec<(String, Vec<i64>)>,
@@ -56,10 +56,9 @@ impl PreparedApp {
     /// byte-budget charge for keeping a prepared application warm.
     ///
     /// The length of the full `Debug` rendering is used as a
-    /// deterministic, structure-proportional proxy (the same idiom the
-    /// engine's fingerprints use for identity): the artifact spans five
-    /// heterogeneous substrate types, and an allocator-exact walk over
-    /// all of them buys no better eviction decisions. Prepared apps
+    /// deterministic, structure-proportional proxy: the artifact spans
+    /// five heterogeneous substrate types, and an allocator-exact walk
+    /// over all of them buys no better eviction decisions. Prepared apps
     /// never grow after construction, so the store measures this once
     /// per admission.
     pub fn heap_bytes(&self) -> usize {

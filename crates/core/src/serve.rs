@@ -58,6 +58,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
+use std::hash::Hasher;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -72,7 +73,7 @@ use corepart_ir::lower::lower;
 use corepart_ir::parser::parse;
 
 use crate::corpus::{evaluate_corpus_entry, point_to_line, source_features, CorpusEntry};
-use crate::engine::{session_identity, Engine, Fnv64, SessionStats};
+use crate::engine::{identity, Engine, Fnv64, SessionStats};
 use crate::error::CorepartError;
 use crate::evaluate::{cluster_blocks, Partition};
 use crate::explore::{explore_in, hardware_weight_sweep};
@@ -462,18 +463,18 @@ impl From<ComputeRequest> for Request {
 /// array), streamed without building that text, so routing needs no
 /// parse. Two requests with identical text always share a shard (and
 /// therefore its warm artifacts); texts that merely normalize to the
-/// same application may land apart — they would also fingerprint apart
-/// in the CLI flow.
+/// same application may land apart, though their engine pool keys (the
+/// lowered content identity) would agree.
 pub fn request_fingerprint(req: &ComputeRequest) -> u64 {
     let mut hash = Fnv64::default();
-    hash.write_bytes(req.source.as_bytes());
+    hash.write(req.source.as_bytes());
     for (name, data) in &req.arrays {
         let _ = write!(hash, "\0{name}=");
         for v in data {
             let _ = write!(hash, "{v},");
         }
     }
-    hash.0
+    hash.finish()
 }
 
 /// Parses and lowers a request's source, keeping the parsed program
@@ -800,9 +801,9 @@ fn answer_compute(store: &ArtifactStore, req: &ComputeRequest, fingerprint: u64)
         Err(e) => return error_response(req.id, &e),
     };
     let workload = Workload::from_arrays(req.arrays.clone());
-    let identity = session_identity(&app, &workload);
     let config = effective_config(store.base_config(), req);
-    let (outcome, rstats) = store.compute_and_memoize(fingerprint, &identity, &key, |engine| {
+    let identity = identity(&app, &workload);
+    let (outcome, rstats) = store.compute_and_memoize(fingerprint, identity, &key, |engine| {
         compute_result(engine, req, &program, &app, &workload, config)
     });
     match outcome {

@@ -23,7 +23,7 @@
 //!   never evicted to admit a cold, first-time artifact — a one-shot
 //!   trace cannot flush a hot baseline; the newcomer is declined
 //!   instead (computed, served, and dropped). Ties are broken by
-//!   `(kind, key)` so eviction order never depends on hash-map
+//!   the entries' keys so eviction order never depends on hash-map
 //!   iteration order.
 //! * **Result memoization.** The whole flow is deterministic, so the
 //!   store also memoizes the rendered `result` payload per *exact*
@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::engine::{ArtifactKind, Engine};
+use crate::engine::{ArtifactKind, Engine, PoolKey};
 use crate::error::CorepartError;
 use crate::system::SystemConfig;
 
@@ -69,11 +69,15 @@ impl Default for StoreOptions {
     }
 }
 
-/// Ledger key of one accounted pool entry.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-struct EntryKey {
-    kind: ArtifactKind,
-    key: String,
+/// Ledger key of one accounted entry: an engine pool entry, or a
+/// memoized serve `result` by its exact request text (`S` is `&str`
+/// while the ledger is scanned, `String` once a victim is chosen). The
+/// derived order is the eviction tie-break: artifact kinds first, in
+/// ledger order, then results.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum EntryKey<S = String> {
+    Artifact(ArtifactKind, PoolKey),
+    Result(S),
 }
 
 /// Ledger record of one accounted pool entry.
@@ -98,25 +102,25 @@ struct MemoEntry {
 /// memoized results alike, under one LRU.
 #[derive(Debug, Default)]
 struct Ledger {
-    /// Engine pool entries.
-    artifacts: HashMap<EntryKey, EntryMeta>,
+    /// Engine pool entries by `(kind, pool key)`.
+    artifacts: HashMap<(ArtifactKind, PoolKey), EntryMeta>,
     /// Memoized deterministic serve `result` payloads by full request
-    /// key ([`ArtifactKind::Result`] entries). The key — as large as the
-    /// request's source — is held here and nowhere else.
+    /// key. The key — as large as the request's source — is held here
+    /// and nowhere else.
     results: HashMap<String, MemoEntry>,
 }
 
 impl Ledger {
-    /// Every accounted entry as `(kind, key, record)`.
-    fn entries(&self) -> impl Iterator<Item = (ArtifactKind, &str, &EntryMeta)> {
+    /// Every accounted entry with its record.
+    fn entries(&self) -> impl Iterator<Item = (EntryKey<&str>, &EntryMeta)> {
         let artifacts = self
             .artifacts
             .iter()
-            .map(|(k, e)| (k.kind, k.key.as_str(), e));
+            .map(|(&(kind, key), e)| (EntryKey::Artifact(kind, key), e));
         let results = self
             .results
             .iter()
-            .map(|(k, m)| (ArtifactKind::Result, k.as_str(), &m.meta));
+            .map(|(k, m)| (EntryKey::Result(k.as_str()), &m.meta));
         artifacts.chain(results)
     }
 }
@@ -381,8 +385,9 @@ impl ArtifactStore {
     /// Runs `f` against the warm engine of `fingerprint`'s shard, then
     /// settles the byte ledger: new pool entries are measured and
     /// admitted (or declined), grown entries re-measured, and every
-    /// entry whose key starts with `identity` (see
-    /// `corepart::engine`'s session identity) is touched for LRU/heat.
+    /// entry whose pool key carries `identity` (the request's
+    /// `(application, workload)` content identity, see
+    /// `corepart::engine`) is touched for LRU/heat.
     ///
     /// Runs on the caller's thread — the serve layer provides the
     /// one-worker-per-shard discipline; in-process callers (tests,
@@ -397,7 +402,7 @@ impl ArtifactStore {
     pub fn with_engine<R>(
         &self,
         fingerprint: u64,
-        identity: &str,
+        identity: u64,
         f: impl FnOnce(&Engine) -> Result<R, CorepartError>,
     ) -> (Result<R, CorepartError>, RequestStats) {
         let started = Instant::now();
@@ -409,7 +414,7 @@ impl ArtifactStore {
             ledger
                 .artifacts
                 .keys()
-                .any(|k| k.kind == ArtifactKind::Baseline && k.key.starts_with(identity))
+                .any(|&(kind, key)| kind == ArtifactKind::Baseline && key.identity == identity)
         };
 
         let result = f(&shard.engine);
@@ -445,8 +450,8 @@ impl ArtifactStore {
 
     /// Runs `f` like [`ArtifactStore::with_engine`] and memoizes the
     /// deterministic `String` half of its output under `request_key`
-    /// ([`ArtifactKind::Result`] in the byte ledger — same budget, LRU
-    /// and admission rules as every other artifact). It always
+    /// (in the byte ledger — same budget, LRU and admission rules as
+    /// every other artifact). It always
     /// computes: callers look the key up with
     /// [`ArtifactStore::memoized_result`] first and come here on a
     /// miss.
@@ -464,7 +469,7 @@ impl ArtifactStore {
     pub fn compute_and_memoize<T>(
         &self,
         fingerprint: u64,
-        identity: &str,
+        identity: u64,
         request_key: &str,
         f: impl FnOnce(&Engine) -> Result<(String, T), CorepartError>,
     ) -> (Result<(String, T), CorepartError>, RequestStats) {
@@ -488,7 +493,7 @@ impl ArtifactStore {
             // A racing identical request already admitted it.
             return;
         }
-        let protect = (ArtifactKind::Result, request_key);
+        let protect = EntryKey::Result(request_key);
         if self.reserve_or_evict(shard, &mut ledger, bytes, protect, false) {
             ledger.results.insert(
                 request_key.to_owned(),
@@ -508,32 +513,25 @@ impl ArtifactStore {
 
     /// Reconciles one shard's ledger against its engine pools after a
     /// request: admission, growth, touches, budget enforcement.
-    fn settle(&self, shard: &StoreShard, identity: &str) {
+    fn settle(&self, shard: &StoreShard, identity: u64) {
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let mut ledger = shard.ledger.lock().expect("shard ledger poisoned");
         for kind in ArtifactKind::ALL {
             for key in shard.engine.pool_keys(kind) {
-                let touched = key.starts_with(identity);
-                let ekey = EntryKey { kind, key };
-                match ledger.artifacts.get(&ekey).cloned() {
+                let touched = key.identity == identity;
+                let ekey = EntryKey::Artifact(kind, key);
+                match ledger.artifacts.get(&(kind, key)).cloned() {
                     Some(mut entry) => {
                         if touched {
                             entry.tick = tick;
                             entry.touches += 1;
                         }
                         if kind.grows() {
-                            match shard.engine.artifact_bytes(kind, &ekey.key) {
+                            match shard.engine.artifact_bytes(kind, key) {
                                 Some(now) if now > entry.bytes => {
                                     let hot = entry.touches >= HOT_TOUCHES;
                                     let delta = now - entry.bytes;
-                                    let protect = (kind, ekey.key.as_str());
-                                    if self.reserve_or_evict(
-                                        shard,
-                                        &mut ledger,
-                                        delta,
-                                        protect,
-                                        hot,
-                                    ) {
+                                    if self.reserve_or_evict(shard, &mut ledger, delta, ekey, hot) {
                                         entry.bytes = now;
                                     } else {
                                         // The entry outgrew what the
@@ -541,6 +539,7 @@ impl ArtifactStore {
                                         // entirely (releases its old
                                         // reservation; the delta was
                                         // never reserved).
+                                        let ekey = EntryKey::Artifact(kind, key);
                                         self.evict_entry(shard, &mut ledger, &ekey);
                                         continue;
                                     }
@@ -552,19 +551,18 @@ impl ArtifactStore {
                                 _ => {}
                             }
                         }
-                        ledger.artifacts.insert(ekey, entry);
+                        ledger.artifacts.insert((kind, key), entry);
                     }
                     None => {
                         // New entry. Still-computing entries report no
                         // size yet; they are settled by the request
                         // that completes them.
-                        let Some(bytes) = shard.engine.artifact_bytes(kind, &ekey.key) else {
+                        let Some(bytes) = shard.engine.artifact_bytes(kind, key) else {
                             continue;
                         };
-                        let protect = (kind, ekey.key.as_str());
-                        if self.reserve_or_evict(shard, &mut ledger, bytes, protect, false) {
+                        if self.reserve_or_evict(shard, &mut ledger, bytes, ekey, false) {
                             ledger.artifacts.insert(
-                                ekey,
+                                (kind, key),
                                 EntryMeta {
                                     bytes,
                                     tick,
@@ -575,7 +573,7 @@ impl ArtifactStore {
                             // Admission declined: the artifact was
                             // computed and served, but is not worth a
                             // hot entry's seat.
-                            shard.engine.evict_artifact(kind, &ekey.key);
+                            shard.engine.evict_artifact(kind, key);
                             shard.declined.fetch_add(1, Ordering::Relaxed);
                         }
                     }
@@ -594,7 +592,7 @@ impl ArtifactStore {
         shard: &StoreShard,
         ledger: &mut Ledger,
         need: u64,
-        protect: (ArtifactKind, &str),
+        protect: EntryKey<&str>,
         allow_hot: bool,
     ) -> bool {
         loop {
@@ -629,14 +627,15 @@ impl ArtifactStore {
 
     /// Drops one accounted entry: pool, ledger, byte reservation.
     fn evict_entry(&self, shard: &StoreShard, ledger: &mut Ledger, key: &EntryKey) {
-        let bytes = if key.kind == ArtifactKind::Result {
-            ledger.results.remove(&key.key).map(|memo| memo.meta.bytes)
-        } else {
-            let bytes = ledger.artifacts.remove(key).map(|entry| entry.bytes);
-            if bytes.is_some() {
-                shard.engine.evict_artifact(key.kind, &key.key);
+        let bytes = match *key {
+            EntryKey::Result(ref key) => ledger.results.remove(key).map(|memo| memo.meta.bytes),
+            EntryKey::Artifact(kind, key) => {
+                shard.engine.evict_artifact(kind, key);
+                ledger
+                    .artifacts
+                    .remove(&(kind, key))
+                    .map(|entry| entry.bytes)
             }
-            bytes
         };
         if let Some(bytes) = bytes {
             self.used.fetch_sub(bytes, Ordering::Relaxed);
@@ -657,7 +656,7 @@ impl ArtifactStore {
                 let ledger = shard.ledger.lock().expect("shard ledger poisoned");
                 (
                     (ledger.artifacts.len() + ledger.results.len()) as u64,
-                    ledger.entries().map(|(_, _, e)| e.bytes).sum::<u64>(),
+                    ledger.entries().map(|(_, e)| e.bytes).sum::<u64>(),
                 )
             };
             let s = ShardStats {
@@ -723,22 +722,22 @@ fn record_request(
 /// Deterministic victim selection: the least-recently-used *cold*
 /// entry first (touches below `HOT_TOUCHES`); hot entries only when
 /// `allow_hot`. Ties on the LRU tick — e.g. two entries admitted by
-/// one request — break by `(kind, key)`, never by hash-map iteration
-/// order.
+/// one request — break by the [`EntryKey`] order, never by hash-map
+/// iteration order.
 fn pick_victim(
     ledger: &Ledger,
-    protect: Option<(ArtifactKind, &str)>,
+    protect: Option<EntryKey<&str>>,
     allow_hot: bool,
 ) -> Option<EntryKey> {
     let candidate = |hot_pass: bool| {
         ledger
             .entries()
-            .filter(|&(kind, key, _)| Some((kind, key)) != protect)
-            .filter(|(_, _, e)| (e.touches >= HOT_TOUCHES) == hot_pass)
-            .min_by_key(|&(kind, key, e)| (e.tick, kind, key))
-            .map(|(kind, key, _)| EntryKey {
-                kind,
-                key: key.to_owned(),
+            .filter(|&(key, _)| Some(key) != protect)
+            .filter(|(_, e)| (e.touches >= HOT_TOUCHES) == hot_pass)
+            .min_by_key(|&(key, e)| (e.tick, key))
+            .map(|(key, _)| match key {
+                EntryKey::Artifact(kind, key) => EntryKey::Artifact(kind, key),
+                EntryKey::Result(key) => EntryKey::Result(key.to_owned()),
             })
     };
     candidate(false).or_else(|| if allow_hot { candidate(true) } else { None })
@@ -767,22 +766,29 @@ fn latency_stats(samples: &mut [u64]) -> LatencyStats {
 mod tests {
     use super::*;
 
-    fn ledger_of(entries: &[(&str, ArtifactKind, u64, u64)]) -> Ledger {
+    /// An engine pool entry's ledger key; `identity` names it.
+    fn artifact<S>(kind: ArtifactKind, identity: u64) -> EntryKey<S> {
+        EntryKey::Artifact(kind, PoolKey { identity, stage: 0 })
+    }
+
+    fn ledger_of(entries: &[(EntryKey<&str>, u64, u64)]) -> Ledger {
         let mut ledger = Ledger::default();
-        for &(key, kind, tick, touches) in entries {
+        for &(key, tick, touches) in entries {
             let meta = EntryMeta {
                 bytes: 100,
                 tick,
                 touches,
             };
-            if kind == ArtifactKind::Result {
-                let text = String::new();
-                ledger
-                    .results
-                    .insert(key.to_owned(), MemoEntry { text, meta });
-            } else {
-                let key = key.to_owned();
-                ledger.artifacts.insert(EntryKey { kind, key }, meta);
+            match key {
+                EntryKey::Artifact(kind, key) => {
+                    ledger.artifacts.insert((kind, key), meta);
+                }
+                EntryKey::Result(key) => {
+                    let text = String::new();
+                    ledger
+                        .results
+                        .insert(key.to_owned(), MemoEntry { text, meta });
+                }
             }
         }
         ledger
@@ -790,71 +796,67 @@ mod tests {
 
     #[test]
     fn victim_is_lru_cold_with_deterministic_tie_break() {
+        use ArtifactKind::{Baseline, Prepared, Schedule};
         // Two cold entries share the oldest tick: the (kind, key) order
         // decides, independent of hash-map iteration order.
         let ledger = ledger_of(&[
-            ("b", ArtifactKind::Baseline, 1, 1),
-            ("a", ArtifactKind::Baseline, 1, 1),
-            ("c", ArtifactKind::Baseline, 2, 1),
+            (artifact(Baseline, 2), 1, 1),
+            (artifact(Baseline, 1), 1, 1),
+            (artifact(Baseline, 3), 2, 1),
         ]);
         for _ in 0..8 {
-            let v = pick_victim(&ledger, None, false).unwrap();
-            assert_eq!((v.kind, v.key.as_str()), (ArtifactKind::Baseline, "a"));
+            let v = pick_victim(&ledger, None, false);
+            assert_eq!(v, Some(artifact(Baseline, 1)));
         }
         // Same tick, different kinds: ledger order (Prepared < Baseline
         // < Schedule) breaks the tie.
-        let ledger = ledger_of(&[
-            ("x", ArtifactKind::Schedule, 5, 0),
-            ("x", ArtifactKind::Prepared, 5, 0),
-        ]);
-        let v = pick_victim(&ledger, None, false).unwrap();
-        assert_eq!(v.kind, ArtifactKind::Prepared);
+        let ledger = ledger_of(&[(artifact(Schedule, 7), 5, 0), (artifact(Prepared, 7), 5, 0)]);
+        let v = pick_victim(&ledger, None, false);
+        assert_eq!(v, Some(artifact(Prepared, 7)));
     }
 
     #[test]
     fn hot_entries_survive_cold_pressure() {
-        // The hot entry is older (tick 1) than the cold one (tick 9):
-        // plain LRU would evict it first, admission control does not.
-        let ledger = ledger_of(&[
-            ("hot", ArtifactKind::Baseline, 1, 5),
-            ("cold", ArtifactKind::Baseline, 9, 1),
-        ]);
-        let v = pick_victim(&ledger, None, false).unwrap();
-        assert_eq!(v.key, "cold");
+        use ArtifactKind::Baseline;
+        // The hot entry (identity 1) is older (tick 1) than the cold one
+        // (identity 2, tick 9): plain LRU would evict it first,
+        // admission control does not.
+        let ledger = ledger_of(&[(artifact(Baseline, 1), 1, 5), (artifact(Baseline, 2), 9, 1)]);
+        assert_eq!(
+            pick_victim(&ledger, None, false),
+            Some(artifact(Baseline, 2))
+        );
         // With only hot entries left, a cold admission finds no victim…
-        let ledger = ledger_of(&[("hot", ArtifactKind::Baseline, 1, 5)]);
+        let ledger = ledger_of(&[(artifact(Baseline, 1), 1, 5)]);
         assert!(pick_victim(&ledger, None, false).is_none());
         // …while a hot requester may reclaim from its peers.
-        let v = pick_victim(&ledger, None, true).unwrap();
-        assert_eq!(v.key, "hot");
+        assert_eq!(
+            pick_victim(&ledger, None, true),
+            Some(artifact(Baseline, 1))
+        );
     }
 
     #[test]
     fn protected_entry_is_never_the_victim() {
-        let ledger = ledger_of(&[("only", ArtifactKind::Baseline, 1, 0)]);
-        let protect = (ArtifactKind::Baseline, "only");
-        assert!(pick_victim(&ledger, Some(protect), true).is_none());
+        let only = artifact(ArtifactKind::Baseline, 1);
+        let ledger = ledger_of(&[(only, 1, 0)]);
+        assert!(pick_victim(&ledger, Some(only), true).is_none());
     }
 
     #[test]
     fn memoized_results_share_the_lru_with_engine_artifacts() {
+        use ArtifactKind::{Baseline, Schedule};
         // An older cold result goes before a younger artifact; on a tie
         // the artifact kinds sort first.
-        let ledger = ledger_of(&[
-            ("req", ArtifactKind::Result, 1, 1),
-            ("app", ArtifactKind::Baseline, 2, 1),
-        ]);
-        let v = pick_victim(&ledger, None, false).unwrap();
-        assert_eq!((v.kind, v.key.as_str()), (ArtifactKind::Result, "req"));
-        let ledger = ledger_of(&[
-            ("req", ArtifactKind::Result, 3, 1),
-            ("app", ArtifactKind::Schedule, 3, 1),
-        ]);
-        let v = pick_victim(&ledger, None, false).unwrap();
-        assert_eq!(v.kind, ArtifactKind::Schedule);
-        let protect = (ArtifactKind::Result, "req");
-        let v = pick_victim(&ledger, Some(protect), false).unwrap();
-        assert_eq!(v.kind, ArtifactKind::Schedule);
+        let req = EntryKey::Result("req");
+        let ledger = ledger_of(&[(req, 1, 1), (artifact(Baseline, 1), 2, 1)]);
+        let v = pick_victim(&ledger, None, false);
+        assert_eq!(v, Some(EntryKey::Result("req".to_owned())));
+        let ledger = ledger_of(&[(req, 3, 1), (artifact(Schedule, 1), 3, 1)]);
+        let v = pick_victim(&ledger, None, false);
+        assert_eq!(v, Some(artifact(Schedule, 1)));
+        let v = pick_victim(&ledger, Some(req), false);
+        assert_eq!(v, Some(artifact(Schedule, 1)));
     }
 
     #[test]

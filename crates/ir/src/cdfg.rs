@@ -16,7 +16,7 @@ use std::fmt;
 use crate::op::{ArrayId, BlockId, Inst, Terminator, VarId};
 
 /// Metadata of one scalar variable (named or temporary).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VarInfo {
     /// Source name, or `None` for compiler temporaries.
     pub name: Option<String>,
@@ -24,7 +24,7 @@ pub struct VarInfo {
 
 /// Metadata of one global array. Arrays live in the shared memory
 /// (Fig. 2 a) at consecutive word addresses.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ArrayInfo {
     /// Source name.
     pub name: String,
@@ -35,7 +35,7 @@ pub struct ArrayInfo {
 }
 
 /// A basic block: a run of instructions plus one terminator.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Block {
     /// Straight-line instructions.
     pub insts: Vec<Inst>,
@@ -45,7 +45,7 @@ pub struct Block {
 }
 
 /// A node of the structure tree.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum StructNode {
     /// A maximal run of simple statements.
     Straight {
@@ -134,7 +134,7 @@ impl StructNode {
 }
 
 /// A fully inlined application: the unit the partitioner operates on.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Application {
     name: String,
     vars: Vec<VarInfo>,

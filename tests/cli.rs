@@ -467,12 +467,15 @@ fn corpus_limit_resume_round_trip_matches_one_shot() {
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("corpus complete"));
 
-    // Limit to the first chunk, then resume to completion.
+    // Limit to the first chunk, then resume to completion at another
+    // thread count: threads change wall time, never the journal.
     let out = bin()
         .args([
             "corpus",
             &dir_arg,
             "--chunk",
+            "2",
+            "--threads",
             "2",
             "--limit",
             "1",
@@ -493,6 +496,8 @@ fn corpus_limit_resume_round_trip_matches_one_shot() {
             &dir_arg,
             "--chunk",
             "2",
+            "--threads",
+            "1",
             "--resume",
             "--out",
             stepped.to_str().expect("utf8"),

@@ -145,8 +145,18 @@ fn corpus_sample_json_matches_golden() {
     options.chunk = 8;
     let outcome =
         run_gen_corpus(9, 32, options, &journal, &out, false).expect("corpus run succeeds");
+    let journal_text = std::fs::read_to_string(&journal).expect("journal written");
     let _ = std::fs::remove_file(&out);
     let _ = std::fs::remove_file(&journal);
+    // The persisted parameter line: a resume checks it byte for byte,
+    // so a journal written by an earlier build must still match it.
+    assert_eq!(
+        journal_text.lines().nth(1),
+        Some(
+            "meta\tcount=32 chunk=8 gsweep=[0.0, 0.2, 1.0] provider=gen_seed=9 \
+             config=9c9e28fa9452a4e8"
+        )
+    );
     assert!(outcome.finished);
     assert_eq!(outcome.rows.len(), 32);
     let mut json = corpus_to_json(&outcome);
