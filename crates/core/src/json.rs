@@ -512,12 +512,20 @@ impl JsonValue {
         }
     }
 
-    /// The numeric payload as an unsigned integer, if it is one.
+    /// The numeric payload as an unsigned integer, if it is one below
+    /// 2^53. Every integer literal in that range parses to itself; a
+    /// larger one may already be rounded (`9007199254740993` parses as
+    /// 2^53), so it is refused rather than silently changed.
     pub fn as_u64(&self) -> Option<u64> {
+        self.as_i64().and_then(|n| u64::try_from(n).ok())
+    }
+
+    /// The numeric payload as an integer, if it is one of magnitude
+    /// below 2^53 (as [`JsonValue::as_u64`], either sign).
+    pub(crate) fn as_i64(&self) -> Option<i64> {
+        const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
         match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            JsonValue::Num(n) if n.fract() == 0.0 && n.abs() < EXACT => Some(*n as i64),
             _ => None,
         }
     }

@@ -42,7 +42,11 @@
 //! Error kinds mirror [`CorepartError`]: `ir`, `sim`, `sched`,
 //! `config`, plus `request` for lines the protocol itself rejects and
 //! `too_large` for a line longer than [`MAX_LINE_BYTES`] (the daemon
-//! then closes that connection). A
+//! then closes that connection). A line that is not UTF-8 is a
+//! `request` error like any malformed line, and so is an integer of
+//! magnitude 2^53 or more (`id`, array elements and the other integer
+//! fields): past that bound a JSON number no longer parses to itself,
+//! so the request would silently compute on other values. A
 //! failing request never poisons the store: parse errors are answered
 //! before the store is touched, and deeper failures are memoized
 //! error values that later identical requests replay.
@@ -52,11 +56,16 @@
 //! [`Server::spawn`] starts one worker thread per store shard plus an
 //! accept loop; each connection gets a reader thread that routes
 //! compute requests to their shard's worker (by [`request_fingerprint`])
-//! and answers `stats`/`shutdown` inline. One worker per shard means
+//! and answers `stats`/`shutdown` inline, and a writer thread that
+//! moves the lines its `Outbox` hands back onto the socket. The outbox
+//! decides the order: responses leave in request order, except that an
+//! `"ordered":false` response leaves the moment it arrives; an ordered
+//! response still waits for every earlier request, unordered ones
+//! included. One worker per shard means
 //! the hot artifact-lookup path never contends on a global lock — see
 //! [`ArtifactStore`].
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt::Write as _;
 use std::hash::Hasher;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
@@ -305,7 +314,7 @@ fn opt_u64(v: &JsonValue, key: &str) -> Result<Option<u64>, String> {
         Some(x) => x
             .as_u64()
             .map(Some)
-            .ok_or_else(|| format!("`{key}` must be a non-negative integer")),
+            .ok_or_else(|| format!("`{key}` must be a non-negative integer below 2^53")),
     }
 }
 
@@ -356,10 +365,9 @@ fn parse_request(line: &str) -> Result<Request, String> {
             let mut data = Vec::with_capacity(items.len());
             for item in items {
                 let x = item
-                    .as_f64()
-                    .filter(|x| x.fract() == 0.0 && x.abs() < i64::MAX as f64)
-                    .ok_or_else(|| format!("array `{name}` must hold integers"))?;
-                data.push(x as i64);
+                    .as_i64()
+                    .ok_or_else(|| format!("array `{name}` must hold integers below 2^53"))?;
+                data.push(x);
             }
             req.arrays.push((name.clone(), data));
         }
@@ -837,11 +845,25 @@ pub fn respond_fresh(base: &SystemConfig, req: &ComputeRequest) -> String {
 /// This is the whole protocol — the TCP layer only moves lines; tests
 /// and in-process clients may call it directly.
 pub fn handle_line(store: &ArtifactStore, line: &str) -> (String, bool) {
-    match parse_request(line) {
-        Err(message) => (error_response_kind(None, "request", &message), false),
-        Ok(Request::Stats { id }) => (stats_response(store, id), false),
-        Ok(Request::Shutdown { id }) => (shutdown_response(id), true),
-        Ok(Request::Compute(req)) => (respond_compute(store, &req), false),
+    match dispatch(store, parse_request(line)) {
+        Ok(req) => (respond_compute(store, &req), false),
+        Err(answer) => answer,
+    }
+}
+
+/// The one dispatch shared by [`handle_line`] and the connection
+/// reader: a compute request comes back for its shard (`Ok`); `stats`,
+/// `shutdown` and lines the protocol rejects are answered at once
+/// (`Err`, the response and whether it is a shutdown).
+fn dispatch(
+    store: &ArtifactStore,
+    parsed: Result<Request, String>,
+) -> Result<Box<ComputeRequest>, (String, bool)> {
+    match parsed {
+        Ok(Request::Compute(req)) => Ok(req),
+        Ok(Request::Stats { id }) => Err((stats_response(store, id), false)),
+        Ok(Request::Shutdown { id }) => Err((shutdown_response(id), true)),
+        Err(message) => Err((error_response_kind(None, "request", &message), false)),
     }
 }
 
@@ -865,22 +887,12 @@ struct Job {
 
 /// Messages into a connection's writer thread.
 enum WriterMsg {
-    /// The reader announces every request in sequence order before
-    /// routing it, so the writer knows what to wait for (and when to
-    /// give up on it).
-    Expect {
-        seq: u64,
-        id: Option<u64>,
-        ordered: bool,
-        deadline: Option<Instant>,
-    },
-    /// A response for `seq` is ready (from a shard worker, or inline
-    /// from the reader for stats/shutdown/parse errors).
-    Done {
-        seq: u64,
-        response: String,
-        stop: bool,
-    },
+    /// The reader announces every request's slot in sequence order:
+    /// waiting for a compute request it routed, ready for one it
+    /// answered itself (stats, shutdown, a rejected or too-large line).
+    Announce { seq: u64, slot: Slot },
+    /// A shard worker's response to compute request `seq`.
+    Done { seq: u64, response: String },
 }
 
 /// How many queued jobs one worker drain inspects for coalescing —
@@ -914,7 +926,6 @@ fn worker_loop(store: &ArtifactStore, shard: usize, rx: &mpsc::Receiver<Job>) {
             let _ = job.reply.send(WriterMsg::Done {
                 seq: job.seq,
                 response,
-                stop: false,
             });
         }
     }
@@ -1187,33 +1198,35 @@ fn serve_connection(
     let mut reader = BufReader::new(read_half);
     let mut seq: u64 = 0;
     loop {
-        let line = match read_request_line(&mut reader) {
-            LineRead::Line(line) => line,
+        let parsed = match read_request_line(&mut reader) {
+            LineRead::Line(line) if line.trim().is_empty() => continue,
+            LineRead::Line(line) => parse_request(&line),
+            LineRead::NotUtf8 => Err("request line is not UTF-8".to_owned()),
             LineRead::TooLarge => {
                 // Answered in order; the rest of the line is never read.
                 let message = format!(
                     "request line longer than {MAX_LINE_BYTES} bytes; closing the connection"
                 );
                 let response = error_response_kind(None, "too_large", &message);
-                let _ = answer_inline(&tx, seq, response, false);
+                let slot = Slot::Ready {
+                    response,
+                    stop: false,
+                };
+                let _ = tx.send(WriterMsg::Announce { seq, slot });
                 break;
             }
             LineRead::End => break,
         };
-        if line.trim().is_empty() {
-            continue;
-        }
         let this = seq;
         seq += 1;
-        match parse_request(&line) {
-            Ok(Request::Compute(req)) => {
-                let announced = tx.send(WriterMsg::Expect {
-                    seq: this,
+        match dispatch(store, parsed) {
+            Ok(req) => {
+                let slot = Slot::Waiting {
                     id: req.id,
                     ordered: req.ordered,
                     deadline: timeout.map(|t| Instant::now() + t),
-                });
-                if announced.is_err() {
+                };
+                if tx.send(WriterMsg::Announce { seq: this, slot }).is_err() {
                     break;
                 }
                 let fingerprint = request_fingerprint(&req);
@@ -1233,17 +1246,9 @@ fn serve_connection(
                     break;
                 }
             }
-            other => {
-                // Stats, shutdown and parse errors are answered inline,
-                // but still flow through the writer so they keep their
-                // place in the response order.
-                let (response, stop) = match other {
-                    Ok(Request::Stats { id }) => (stats_response(store, id), false),
-                    Ok(Request::Shutdown { id }) => (shutdown_response(id), true),
-                    Err(message) => (error_response_kind(None, "request", &message), false),
-                    Ok(Request::Compute(_)) => unreachable!("compute handled above"),
-                };
-                if !answer_inline(&tx, this, response, stop) || stop {
+            Err((response, stop)) => {
+                let slot = Slot::Ready { response, stop };
+                if tx.send(WriterMsg::Announce { seq: this, slot }).is_err() || stop {
                     break;
                 }
             }
@@ -1253,34 +1258,16 @@ fn serve_connection(
     let _ = writer.join();
 }
 
-/// Queues a response produced on the reader thread under sequence
-/// number `seq`, so it keeps its place in the response order. False
-/// when the writer is gone.
-fn answer_inline(tx: &mpsc::Sender<WriterMsg>, seq: u64, response: String, stop: bool) -> bool {
-    tx.send(WriterMsg::Expect {
-        seq,
-        id: None,
-        ordered: true,
-        deadline: None,
-    })
-    .and_then(|()| {
-        tx.send(WriterMsg::Done {
-            seq,
-            response,
-            stop,
-        })
-    })
-    .is_ok()
-}
-
 /// One read from a connection by [`read_request_line`].
 enum LineRead {
     /// A line without its newline (or `\r\n`); the last line of the
     /// stream may lack one.
     Line(String),
+    /// A whole line that is not UTF-8.
+    NotUtf8,
     /// More than [`MAX_LINE_BYTES`] arrived without a newline.
     TooLarge,
-    /// End of stream, a read error, or a line that is not UTF-8.
+    /// End of stream or a read error.
     End,
 }
 
@@ -1301,15 +1288,12 @@ fn read_request_line(reader: &mut impl BufRead) -> LineRead {
     } else if buf.len() > MAX_LINE_BYTES {
         return LineRead::TooLarge;
     }
-    match String::from_utf8(buf) {
-        Ok(line) => LineRead::Line(line),
-        Err(_) => LineRead::End,
-    }
+    String::from_utf8(buf).map_or(LineRead::NotUtf8, LineRead::Line)
 }
 
-/// The writer's per-sequence-number slot state.
+/// The outbox's per-request slot.
 enum Slot {
-    /// Announced by the reader; response still pending.
+    /// Routed to a shard; its response is still pending.
     Waiting {
         id: Option<u64>,
         ordered: bool,
@@ -1317,151 +1301,152 @@ enum Slot {
     },
     /// Response ready, waiting for its in-order turn.
     Ready { response: String, stop: bool },
-    /// Already written out of order (unordered response, or a
-    /// synthesized timeout error); a late real response is dropped.
+    /// An `"ordered":false` response already handed out; the slot only
+    /// keeps its place.
     Written,
 }
 
-/// The connection's writer: re-serializes worker responses into
-/// request order, writes `"ordered":false` responses the moment they
-/// land, and synthesizes `timeout` errors for requests past their
-/// deadline (the real compute still finishes on its worker — and is
-/// memoized — so a runaway request never poisons its shard's engine;
-/// its late response is dropped here).
+impl Slot {
+    fn deadline(&self) -> Option<Instant> {
+        match self {
+            Slot::Waiting { deadline, .. } => *deadline,
+            _ => None,
+        }
+    }
+}
+
+/// A connection's response order, with no clock, socket or channel in
+/// it. Responses leave in request order, except that an
+/// `"ordered":false` response leaves the moment it arrives. A request
+/// still waiting at its deadline is answered with a typed `timeout`
+/// error in its place, and a response arriving at or after the deadline
+/// is dropped (its compute finished on the worker and is memoized, so
+/// the engine is never poisoned). A `stop` response is the last line.
+///
+/// Deadlines are head-of-line. The reader stamps each compute request
+/// `now + timeout` in sequence order, and a connection has one timeout,
+/// so deadlines never decrease with the sequence number. The flush
+/// stops only at a waiting slot, so after every step the earliest
+/// pending deadline is the head's.
+#[derive(Default)]
+struct Outbox {
+    /// Slot `i` belongs to request `next + i`.
+    slots: VecDeque<Slot>,
+    next: u64,
+    /// The lines of the current step, reused across steps.
+    out: String,
+    stopped: bool,
+}
+
+impl Outbox {
+    /// Takes one message (`None` when the deadline passed first) at time
+    /// `now`, and returns the response lines to write, each with its
+    /// newline.
+    fn step(&mut self, msg: Option<WriterMsg>, now: Instant) -> &str {
+        self.out.clear();
+        match msg {
+            _ if self.stopped => return &self.out,
+            Some(WriterMsg::Announce { seq, slot }) => {
+                debug_assert_eq!(seq, self.next + self.slots.len() as u64);
+                // The head-of-line invariant (see the type's doc).
+                debug_assert!(slot.deadline().is_none_or(|d| {
+                    let last = self.slots.iter().rev().find_map(Slot::deadline);
+                    last.is_none_or(|last| last <= d)
+                }));
+                self.slots.push_back(slot);
+            }
+            Some(WriterMsg::Done { seq, response }) => {
+                // A seq below `next` (answered already) wraps out of range.
+                let index = usize::try_from(seq.wrapping_sub(self.next)).ok();
+                match index.and_then(|i| self.slots.get_mut(i)) {
+                    // Late: the flush answers it with `timeout`.
+                    Some(slot) if slot.deadline().is_some_and(|d| d <= now) => {}
+                    Some(slot @ Slot::Waiting { ordered: false, .. }) => {
+                        push_line(&mut self.out, &response);
+                        *slot = Slot::Written;
+                    }
+                    Some(slot @ Slot::Waiting { .. }) => {
+                        *slot = Slot::Ready {
+                            response,
+                            stop: false,
+                        };
+                    }
+                    _ => {}
+                }
+            }
+            None => {}
+        }
+        self.flush(now);
+        &self.out
+    }
+
+    /// The head request's deadline, when the writer stops waiting for a
+    /// message.
+    fn deadline(&self) -> Option<Instant> {
+        self.slots.front().and_then(Slot::deadline)
+    }
+
+    /// Hands out every slot from the head whose turn has come: ready
+    /// responses, and `timeout` errors for waiting requests at or past
+    /// their deadline.
+    fn flush(&mut self, now: Instant) {
+        while let Some(slot) = self.slots.front() {
+            match slot {
+                Slot::Waiting { id, .. } if slot.deadline().is_some_and(|d| d <= now) => {
+                    let message =
+                        "request timed out; its compute continues and its result is memoized";
+                    push_line(&mut self.out, &error_response_kind(*id, "timeout", message));
+                }
+                Slot::Waiting { .. } => break,
+                Slot::Ready { response, stop } => {
+                    push_line(&mut self.out, response);
+                    if *stop {
+                        self.stopped = true;
+                        self.slots.clear();
+                        return;
+                    }
+                }
+                Slot::Written => {}
+            }
+            self.slots.pop_front();
+            self.next += 1;
+        }
+    }
+}
+
+fn push_line(out: &mut String, line: &str) {
+    out.push_str(line);
+    out.push('\n');
+}
+
+/// The connection's writer: only I/O. It feeds the [`Outbox`] each
+/// message with the time it arrived, writes what comes back in one
+/// write, and wakes at the head request's deadline.
 fn writer_loop(
     mut stream: TcpStream,
     rx: &mpsc::Receiver<WriterMsg>,
     shutdown: &AtomicBool,
     addr: SocketAddr,
 ) {
-    let mut slots: BTreeMap<u64, Slot> = BTreeMap::new();
-    let mut next: u64 = 0;
-    'conn: loop {
-        let earliest = slots
-            .values()
-            .filter_map(|s| match s {
-                Slot::Waiting {
-                    deadline: Some(d), ..
-                } => Some(*d),
-                _ => None,
-            })
-            .min();
-        let msg = match earliest {
-            None => match rx.recv() {
-                Ok(msg) => Some(msg),
-                Err(_) => break 'conn,
-            },
-            Some(deadline) => {
-                let wait = deadline.saturating_duration_since(Instant::now());
-                match rx.recv_timeout(wait) {
-                    Ok(msg) => Some(msg),
-                    Err(mpsc::RecvTimeoutError::Timeout) => None,
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break 'conn,
-                }
-            }
+    let mut outbox = Outbox::default();
+    loop {
+        // `Duration::MAX` waits for the next message however long.
+        let wait = outbox.deadline().map_or(Duration::MAX, |d| {
+            d.saturating_duration_since(Instant::now())
+        });
+        let msg = match rx.recv_timeout(wait) {
+            Ok(msg) => Some(msg),
+            Err(mpsc::RecvTimeoutError::Timeout) => None,
+            Err(mpsc::RecvTimeoutError::Disconnected) => return,
         };
-        match msg {
-            Some(WriterMsg::Expect {
-                seq,
-                id,
-                ordered,
-                deadline,
-            }) => {
-                slots.insert(
-                    seq,
-                    Slot::Waiting {
-                        id,
-                        ordered,
-                        deadline,
-                    },
-                );
-            }
-            Some(WriterMsg::Done {
-                seq,
-                response,
-                stop,
-            }) => match slots.get(&seq) {
-                // Late: the expiry pass below answers it with a
-                // timeout, however promptly this thread got to run.
-                Some(Slot::Waiting {
-                    deadline: Some(d), ..
-                }) if *d <= Instant::now() => {}
-                Some(Slot::Waiting { ordered: false, .. }) => {
-                    if write_line(&mut stream, response).is_err() {
-                        break 'conn;
-                    }
-                    slots.insert(seq, Slot::Written);
-                }
-                Some(Slot::Waiting { .. }) => {
-                    slots.insert(seq, Slot::Ready { response, stop });
-                }
-                // Timed out (already answered) or never announced.
-                _ => {}
-            },
-            None => {}
+        let lines = outbox.step(msg, Instant::now());
+        if stream.write_all(lines.as_bytes()).is_err() {
+            return;
         }
-        let now = Instant::now();
-        if earliest.is_some_and(|d| d <= now) {
-            // A deadline passed: answer every expired request with a
-            // typed timeout error.
-            let expired: Vec<u64> = slots
-                .iter()
-                .filter_map(|(seq, slot)| match slot {
-                    Slot::Waiting {
-                        deadline: Some(d), ..
-                    } if *d <= now => Some(*seq),
-                    _ => None,
-                })
-                .collect();
-            for seq in expired {
-                let Some(Slot::Waiting { id, ordered, .. }) = slots.remove(&seq) else {
-                    continue;
-                };
-                let response = error_response_kind(
-                    id,
-                    "timeout",
-                    "request timed out; its compute continues and its result is memoized",
-                );
-                if ordered {
-                    slots.insert(
-                        seq,
-                        Slot::Ready {
-                            response,
-                            stop: false,
-                        },
-                    );
-                } else {
-                    if write_line(&mut stream, response).is_err() {
-                        break 'conn;
-                    }
-                    slots.insert(seq, Slot::Written);
-                }
-            }
-        }
-        // In-order flush from `next`: skip already-written slots, write
-        // every ready one, stop at the first still-pending response.
-        while let Some(slot) = slots.get(&next) {
-            match slot {
-                Slot::Waiting { .. } => break,
-                Slot::Written => {
-                    slots.remove(&next);
-                    next += 1;
-                }
-                Slot::Ready { .. } => {
-                    let Some(Slot::Ready { response, stop }) = slots.remove(&next) else {
-                        unreachable!("matched Ready above");
-                    };
-                    next += 1;
-                    if write_line(&mut stream, response).is_err() {
-                        break 'conn;
-                    }
-                    if stop {
-                        shutdown.store(true, Ordering::SeqCst);
-                        let _ = TcpStream::connect(addr);
-                        break 'conn;
-                    }
-                }
-            }
+        if outbox.stopped {
+            shutdown.store(true, Ordering::SeqCst);
+            let _ = TcpStream::connect(addr);
+            return;
         }
     }
 }
@@ -1573,6 +1558,8 @@ mod tests {
         req.set_index = 1;
         req.n_max = Some(3);
         req.factor_g = Some(0.5);
+        // The largest integer magnitude the wire carries exactly.
+        req.arrays[0].1[3] = -9_007_199_254_740_991;
         let Ok(Request::Compute(parsed)) = parse_request(&req.to_json()) else {
             panic!("round trip failed");
         };
@@ -1644,12 +1631,17 @@ mod tests {
     #[test]
     fn malformed_lines_get_request_errors() {
         let store = store();
+        let mut beyond = request(ComputeKind::Partition);
+        beyond.arrays[0].1[3] = 9_007_199_254_740_993;
         for line in [
             "not json",
             "[1,2]",
             "{\"cmd\":\"fly\"}",
             "{\"cmd\":\"partition\"}",
             "{\"cmd\":\"partition\",\"source\":\"app x;\",\"arrays\":{\"x\":[0.5]}}",
+            // Integers at or past 2^53 may already be rounded by the parse.
+            "{\"id\":9007199254740993,\"cmd\":\"stats\"}",
+            &beyond.to_json(),
         ] {
             let (response, stop) = handle_line(&store, line);
             assert!(!stop);
@@ -1850,8 +1842,162 @@ mod tests {
         assert!(answer.contains("\"points\""), "{answer}");
         let stats = send("{\"id\":8,\"cmd\":\"stats\"}");
         assert!(stats.contains("\"requests\":1"), "{stats}");
+        // A line that is not UTF-8 is answered and the connection stays.
+        client
+            .writer
+            .write_all(b"\xff\xfe\n{\"cmd\":\"stats\"}\n")
+            .unwrap();
+        let rejected = client.recv().unwrap();
+        assert!(rejected.contains("\"kind\":\"request\""), "{rejected}");
+        let stats = client.recv().unwrap();
+        assert!(stats.contains("\"cmd\":\"stats\""), "{stats}");
+        let mut send = |line: &str| client.try_ask(line).unwrap();
         let bye = send("{\"id\":9,\"cmd\":\"shutdown\"}");
         assert!(bye.contains("\"cmd\":\"shutdown\""), "{bye}");
         server.join();
+    }
+
+    /// Virtual time `ms` milliseconds after `t0`.
+    fn at(t0: Instant, ms: u64) -> Instant {
+        t0 + Duration::from_millis(ms)
+    }
+
+    fn expect(seq: u64, ordered: bool, deadline: Option<Instant>) -> WriterMsg {
+        let slot = Slot::Waiting {
+            id: Some(100 + seq),
+            ordered,
+            deadline,
+        };
+        WriterMsg::Announce { seq, slot }
+    }
+
+    fn answer(seq: u64, response: &str, stop: bool) -> WriterMsg {
+        let slot = Slot::Ready {
+            response: response.into(),
+            stop,
+        };
+        WriterMsg::Announce { seq, slot }
+    }
+
+    fn done(seq: u64) -> WriterMsg {
+        WriterMsg::Done {
+            seq,
+            response: format!("r{seq}"),
+        }
+    }
+
+    /// The lines one outbox step hands out.
+    fn step(outbox: &mut Outbox, msg: Option<WriterMsg>, now: Instant) -> Vec<String> {
+        outbox.step(msg, now).lines().map(str::to_owned).collect()
+    }
+
+    fn timeout_line(id: u64) -> String {
+        let message = "request timed out; its compute continues and its result is memoized";
+        error_response_kind(Some(id), "timeout", message)
+    }
+
+    #[test]
+    fn outbox_writes_completions_in_request_order() {
+        let t0 = Instant::now();
+        let mut outbox = Outbox::default();
+        for seq in 0..3 {
+            assert!(step(&mut outbox, Some(expect(seq, true, None)), t0).is_empty());
+        }
+        assert!(step(&mut outbox, Some(done(2)), t0).is_empty());
+        assert_eq!(step(&mut outbox, Some(done(0)), t0), ["r0"]);
+        assert_eq!(step(&mut outbox, Some(done(1)), t0), ["r1", "r2"]);
+    }
+
+    #[test]
+    fn unordered_completions_leave_at_once_but_ordered_ones_wait_for_them() {
+        let t0 = Instant::now();
+        let mut outbox = Outbox::default();
+        step(&mut outbox, Some(expect(0, true, None)), t0);
+        step(&mut outbox, Some(expect(1, false, None)), t0);
+        step(&mut outbox, Some(expect(2, true, None)), t0);
+        step(&mut outbox, Some(expect(3, false, None)), t0);
+        step(&mut outbox, Some(expect(4, true, None)), t0);
+        assert_eq!(step(&mut outbox, Some(done(1)), t0), ["r1"]);
+        assert!(step(&mut outbox, Some(done(2)), t0).is_empty());
+        assert_eq!(step(&mut outbox, Some(done(0)), t0), ["r0", "r2"]);
+        // Request 4 is ordered: it waits for the unordered request 3.
+        assert!(step(&mut outbox, Some(done(4)), t0).is_empty());
+        assert_eq!(step(&mut outbox, Some(done(3)), t0), ["r3", "r4"]);
+    }
+
+    #[test]
+    fn requests_past_their_deadline_are_answered_timeout_in_place() {
+        let t0 = Instant::now();
+        let mut outbox = Outbox::default();
+        step(&mut outbox, Some(expect(0, true, Some(at(t0, 5)))), t0);
+        step(&mut outbox, Some(expect(1, true, Some(at(t0, 5)))), t0);
+        step(&mut outbox, Some(expect(2, false, Some(at(t0, 6)))), t0);
+        step(&mut outbox, Some(expect(3, true, Some(at(t0, 6)))), t0);
+        step(&mut outbox, Some(answer(4, "stats", false)), t0);
+        assert!(step(&mut outbox, Some(done(1)), at(t0, 1)).is_empty());
+        assert!(step(&mut outbox, None, at(t0, 4)).is_empty());
+        // The ordered request 0 keeps its place ahead of the ready 1.
+        assert_eq!(
+            step(&mut outbox, None, at(t0, 5)),
+            [timeout_line(100), "r1".to_owned()]
+        );
+        assert_eq!(outbox.deadline(), Some(at(t0, 6)));
+        // The unordered 2 and the ordered 3 behind it time out together.
+        assert_eq!(
+            step(&mut outbox, None, at(t0, 6)),
+            [timeout_line(102), timeout_line(103), "stats".to_owned()]
+        );
+        assert_eq!(outbox.deadline(), None);
+    }
+
+    #[test]
+    fn responses_at_or_after_their_deadline_are_dropped() {
+        let t0 = Instant::now();
+        let mut outbox = Outbox::default();
+        step(&mut outbox, Some(expect(0, true, Some(at(t0, 5)))), t0);
+        step(&mut outbox, Some(expect(1, false, Some(at(t0, 6)))), t0);
+        // Exactly at the deadline: the response loses to the timeout.
+        assert_eq!(
+            step(&mut outbox, Some(done(0)), at(t0, 5)),
+            [timeout_line(100)]
+        );
+        assert_eq!(step(&mut outbox, None, at(t0, 6)), [timeout_line(101)]);
+        // After the slot timed out: nothing more is written.
+        assert!(step(&mut outbox, Some(done(1)), at(t0, 7)).is_empty());
+        assert!(step(&mut outbox, Some(done(0)), at(t0, 7)).is_empty());
+    }
+
+    #[test]
+    fn a_stop_response_is_the_last_line_handed_out() {
+        let t0 = Instant::now();
+        let mut outbox = Outbox::default();
+        step(&mut outbox, Some(expect(0, true, None)), t0);
+        step(&mut outbox, Some(expect(1, false, None)), t0);
+        assert!(step(&mut outbox, Some(answer(2, "bye", true)), t0).is_empty());
+        assert!(step(&mut outbox, Some(answer(3, "stats", false)), t0).is_empty());
+        // The stop waits for every earlier request, the unordered 1 too…
+        assert_eq!(step(&mut outbox, Some(done(0)), t0), ["r0"]);
+        assert!(!outbox.stopped);
+        // …and nothing behind it is handed out, even a ready answer.
+        assert_eq!(step(&mut outbox, Some(done(1)), t0), ["r1", "bye"]);
+        assert!(outbox.stopped);
+        assert!(step(&mut outbox, None, t0).is_empty());
+    }
+
+    #[test]
+    fn the_outbox_deadline_is_the_head_requests() {
+        let t0 = Instant::now();
+        let mut outbox = Outbox::default();
+        assert_eq!(outbox.deadline(), None);
+        step(&mut outbox, Some(expect(0, true, Some(at(t0, 5)))), t0);
+        step(&mut outbox, Some(expect(1, true, Some(at(t0, 7)))), t0);
+        assert_eq!(outbox.deadline(), Some(at(t0, 5)));
+        assert!(step(&mut outbox, Some(done(1)), at(t0, 1)).is_empty());
+        assert_eq!(outbox.deadline(), Some(at(t0, 5)));
+        assert_eq!(step(&mut outbox, Some(done(0)), at(t0, 2)), ["r0", "r1"]);
+        assert_eq!(outbox.deadline(), None);
+        // Without a timeout nothing can expire.
+        step(&mut outbox, Some(expect(2, true, None)), t0);
+        assert_eq!(outbox.deadline(), None);
     }
 }
