@@ -9,12 +9,13 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use corepart::corpus::{point_to_line, CorpusOptions, RemoteOptions};
+use corepart::corpus::{point_to_line, run_corpus_with, CorpusOptions, RemoteOptions};
 use corepart::serve::{handle_line, Client, ServeOptions, Server};
 use corepart::store::{ArtifactStore, StoreOptions};
 use corepart::system::SystemConfig;
 use corepart::tech::scaling::OperatingPoint;
-use corepart_conform::corpus::{run_gen_corpus, run_gen_corpus_with};
+use corepart::CorepartError;
+use corepart_conform::corpus::{gen_entry, run_gen_corpus, run_gen_corpus_with};
 
 /// A unique per-test scratch path (the OS temp dir plus pid + counter).
 fn temp_path(tag: &str) -> PathBuf {
@@ -293,4 +294,47 @@ fn remote_run_rejects_operating_point_reweighting() {
         "unexpected error: {err}"
     );
     assert!(!journal.exists(), "the refusal must precede journal setup");
+}
+
+/// The wire carries integers exactly only below 2^53, and the daemon
+/// refuses the rest as a `request` error. A remote run refuses such an
+/// entry itself, before the chunk is sent, with an error that names the
+/// entry, the array and the value.
+#[test]
+fn remote_run_refuses_elements_the_wire_cannot_carry() {
+    let mut scratch = Scratch(Vec::new());
+    let out = scratch.path("wide.tsv");
+    let journal = scratch.path("wide.journal");
+    let server = spawn_server();
+    let provider = |index| {
+        let mut entry = gen_entry(5, index)?;
+        if index == 1 {
+            let (_, data) = entry.workload.arrays.first_mut().expect("an input array");
+            data[0] = -(1 << 53);
+        }
+        Ok(entry)
+    };
+    let err = run_corpus_with(
+        2,
+        provider,
+        &small_options(),
+        &journal,
+        &out,
+        false,
+        Some(&remote_to(&server, 1)),
+    )
+    .expect_err("an element the wire cannot carry must be refused");
+    let wide = gen_entry(5, 1).unwrap();
+    let (array, _) = &wide.workload.arrays[0];
+    let message = err.to_string();
+    assert!(matches!(err, CorepartError::Config { .. }), "{message}");
+    for part in [
+        format!("corpus entry 1 ({})", wide.name),
+        format!("`{array}`"),
+        "-9007199254740992".to_owned(),
+        "without --connect".to_owned(),
+    ] {
+        assert!(message.contains(&part), "{part:?} missing: {message}");
+    }
+    shutdown(server);
 }

@@ -249,6 +249,42 @@ fn connection_cap_answers_busy_and_closes() {
     server.join();
 }
 
+/// A refused client that pipelined its first request still reads the
+/// `busy` line and then an orderly close: the daemon drains what the
+/// client sent before it closes, so the close is no reset.
+#[test]
+fn refused_clients_that_already_sent_read_busy_then_eof() {
+    let server = Server::spawn(
+        SystemConfig::new(),
+        &ServeOptions {
+            port: 0,
+            shards: 1,
+            threads: 1,
+            max_connections: 1,
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let mut holder = connect(&server);
+    assert!(holder.ask("{\"cmd\":\"stats\"}").contains("\"ok\":true"));
+    for client in 0..20 {
+        let mut refused = connect(&server);
+        refused.send("{\"cmd\":\"stats\"}").unwrap();
+        let busy = refused.recv();
+        assert!(
+            matches!(&busy, Ok(line) if line.contains("\"kind\":\"busy\"")),
+            "client {client}: {busy:?}"
+        );
+        let rest = refused.recv();
+        assert!(
+            matches!(&rest, Err(e) if e.kind() == ErrorKind::UnexpectedEof),
+            "client {client}: {rest:?}"
+        );
+    }
+    holder.ask("{\"cmd\":\"shutdown\"}");
+    server.join();
+}
+
 #[test]
 fn request_timeout_returns_typed_error_without_poisoning() {
     let server = Server::spawn(

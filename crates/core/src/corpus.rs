@@ -913,6 +913,20 @@ impl RemoteCorpus {
         options: &CorpusOptions,
     ) -> Result<ChunkRecord, CorepartError> {
         let addr = self.addr.as_str();
+        // The daemon refuses integers of magnitude 2^53 or more (the wire
+        // carries only smaller ones exactly), so refuse them before sending.
+        for entry in entries {
+            for (array, data) in &entry.workload.arrays {
+                if let Some(v) = data.iter().find(|v| v.unsigned_abs() >= 1 << 53) {
+                    let (i, name) = (entry.index, &entry.name);
+                    let message = format!(
+                        "corpus entry {i} ({name}): array `{array}` holds {v}, past the \
+                         ±2^53 integers the serve wire carries; run it without --connect"
+                    );
+                    return Err(CorepartError::Config { message });
+                }
+            }
+        }
         let net = |e: std::io::Error| CorepartError::Config {
             message: format!("serve daemon {addr}: connection failed mid-chunk: {e}"),
         };

@@ -83,7 +83,7 @@ impl Baseline {
     /// capture exists — the replay engine's trace, tables and
     /// verified-run memo. This is the store's byte-budget charge for
     /// keeping the baseline warm; it grows as the replay memo fills, so
-    /// the store re-measures it after every request.
+    /// every request that uses it re-measures it (an O(1) read).
     pub fn heap_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.stats.heap_bytes()
@@ -125,8 +125,7 @@ impl std::fmt::Write for Fnv64 {
 
 /// The content identity of an `(application, workload)` pair: their
 /// derived `Hash` streamed through [`Fnv64`]. Every pool key carries
-/// it, and the store attributes pool entries to the request that
-/// touched them by it.
+/// it, and the store finds a request's pool entries by it.
 pub(crate) fn identity(app: &Application, workload: &Workload) -> u64 {
     let mut hash = Fnv64::default();
     (app, workload).hash(&mut hash);
@@ -142,24 +141,21 @@ pub(crate) struct PoolKey {
     pub(crate) stage: u64,
 }
 
-/// The prepared-application, baseline and schedule-cache keys of one
-/// session. Each stage hashes the `Debug` text (the process, energy and
-/// library types hold `f64`) of exactly the fields it consumes:
-/// preparation `optimize_ir` and `max_cycles`; the baseline those plus
+/// The prepared-application, baseline and schedule-cache stage hashes
+/// of one configuration. Each stage hashes the `Debug` text (the
+/// process, energy and library types hold `f64`) of exactly the fields
+/// it consumes: preparation `optimize_ir` and `max_cycles`; the baseline those plus
 /// the caches, process, memory size, energy table and `trace_cap_bytes`
 /// (so a capped session falls back to direct verification instead of
 /// borrowing a sibling's capture); schedules those plus the resource
 /// library. [`SystemConfig::operating_point`] stays out: simulation and
 /// replay run at the base process, so a node×vdd sweep shares one
 /// baseline and re-weights it per point.
-fn stage_keys(identity: u64, config: &SystemConfig) -> [PoolKey; 3] {
+fn stage_hashes(config: &SystemConfig) -> [u64; 3] {
     let key = |fields: &dyn std::fmt::Debug| {
         let mut hash = Fnv64::default();
         let _ = write!(hash, "{fields:?}");
-        PoolKey {
-            identity,
-            stage: hash.finish(),
-        }
+        hash.finish()
     };
     let prep = (config.optimize_ir, config.max_cycles);
     [
@@ -188,6 +184,8 @@ fn stage_keys(identity: u64, config: &SystemConfig) -> [PoolKey; 3] {
 pub struct Engine {
     config: SystemConfig,
     threads: usize,
+    /// The [`stage_hashes`] of `config`, computed once.
+    stages: [u64; 3],
     prepared: MemoCache<PoolKey, PreparedApp, CorepartError>,
     baselines: MemoCache<PoolKey, Baseline, CorepartError>,
     schedules: MemoCache<PoolKey, ScheduleCache<ScheduleKey>, CorepartError>,
@@ -202,13 +200,13 @@ impl Engine {
     /// [`CorepartError::Config`] when the configuration is invalid.
     pub fn new(config: SystemConfig) -> Result<Self, CorepartError> {
         config.validate()?;
-        let threads = resolve_threads(config.threads);
         Ok(Engine {
+            threads: resolve_threads(config.threads),
+            stages: stage_hashes(&config),
             config,
-            threads,
-            prepared: MemoCache::new(),
-            baselines: MemoCache::new(),
-            schedules: MemoCache::new(),
+            prepared: MemoCache::default(),
+            baselines: MemoCache::default(),
+            schedules: MemoCache::default(),
         })
     }
 
@@ -227,7 +225,7 @@ impl Engine {
     /// No work happens here — stage artifacts are resolved lazily on
     /// first use (see the module docs).
     pub fn session(&self, app: &Application, workload: &Workload) -> Session<'_> {
-        Session::open(self, app.clone(), workload.clone(), self.config.clone())
+        Session::open(self, app, workload, self.config.clone(), self.stages)
     }
 
     /// Opens a session on a *different* configuration (one config
@@ -244,18 +242,21 @@ impl Engine {
         config: SystemConfig,
     ) -> Result<Session<'_>, CorepartError> {
         config.validate()?;
-        Ok(Session::open(self, app.clone(), workload.clone(), config))
+        let stages = stage_hashes(&config);
+        Ok(Session::open(self, app, workload, config, stages))
     }
 
-    /// Every key currently stored in the `kind` pool (completed or
-    /// still computing) — the store reconciles its byte ledger against
-    /// this snapshot after each request.
-    pub(crate) fn pool_keys(&self, kind: ArtifactKind) -> Vec<PoolKey> {
-        match kind {
-            ArtifactKind::Prepared => self.prepared.keys(),
-            ArtifactKind::Baseline => self.baselines.keys(),
-            ArtifactKind::Schedule => self.schedules.keys(),
-        }
+    /// The prepared, baseline and schedule pool keys of `identity` under
+    /// the engine's own configuration: every entry a served request on
+    /// that identity uses, since a request overrides only knobs no stage
+    /// hash reads (`n_max`, the factors, the operating point).
+    pub(crate) fn request_keys(&self, identity: u64) -> [(ArtifactKind, PoolKey); 3] {
+        use ArtifactKind::{Baseline, Prepared, Schedule};
+        let key = |i: usize| PoolKey {
+            identity,
+            stage: self.stages[i],
+        };
+        [(Prepared, key(0)), (Baseline, key(1)), (Schedule, key(2))]
     }
 
     /// The accounted byte weight of one pool entry, or `None` while
@@ -265,20 +266,12 @@ impl Engine {
     pub(crate) fn artifact_bytes(&self, kind: ArtifactKind, key: PoolKey) -> Option<u64> {
         /// Charge for a memoized failure or an empty cache shell.
         const ERR_BYTES: u64 = 256;
-        match kind {
-            ArtifactKind::Prepared => self.prepared.peek(&key).map(|r| match r {
-                Ok(p) => p.heap_bytes() as u64,
-                Err(_) => ERR_BYTES,
-            }),
-            ArtifactKind::Baseline => self.baselines.peek(&key).map(|r| match r {
-                Ok(b) => b.heap_bytes() as u64,
-                Err(_) => ERR_BYTES,
-            }),
-            ArtifactKind::Schedule => self.schedules.peek(&key).map(|r| match r {
-                Ok(c) => ERR_BYTES + c.bytes(),
-                Err(_) => ERR_BYTES,
-            }),
-        }
+        let bytes = match kind {
+            ArtifactKind::Prepared => self.prepared.peek(&key)?.map(|p| p.heap_bytes() as u64),
+            ArtifactKind::Baseline => self.baselines.peek(&key)?.map(|b| b.heap_bytes() as u64),
+            ArtifactKind::Schedule => self.schedules.peek(&key)?.map(|c| ERR_BYTES + c.bytes()),
+        };
+        Some(bytes.unwrap_or(ERR_BYTES))
     }
 
     /// Drops one pool entry (the store's eviction primitive). The next
@@ -303,22 +296,6 @@ pub enum ArtifactKind {
     Baseline,
     /// A shared schedule cache (grows as the search touches keys).
     Schedule,
-}
-
-impl ArtifactKind {
-    /// Every pool kind, in ledger order — what the store's settle pass
-    /// scans.
-    pub const ALL: [ArtifactKind; 3] = [
-        ArtifactKind::Prepared,
-        ArtifactKind::Baseline,
-        ArtifactKind::Schedule,
-    ];
-
-    /// Whether entries of this kind can grow after admission (and must
-    /// therefore be re-measured on every touch, not just once).
-    pub fn grows(self) -> bool {
-        self != ArtifactKind::Prepared
-    }
 }
 
 /// Per-stage accounting cells of one session (interior mutability so
@@ -386,15 +363,17 @@ pub struct Session<'e> {
 impl<'e> Session<'e> {
     fn open(
         engine: &'e Engine,
-        app: Application,
-        workload: Workload,
+        app: &Application,
+        workload: &Workload,
         config: SystemConfig,
+        stages: [u64; 3],
     ) -> Self {
-        let [prep_key, baseline_key, cache_key] = stage_keys(identity(&app, &workload), &config);
+        let identity = identity(app, workload);
+        let [prep_key, baseline_key, cache_key] = stages.map(|stage| PoolKey { identity, stage });
         Session {
             engine,
-            app,
-            workload,
+            app: app.clone(),
+            workload: workload.clone(),
             config,
             prep_key,
             baseline_key,
@@ -567,7 +546,7 @@ impl<'e> Session<'e> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::partition::Partitioner;
     use corepart_ir::lower::lower;
@@ -580,6 +559,15 @@ mod tests {
             }
             return y[40];
         }"#;
+
+    /// Keys stored in `engine`'s `kind` pool.
+    pub(crate) fn pool_len(engine: &Engine, kind: ArtifactKind) -> usize {
+        match kind {
+            ArtifactKind::Prepared => engine.prepared.len(),
+            ArtifactKind::Baseline => engine.baselines.len(),
+            ArtifactKind::Schedule => engine.schedules.len(),
+        }
+    }
 
     fn app() -> Application {
         lower(&parse(SRC).unwrap()).unwrap()
@@ -822,14 +810,13 @@ mod tests {
             ),
         ];
         let base = SystemConfig::new();
-        let before = stage_keys(42, &base);
+        let before = stage_hashes(&base);
         for (field, edit, moves) in rows {
             let mut config = base.clone();
             edit(&mut config);
-            let after = stage_keys(42, &config);
+            let after = stage_hashes(&config);
             for (i, stage) in ["prep", "baseline", "schedule"].into_iter().enumerate() {
                 assert_eq!(after[i] != before[i], moves[i], "{field} → {stage} key");
-                assert_eq!(after[i].identity, 42);
             }
         }
     }

@@ -65,11 +65,11 @@
 //! the hot artifact-lookup path never contends on a global lock — see
 //! [`ArtifactStore`].
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::fmt::Write as _;
 use std::hash::Hasher;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
@@ -125,7 +125,7 @@ pub struct ServeOptions {
     pub threads: usize,
     /// Maximum simultaneous client connections (0 = unlimited).
     /// Over-cap connects are answered with one `busy` error line and
-    /// closed.
+    /// closed gracefully, after at most 50 ms of draining the client.
     pub max_connections: usize,
     /// Per-request wall-clock timeout in milliseconds (0 = none). A
     /// request past its deadline is answered with a `timeout` error;
@@ -931,42 +931,30 @@ fn worker_loop(store: &ArtifactStore, shard: usize, rx: &mpsc::Receiver<Job>) {
     }
 }
 
-/// The coalescing key: verify requests that may share one batched
-/// replay walk. Everything that could change the prepared chain or the
-/// replayed trace is included; the operating point is not (it re-weighs
-/// rendering only and is excluded from the engine's artifact identity).
-type CoalesceKey = (u64, Option<usize>, Option<u64>, Option<u64>);
-
-fn coalesce_key(job: &Job) -> CoalesceKey {
-    (
-        job.fingerprint,
-        job.req.n_max,
-        job.req.factor_f.map(f64::to_bits),
-        job.req.factor_g.map(f64::to_bits),
-    )
-}
-
-/// Groups the drained batch's verify requests by [`coalesce_key`],
+/// Groups the drained batch's verify requests by routing fingerprint,
 /// records each group in the coalescing histogram, and prewarms every
-/// group of two or more.
+/// group with two or more requests still to compute (a request with a
+/// memoized result computes nothing; the solo computes of the others
+/// settle whatever the prewarm published). The fingerprint alone keys a
+/// group: a verify's walk reads only configuration fields in the
+/// baseline's stage hash, which no request overrides, so verifies that
+/// differ in `n_max`, F, G or the operating point share one walk.
 fn coalesce_verifies(store: &ArtifactStore, batch: &[Job]) {
-    let mut groups: HashMap<CoalesceKey, Vec<&ComputeRequest>> = HashMap::new();
-    let mut order = Vec::new();
-    for job in batch {
-        if job.req.kind == ComputeKind::Verify {
-            let key = coalesce_key(job);
-            let group = groups.entry(key).or_insert_with(|| {
-                order.push(key);
-                Vec::new()
-            });
-            group.push(&*job.req);
+    let mut groups: Vec<(u64, Vec<&ComputeRequest>)> = Vec::new();
+    for job in batch.iter().filter(|j| j.req.kind == ComputeKind::Verify) {
+        match groups.iter_mut().find(|(f, _)| *f == job.fingerprint) {
+            Some((_, group)) => group.push(&job.req),
+            None => groups.push((job.fingerprint, vec![&job.req])),
         }
     }
-    for key in order {
-        let group = &groups[&key];
+    for (fingerprint, mut group) in groups {
         store.note_coalesced(group.len());
+        if group.len() < 2 {
+            continue;
+        }
+        group.retain(|req| !store.holds_result(fingerprint, &request_result_key(req)));
         if group.len() >= 2 {
-            prewarm_verify_group(store, key.0, group);
+            prewarm_verify_group(store, fingerprint, &group);
         }
     }
 }
@@ -985,12 +973,8 @@ fn prewarm_verify_group(store: &ArtifactStore, fingerprint: u64, group: &[&Compu
         return;
     };
     let workload = Workload::from_arrays(first.arrays.clone());
-    let mut config = effective_config(store.base_config(), first);
-    config.operating_point = None;
-    let engine = store.shard_engine(fingerprint);
-    let Ok(session) = engine.session_with_config(&app, &workload, config) else {
-        return;
-    };
+    // The walk reads no knob a request overrides: the base config serves.
+    let session = store.shard_engine(fingerprint).session(&app, &workload);
     let Ok(prepared) = session.prepared() else {
         return;
     };
@@ -1094,18 +1078,13 @@ impl Server {
                     if accept_shutdown.load(Ordering::SeqCst) {
                         break;
                     }
-                    let Ok(mut stream) = stream else { continue };
+                    let Ok(stream) = stream else { continue };
                     // Every response leaves in one write; without
                     // NODELAY, Nagle would hold each one until the
                     // peer's delayed ACK of the previous segment.
                     let _ = stream.set_nodelay(true);
                     if max_connections > 0 && active.load(Ordering::SeqCst) >= max_connections {
-                        let busy = error_response_kind(
-                            None,
-                            "busy",
-                            &format!("connection limit of {max_connections} reached"),
-                        );
-                        let _ = write_line(&mut stream, busy);
+                        refuse_busy(stream, max_connections);
                         continue;
                     }
                     active.fetch_add(1, Ordering::SeqCst);
@@ -1166,6 +1145,34 @@ impl Server {
         if let Some(handle) = self.listener.take() {
             let _ = handle.join();
         }
+    }
+}
+
+/// How long, and how many bytes, a refused connection is drained after
+/// its `busy` line: one refused connect holds the accept loop at most
+/// this long.
+const BUSY_DRAIN: Duration = Duration::from_millis(50);
+const BUSY_DRAIN_BYTES: usize = 64 << 10;
+
+/// Answers an over-cap connect with one `busy` line and closes it
+/// gracefully: the write side is shut (the client reads the line, then
+/// end of stream), then what the client sent is read and dropped. A
+/// close with unread bytes would reset the connection, and a client
+/// that had already sent a request could lose the line.
+fn refuse_busy(mut stream: TcpStream, max_connections: usize) {
+    let message = format!("connection limit of {max_connections} reached");
+    let _ = write_line(&mut stream, error_response_kind(None, "busy", &message));
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + BUSY_DRAIN;
+    let (mut left, mut buf) = (BUSY_DRAIN_BYTES, [0u8; 4096]);
+    // A zero timeout is an error: a passed deadline ends the drain.
+    while left > 0 {
+        let wait = deadline.saturating_duration_since(Instant::now());
+        let read = stream
+            .set_read_timeout(Some(wait))
+            .and_then(|()| stream.read(&mut buf));
+        let Ok(n @ 1..) = read else { break };
+        left = left.saturating_sub(n);
     }
 }
 
@@ -1821,6 +1828,37 @@ mod tests {
         let (response, _) = handle_line(&store, &req.to_json());
         assert!(response.contains("\"kind\":\"config\""), "{response}");
         assert!(response.contains("out of range"), "{response}");
+    }
+
+    #[test]
+    fn verifies_of_one_source_coalesce_whatever_their_factors() {
+        let store = store();
+        let (reply, _writer) = mpsc::channel();
+        let batch: Vec<Job> = [1.0, 4.0]
+            .into_iter()
+            .enumerate()
+            .map(|(seq, factor_f)| {
+                let mut req = request(ComputeKind::Verify);
+                req.clusters = vec![0];
+                req.factor_f = Some(factor_f);
+                Job {
+                    seq: seq as u64,
+                    fingerprint: request_fingerprint(&req),
+                    req: Box::new(req),
+                    enqueued: Instant::now(),
+                    reply: reply.clone(),
+                }
+            })
+            .collect();
+        coalesce_verifies(&store, &batch);
+        let pipeline = store.stats().pipeline;
+        assert_eq!((pipeline.coalesced_k1, pipeline.coalesced_k2_4), (0, 1));
+        for job in &batch {
+            let served = answer_compute(&store, &job.req, job.fingerprint);
+            let fresh = respond_fresh(store.base_config(), &job.req);
+            assert!(served.contains("\"ok\":true"), "{served}");
+            assert_eq!(result_field(&served), result_field(&fresh));
+        }
     }
 
     #[test]

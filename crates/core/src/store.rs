@@ -17,6 +17,12 @@
 //!   `trace_cap_bytes` idea promoted to a per-store budget). The
 //!   reserve path is compare-and-swap — accounted bytes can never
 //!   exceed the budget, even across racing shards.
+//! * **Settle by key.** A computed request uses three pool entries, the
+//!   prepared app, baseline and schedule cache of its identity under
+//!   the shard engine's stage hashes. One ledger pass after the compute
+//!   admits, touches and re-measures those three (a read: memos keep
+//!   running byte totals) and admits the result text. It walks no other
+//!   entry, so its cost does not grow with what the store holds.
 //! * **LRU + admission control.** When a reservation fails, the shard
 //!   evicts its own least-recently-used *cold* entries first. Hot
 //!   entries (touched by `HOT_TOUCHES` or more requests) are
@@ -167,7 +173,7 @@ impl LatencyWindow {
     }
 }
 
-/// Per-request accounting returned by [`ArtifactStore::with_engine`].
+/// The accounting of one answered request.
 #[derive(Debug, Clone, Copy)]
 pub struct RequestStats {
     /// The shard that served the request.
@@ -342,11 +348,9 @@ impl ArtifactStore {
         self.shards[0].engine.config()
     }
 
-    /// Direct access to the warm engine of `fingerprint`'s shard,
-    /// *without* settling the byte ledger — the serve worker's
-    /// coalescing prewarm runs batched verifications through it, and
-    /// the solo requests that follow settle whatever the prewarm
-    /// published (same worker thread, so no settle is ever skipped).
+    /// The warm engine of `fingerprint`'s shard, *without* a settle: the
+    /// coalescing prewarm's door. The solo computes that follow a
+    /// prewarm on the same worker settle what it published.
     pub fn shard_engine(&self, fingerprint: u64) -> &Engine {
         &self.shards[self.shard_of(fingerprint)].engine
     }
@@ -382,46 +386,12 @@ impl ArtifactStore {
             .fetch_add(compute_nanos, Ordering::Relaxed);
     }
 
-    /// Runs `f` against the warm engine of `fingerprint`'s shard, then
-    /// settles the byte ledger: new pool entries are measured and
-    /// admitted (or declined), grown entries re-measured, and every
-    /// entry whose pool key carries `identity` (the request's
-    /// `(application, workload)` content identity, see
-    /// `corepart::engine`) is touched for LRU/heat.
-    ///
-    /// Runs on the caller's thread — the serve layer provides the
-    /// one-worker-per-shard discipline; in-process callers (tests,
-    /// benches) may call from anywhere, racing requests settle under
-    /// the shard ledger lock.
-    ///
-    /// # Errors
-    ///
-    /// Whatever `f` returns; the ledger is settled either way (a failed
-    /// preparation is memoized by the engine and accounted like any
-    /// other entry).
-    pub fn with_engine<R>(
-        &self,
-        fingerprint: u64,
-        identity: u64,
-        f: impl FnOnce(&Engine) -> Result<R, CorepartError>,
-    ) -> (Result<R, CorepartError>, RequestStats) {
-        let started = Instant::now();
-        let shard_idx = self.shard_of(fingerprint);
-        let shard = &self.shards[shard_idx];
-
-        let store_hit = {
-            let ledger = shard.ledger.lock().expect("shard ledger poisoned");
-            ledger
-                .artifacts
-                .keys()
-                .any(|&(kind, key)| kind == ArtifactKind::Baseline && key.identity == identity)
-        };
-
-        let result = f(&shard.engine);
-        self.settle(shard, identity);
-
-        let stats = record_request(shard_idx, shard, started, store_hit);
-        (result, stats)
+    /// Whether `fingerprint`'s shard memoizes a result under
+    /// `request_key`; a probe that touches and records nothing.
+    pub fn holds_result(&self, fingerprint: u64, request_key: &str) -> bool {
+        let shard = &self.shards[self.shard_of(fingerprint)];
+        let ledger = shard.ledger.lock().expect("shard ledger poisoned");
+        ledger.results.contains_key(request_key)
     }
 
     /// Answers a request from the result memo: the memoized `result`
@@ -448,24 +418,24 @@ impl ArtifactStore {
         Some((text, record_request(shard_idx, shard, started, true)))
     }
 
-    /// Runs `f` like [`ArtifactStore::with_engine`] and memoizes the
-    /// deterministic `String` half of its output under `request_key`
-    /// (in the byte ledger — same budget, LRU and admission rules as
-    /// every other artifact). It always
-    /// computes: callers look the key up with
-    /// [`ArtifactStore::memoized_result`] first and come here on a
-    /// miss.
+    /// Runs `f` against the warm engine of `fingerprint`'s shard and
+    /// settles the request in one ledger pass: the three pool entries of
+    /// `identity` (its `(application, workload)` content identity) and,
+    /// on success, the `String` half of the output, memoized under
+    /// `request_key`. It always computes: callers look the key up with
+    /// [`ArtifactStore::memoized_result`] first.
     ///
     /// Sound because every response `result` is a pure function of the
-    /// full request against the store's base configuration —
-    /// `request_key` must encode all of it exactly (the serve layer
-    /// spells out the request's content: kind, source, arrays and every
-    /// knob).
+    /// full request against the store's base configuration, which
+    /// `request_key` must encode exactly. The serve layer runs one
+    /// worker per shard; other callers may race, and settle under the
+    /// shard ledger lock.
     ///
     /// # Errors
     ///
-    /// Whatever `f` returns; errors are not memoized here (the engine
-    /// pools already memoize failed stage artifacts).
+    /// Whatever `f` returns. The ledger is settled either way (a failed
+    /// preparation is a memoized pool entry), but no error is memoized
+    /// as a result.
     pub fn compute_and_memoize<T>(
         &self,
         fingerprint: u64,
@@ -473,28 +443,112 @@ impl ArtifactStore {
         request_key: &str,
         f: impl FnOnce(&Engine) -> Result<(String, T), CorepartError>,
     ) -> (Result<(String, T), CorepartError>, RequestStats) {
-        let (outcome, stats) = self.with_engine(fingerprint, identity, f);
-        if let Ok((text, _)) = &outcome {
-            self.admit_result(&self.shards[stats.shard], request_key, text);
+        let started = Instant::now();
+        let shard_idx = self.shard_of(fingerprint);
+        let shard = &self.shards[shard_idx];
+        let keys = shard.engine.request_keys(identity);
+        let [_, baseline, _] = &keys;
+        let store_hit = {
+            let ledger = shard.ledger.lock().expect("shard ledger poisoned");
+            ledger.artifacts.contains_key(baseline)
+        };
+        let outcome = f(&shard.engine);
+        let text = outcome.as_ref().ok().map(|(text, _)| text.as_str());
+        self.settle(shard, &keys, text.map(|text| (request_key, text)));
+        (
+            outcome,
+            record_request(shard_idx, shard, started, store_hit),
+        )
+    }
+
+    /// Settles one request: each pool entry of `keys` is admitted when
+    /// new (or declined), else touched and, if it grows, re-measured;
+    /// then `result`, a `(request key, text)`, is admitted.
+    fn settle(
+        &self,
+        shard: &StoreShard,
+        keys: &[(ArtifactKind, PoolKey)],
+        result: Option<(&str, &str)>,
+    ) {
+        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
+        let mut ledger = shard.ledger.lock().expect("shard ledger poisoned");
+        for &(kind, key) in keys {
+            let ekey = EntryKey::Artifact(kind, key);
+            let grown = match ledger.artifacts.get_mut(&(kind, key)) {
+                Some(entry) => {
+                    entry.tick = tick;
+                    entry.touches += 1;
+                    // A prepared app never grows: weighed once, at admission.
+                    let grows = kind != ArtifactKind::Prepared;
+                    match grows
+                        .then(|| shard.engine.artifact_bytes(kind, key))
+                        .flatten()
+                    {
+                        Some(now) if now < entry.bytes => {
+                            self.used.fetch_sub(entry.bytes - now, Ordering::Relaxed);
+                            entry.bytes = now;
+                            None
+                        }
+                        Some(now) if now > entry.bytes => {
+                            Some((now, now - entry.bytes, entry.touches >= HOT_TOUCHES))
+                        }
+                        _ => None,
+                    }
+                }
+                None => {
+                    let Some(bytes) = shard.engine.artifact_bytes(kind, key) else {
+                        continue;
+                    };
+                    if self.reserve_or_evict(shard, &mut ledger, bytes, ekey, false) {
+                        let meta = EntryMeta {
+                            bytes,
+                            tick,
+                            touches: 1,
+                        };
+                        ledger.artifacts.insert((kind, key), meta);
+                    } else {
+                        // Admission declined: the artifact was
+                        // computed and served, but is not worth a hot
+                        // entry's seat.
+                        shard.engine.evict_artifact(kind, key);
+                        shard.declined.fetch_add(1, Ordering::Relaxed);
+                    }
+                    None
+                }
+            };
+            let Some((now, delta, hot)) = grown else {
+                continue;
+            };
+            if self.reserve_or_evict(shard, &mut ledger, delta, ekey, hot) {
+                if let Some(entry) = ledger.artifacts.get_mut(&(kind, key)) {
+                    entry.bytes = now;
+                }
+            } else {
+                // The entry outgrew what the budget can host: drop it
+                // entirely (releases its old reservation; the delta was
+                // never reserved).
+                self.evict_entry(shard, &mut ledger, &EntryKey::Artifact(kind, key));
+            }
         }
-        (outcome, stats)
+        if let Some((request_key, text)) = result {
+            self.admit_result(shard, &mut ledger, request_key, text);
+        }
     }
 
     /// Admits one freshly computed result payload to the ledger (or
     /// declines it when only hot entries could make room). It is charged
     /// its key, its text and a fixed bookkeeping overhead.
-    fn admit_result(&self, shard: &StoreShard, request_key: &str, text: &str) {
+    fn admit_result(&self, shard: &StoreShard, ledger: &mut Ledger, request_key: &str, text: &str) {
         /// Map/ledger bookkeeping charge per memoized result.
         const RESULT_OVERHEAD: u64 = 64;
         let bytes = (request_key.len() + text.len()) as u64 + RESULT_OVERHEAD;
         let tick = self.tick.load(Ordering::Relaxed);
-        let mut ledger = shard.ledger.lock().expect("shard ledger poisoned");
         if ledger.results.contains_key(request_key) {
             // A racing identical request already admitted it.
             return;
         }
         let protect = EntryKey::Result(request_key);
-        if self.reserve_or_evict(shard, &mut ledger, bytes, protect, false) {
+        if self.reserve_or_evict(shard, ledger, bytes, protect, false) {
             ledger.results.insert(
                 request_key.to_owned(),
                 MemoEntry {
@@ -508,77 +562,6 @@ impl ArtifactStore {
             );
         } else {
             shard.declined.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Reconciles one shard's ledger against its engine pools after a
-    /// request: admission, growth, touches, budget enforcement.
-    fn settle(&self, shard: &StoreShard, identity: u64) {
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut ledger = shard.ledger.lock().expect("shard ledger poisoned");
-        for kind in ArtifactKind::ALL {
-            for key in shard.engine.pool_keys(kind) {
-                let touched = key.identity == identity;
-                let ekey = EntryKey::Artifact(kind, key);
-                match ledger.artifacts.get(&(kind, key)).cloned() {
-                    Some(mut entry) => {
-                        if touched {
-                            entry.tick = tick;
-                            entry.touches += 1;
-                        }
-                        if kind.grows() {
-                            match shard.engine.artifact_bytes(kind, key) {
-                                Some(now) if now > entry.bytes => {
-                                    let hot = entry.touches >= HOT_TOUCHES;
-                                    let delta = now - entry.bytes;
-                                    if self.reserve_or_evict(shard, &mut ledger, delta, ekey, hot) {
-                                        entry.bytes = now;
-                                    } else {
-                                        // The entry outgrew what the
-                                        // budget can host: drop it
-                                        // entirely (releases its old
-                                        // reservation; the delta was
-                                        // never reserved).
-                                        let ekey = EntryKey::Artifact(kind, key);
-                                        self.evict_entry(shard, &mut ledger, &ekey);
-                                        continue;
-                                    }
-                                }
-                                Some(now) if now < entry.bytes => {
-                                    self.used.fetch_sub(entry.bytes - now, Ordering::Relaxed);
-                                    entry.bytes = now;
-                                }
-                                _ => {}
-                            }
-                        }
-                        ledger.artifacts.insert((kind, key), entry);
-                    }
-                    None => {
-                        // New entry. Still-computing entries report no
-                        // size yet; they are settled by the request
-                        // that completes them.
-                        let Some(bytes) = shard.engine.artifact_bytes(kind, key) else {
-                            continue;
-                        };
-                        if self.reserve_or_evict(shard, &mut ledger, bytes, ekey, false) {
-                            ledger.artifacts.insert(
-                                (kind, key),
-                                EntryMeta {
-                                    bytes,
-                                    tick,
-                                    touches: u64::from(touched),
-                                },
-                            );
-                        } else {
-                            // Admission declined: the artifact was
-                            // computed and served, but is not worth a
-                            // hot entry's seat.
-                            shard.engine.evict_artifact(kind, key);
-                            shard.declined.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
         }
     }
 
@@ -869,16 +852,16 @@ mod tests {
             },
         )
         .unwrap();
-        let shard = &store.shards[0];
+        let admit = |key: &str, text: &str| store.settle(&store.shards[0], &[], Some((key, text)));
         let first = "a".repeat(300);
-        store.admit_result(shard, &first, "answer");
+        admit(&first, "answer");
         assert_eq!(store.used.load(Ordering::Relaxed), 300 + 6 + 64);
         assert!(store.memoized_result(0, "other").is_none());
 
         // A cold entry makes room for a newcomer: key and text leave
         // together and the whole charge is released.
         let second = "b".repeat(600);
-        store.admit_result(shard, &second, "x");
+        admit(&second, "x");
         assert!(store.memoized_result(0, &first).is_none());
         assert_eq!(store.stats().evictions, 1);
         assert_eq!(store.used.load(Ordering::Relaxed), 600 + 1 + 64);
@@ -887,10 +870,86 @@ mod tests {
         let (text, stats) = store.memoized_result(0, &second).unwrap();
         assert_eq!(text, "x");
         assert!(stats.store_hit);
-        store.admit_result(shard, &first, "answer");
+        admit(&first, "answer");
         assert_eq!(store.stats().declined, 1);
         assert!(store.memoized_result(0, &first).is_none());
         assert!(store.memoized_result(0, &second).is_some());
+    }
+
+    /// Every request kind the daemon computes, on one shard: after
+    /// each, the ledger holds exactly the engine's pool entries, each
+    /// charged what a fresh measure gives, and `used` is their sum.
+    #[test]
+    fn settle_by_key_accounts_every_pool_entry_exactly() {
+        use crate::serve::{respond_compute, ComputeKind, ComputeRequest, CorpusMeta};
+        use corepart_tech::scaling::OperatingPoint;
+
+        const SRC: &str = r#"app settle; var x[32]; var y[32];
+            func main() {
+                for (var i = 1; i < 32; i = i + 1) { y[i] = x[i] * 3 + x[i - 1]; }
+                return y[9];
+            }"#;
+        let request = |kind| {
+            let mut req = ComputeRequest::new(kind, SRC);
+            req.arrays = vec![("x".into(), (0..32).collect())];
+            req
+        };
+        let mut requests = vec![request(ComputeKind::Partition)];
+        let mut explore = request(ComputeKind::Explore);
+        explore.weights = Some(vec![0.0, 1.0]);
+        requests.push(explore);
+        let mut verify = request(ComputeKind::Verify);
+        verify.clusters = vec![0];
+        requests.push(verify.clone());
+        verify.clusters = vec![99];
+        requests.push(verify);
+        let mut corpus = request(ComputeKind::Corpus);
+        corpus.weights = Some(vec![0.0, 0.5]);
+        corpus.corpus = Some(CorpusMeta {
+            index: 0,
+            seed: 1,
+            name: "settle".into(),
+        });
+        requests.push(corpus);
+        let mut n_max = request(ComputeKind::Partition);
+        n_max.n_max = Some(2);
+        requests.push(n_max);
+        let mut point = request(ComputeKind::Partition);
+        point.operating_point = Some(OperatingPoint {
+            node_nm: 180,
+            vdd: 1.8,
+        });
+        requests.push(point);
+
+        let store = ArtifactStore::new(
+            SystemConfig::new(),
+            &StoreOptions {
+                shards: 1,
+                budget_bytes: 64 << 20,
+            },
+        )
+        .unwrap();
+        let shard = &store.shards[0];
+        for req in &requests {
+            respond_compute(&store, req);
+            let ledger = shard.ledger.lock().unwrap();
+            for kind in [
+                ArtifactKind::Prepared,
+                ArtifactKind::Baseline,
+                ArtifactKind::Schedule,
+            ] {
+                let held = ledger.artifacts.keys().filter(|(k, _)| *k == kind).count();
+                let pooled = crate::engine::tests::pool_len(&shard.engine, kind);
+                assert_eq!(held, pooled, "{kind:?} after {req:?}");
+            }
+            for (&(kind, key), entry) in &ledger.artifacts {
+                let fresh = shard.engine.artifact_bytes(kind, key);
+                assert_eq!(Some(entry.bytes), fresh, "{kind:?} after {req:?}");
+            }
+            let sum: u64 = ledger.entries().map(|(_, e)| e.bytes).sum();
+            assert_eq!(store.used.load(Ordering::Relaxed), sum, "after {req:?}");
+        }
+        assert_eq!(store.stats().declined, 0);
     }
 
     #[test]

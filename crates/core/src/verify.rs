@@ -133,8 +133,8 @@ fn memo_key(hw_blocks: &HashSet<BlockId>) -> Vec<BlockId> {
 impl ReplayEngine {
     /// Owned heap footprint in bytes: the trace, the per-pc replay
     /// tables and the verified-run memo. Only the memo grows, as
-    /// verifications are memoized, so the store re-measures the owning
-    /// baseline after every request.
+    /// verifications are memoized; its size is a running total, so
+    /// re-measuring the owning baseline is cheap.
     pub fn heap_bytes(&self) -> usize {
         self.trace.heap_bytes() + self.replayer.heap_bytes() + self.cache.bytes() as usize
     }

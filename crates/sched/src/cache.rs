@@ -79,6 +79,8 @@ impl HeapBytes for ScheduledCluster {
 }
 
 type Slot<V, E> = Arc<OnceLock<Result<Arc<V>, E>>>;
+/// A key's slot and its charge (0 until it completes in a weighing cache).
+type Entry<V, E> = (Slot<V, E>, u64);
 
 /// A concurrent, compute-once memo table: each key's value (or error)
 /// is computed exactly once, and every later lookup shares the same
@@ -89,8 +91,17 @@ type Slot<V, E> = Arc<OnceLock<Result<Arc<V>, E>>>;
 /// Errors are cached too: a resource set that cannot execute a cluster
 /// never will, and greedy growth keeps re-asking about the same
 /// infeasible combinations.
+///
+/// A cache built by [`MemoCache::new`] (values that declare
+/// [`HeapBytes`]: the schedule caches and the replay memo) weighs each
+/// entry once, as it completes, and keeps the running total that
+/// [`MemoCache::bytes`] reads. A [`Default`] cache weighs nothing: the
+/// engine's artifact pools, whose entries the store weighs itself.
 pub struct MemoCache<K, V, E> {
-    map: Mutex<HashMap<K, Slot<V, E>>>,
+    map: Mutex<HashMap<K, Entry<V, E>>>,
+    /// The charges summed; changed only under the `map` lock.
+    bytes: AtomicU64,
+    weigh: Option<fn(&V) -> usize>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -103,6 +114,8 @@ impl<K, V, E> Default for MemoCache<K, V, E> {
     fn default() -> Self {
         MemoCache {
             map: Mutex::new(HashMap::new()),
+            bytes: AtomicU64::new(0),
+            weigh: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -118,12 +131,17 @@ impl<K, V, E> std::fmt::Debug for MemoCache<K, V, E> {
     }
 }
 
-impl<K: Eq + Hash, V, E: Clone> MemoCache<K, V, E> {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// Fixed bookkeeping charge per cache entry (key, `Arc`, `OnceLock`,
+/// hash-map slot) on top of the value's own [`HeapBytes`]. A failed
+/// computation is charged the overhead only (the error is small and
+/// worth keeping).
+pub const CACHE_ENTRY_OVERHEAD: usize = 96;
 
+fn charge<V, E>(weigh: fn(&V) -> usize, result: &Result<Arc<V>, E>) -> u64 {
+    (CACHE_ENTRY_OVERHEAD + result.as_ref().map_or(0, |v| weigh(v))) as u64
+}
+
+impl<K: Eq + Hash, V, E: Clone> MemoCache<K, V, E> {
     /// Returns the entry for `key`, running `compute` on the first
     /// request. Concurrent lookups of the same key block on the one
     /// computation rather than repeating it; exactly one miss is
@@ -134,21 +152,36 @@ impl<K: Eq + Hash, V, E: Clone> MemoCache<K, V, E> {
     /// The (cached) `E` when the computation failed.
     pub fn get_or_compute<F>(&self, key: K, compute: F) -> Result<Arc<V>, E>
     where
+        K: Clone,
         F: FnOnce() -> Result<V, E>,
     {
         let slot: Slot<V, E> = {
             let mut map = self.map.lock().expect("memo cache poisoned");
-            Arc::clone(map.entry(key).or_insert_with(|| Arc::new(OnceLock::new())))
+            match map.get(&key) {
+                Some((slot, _)) => Arc::clone(slot),
+                None => Arc::clone(&map.entry(key.clone()).or_default().0),
+            }
         };
         let mut computed = false;
         let result = slot.get_or_init(|| {
             computed = true;
             compute().map(Arc::new)
         });
-        if computed {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
+        if !computed {
             self.hits.fetch_add(1, Ordering::Relaxed);
+            return result.clone();
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        if let Some(weigh) = self.weigh {
+            let bytes = charge(weigh, result);
+            let mut map = self.map.lock().expect("memo cache poisoned");
+            // Unless an eviction or a poisoning replaced it meanwhile.
+            if let Some((held, charged)) = map.get_mut(&key) {
+                if Arc::ptr_eq(held, &slot) {
+                    *charged = bytes;
+                    self.bytes.fetch_add(bytes, Ordering::Relaxed);
+                }
+            }
         }
         result.clone()
     }
@@ -164,7 +197,7 @@ impl<K: Eq + Hash, V, E: Clone> MemoCache<K, V, E> {
             .lock()
             .expect("memo cache poisoned")
             .get(key)
-            .and_then(|slot| slot.get())
+            .and_then(|(slot, _)| slot.get())
             .cloned()
     }
 
@@ -183,22 +216,7 @@ impl<K: Eq + Hash, V, E: Clone> MemoCache<K, V, E> {
         self.map.lock().expect("memo cache poisoned").len()
     }
 
-    /// A snapshot of every stored key (completed or still computing).
-    /// The artifact store reconciles its byte ledger against this after
-    /// each request.
-    pub fn keys(&self) -> Vec<K>
-    where
-        K: Clone,
-    {
-        self.map
-            .lock()
-            .expect("memo cache poisoned")
-            .keys()
-            .cloned()
-            .collect()
-    }
-
-    /// Drops `key`'s entry, forcing the next
+    /// Drops `key`'s entry and its charge, forcing the next
     /// [`MemoCache::get_or_compute`] to recompute (and charge a miss).
     /// Returns whether an entry was present.
     ///
@@ -208,11 +226,12 @@ impl<K: Eq + Hash, V, E: Clone> MemoCache<K, V, E> {
     /// function of its key. The conformance harness uses the same hook
     /// for fault injection.
     pub fn evict(&self, key: &K) -> bool {
-        self.map
-            .lock()
-            .expect("memo cache poisoned")
-            .remove(key)
-            .is_some()
+        let mut map = self.map.lock().expect("memo cache poisoned");
+        let removed = map.remove(key);
+        if let Some((_, charged)) = removed {
+            self.bytes.fetch_sub(charged, Ordering::Relaxed);
+        }
+        removed.is_some()
     }
 
     /// Fault-injection hook for the conformance harness: installs a
@@ -221,12 +240,13 @@ impl<K: Eq + Hash, V, E: Clone> MemoCache<K, V, E> {
     /// harness uses this to prove its differential oracles detect a
     /// cache serving wrong values.
     pub fn poison(&self, key: K, value: V) {
-        let slot: Slot<V, E> = Arc::new(OnceLock::new());
-        let _ = slot.set(Ok(Arc::new(value)));
-        self.map
-            .lock()
-            .expect("memo cache poisoned")
-            .insert(key, slot);
+        let value = Ok(Arc::new(value));
+        let bytes = self.weigh.map_or(0, |weigh| charge(weigh, &value));
+        let mut map = self.map.lock().expect("memo cache poisoned");
+        self.bytes.fetch_add(bytes, Ordering::Relaxed);
+        if let Some((_, charged)) = map.insert(key, (Arc::new(OnceLock::from(value)), bytes)) {
+            self.bytes.fetch_sub(charged, Ordering::Relaxed);
+        }
     }
 
     /// Whether the cache holds no entries.
@@ -235,26 +255,20 @@ impl<K: Eq + Hash, V, E: Clone> MemoCache<K, V, E> {
     }
 }
 
-/// Fixed bookkeeping charge per cache entry (key, `Arc`, `OnceLock`,
-/// hash-map slot) on top of the value's own [`HeapBytes`].
-pub const CACHE_ENTRY_OVERHEAD: usize = 96;
-
 impl<K: Eq + Hash, V: HeapBytes, E: Clone> MemoCache<K, V, E> {
-    /// Accounted heap bytes of every *completed, successful* entry plus
-    /// [`CACHE_ENTRY_OVERHEAD`] per stored key. Failed computations are
-    /// charged overhead only (the error is small and worth keeping —
-    /// greedy growth re-asks about the same infeasible combinations).
+    /// An empty cache that weighs its values by [`HeapBytes`].
+    pub fn new() -> Self {
+        MemoCache {
+            weigh: Some(V::heap_bytes),
+            ..Self::default()
+        }
+    }
+
+    /// Accounted bytes of every completed entry: the running total of
+    /// their [`CACHE_ENTRY_OVERHEAD`] plus each successful value's
+    /// [`HeapBytes`].
     pub fn bytes(&self) -> u64 {
-        let map = self.map.lock().expect("memo cache poisoned");
-        map.values()
-            .map(|slot| {
-                let value = match slot.get() {
-                    Some(Ok(v)) => v.heap_bytes(),
-                    _ => 0,
-                };
-                (CACHE_ENTRY_OVERHEAD + value) as u64
-            })
-            .sum()
+        self.bytes.load(Ordering::Relaxed)
     }
 }
 
@@ -338,7 +352,7 @@ mod tests {
 
     #[test]
     fn peek_serves_completed_entries_without_counting() {
-        let cache: MemoCache<u32, u64, SchedError> = MemoCache::new();
+        let cache: MemoCache<u32, u64, SchedError> = MemoCache::default();
         assert!(cache.peek(&9).is_none());
         let stored = cache.get_or_compute(9, || Ok(81)).unwrap();
         let peeked = cache.peek(&9).expect("completed").unwrap();
@@ -460,5 +474,54 @@ mod tests {
         assert!(cache.evict(&5));
         let healed = cache.get_or_compute(5, || Ok(Blob(vec![1; 16]))).unwrap();
         assert_eq!(healed.0, vec![1; 16]);
+    }
+
+    /// The walk `bytes()` replaced, kept as the reference: every stored
+    /// key's overhead plus each completed `Ok` value's weight.
+    fn walked_bytes(cache: &MemoCache<u32, Blob, SchedError>) -> u64 {
+        let map = cache.map.lock().unwrap();
+        map.values()
+            .map(|(slot, _)| {
+                let value = match slot.get() {
+                    Some(Ok(v)) => v.heap_bytes(),
+                    _ => 0,
+                };
+                (CACHE_ENTRY_OVERHEAD + value) as u64
+            })
+            .sum()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// After every step of a random sequence of successful and
+        /// failed computations, evictions and poisonings, the running
+        /// total equals the walk.
+        #[test]
+        fn running_total_equals_the_walk_after_every_step(
+            ops in proptest::collection::vec((0u32..4, 0u32..6, 0usize..300), 1..80),
+        ) {
+            let cache: MemoCache<u32, Blob, SchedError> = MemoCache::new();
+            for (op, key, size) in ops {
+                match op {
+                    0 => {
+                        let _ = cache.get_or_compute(key, || Ok(Blob(Vec::with_capacity(size))));
+                    }
+                    1 => {
+                        let _ = cache.get_or_compute(key, || {
+                            Err(SchedError::NoResource {
+                                class: corepart_tech::resource::OpClass::Multiply,
+                                set: "none".into(),
+                            })
+                        });
+                    }
+                    2 => {
+                        cache.evict(&key);
+                    }
+                    _ => cache.poison(key, Blob(Vec::with_capacity(size))),
+                }
+                proptest::prop_assert_eq!(cache.bytes(), walked_bytes(&cache));
+            }
+        }
     }
 }
