@@ -27,7 +27,12 @@
 //!   reproduces the cached [`ScheduledCluster`] exactly;
 //! * **cache-poison** — a deliberately wrong cache entry is returned
 //!   verbatim by the cache (caches are authoritative), and the
-//!   evict-and-recompute differential detects the divergence.
+//!   evict-and-recompute differential detects the divergence. The
+//!   poisoned entries are single-cluster ones, and a multi-cluster
+//!   trio is merged from single-cluster entries, so while the poison
+//!   stands it also flows into every multi-cluster entry first
+//!   computed from it; the scenario heals the entry before any such
+//!   lookup.
 //!
 //! All hooks live behind the `conform` feature of `corepart-isa` and
 //! `corepart-sched`; production code cannot reach them.

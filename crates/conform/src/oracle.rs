@@ -17,6 +17,13 @@
 //! * **cache-vs-uncached** — re-evaluating the winning partition with
 //!   no schedule cache and no replay engine reproduces the searched
 //!   [`corepart::PartitionDetail`];
+//! * **schedule-merge** — every pair and triple of candidate clusters
+//!   on every resource set: the session's schedule trio, which merges
+//!   the memoized single-cluster trios, equals the whole-block
+//!   reference (`schedule_cluster` + `bind` + `utilization` over the
+//!   concatenated blocks), error for error, and weighs the same
+//!   `HeapBytes`. The uncached evaluation merges too, so
+//!   **cache-vs-uncached** cannot check the merge on its own;
 //! * **stream-invariance** (metamorphic) — moving any cluster to
 //!   hardware never changes the executed instruction stream: block
 //!   entry counts and the return value match the all-software baseline
@@ -47,7 +54,8 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use corepart::engine::Engine;
-use corepart::evaluate::{evaluate_partition, run_iss};
+use corepart::error::CorepartError;
+use corepart::evaluate::{evaluate_partition, run_iss, Partition};
 use corepart::flow::DesignFlow;
 use corepart::isa::simulator::RunStats;
 use corepart::objective::Objective;
@@ -56,8 +64,12 @@ use corepart::prepare::Workload;
 use corepart::system::{DesignMetrics, SystemConfig};
 use corepart::verify::ReplayEngine;
 use corepart_ir::cdfg::Application;
+use corepart_ir::cluster::ClusterId;
 use corepart_ir::lower::lower;
+use corepart_ir::op::BlockId;
 use corepart_ir::parser::parse;
+use corepart_sched::binding::{bind, schedule_cluster, utilization};
+use corepart_sched::cache::{HeapBytes, ScheduledCluster};
 use corepart_tech::scaling::{OperatingPoint, PointWeights};
 use corepart_tech::units::{Energy, GateEq};
 
@@ -267,6 +279,9 @@ pub fn check_lowered(app: &Application, workload: &Workload) -> Vec<Violation> {
         }
     }
 
+    // Oracle: merged multi-cluster trios == whole-block schedules.
+    violations.extend(schedule_merge(&partitioner));
+
     // Oracle: hardware moves never change the executed stream.
     violations.extend(stream_invariance(&partitioner));
 
@@ -307,6 +322,81 @@ pub fn check_lowered(app: &Application, workload: &Workload) -> Vec<Violation> {
     }
 
     violations
+}
+
+/// Every pair and triple of candidate clusters (ascending, as growth
+/// builds them) on every resource set: the trio the session serves
+/// equals the whole-block reference and weighs the same.
+fn schedule_merge(partitioner: &Partitioner<'_>) -> Vec<Violation> {
+    let prepared = partitioner.prepared();
+    let config = partitioner.config();
+    let lib = &config.library;
+    let mut ids: Vec<ClusterId> = partitioner.candidates().iter().map(|c| c.cluster).collect();
+    ids.sort();
+    let mut combos: Vec<Vec<ClusterId>> = Vec::new();
+    for (i, &a) in ids.iter().enumerate() {
+        for (j, &b) in ids.iter().enumerate().skip(i + 1) {
+            combos.push(vec![a, b]);
+            combos.extend(ids[j + 1..].iter().map(|&c| vec![a, b, c]));
+        }
+    }
+    let mut violations = Vec::new();
+    for set in &config.resource_sets {
+        for clusters in &combos {
+            let blocks: Vec<BlockId> = clusters
+                .iter()
+                .flat_map(|&cid| prepared.chain.cluster(cid).blocks.iter().copied())
+                .collect();
+            let reference = schedule_cluster(&prepared.app, &blocks, set, lib).map(|sched| {
+                let binding = bind(&sched, lib);
+                let util = utilization(&sched, &binding, &prepared.profile, lib);
+                ScheduledCluster {
+                    sched,
+                    binding,
+                    util,
+                }
+            });
+            let partition = Partition {
+                clusters: clusters.clone(),
+                set: set.clone(),
+            };
+            let served = partitioner.scheduled(&partition);
+            let mismatch = match (&served, &reference) {
+                (Ok(served), Ok(whole)) if **served != *whole => {
+                    Some("the served trio differs".to_owned())
+                }
+                (Ok(served), Ok(whole)) if served.heap_bytes() != whole.heap_bytes() => {
+                    Some(format!(
+                        "the served trio weighs {} bytes, the whole-block trio {}",
+                        served.heap_bytes(),
+                        whole.heap_bytes()
+                    ))
+                }
+                (Ok(_), Ok(_)) => None,
+                (Err(CorepartError::Sched(served)), Err(whole)) if served == whole => None,
+                (served, whole) => Some(format!(
+                    "served {}, whole-block {}",
+                    outcome(served),
+                    outcome(whole)
+                )),
+            };
+            if let Some(detail) = mismatch {
+                violations.push(Violation::new(
+                    "schedule-merge",
+                    format!("clusters {clusters:?} on `{}`: {detail}", set.name()),
+                ));
+            }
+        }
+    }
+    violations
+}
+
+/// A schedule lookup's outcome, for a violation's detail.
+fn outcome<T, E: std::fmt::Display>(result: &Result<T, E>) -> String {
+    match result {
+        Ok(_) => "a trio".to_owned(),
+        Err(e) => format!("error `{e}`"),
+    }
 }
 
 /// Metamorphic: for every (first few) cluster hardware-block sets, the

@@ -51,8 +51,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
+use corepart_cache::config::CacheConfig;
 use corepart_ir::cdfg::Application;
+use corepart_isa::energy::EnergyTable;
 use corepart_sched::cache::{MemoCache, ScheduleCache};
+use corepart_tech::process::CmosProcess;
+use corepart_tech::resource::ResourceLibrary;
 
 use crate::error::CorepartError;
 use crate::evaluate::evaluate_initial;
@@ -141,26 +145,36 @@ pub(crate) struct PoolKey {
     pub(crate) stage: u64,
 }
 
-/// The prepared-application, baseline and schedule-cache stage hashes
-/// of one configuration. Each stage hashes the `Debug` text (the
-/// process, energy and library types hold `f64`) of exactly the fields
-/// it consumes: preparation `optimize_ir` and `max_cycles`; the baseline those plus
-/// the caches, process, memory size, energy table and `trace_cap_bytes`
-/// (so a capped session falls back to direct verification instead of
-/// borrowing a sibling's capture); schedules those plus the resource
-/// library. [`SystemConfig::operating_point`] stays out: simulation and
-/// replay run at the base process, so a node×vdd sweep shares one
-/// baseline and re-weights it per point.
-fn stage_hashes(config: &SystemConfig) -> [u64; 3] {
-    let key = |fields: &dyn std::fmt::Debug| {
-        let mut hash = Fnv64::default();
-        let _ = write!(hash, "{fields:?}");
-        hash.finish()
-    };
+/// Preparation's fields: `optimize_ir` and `max_cycles`.
+type PrepFields = (bool, u64);
+
+/// The configuration fields each stage consumes, by reference:
+/// preparation's; the baseline's, which are those plus the caches,
+/// process, memory size, energy table and `trace_cap_bytes` (so a capped
+/// session falls back to direct verification instead of borrowing a
+/// sibling's capture); and the schedules', which are preparation's plus
+/// the resource library. [`SystemConfig::operating_point`] stays out:
+/// simulation and replay run at the base process, so a node×vdd sweep
+/// shares one baseline and re-weights it per point.
+type StageFields<'a> = (
+    PrepFields,
+    (
+        PrepFields,
+        &'a CacheConfig,
+        &'a CacheConfig,
+        &'a CmosProcess,
+        usize,
+        &'a EnergyTable,
+        usize,
+    ),
+    (PrepFields, &'a ResourceLibrary),
+);
+
+fn stage_fields(config: &SystemConfig) -> StageFields<'_> {
     let prep = (config.optimize_ir, config.max_cycles);
-    [
-        key(&prep),
-        key(&(
+    (
+        prep,
+        (
             prep,
             &config.icache,
             &config.dcache,
@@ -168,9 +182,23 @@ fn stage_hashes(config: &SystemConfig) -> [u64; 3] {
             config.memory_bytes,
             &config.energy_table,
             config.trace_cap_bytes,
-        )),
-        key(&(prep, &config.library)),
-    ]
+        ),
+        (prep, &config.library),
+    )
+}
+
+/// The prepared-application, baseline and schedule-cache stage hashes
+/// of one configuration: each hashes the `Debug` text (the process,
+/// energy and library types hold `f64`) of exactly its
+/// [`stage_fields`].
+fn stage_hashes(config: &SystemConfig) -> [u64; 3] {
+    let key = |fields: &dyn std::fmt::Debug| {
+        let mut hash = Fnv64::default();
+        let _ = write!(hash, "{fields:?}");
+        hash.finish()
+    };
+    let (prep, baseline, schedules) = stage_fields(config);
+    [key(&prep), key(&baseline), key(&schedules)]
 }
 
 /// The partitioning engine: the base configuration, the resolved
@@ -225,7 +253,14 @@ impl Engine {
     /// No work happens here — stage artifacts are resolved lazily on
     /// first use (see the module docs).
     pub fn session(&self, app: &Application, workload: &Workload) -> Session<'_> {
-        Session::open(self, app, workload, self.config.clone(), self.stages)
+        Session::open(
+            self,
+            identity(app, workload),
+            app,
+            workload,
+            self.config.clone(),
+            self.stages,
+        )
     }
 
     /// Opens a session on a *different* configuration (one config
@@ -241,9 +276,34 @@ impl Engine {
         workload: &Workload,
         config: SystemConfig,
     ) -> Result<Session<'_>, CorepartError> {
+        self.session_at(identity(app, workload), app, workload, config)
+    }
+
+    /// [`Engine::session_with_config`] on a pair whose [`identity`]
+    /// the caller already holds: a sweep opens K sessions on one pair
+    /// and hashes it once.
+    pub(crate) fn session_at(
+        &self,
+        identity: u64,
+        app: &Application,
+        workload: &Workload,
+        config: SystemConfig,
+    ) -> Result<Session<'_>, CorepartError> {
         config.validate()?;
-        let stages = stage_hashes(&config);
-        Ok(Session::open(self, app, workload, config, stages))
+        let stages = self.stages_of(&config);
+        Ok(Session::open(self, identity, app, workload, config, stages))
+    }
+
+    /// The stage hashes of `config`: the engine's own, computed once,
+    /// when every stage field equals the base configuration's (compared
+    /// with `==`, formatting nothing: a re-weighted or re-pointed
+    /// configuration is only a comparison), hashed afresh otherwise.
+    fn stages_of(&self, config: &SystemConfig) -> [u64; 3] {
+        if stage_fields(config) == stage_fields(&self.config) {
+            self.stages
+        } else {
+            stage_hashes(config)
+        }
     }
 
     /// The prepared, baseline and schedule pool keys of `identity` under
@@ -363,12 +423,12 @@ pub struct Session<'e> {
 impl<'e> Session<'e> {
     fn open(
         engine: &'e Engine,
+        identity: u64,
         app: &Application,
         workload: &Workload,
         config: SystemConfig,
         stages: [u64; 3],
     ) -> Self {
-        let identity = identity(app, workload);
         let [prep_key, baseline_key, cache_key] = stages.map(|stage| PoolKey { identity, stage });
         Session {
             engine,
@@ -669,6 +729,70 @@ pub(crate) mod tests {
         );
     }
 
+    /// The prepared, baseline and schedule pool sizes of `engine`.
+    fn pool_lens(engine: &Engine) -> [usize; 3] {
+        [
+            ArtifactKind::Prepared,
+            ArtifactKind::Baseline,
+            ArtifactKind::Schedule,
+        ]
+        .map(|kind| pool_len(engine, kind))
+    }
+
+    /// Resolves every stage artifact of `session`.
+    fn resolve_all(session: &Session<'_>) {
+        session.baseline().unwrap();
+        session.schedule_cache();
+    }
+
+    #[test]
+    fn reweighted_configs_add_no_pool_entries() {
+        use corepart_tech::scaling::OperatingPoint;
+
+        let engine = Engine::new(SystemConfig::new()).unwrap();
+        let (app, workload) = (app(), workload());
+        let base = engine.session(&app, &workload);
+        resolve_all(&base);
+        let lens = pool_lens(&engine);
+        assert_eq!(lens, [1, 1, 1]);
+        let mut pointed = SystemConfig::new();
+        pointed.operating_point = Some(OperatingPoint {
+            node_nm: 180,
+            vdd: 1.8,
+        });
+        for config in [
+            SystemConfig::new().with_factors(2.0, 0.5),
+            SystemConfig::new().with_n_max(3),
+            pointed,
+        ] {
+            let session = engine.session_with_config(&app, &workload, config).unwrap();
+            assert_eq!(
+                [session.prep_key, session.baseline_key, session.cache_key],
+                [base.prep_key, base.baseline_key, base.cache_key]
+            );
+            resolve_all(&session);
+            assert_eq!(pool_lens(&engine), lens);
+        }
+    }
+
+    #[test]
+    fn one_changed_stage_field_gets_a_new_pool_key() {
+        use corepart_cache::config::CacheConfig;
+
+        let engine = Engine::new(SystemConfig::new()).unwrap();
+        let (app, workload) = (app(), workload());
+        let base = engine.session(&app, &workload);
+        resolve_all(&base);
+        let mut config = SystemConfig::new();
+        config.icache = CacheConfig::default_dcache();
+        let changed = engine.session_with_config(&app, &workload, config).unwrap();
+        assert_eq!(changed.prep_key, base.prep_key);
+        assert_ne!(changed.baseline_key, base.baseline_key);
+        assert_eq!(changed.cache_key, base.cache_key);
+        resolve_all(&changed);
+        assert_eq!(pool_lens(&engine), [1, 2, 1]);
+    }
+
     #[test]
     fn failures_are_memoized_and_cloned() {
         // max_cycles = 1 starves the profiling interpreter.
@@ -810,11 +934,17 @@ pub(crate) mod tests {
             ),
         ];
         let base = SystemConfig::new();
+        let engine = Engine::new(base.clone()).unwrap();
         let before = stage_hashes(&base);
         for (field, edit, moves) in rows {
             let mut config = base.clone();
             edit(&mut config);
             let after = stage_hashes(&config);
+            assert_eq!(
+                engine.stages_of(&config),
+                after,
+                "{field}: the shortcut keys"
+            );
             for (i, stage) in ["prep", "baseline", "schedule"].into_iter().enumerate() {
                 assert_eq!(after[i] != before[i], moves[i], "{field} → {stage} key");
             }

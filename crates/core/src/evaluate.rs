@@ -41,7 +41,7 @@ use corepart_isa::profile::CoreUtilization;
 use corepart_isa::simulator::{MemSink, RunStats, SimConfig, SimError, Simulator};
 use corepart_isa::trace::TraceBuilder;
 use corepart_isa::DecodeTable;
-use corepart_sched::binding::{bind, schedule_cluster, utilization};
+use corepart_sched::binding::{bind, merge_trios, schedule_cluster, utilization};
 use corepart_sched::cache::{ScheduleCache, ScheduledCluster};
 use corepart_sched::datapath::{estimate_datapath, DatapathEstimate};
 use corepart_sched::energy::{estimate_energy, gate_level_energy, AsicEnergy};
@@ -443,6 +443,15 @@ pub(crate) fn cluster_blocks(
 /// binding, utilization (Fig. 1 lines 8–10) — served from and feeding
 /// `cache` when one is given, computed afresh otherwise.
 ///
+/// A single-cluster trio is scheduled block by block. A multi-cluster
+/// trio is always [`merge_trios`] of its clusters' single-cluster
+/// trios, in cluster order. Each part is read from `cache` with
+/// [`MemoCache::peek`](corepart_sched::MemoCache::peek), which counts
+/// neither a hit nor a miss; a part that is absent or still in flight
+/// is computed in place and not inserted. So the value does not depend
+/// on what the cache holds, and the counters move exactly as if the
+/// merged key had been scheduled whole.
+///
 /// # Errors
 ///
 /// [`CorepartError::Sched`] when the resource set cannot execute the
@@ -454,7 +463,7 @@ pub(crate) fn schedule_trio(
     blocks: &[BlockId],
     cache: Option<&ScheduleCache<ScheduleKey>>,
 ) -> Result<Arc<ScheduledCluster>, CorepartError> {
-    let compute = || -> Result<ScheduledCluster, SchedError> {
+    let trio = |blocks: &[BlockId]| -> Result<ScheduledCluster, SchedError> {
         let sched = schedule_cluster(&prepared.app, blocks, &partition.set, &config.library)?;
         let binding = bind(&sched, &config.library);
         let util = utilization(&sched, &binding, &prepared.profile, &config.library);
@@ -463,6 +472,22 @@ pub(crate) fn schedule_trio(
             binding,
             util,
         })
+    };
+    let compute = || match partition.clusters.as_slice() {
+        [] | [_] => trio(blocks),
+        clusters => {
+            // One part key, its cluster list rewritten per part.
+            let mut key = schedule_key(partition);
+            let parts = clusters.iter().map(|&cid| {
+                key.0.clear();
+                key.0.push(cid);
+                match cache.and_then(|cache| cache.peek(&key)) {
+                    Some(part) => part,
+                    None => trio(&prepared.chain.cluster(cid).blocks).map(Arc::new),
+                }
+            });
+            merge_trios(parts, &prepared.profile, &config.library)
+        }
     };
     Ok(match cache {
         Some(cache) => cache.get_or_compute(schedule_key(partition), compute)?,

@@ -34,7 +34,7 @@ use corepart_ir::op::BlockId;
 use corepart_tech::scaling::OperatingPoint;
 use corepart_tech::units::{Cycles, Energy, GateEq, Seconds};
 
-use crate::engine::Engine;
+use crate::engine::{identity, Engine};
 use crate::error::CorepartError;
 use crate::parallel::par_map;
 use crate::partition::{PartitionOutcome, Partitioner};
@@ -249,9 +249,10 @@ pub(crate) fn sweep(
     // One engine, one session per configuration. Opening sessions is
     // free; the compute-once pools resolve each distinct artifact
     // exactly once even though the workers race for them.
+    let identity = identity(app, workload);
     let mut sessions = Vec::with_capacity(configs.len());
     for (_, config) in configs {
-        sessions.push(engine.session_with_config(app, workload, config.clone())?);
+        sessions.push(engine.session_at(identity, app, workload, config.clone())?);
     }
 
     // The sweep runs on its first configuration's thread count: the

@@ -23,7 +23,7 @@
 use std::fmt;
 
 use crate::cdfg::{Application, StructNode};
-use crate::dataflow::{region_gen_use, GenUse};
+use crate::dataflow::{region_gen_use_in, ControlFlow, GenUse};
 use crate::op::BlockId;
 
 /// Identifier of a cluster within a [`ClusterChain`].
@@ -267,6 +267,7 @@ pub fn decompose(app: &Application) -> ClusterChain {
         break;
     }
 
+    let cfg = ControlFlow::of(app);
     let mut clusters = Vec::new();
     for node in nodes {
         let (kind, blocks) = match node {
@@ -283,7 +284,7 @@ pub fn decompose(app: &Application) -> ClusterChain {
             residual.extend(blocks);
             continue;
         }
-        let gen_use = region_gen_use(app, &blocks);
+        let gen_use = region_gen_use_in(app, &cfg, &blocks);
         let id = ClusterId(clusters.len() as u32);
         clusters.push(Cluster {
             id,

@@ -121,6 +121,26 @@ fn block_local(app: &Application, b: BlockId) -> BlockLocal {
     loc
 }
 
+/// The whole-application control flow a region analysis reads: every
+/// block's predecessors and the reverse postorder from the entry.
+/// Computed once per application, it serves any number of regions
+/// ([`crate::cluster::decompose`] analyses every cluster against one).
+#[derive(Debug)]
+pub(crate) struct ControlFlow {
+    preds: Vec<Vec<BlockId>>,
+    rpo: Vec<BlockId>,
+}
+
+impl ControlFlow {
+    /// The control flow of `app`.
+    pub(crate) fn of(app: &Application) -> Self {
+        ControlFlow {
+            preds: app.predecessors(),
+            rpo: app.reverse_postorder(),
+        }
+    }
+}
+
 /// Computes the `gen`/`use` summary of the region formed by `blocks`.
 ///
 /// The region is analysed with its own internal control flow; entries
@@ -130,11 +150,21 @@ fn block_local(app: &Application, b: BlockId) -> BlockLocal {
 ///
 /// Duplicate block ids are ignored. An empty region yields empty sets.
 pub fn region_gen_use(app: &Application, blocks: &[BlockId]) -> GenUse {
+    region_gen_use_in(app, &ControlFlow::of(app), blocks)
+}
+
+/// [`region_gen_use`] against an already computed [`ControlFlow`] of
+/// `app`.
+pub(crate) fn region_gen_use_in(
+    app: &Application,
+    cfg: &ControlFlow,
+    blocks: &[BlockId],
+) -> GenUse {
     let region: HashSet<BlockId> = blocks.iter().copied().collect();
     if region.is_empty() {
         return GenUse::default();
     }
-    let preds_all = app.predecessors();
+    let preds_all = &cfg.preds;
     let locals: HashMap<BlockId, BlockLocal> =
         region.iter().map(|&b| (b, block_local(app, b))).collect();
 
@@ -169,15 +199,19 @@ pub fn region_gen_use(app: &Application, blocks: &[BlockId]) -> GenUse {
 
     let mut killed_out: HashMap<BlockId, BTreeSet<VarId>> =
         region.iter().map(|&b| (b, all_scalars.clone())).collect();
-    let order: Vec<BlockId> = app
-        .reverse_postorder()
-        .into_iter()
+    let mut order_full: Vec<BlockId> = cfg
+        .rpo
+        .iter()
+        .copied()
         .filter(|b| region.contains(b))
         .collect();
     // Include region blocks unreachable from the app entry (defensive).
-    let mut order_full = order.clone();
+    let mut ordered = vec![false; cfg.preds.len()];
+    for &b in &order_full {
+        ordered[b.0 as usize] = true;
+    }
     for &b in &region {
-        if !order_full.contains(&b) {
+        if !std::mem::replace(&mut ordered[b.0 as usize], true) {
             order_full.push(b);
         }
     }

@@ -17,6 +17,7 @@
 //! `N_cyc^c`, the total cycles of the whole cluster.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use corepart_ir::cdfg::Application;
 use corepart_ir::interp::ExecProfile;
@@ -24,6 +25,7 @@ use corepart_ir::op::BlockId;
 use corepart_tech::resource::{ResourceKind, ResourceLibrary, ResourceSet};
 use corepart_tech::units::GateEq;
 
+use crate::cache::ScheduledCluster;
 use crate::dfg::BlockDfg;
 use crate::list::{list_schedule, BlockSchedule, SchedError};
 
@@ -133,16 +135,79 @@ pub fn bind(sched: &ClusterSchedule, lib: &ResourceLibrary) -> Binding {
         assignment.insert(block, assigned);
     }
 
-    let geq_rs = instances
-        .iter()
-        .map(|(&k, &n)| lib.expect_spec(k).geq() * u64::from(n))
-        .sum();
-
     Binding {
+        geq_rs: geq_of(&instances, lib),
         instances,
         assignment,
-        geq_rs,
     }
+}
+
+/// `GEQ_RS = Σ #(rs_π) × GEQ(rs_π)` over the instantiated kinds.
+fn geq_of(instances: &BTreeMap<ResourceKind, u32>, lib: &ResourceLibrary) -> GateEq {
+    instances
+        .iter()
+        .map(|(&k, &n)| lib.expect_spec(k).geq() * u64::from(n))
+        .sum()
+}
+
+/// The trio of a multi-cluster datapath, put together from its
+/// clusters' single-cluster trios in cluster order: the block lists and
+/// block schedules concatenated, each kind's instance count the max
+/// over the parts, the assignments united, `GEQ_RS` recomputed and
+/// [`utilization`] rerun on the merged result.
+///
+/// This equals [`schedule_cluster`] + [`bind`] + [`utilization`] over
+/// the concatenated blocks, bit for bit: every block is list-scheduled
+/// on its own, the binding restarts its busy lanes at every block, and
+/// kinds couple across blocks only through the instance max. A failed
+/// part's error is returned in place of the trio — the first in cluster
+/// order, which is exactly the error `schedule_cluster` reports for the
+/// first failing block. Parts after it are never drawn, so the caller
+/// may compute them lazily.
+///
+/// # Errors
+///
+/// The first part's [`SchedError`], in part order.
+pub fn merge_trios(
+    parts: impl IntoIterator<Item = Result<Arc<ScheduledCluster>, SchedError>>,
+    profile: &ExecProfile,
+    lib: &ResourceLibrary,
+) -> Result<ScheduledCluster, SchedError> {
+    let parts = parts.into_iter().collect::<Result<Vec<_>, _>>()?;
+    // Exact capacities: the merged trio weighs what `schedule_cluster`
+    // would have allocated (`HeapBytes` reads capacities).
+    let len = parts.iter().map(|p| p.sched.blocks.len()).sum();
+    let mut blocks = Vec::with_capacity(len);
+    let mut schedules = Vec::with_capacity(len);
+    let mut instances: BTreeMap<ResourceKind, u32> = BTreeMap::new();
+    let mut assignment: HashMap<BlockId, Vec<u32>> = HashMap::with_capacity(len);
+    for part in &parts {
+        blocks.extend_from_slice(&part.sched.blocks);
+        schedules.extend_from_slice(&part.sched.schedules);
+        for (&kind, &n) in &part.binding.instances {
+            let count = instances.entry(kind).or_insert(0);
+            *count = (*count).max(n);
+        }
+        assignment.extend(part.binding.assignment.iter().map(|(&b, a)| (b, a.clone())));
+    }
+    let sched = ClusterSchedule {
+        blocks,
+        schedules,
+        set_name: parts
+            .first()
+            .map_or_else(String::new, |p| p.sched.set_name.clone()),
+    };
+    let binding = Binding {
+        geq_rs: geq_of(&instances, lib),
+        instances,
+        assignment,
+    };
+    let util = utilization(&sched, &binding, profile, lib);
+    Ok(ScheduledCluster {
+        sched,
+        binding,
+        util,
+    })
 }
 
 /// The utilization result of Fig. 4.
@@ -226,9 +291,11 @@ pub fn utilization(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::HeapBytes;
     use corepart_ir::interp::Interpreter;
     use corepart_ir::lower::lower;
     use corepart_ir::parser::parse;
+    use corepart_tech::resource::OpClass;
 
     fn setup(src: &str) -> (Application, ExecProfile) {
         let app = lower(&parse(src).unwrap()).unwrap();
@@ -383,6 +450,129 @@ mod tests {
             assert!((0.0..=1.0).contains(&v));
         }
         assert_eq!(u.instance_util(ResourceKind::Divider, 9), 0.0);
+    }
+
+    /// The trio of `blocks` as one schedule, the reference
+    /// [`merge_trios`] must reproduce.
+    fn whole_trio(
+        app: &Application,
+        blocks: &[BlockId],
+        set: &ResourceSet,
+        profile: &ExecProfile,
+        lib: &ResourceLibrary,
+    ) -> Result<ScheduledCluster, SchedError> {
+        let sched = schedule_cluster(app, blocks, set, lib)?;
+        let binding = bind(&sched, lib);
+        let util = utilization(&sched, &binding, profile, lib);
+        Ok(ScheduledCluster {
+            sched,
+            binding,
+            util,
+        })
+    }
+
+    /// The block lists of the top-level structure nodes that own
+    /// blocks: the clusters of a flat application.
+    fn top_level_parts(app: &Application) -> Vec<Vec<BlockId>> {
+        app.structure()
+            .iter()
+            .map(|n| n.blocks().to_vec())
+            .filter(|blocks| !blocks.is_empty())
+            .collect()
+    }
+
+    #[test]
+    fn merged_trios_equal_the_whole_block_trio() {
+        let (app, profile) = setup(
+            r#"app t; var x[32]; var y[32]; var s = 0;
+            func main() {
+                for (var i = 1; i < 31; i = i + 1) {
+                    y[i] = x[i - 1] * 3 + (x[i + 1] >> 1);
+                }
+                s = y[3] + 1;
+                for (var j = 0; j < 32; j = j + 1) { s = s + y[j] * y[j]; }
+                return s;
+            }"#,
+        );
+        let lib = ResourceLibrary::cmos6();
+        let parts = top_level_parts(&app);
+        assert!(parts.len() >= 3, "{parts:?}");
+        let all = parts.concat();
+        let mut feasible = 0;
+        for set in &ResourceSet::default_family() {
+            let whole = whole_trio(&app, &all, set, &profile, &lib);
+            let merged = merge_trios(
+                parts
+                    .iter()
+                    .map(|blocks| whole_trio(&app, blocks, set, &profile, &lib).map(Arc::new)),
+                &profile,
+                &lib,
+            );
+            assert_eq!(merged, whole, "set {}", set.name());
+            if let (Ok(merged), Ok(whole)) = (merged, whole) {
+                assert_eq!(
+                    merged.heap_bytes(),
+                    whole.heap_bytes(),
+                    "set {}",
+                    set.name()
+                );
+                feasible += 1;
+            }
+        }
+        assert!(feasible >= 2, "only {feasible} sets schedule the app");
+    }
+
+    #[test]
+    fn merged_error_is_the_first_failing_parts() {
+        // The first loop only adds; the second divides, the third
+        // multiplies. On a set with neither divider nor multiplier the
+        // second part fails first, as its blocks do in the whole list.
+        let (app, profile) = setup(
+            r#"app t; var a[8]; var g = 90; var h = 3;
+            func main() {
+                for (var i = 0; i < 8; i = i + 1) { a[i] = a[i] + i; }
+                while (g > 1) { g = g / 2; }
+                while (h < 50) { h = h * h; }
+                return g + h;
+            }"#,
+        );
+        let lib = ResourceLibrary::cmos6();
+        let set = ResourceSet::builder("no-div-no-mul")
+            .with(ResourceKind::Alu, 1)
+            .with(ResourceKind::MemPort, 1)
+            .build();
+        let parts: Vec<Vec<BlockId>> = app
+            .structure()
+            .iter()
+            .filter(|n| n.is_loop())
+            .map(|n| n.blocks().to_vec())
+            .collect();
+        assert_eq!(parts.len(), 3);
+        assert!(whole_trio(&app, &parts[0], &set, &profile, &lib).is_ok());
+
+        let whole = schedule_cluster(&app, &parts.concat(), &set, &lib).unwrap_err();
+        assert!(
+            matches!(
+                whole,
+                SchedError::NoResource {
+                    class: OpClass::Divide,
+                    ..
+                }
+            ),
+            "{whole:?}"
+        );
+        let mut drawn = 0;
+        let merged = merge_trios(
+            parts.iter().map(|blocks| {
+                drawn += 1;
+                whole_trio(&app, blocks, &set, &profile, &lib).map(Arc::new)
+            }),
+            &profile,
+            &lib,
+        )
+        .unwrap_err();
+        assert_eq!(merged, whole);
+        assert_eq!(drawn, 2, "parts after the first failure are never drawn");
     }
 
     #[test]

@@ -238,7 +238,10 @@ impl<K: Eq + Hash, V, E: Clone> MemoCache<K, V, E> {
     /// pre-resolved entry for `key`, replacing any existing one. Later
     /// lookups are served the poisoned value (charged as hits) — the
     /// harness uses this to prove its differential oracles detect a
-    /// cache serving wrong values.
+    /// cache serving wrong values. [`peek`](MemoCache::peek) serves it
+    /// too, so in a schedule cache a poisoned single-cluster entry also
+    /// flows into every multi-cluster entry merged from it afterwards
+    /// ([`merge_trios`](crate::binding::merge_trios)).
     pub fn poison(&self, key: K, value: V) {
         let value = Ok(Arc::new(value));
         let bytes = self.weigh.map_or(0, |weigh| charge(weigh, &value));

@@ -13,7 +13,8 @@
 //! * [`energy`] — the quick `E_R` estimate (Fig. 1 line 11) and the
 //!   switching-activity "gate-level" verification estimate (line 15).
 //! * [`cache`] — compute-once memoization of the schedule/bind/
-//!   utilization trio for repeated estimate queries.
+//!   utilization trio for repeated estimate queries; a multi-cluster
+//!   trio is [`merge_trios`] of its clusters' memoized trios.
 //!
 //! ## Example
 //!
@@ -54,7 +55,9 @@ pub mod force;
 pub mod gantt;
 pub mod list;
 
-pub use binding::{bind, schedule_cluster, utilization, Binding, ClusterSchedule, Utilization};
+pub use binding::{
+    bind, merge_trios, schedule_cluster, utilization, Binding, ClusterSchedule, Utilization,
+};
 pub use cache::{HeapBytes, MemoCache, ScheduleCache, ScheduledCluster};
 pub use datapath::{estimate_datapath, DatapathEstimate};
 pub use dfg::{op_class_of, BlockDfg};

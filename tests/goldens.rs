@@ -22,7 +22,7 @@ use corepart::corpus::CorpusOptions;
 use corepart::explore::{explore, hardware_weight_sweep};
 use corepart::flow::DesignFlow;
 use corepart::json::corpus_to_json;
-use corepart::json::{exploration_to_json, table1_to_json};
+use corepart::json::{exploration_to_json, parse_json, table1_to_json, JsonValue};
 use corepart::prepare::Workload;
 use corepart::report::Table1;
 use corepart::system::SystemConfig;
@@ -90,13 +90,54 @@ fn file_name(workload: &str) -> String {
         .collect()
 }
 
+/// The search counters the committed `BENCH_partition.json` records
+/// for each paper app (its `workloads[].search` rows), by app label.
+fn committed_search_rows() -> Vec<(String, JsonValue)> {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_partition.json");
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let bench = parse_json(&text).expect("BENCH_partition.json parses");
+    bench
+        .get("workloads")
+        .and_then(JsonValue::as_array)
+        .expect("a workloads array")
+        .iter()
+        .map(|row| {
+            let app = row.get("app").and_then(JsonValue::as_str).expect("app");
+            let search = row.get("search").expect("search row").clone();
+            (app.to_owned(), search)
+        })
+        .collect()
+}
+
 #[test]
 fn table1_json_matches_golden() {
+    let committed = committed_search_rows();
     let mut table = Table1::new();
     for w in all() {
         let result = DesignFlow::with_config(SystemConfig::new())
             .run_app(w.app().expect("lowers"), Workload::from_arrays(w.arrays(1)))
             .expect("flow succeeds");
+        // The work counts of every app, not only the one CI's
+        // perf-smoke step regenerates.
+        let (_, row) = committed
+            .iter()
+            .find(|(app, _)| app == w.name)
+            .unwrap_or_else(|| panic!("{}: no committed search row", w.name));
+        let s = &result.outcome.search;
+        let counted = [
+            ("candidates", s.candidates as u64),
+            ("estimated", s.estimated as u64),
+            ("rejected_by_utilization", s.rejected_by_utilization as u64),
+            ("infeasible", s.infeasible as u64),
+            ("growth_steps", s.growth_steps as u64),
+            ("verifications", s.verifications as u64),
+            ("cache_hits", s.cache_hits),
+            ("cache_misses", s.cache_misses),
+        ];
+        for (counter, value) in counted {
+            let committed = row.get(counter).and_then(JsonValue::as_u64);
+            assert_eq!(Some(value), committed, "{} `{counter}`", w.name);
+        }
         table.push(result.table1_entry());
     }
     assert_eq!(table.entries().len(), 6);
