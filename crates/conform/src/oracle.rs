@@ -17,6 +17,11 @@
 //! * **cache-vs-uncached** — re-evaluating the winning partition with
 //!   no schedule cache and no replay engine reproduces the searched
 //!   [`corepart::PartitionDetail`];
+//! * **gen-use** — every cluster region of the prepared chain and every
+//!   contiguous run of two or three clusters: the bit-set `gen`/`use`
+//!   analysis of Fig. 3's transfer counts equals the set-based
+//!   reference it replaced, and so does each cluster's summary in the
+//!   chain;
 //! * **schedule-merge** — every pair and triple of candidate clusters
 //!   on every resource set: the session's schedule trio, which merges
 //!   the memoized single-cluster trios, equals the whole-block
@@ -60,11 +65,12 @@ use corepart::flow::DesignFlow;
 use corepart::isa::simulator::RunStats;
 use corepart::objective::Objective;
 use corepart::partition::{PartitionOutcome, Partitioner};
-use corepart::prepare::Workload;
+use corepart::prepare::{PreparedApp, Workload};
 use corepart::system::{DesignMetrics, SystemConfig};
 use corepart::verify::ReplayEngine;
 use corepart_ir::cdfg::Application;
 use corepart_ir::cluster::ClusterId;
+use corepart_ir::dataflow::{reference, region_gen_use};
 use corepart_ir::lower::lower;
 use corepart_ir::op::BlockId;
 use corepart_ir::parser::parse;
@@ -279,6 +285,9 @@ pub fn check_lowered(app: &Application, workload: &Workload) -> Vec<Violation> {
         }
     }
 
+    // Oracle: bit-set gen/use == the set-based reference.
+    violations.extend(gen_use(partitioner.prepared()));
+
     // Oracle: merged multi-cluster trios == whole-block schedules.
     violations.extend(schedule_merge(&partitioner));
 
@@ -321,6 +330,35 @@ pub fn check_lowered(app: &Application, workload: &Workload) -> Vec<Violation> {
         }
     }
 
+    violations
+}
+
+/// Every cluster region of the prepared chain and every contiguous run
+/// of two or three clusters: the bit-set `gen`/`use` analysis equals
+/// the set-based reference, and so does each cluster's summary in the
+/// chain.
+fn gen_use(prepared: &PreparedApp) -> Vec<Violation> {
+    let app = &prepared.app;
+    let clusters = prepared.chain.clusters();
+    let mut violations = Vec::new();
+    for len in 1..=3 {
+        for run in clusters.windows(len) {
+            let blocks: Vec<BlockId> = run.iter().flat_map(|c| c.blocks.iter().copied()).collect();
+            let reference = reference::region_gen_use(app, &blocks);
+            let detail = if region_gen_use(app, &blocks) != reference {
+                "`region_gen_use` differs from the reference"
+            } else if len == 1 && run[0].gen_use != reference {
+                "the chain's summary differs from the reference"
+            } else {
+                continue;
+            };
+            let ids: Vec<ClusterId> = run.iter().map(|c| c.id).collect();
+            violations.push(Violation::new(
+                "gen-use",
+                format!("clusters {ids:?}: {detail}"),
+            ));
+        }
+    }
     violations
 }
 

@@ -819,8 +819,12 @@ where
                     finished = false;
                     break;
                 }
-                let entries: Vec<CorpusEntry> =
-                    (lo..hi).map(&provider).collect::<Result<_, _>>()?;
+                // Every entry is generated before any is evaluated, so a
+                // provider error (the earliest index's) leaves no trace.
+                let indices: Vec<u64> = (lo..hi).collect();
+                let entries: Vec<CorpusEntry> = par_map(&indices, threads, |_, &i| provider(i))
+                    .into_iter()
+                    .collect::<Result<_, _>>()?;
                 let record = match remote_conns.as_mut() {
                     Some(rc) => rc.evaluate_chunk(&entries, options)?,
                     None => evaluate_chunk(&entries, options, threads)?,

@@ -41,9 +41,10 @@ use corepart_isa::profile::CoreUtilization;
 use corepart_isa::simulator::{MemSink, RunStats, SimConfig, SimError, Simulator};
 use corepart_isa::trace::TraceBuilder;
 use corepart_isa::DecodeTable;
-use corepart_sched::binding::{bind, merge_trios, schedule_cluster, utilization};
+use corepart_sched::binding::{bind, merge_trios, schedule_cluster_with, utilization};
 use corepart_sched::cache::{ScheduleCache, ScheduledCluster};
 use corepart_sched::datapath::{estimate_datapath, DatapathEstimate};
+use corepart_sched::dfg::BlockDfgs;
 use corepart_sched::energy::{estimate_energy, gate_level_energy, AsicEnergy};
 use corepart_sched::list::SchedError;
 use corepart_tech::energy::MemoryEnergyModel;
@@ -450,7 +451,9 @@ pub(crate) fn cluster_blocks(
 /// neither a hit nor a miss; a part that is absent or still in flight
 /// is computed in place and not inserted. So the value does not depend
 /// on what the cache holds, and the counters move exactly as if the
-/// merged key had been scheduled whole.
+/// merged key had been scheduled whole. Blocks are scheduled from the
+/// `dfgs` memo, so each block's DFG is built once however many sets
+/// it is scheduled on.
 ///
 /// # Errors
 ///
@@ -462,9 +465,11 @@ pub(crate) fn schedule_trio(
     partition: &Partition,
     blocks: &[BlockId],
     cache: Option<&ScheduleCache<ScheduleKey>>,
+    dfgs: &BlockDfgs,
 ) -> Result<Arc<ScheduledCluster>, CorepartError> {
     let trio = |blocks: &[BlockId]| -> Result<ScheduledCluster, SchedError> {
-        let sched = schedule_cluster(&prepared.app, blocks, &partition.set, &config.library)?;
+        let sched =
+            schedule_cluster_with(blocks, &partition.set, &config.library, |b| dfgs.get(b))?;
         let binding = bind(&sched, &config.library);
         let util = utilization(&sched, &binding, &prepared.profile, &config.library);
         Ok(ScheduledCluster {
@@ -543,7 +548,8 @@ pub fn evaluate_partition_with(
 
     // --- ASIC side: schedule, bind, utilization, energy (Fig. 1
     // lines 8-11 and 14-15). ---
-    let synth = schedule_trio(prepared, config, partition, &hw_blocks, schedules)?;
+    let dfgs = BlockDfgs::new(&prepared.app);
+    let synth = schedule_trio(prepared, config, partition, &hw_blocks, schedules, &dfgs)?;
     let ScheduledCluster {
         sched,
         binding,

@@ -48,6 +48,7 @@ use corepart_isa::profile::CoreUtilization;
 use corepart_isa::simulator::RunStats;
 use corepart_sched::cache::{ScheduleCache, ScheduledCluster};
 use corepart_sched::datapath::estimate_datapath;
+use corepart_sched::dfg::BlockDfgs;
 use corepart_sched::energy::estimate_energy;
 use corepart_tech::energy::MemoryEnergyModel;
 use corepart_tech::resource::ResourceKind;
@@ -195,6 +196,9 @@ pub struct Partitioner<'a> {
     u_up: f64,
     objective: Objective,
     cache: Arc<ScheduleCache<ScheduleKey>>,
+    /// Each block's DFG, built once for every resource set this search
+    /// schedules it on, and dropped with the search.
+    dfgs: BlockDfgs<'a>,
     replay: Option<Arc<ReplayEngine>>,
     threads: usize,
 }
@@ -222,6 +226,7 @@ impl<'a> Partitioner<'a> {
             u_up,
             objective,
             cache: Arc::clone(session.schedule_cache()),
+            dfgs: BlockDfgs::new(&prepared.app),
             replay: baseline.replay.clone(),
             threads: session.threads(),
         })
@@ -321,6 +326,7 @@ impl<'a> Partitioner<'a> {
             partition,
             &blocks,
             Some(&self.cache),
+            &self.dfgs,
         )
     }
 
@@ -359,6 +365,7 @@ impl<'a> Partitioner<'a> {
             partition,
             &hw_blocks,
             Some(&self.cache),
+            &self.dfgs,
         )?;
         let ScheduledCluster {
             sched,

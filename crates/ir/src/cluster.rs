@@ -157,7 +157,7 @@ impl ClusterChain {
     pub fn preds_gen_use(&self, id: ClusterId) -> GenUse {
         let mut acc = GenUse::default();
         for c in &self.clusters[..id.0 as usize] {
-            acc = acc.union(&c.gen_use);
+            acc.union_with(&c.gen_use);
         }
         acc
     }
@@ -167,7 +167,7 @@ impl ClusterChain {
     pub fn succs_gen_use(&self, id: ClusterId) -> GenUse {
         let mut acc = GenUse::default();
         for c in &self.clusters[id.0 as usize + 1..] {
-            acc = acc.union(&c.gen_use);
+            acc.union_with(&c.gen_use);
         }
         acc
     }

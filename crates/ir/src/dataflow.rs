@@ -17,7 +17,7 @@
 //! generates it) because element-wise disambiguation is neither needed
 //! by the paper's estimate nor decidable statically.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::cdfg::Application;
@@ -73,52 +73,12 @@ impl GenUse {
             .sum()
     }
 
-    /// Set union of two summaries (used to combine `C_pred`/`C_succ`).
-    pub fn union(&self, other: &GenUse) -> GenUse {
-        GenUse {
-            gen: self.gen.union(&other.gen).copied().collect(),
-            use_: self.use_.union(&other.use_).copied().collect(),
-        }
+    /// Adds `other`'s items to both sets in place (how `C_pred` and
+    /// `C_succ` accumulate their clusters).
+    pub fn union_with(&mut self, other: &GenUse) {
+        self.gen.extend(other.gen.iter().copied());
+        self.use_.extend(other.use_.iter().copied());
     }
-}
-
-/// Per-block local sets: upward-exposed uses and definitions.
-#[derive(Debug, Clone, Default)]
-struct BlockLocal {
-    /// Scalars read before written within the block (plus arrays
-    /// loaded).
-    upward_uses: BTreeSet<DataItem>,
-    /// Scalars written (plus arrays stored).
-    defs: BTreeSet<DataItem>,
-}
-
-fn block_local(app: &Application, b: BlockId) -> BlockLocal {
-    let mut loc = BlockLocal::default();
-    let mut written: HashSet<VarId> = HashSet::new();
-    let block = app.block(b);
-    for inst in &block.insts {
-        for u in inst.uses() {
-            if !written.contains(&u) {
-                loc.upward_uses.insert(DataItem::Scalar(u));
-            }
-        }
-        if let Some(a) = inst.array_use() {
-            loc.upward_uses.insert(DataItem::Array(a));
-        }
-        if let Some(d) = inst.def() {
-            written.insert(d);
-            loc.defs.insert(DataItem::Scalar(d));
-        }
-        if let Some(a) = inst.array_def() {
-            loc.defs.insert(DataItem::Array(a));
-        }
-    }
-    if let Some(u) = block.term.use_var() {
-        if !written.contains(&u) {
-            loc.upward_uses.insert(DataItem::Scalar(u));
-        }
-    }
-    loc
 }
 
 /// The whole-application control flow a region analysis reads: every
@@ -153,157 +113,311 @@ pub fn region_gen_use(app: &Application, blocks: &[BlockId]) -> GenUse {
     region_gen_use_in(app, &ControlFlow::of(app), blocks)
 }
 
+/// A slot of a dense index that holds nothing.
+const ABSENT: u32 = u32::MAX;
+/// A region block not yet given its place in the visiting order.
+const UNORDERED: u32 = u32::MAX - 1;
+
 /// [`region_gen_use`] against an already computed [`ControlFlow`] of
 /// `app`.
+///
+/// The scalars the region mentions get a dense index, and each block
+/// one row of bits over it. `use[R]` is a forward must-analysis:
+/// `killed_in[b]`, the scalars written on *every* path from a region
+/// entry to `b`, is the word-wise intersection of the predecessors'
+/// `killed_out` (empty at entries), and `killed_out[b] = killed_in[b]
+/// ∪ defs[b]`. Starting from "everything killed", the fixed point is
+/// the greatest one, whatever the visiting order. A scalar read in `b`
+/// before `b` writes it is in `use[R]` unless `killed_in[b]` holds it.
+/// Arrays are monolithic: a load always exposes the array (a store
+/// kills no element it can name), a store generates it.
+///
+/// `gen[R]` over-approximates cheaply and soundly for the transfer
+/// estimate: every item the region defines is generated. A value
+/// recomputed later inside the region still existed at some point; the
+/// paper's estimate is itself a static over-approximation.
 pub(crate) fn region_gen_use_in(
     app: &Application,
     cfg: &ControlFlow,
     blocks: &[BlockId],
 ) -> GenUse {
-    let region: HashSet<BlockId> = blocks.iter().copied().collect();
-    if region.is_empty() {
-        return GenUse::default();
+    // Region-local block index: the reverse postorder first, then the
+    // region blocks unreachable from the entry (defensive), each once.
+    let mut slot = vec![ABSENT; cfg.preds.len()];
+    for &b in blocks {
+        slot[b.0 as usize] = UNORDERED;
     }
-    let preds_all = &cfg.preds;
-    let locals: HashMap<BlockId, BlockLocal> =
-        region.iter().map(|&b| (b, block_local(app, b))).collect();
-
-    // --- use[R]: forward "may be unwritten since region entry" ---
-    // exposed_in[b] = true for scalars that may still carry a value from
-    // outside the region when b starts. We track the complement:
-    // `killed_in[b]` = scalars definitely written on *every* path from a
-    // region entry to b. A use of v contributes to use[R] when v is not
-    // definitely killed. Arrays: loads always contribute (stores never
-    // kill, element granularity unknown).
-    let is_entry = |b: BlockId| {
-        b == app.entry()
-            || preds_all[b.0 as usize].iter().any(|p| !region.contains(p))
-            || preds_all[b.0 as usize].is_empty()
-    };
-
-    // Iterate to a fixed point on killed-sets (must-analysis =>
-    // intersection over predecessors; initialize to "everything killed"
-    // except at entries).
-    let all_scalars: BTreeSet<VarId> = locals
-        .values()
-        .flat_map(|l| {
-            l.upward_uses
-                .iter()
-                .chain(l.defs.iter())
-                .filter_map(|d| match d {
-                    DataItem::Scalar(v) => Some(*v),
-                    DataItem::Array(_) => None,
-                })
-        })
-        .collect();
-
-    let mut killed_out: HashMap<BlockId, BTreeSet<VarId>> =
-        region.iter().map(|&b| (b, all_scalars.clone())).collect();
-    let mut order_full: Vec<BlockId> = cfg
-        .rpo
-        .iter()
-        .copied()
-        .filter(|b| region.contains(b))
-        .collect();
-    // Include region blocks unreachable from the app entry (defensive).
-    let mut ordered = vec![false; cfg.preds.len()];
-    for &b in &order_full {
-        ordered[b.0 as usize] = true;
-    }
-    for &b in &region {
-        if !std::mem::replace(&mut ordered[b.0 as usize], true) {
-            order_full.push(b);
+    let mut order: Vec<BlockId> = Vec::with_capacity(blocks.len());
+    for &b in cfg.rpo.iter().chain(blocks) {
+        let s = &mut slot[b.0 as usize];
+        if *s == UNORDERED {
+            *s = order.len() as u32;
+            order.push(b);
         }
     }
+    if order.is_empty() {
+        return GenUse::default();
+    }
 
-    let block_defs = |b: BlockId| -> BTreeSet<VarId> {
-        locals[&b]
-            .defs
-            .iter()
-            .filter_map(|d| match d {
-                DataItem::Scalar(v) => Some(*v),
-                DataItem::Array(_) => None,
-            })
-            .collect()
+    // Dense index of the region's scalars.
+    let mut index = vec![ABSENT; app.vars().len()];
+    let mut scalars: Vec<VarId> = Vec::new();
+    let mut intern = |v: VarId| {
+        let i = &mut index[v.0 as usize];
+        if *i == ABSENT {
+            *i = scalars.len() as u32;
+            scalars.push(v);
+        }
     };
+    for &b in &order {
+        let block = app.block(b);
+        for inst in &block.insts {
+            inst.for_each_use(&mut intern);
+            inst.def().into_iter().for_each(&mut intern);
+        }
+        block.term.use_var().into_iter().for_each(&mut intern);
+    }
+    let words = scalars.len().div_ceil(64);
+    let bit = |i: u32| (i as usize / 64, 1u64 << (i % 64));
 
+    // Block-local sets: each block's scalar defs as a row of bits, its
+    // upward-exposed scalar reads as a list of indices. Array items and
+    // every definition go straight into the result.
+    let mut gen = BTreeSet::new();
+    let mut use_ = BTreeSet::new();
+    let mut defs = vec![0u64; order.len() * words];
+    let mut exposed: Vec<u32> = Vec::new();
+    let mut exposed_end: Vec<usize> = Vec::with_capacity(order.len());
+    for (r, &b) in order.iter().enumerate() {
+        let block = app.block(b);
+        let row = &mut defs[r * words..(r + 1) * words];
+        let mut read = |v: VarId, row: &[u64]| {
+            let i = index[v.0 as usize];
+            let (w, m) = bit(i);
+            if row[w] & m == 0 {
+                exposed.push(i);
+            }
+        };
+        for inst in &block.insts {
+            inst.for_each_use(|v| read(v, row));
+            if let Some(a) = inst.array_use() {
+                use_.insert(DataItem::Array(a));
+            }
+            if let Some(d) = inst.def() {
+                let (w, m) = bit(index[d.0 as usize]);
+                row[w] |= m;
+                gen.insert(DataItem::Scalar(d));
+            }
+            if let Some(a) = inst.array_def() {
+                gen.insert(DataItem::Array(a));
+            }
+        }
+        if let Some(u) = block.term.use_var() {
+            read(u, row);
+        }
+        exposed_end.push(exposed.len());
+    }
+
+    // Region-internal predecessors. The application entry, a block with
+    // no predecessor and a block with one outside the region are region
+    // entries.
+    let mut preds: Vec<u32> = Vec::new();
+    let mut preds_end: Vec<usize> = Vec::with_capacity(order.len());
+    let mut entry = vec![false; order.len()];
+    for (r, &b) in order.iter().enumerate() {
+        let all = &cfg.preds[b.0 as usize];
+        entry[r] =
+            b == app.entry() || all.is_empty() || all.iter().any(|p| slot[p.0 as usize] == ABSENT);
+        if !entry[r] {
+            preds.extend(all.iter().map(|p| slot[p.0 as usize]));
+        }
+        preds_end.push(preds.len());
+    }
+
+    // The fixed point. The pass that changes nothing leaves every
+    // block's final `killed_in` behind for the `use[R]` pass.
+    let mut killed_in = vec![0u64; order.len() * words];
+    let mut killed_out = vec![!0u64; order.len() * words];
     let mut changed = true;
     while changed {
         changed = false;
-        for &b in &order_full {
-            let killed_in: BTreeSet<VarId> = if is_entry(b) {
-                BTreeSet::new()
-            } else {
-                let mut it = preds_all[b.0 as usize]
-                    .iter()
-                    .filter(|p| region.contains(p));
-                match it.next() {
-                    None => BTreeSet::new(),
-                    Some(first) => {
-                        let mut acc = killed_out[first].clone();
-                        for p in it {
-                            acc = acc.intersection(&killed_out[p]).copied().collect();
-                        }
-                        acc
+        let mut pred_start = 0;
+        for r in 0..order.len() {
+            let rows = r * words..(r + 1) * words;
+            let kin = &mut killed_in[rows.clone()];
+            if !entry[r] {
+                kin.fill(!0);
+                for &p in &preds[pred_start..preds_end[r]] {
+                    let p = p as usize * words;
+                    for (k, out) in kin.iter_mut().zip(&killed_out[p..p + words]) {
+                        *k &= out;
                     }
                 }
-            };
-            let mut out = killed_in.clone();
-            out.extend(block_defs(b));
-            if out != killed_out[&b] {
-                killed_out.insert(b, out);
-                changed = true;
+            }
+            pred_start = preds_end[r];
+            for ((out, k), d) in killed_out[rows.clone()]
+                .iter_mut()
+                .zip(&*kin)
+                .zip(&defs[rows])
+            {
+                if *out != k | d {
+                    *out = k | d;
+                    changed = true;
+                }
             }
         }
     }
 
-    let mut use_set: BTreeSet<DataItem> = BTreeSet::new();
-    for &b in &order_full {
-        let killed_in: BTreeSet<VarId> = if is_entry(b) {
-            BTreeSet::new()
-        } else {
+    let mut exposed_start = 0;
+    for (r, &end) in exposed_end.iter().enumerate() {
+        for &i in &exposed[exposed_start..end] {
+            let (w, m) = bit(i);
+            if killed_in[r * words + w] & m == 0 {
+                use_.insert(DataItem::Scalar(scalars[i as usize]));
+            }
+        }
+        exposed_start = end;
+    }
+
+    GenUse { gen, use_ }
+}
+
+/// The set-based analysis the bit-set one replaced, kept as the
+/// specification that the unit tests and the conformance harness's
+/// `gen-use` oracle check [`region_gen_use`] against (`conform`
+/// feature only). Not part of the supported API surface.
+#[cfg(any(test, feature = "conform"))]
+pub mod reference {
+    use std::collections::{BTreeSet, HashMap, HashSet};
+
+    use super::{ControlFlow, DataItem, GenUse};
+    use crate::cdfg::Application;
+    use crate::op::{BlockId, VarId};
+
+    /// Per-block local sets: upward-exposed uses and definitions.
+    #[derive(Debug, Clone, Default)]
+    struct BlockLocal {
+        /// Scalars read before written within the block (plus arrays
+        /// loaded).
+        upward_uses: BTreeSet<DataItem>,
+        /// Scalars written (plus arrays stored).
+        defs: BTreeSet<DataItem>,
+    }
+
+    fn block_local(app: &Application, b: BlockId) -> BlockLocal {
+        let mut loc = BlockLocal::default();
+        let mut written: HashSet<VarId> = HashSet::new();
+        let block = app.block(b);
+        for inst in &block.insts {
+            for u in inst.uses() {
+                if !written.contains(&u) {
+                    loc.upward_uses.insert(DataItem::Scalar(u));
+                }
+            }
+            if let Some(a) = inst.array_use() {
+                loc.upward_uses.insert(DataItem::Array(a));
+            }
+            if let Some(d) = inst.def() {
+                written.insert(d);
+                loc.defs.insert(DataItem::Scalar(d));
+            }
+            if let Some(a) = inst.array_def() {
+                loc.defs.insert(DataItem::Array(a));
+            }
+        }
+        if let Some(u) = block.term.use_var() {
+            if !written.contains(&u) {
+                loc.upward_uses.insert(DataItem::Scalar(u));
+            }
+        }
+        loc
+    }
+
+    fn scalar(d: &DataItem) -> Option<VarId> {
+        match d {
+            DataItem::Scalar(v) => Some(*v),
+            DataItem::Array(_) => None,
+        }
+    }
+
+    /// [`super::region_gen_use`], computed over `BTreeSet`s: a fresh
+    /// intersection per predecessor per pass, `killed_in` derived again
+    /// by the `use[R]` pass.
+    pub fn region_gen_use(app: &Application, blocks: &[BlockId]) -> GenUse {
+        let cfg = ControlFlow::of(app);
+        let region: HashSet<BlockId> = blocks.iter().copied().collect();
+        if region.is_empty() {
+            return GenUse::default();
+        }
+        let preds_all = &cfg.preds;
+        let locals: HashMap<BlockId, BlockLocal> =
+            region.iter().map(|&b| (b, block_local(app, b))).collect();
+        let is_entry = |b: BlockId| {
+            b == app.entry()
+                || preds_all[b.0 as usize].iter().any(|p| !region.contains(p))
+                || preds_all[b.0 as usize].is_empty()
+        };
+        let all_scalars: BTreeSet<VarId> = locals
+            .values()
+            .flat_map(|l| l.upward_uses.iter().chain(l.defs.iter()).filter_map(scalar))
+            .collect();
+        let mut killed_out: HashMap<BlockId, BTreeSet<VarId>> =
+            region.iter().map(|&b| (b, all_scalars.clone())).collect();
+        let mut order: Vec<BlockId> = cfg
+            .rpo
+            .iter()
+            .copied()
+            .filter(|b| region.contains(b))
+            .collect();
+        for &b in &region {
+            if !order.contains(&b) {
+                order.push(b);
+            }
+        }
+        let killed_in = |b: BlockId, killed_out: &HashMap<BlockId, BTreeSet<VarId>>| {
+            if is_entry(b) {
+                return BTreeSet::new();
+            }
             let mut it = preds_all[b.0 as usize]
                 .iter()
                 .filter(|p| region.contains(p));
-            match it.next() {
-                None => BTreeSet::new(),
-                Some(first) => {
-                    let mut acc = killed_out[first].clone();
-                    for p in it {
-                        acc = acc.intersection(&killed_out[p]).copied().collect();
-                    }
-                    acc
-                }
+            let Some(first) = it.next() else {
+                return BTreeSet::new();
+            };
+            let mut acc = killed_out[first].clone();
+            for p in it {
+                acc = acc.intersection(&killed_out[p]).copied().collect();
             }
+            acc
         };
-        for item in &locals[&b].upward_uses {
-            match item {
-                DataItem::Scalar(v) => {
-                    if !killed_in.contains(v) {
-                        use_set.insert(*item);
-                    }
-                }
-                DataItem::Array(_) => {
-                    use_set.insert(*item);
+
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &b in &order {
+                let mut out = killed_in(b, &killed_out);
+                out.extend(locals[&b].defs.iter().filter_map(scalar));
+                if out != killed_out[&b] {
+                    killed_out.insert(b, out);
+                    changed = true;
                 }
             }
         }
-    }
 
-    // --- gen[R]: definitions that may reach a region exit ---
-    // A scalar def reaches the exit unless every path from the def to
-    // every exit redefines it; we over-approximate cheaply and soundly
-    // for the transfer estimate: every defined item is generated. (A
-    // value recomputed later inside the region still existed at some
-    // point; the paper's estimate is itself a static over-approximation.)
-    let mut gen_set: BTreeSet<DataItem> = BTreeSet::new();
-    for l in locals.values() {
-        gen_set.extend(l.defs.iter().copied());
-    }
-
-    GenUse {
-        gen: gen_set,
-        use_: use_set,
+        let mut use_ = BTreeSet::new();
+        for &b in &order {
+            let kin = killed_in(b, &killed_out);
+            for item in &locals[&b].upward_uses {
+                if scalar(item).is_none_or(|v| !kin.contains(&v)) {
+                    use_.insert(*item);
+                }
+            }
+        }
+        let gen = locals
+            .values()
+            .flat_map(|l| l.defs.iter().copied())
+            .collect();
+        GenUse { gen, use_ }
     }
 }
 
@@ -319,6 +433,21 @@ mod tests {
 
     fn all_blocks(a: &Application) -> Vec<BlockId> {
         (0..a.blocks().len() as u32).map(BlockId).collect()
+    }
+
+    /// [`region_gen_use`], asserted equal to the set-based reference.
+    fn pinned(a: &Application, blocks: &[BlockId]) -> GenUse {
+        let gu = region_gen_use(a, blocks);
+        assert_eq!(
+            gu,
+            reference::region_gen_use(a, blocks),
+            "region {blocks:?}"
+        );
+        gu
+    }
+
+    fn loop_blocks(a: &Application) -> &[BlockId] {
+        a.structure().iter().find(|n| n.is_loop()).unwrap().blocks()
     }
 
     fn named_var(a: &Application, name: &str) -> VarId {
@@ -426,9 +555,9 @@ mod tests {
         a.gen.insert(DataItem::Scalar(VarId(0)));
         let mut b = GenUse::default();
         b.use_.insert(DataItem::Scalar(VarId(1)));
-        let u = a.union(&b);
-        assert_eq!(u.gen.len(), 1);
-        assert_eq!(u.use_.len(), 1);
+        a.union_with(&b);
+        assert_eq!(a.gen.len(), 1);
+        assert_eq!(a.use_.len(), 1);
     }
 
     #[test]
@@ -445,5 +574,82 @@ mod tests {
         let gu = region_gen_use(&a, loop_node.blocks());
         let g = named_var(&a, "g");
         assert!(gu.use_.contains(&DataItem::Scalar(g)));
+    }
+
+    /// Regions mentioning 3 + `n` scalars, across the 64- and 128-bit
+    /// word boundaries of the dense index: a loop whose body writes the
+    /// even `v*` on one branch and every `v*` on the other, then reads
+    /// them all. Only the odd ones stay exposed.
+    #[test]
+    fn multi_word_regions_match_the_reference() {
+        for n in [60, 61, 62, 64, 100, 125, 126, 128, 150] {
+            let mut src = String::from("app t; var c = 0; var o = 0;");
+            for k in 0..n {
+                src += &format!(" var v{k} = {k};");
+            }
+            src += " func main() { for (var i = 0; i < 2; i = i + 1) { if (c > 0) {";
+            for k in (0..n).step_by(2) {
+                src += &format!(" v{k} = i;");
+            }
+            src += " } else {";
+            for k in 0..n {
+                src += &format!(" v{k} = c;");
+            }
+            src += " }";
+            for k in 0..n {
+                src += &format!(" o = o + v{k};");
+            }
+            src += " } }";
+            let a = app(&src);
+            let gu = pinned(&a, loop_blocks(&a));
+            for k in 0..n {
+                let v = DataItem::Scalar(named_var(&a, &format!("v{k}")));
+                assert_eq!(gu.use_.contains(&v), k % 2 == 1, "n = {n}, v{k}");
+                assert!(gu.gen.contains(&v));
+            }
+            pinned(&a, &all_blocks(&a));
+        }
+    }
+
+    /// Blocks after a `return` are unreachable from the entry, so the
+    /// analysis orders them after the reverse postorder.
+    #[test]
+    fn unreachable_blocks_match_the_reference() {
+        for (body, exposed) in [("", true), ("g = 2;", false)] {
+            let a = app(&format!(
+                "app t; var g = 1; var o = 0; \
+                 func main() {{ o = 1; return; {body} while (g > 0) {{ g = g - 1; }} o = g; }}"
+            ));
+            let reachable = a.reverse_postorder();
+            let dead: Vec<BlockId> = all_blocks(&a)
+                .into_iter()
+                .filter(|b| !reachable.contains(b))
+                .collect();
+            assert!(dead.len() > 2, "the loop after `return` is unreachable");
+            let gu = pinned(&a, &dead);
+            let g = DataItem::Scalar(named_var(&a, "g"));
+            assert_eq!(gu.use_.contains(&g), exposed, "body `{body}`");
+            // Reachable and unreachable blocks in one region, given in
+            // reverse order.
+            let mut all = all_blocks(&a);
+            all.reverse();
+            pinned(&a, &all);
+        }
+    }
+
+    /// A loop body that writes `g` on one branch only leaves `g`
+    /// exposed at the read after the join; `h`, written on both, is
+    /// killed there.
+    #[test]
+    fn one_branch_kill_in_a_loop_matches_the_reference() {
+        let a = app(
+            "app t; var c = 0; var g = 1; var h = 1; var o = 0; func main() { \
+             for (var i = 0; i < 4; i = i + 1) { \
+             if (c > i) { g = i; h = i; } else { h = c; } o = o + g + h; } }",
+        );
+        let gu = pinned(&a, loop_blocks(&a));
+        assert!(gu.use_.contains(&DataItem::Scalar(named_var(&a, "g"))));
+        assert!(!gu.use_.contains(&DataItem::Scalar(named_var(&a, "h"))));
+        pinned(&a, &all_blocks(&a));
     }
 }

@@ -330,9 +330,16 @@ impl Inst {
     /// Variables this instruction reads, in operand order.
     pub fn uses(&self) -> Vec<VarId> {
         let mut v = Vec::new();
+        self.for_each_use(|x| v.push(x));
+        v
+    }
+
+    /// Calls `f` on every variable this instruction reads, in operand
+    /// order ([`Inst::uses`] without the allocation).
+    pub fn for_each_use(&self, mut f: impl FnMut(VarId)) {
         let mut push = |o: &Operand| {
             if let Operand::Var(x) = o {
-                v.push(*x);
+                f(*x);
             }
         };
         match self {
@@ -350,7 +357,6 @@ impl Inst {
             }
             Inst::Call { args, .. } => args.iter().for_each(push),
         }
-        v
     }
 
     /// The array this instruction reads, if any.

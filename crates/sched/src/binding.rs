@@ -16,6 +16,7 @@
 //! often its control step executes, known from profiling), normalized by
 //! `N_cyc^c`, the total cycles of the whole cluster.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -61,10 +62,28 @@ pub fn schedule_cluster(
     set: &ResourceSet,
     lib: &ResourceLibrary,
 ) -> Result<ClusterSchedule, SchedError> {
+    schedule_cluster_with(blocks, set, lib, |b| BlockDfg::build(app, b))
+}
+
+/// [`schedule_cluster`] over DFGs the caller supplies: `dfg(b)` is the
+/// DFG of block `b`, built or borrowed. A search schedules every
+/// cluster on every candidate set, and a block's DFG does not depend
+/// on the set, so it borrows them from a
+/// [`BlockDfgs`](crate::dfg::BlockDfgs) memo. Blocks are drawn in
+/// order; the first one the set cannot execute ends the walk.
+///
+/// # Errors
+///
+/// As [`schedule_cluster`].
+pub fn schedule_cluster_with<D: Borrow<BlockDfg>>(
+    blocks: &[BlockId],
+    set: &ResourceSet,
+    lib: &ResourceLibrary,
+    mut dfg: impl FnMut(BlockId) -> D,
+) -> Result<ClusterSchedule, SchedError> {
     let mut schedules = Vec::with_capacity(blocks.len());
     for &b in blocks {
-        let dfg = BlockDfg::build(app, b);
-        schedules.push(list_schedule(&dfg, set, lib)?);
+        schedules.push(list_schedule(dfg(b).borrow(), set, lib)?);
     }
     Ok(ClusterSchedule {
         blocks: blocks.to_vec(),

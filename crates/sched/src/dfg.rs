@@ -8,6 +8,7 @@
 //! like an HLS controller FSM.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use corepart_ir::cdfg::Application;
 use corepart_ir::op::{BinOp, BlockId, Inst, UnOp};
@@ -122,6 +123,32 @@ impl BlockDfg {
     /// True for an empty block.
     pub fn is_empty(&self) -> bool {
         self.classes.is_empty()
+    }
+}
+
+/// The DFGs of one application's blocks, each built on first request
+/// and shared from then on. A block's DFG does not depend on the
+/// resource set, so a search that schedules every cluster on every
+/// candidate set builds each block's DFG once instead of once per set.
+/// Safe to share between the threads of one search.
+#[derive(Debug)]
+pub struct BlockDfgs<'a> {
+    app: &'a Application,
+    dfgs: Vec<OnceLock<BlockDfg>>,
+}
+
+impl<'a> BlockDfgs<'a> {
+    /// An empty memo over the blocks of `app`.
+    pub fn new(app: &'a Application) -> Self {
+        BlockDfgs {
+            app,
+            dfgs: (0..app.blocks().len()).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// The DFG of `block`, built on the first call.
+    pub fn get(&self, block: BlockId) -> &BlockDfg {
+        self.dfgs[block.0 as usize].get_or_init(|| BlockDfg::build(self.app, block))
     }
 }
 

@@ -56,11 +56,12 @@ pub mod gantt;
 pub mod list;
 
 pub use binding::{
-    bind, merge_trios, schedule_cluster, utilization, Binding, ClusterSchedule, Utilization,
+    bind, merge_trios, schedule_cluster, schedule_cluster_with, utilization, Binding,
+    ClusterSchedule, Utilization,
 };
 pub use cache::{HeapBytes, MemoCache, ScheduleCache, ScheduledCluster};
 pub use datapath::{estimate_datapath, DatapathEstimate};
-pub use dfg::{op_class_of, BlockDfg};
+pub use dfg::{op_class_of, BlockDfg, BlockDfgs};
 pub use energy::{estimate_energy, gate_level_energy, AsicEnergy};
 pub use force::{force_directed_schedule, force_schedule_cluster};
 pub use gantt::{render_block, render_cluster};

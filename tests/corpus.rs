@@ -223,6 +223,55 @@ fn truncated_journal_discards_the_partial_chunk() {
     );
 }
 
+/// A provider error ends the run before its chunk is evaluated, at one
+/// thread and with the chunk's entries generated in parallel: the
+/// earliest failing index is reported, and the journal holds exactly
+/// what a run stopped before that chunk holds — no partial chunk.
+#[test]
+fn provider_error_reports_the_earliest_index_and_journals_no_partial_chunk() {
+    let mut scratch = Scratch(Vec::new());
+    let failing = |index: u64| match index {
+        5 | 6 => Err(CorepartError::Config {
+            message: format!("no entry {index}"),
+        }),
+        _ => gen_entry(3, index),
+    };
+    for threads in [1, 2] {
+        let mut options = small_options();
+        options.chunk = 4;
+        options.threads = threads;
+        let out = scratch.path(&format!("fail-{threads}.tsv"));
+        let journal = scratch.path(&format!("fail-{threads}.journal"));
+        let err = run_corpus_with(8, failing, &options, &journal, &out, false, None)
+            .expect_err("entry 5 cannot be generated");
+        assert!(
+            err.to_string().contains("no entry 5"),
+            "threads {threads}: {err}"
+        );
+        assert!(!out.exists());
+
+        let stopped_journal = scratch.path(&format!("stopped-{threads}.journal"));
+        let stopped_out = scratch.path(&format!("stopped-{threads}.tsv"));
+        options.limit = Some(4);
+        let stopped = run_corpus_with(
+            8,
+            failing,
+            &options,
+            &stopped_journal,
+            &stopped_out,
+            false,
+            None,
+        )
+        .expect("the first chunk generates");
+        assert_eq!(stopped.chunks_done, 1);
+        assert_eq!(
+            std::fs::read(&journal).expect("journal written"),
+            std::fs::read(&stopped_journal).expect("journal written"),
+            "threads {threads}: the failed chunk left lines in the journal"
+        );
+    }
+}
+
 /// Resuming under different parameters (another seed) is refused with
 /// a configuration error instead of silently mixing corpora.
 #[test]
