@@ -16,7 +16,11 @@
 //! requests in flight on the one connection, printing throughput
 //! against the serial pass and the p50/p95/p99 latency split into
 //! queue-wait vs compute (from the per-response `queue_nanos` /
-//! `compute_nanos` stats). A same-fingerprint verify storm against a
+//! `compute_nanos` stats). Every warm memo hit is answered on the
+//! connection reader without a shard hop, so each `"store_hit":true`
+//! response of that pass must carry `"queue_nanos":0`; the number of
+//! hits checked goes to stdout (`reader hits checked: N`) for CI to
+//! grep. A same-fingerprint verify storm against a
 //! cold app then drives cross-request batch coalescing, and the
 //! daemon's `pipeline` stats object is echoed to stdout so CI can
 //! grep a nonzero coalesced-batch counter.
@@ -218,6 +222,7 @@ fn pipelined_pass(
     }
     let mut queue_ns = Vec::with_capacity(reqs.len());
     let mut compute_ns = Vec::with_capacity(reqs.len());
+    let mut hits = 0usize;
     let start = Instant::now();
     let mut next = 0usize;
     let mut inflight = 0usize;
@@ -230,11 +235,20 @@ fn pipelined_pass(
         let response = recv(client);
         inflight -= 1;
         if let Some(stats) = response.get("stats") {
-            if let Some(q) = stats.get("queue_nanos").and_then(JsonValue::as_u64) {
+            let queue = stats.get("queue_nanos").and_then(JsonValue::as_u64);
+            if let Some(q) = queue {
                 queue_ns.push(q);
             }
             if let Some(c) = stats.get("compute_nanos").and_then(JsonValue::as_u64) {
                 compute_ns.push(c);
+            }
+            if stats.get("store_hit").and_then(JsonValue::as_bool) == Some(true) {
+                if queue != Some(0) {
+                    fail(&format!(
+                        "a memo hit waited in a shard queue (queue_nanos {queue:?})"
+                    ));
+                }
+                hits += 1;
             }
         }
     }
@@ -242,6 +256,7 @@ fn pipelined_pass(
     if queue_ns.is_empty() || compute_ns.is_empty() {
         fail("pipelined responses carried no queue/compute split");
     }
+    println!("reader hits checked: {hits}");
     let throughput = reqs.len() as f64 / elapsed.as_secs_f64().max(1e-9);
     let serial_rps = serial_warm.1 as f64 / serial_warm.0.as_secs_f64().max(1e-9);
     eprintln!(

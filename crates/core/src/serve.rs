@@ -54,16 +54,23 @@
 //! # Threading
 //!
 //! [`Server::spawn`] starts one worker thread per store shard plus an
-//! accept loop; each connection gets a reader thread that routes
-//! compute requests to their shard's worker (by [`request_fingerprint`])
-//! and answers `stats`/`shutdown` inline, and a writer thread that
-//! moves the lines its `Outbox` hands back onto the socket. The outbox
-//! decides the order: responses leave in request order, except that an
-//! `"ordered":false` response leaves the moment it arrives; an ordered
-//! response still waits for every earlier request, unordered ones
-//! included. One worker per shard means
-//! the hot artifact-lookup path never contends on a global lock — see
-//! [`ArtifactStore`].
+//! accept loop; each connection gets a reader thread and a writer
+//! thread. The reader parses each line and answers `stats`/`shutdown`
+//! inline. For a compute request it builds the result key once (the
+//! routing fingerprint comes out of the same pass) and looks it up in
+//! the result memo itself: a hit is answered on the spot and goes
+//! straight to the writer, with `queue_nanos` 0 and the lookup as
+//! `compute_nanos`, so it never waits behind a cold compute in a shard
+//! queue. Only a miss is routed to its shard's worker (by
+//! [`request_fingerprint`]), carrying the key, and the worker checks
+//! the memo again with it, so a duplicate queued behind its first copy
+//! still hits. The writer moves the lines its `Outbox` hands back onto
+//! the socket. The outbox decides the order: responses leave in request
+//! order, except that an `"ordered":false` response leaves the moment
+//! it is answered, by the reader or a worker; an ordered response still
+//! waits for every earlier request, unordered ones included. One
+//! worker per shard means the hot artifact-lookup path never contends
+//! on a global lock — see [`ArtifactStore`].
 
 use std::collections::{HashSet, VecDeque};
 use std::fmt::Write as _;
@@ -94,7 +101,7 @@ use crate::json::{
 };
 use crate::partition::Partitioner;
 use crate::prepare::Workload;
-use crate::store::{ArtifactStore, RequestStats, StoreOptions, StoreStats};
+use crate::store::{ArtifactStore, RequestStats, ResultKey, StoreOptions, StoreStats};
 use crate::system::SystemConfig;
 
 /// The default listen port (0 binds an ephemeral port).
@@ -472,17 +479,10 @@ impl From<ComputeRequest> for Request {
 /// parse. Two requests with identical text always share a shard (and
 /// therefore its warm artifacts); texts that merely normalize to the
 /// same application may land apart, though their engine pool keys (the
-/// lowered content identity) would agree.
+/// lowered content identity) would agree. The connection reader takes
+/// it from the same pass that builds the request's result-memo key.
 pub fn request_fingerprint(req: &ComputeRequest) -> u64 {
-    let mut hash = Fnv64::default();
-    hash.write(req.source.as_bytes());
-    for (name, data) in &req.arrays {
-        let _ = write!(hash, "\0{name}=");
-        for v in data {
-            let _ = write!(hash, "{v},");
-        }
-    }
-    hash.finish()
+    result_key(req).fingerprint
 }
 
 /// Parses and lowers a request's source, keeping the parsed program
@@ -642,11 +642,14 @@ fn session_stats_json(s: &SessionStats) -> String {
     )
 }
 
+/// A success line; `timing` is the `(queue, compute)` nanosecond split
+/// of a served request, last in its `stats`.
 fn success_response(
     req: &ComputeRequest,
     result: &str,
     request: Option<&RequestStats>,
     session: Option<SessionStats>,
+    timing: Option<(u64, u64)>,
 ) -> String {
     let mut stats = Vec::new();
     match request {
@@ -662,6 +665,11 @@ fn success_response(
     }
     if let Some(s) = session {
         stats.push(format!("\"session\":{}", session_stats_json(&s)));
+    }
+    if let Some((queue_nanos, compute_nanos)) = timing {
+        stats.push(format!(
+            "\"queue_nanos\":{queue_nanos},\"compute_nanos\":{compute_nanos}"
+        ));
     }
     format!(
         "{{\"id\":{},\"ok\":true,\"cmd\":\"{}\",\"result\":{},\"stats\":{{{}}}}}",
@@ -757,17 +765,25 @@ pub fn stats_response(store: &ArtifactStore, id: Option<u64>) -> String {
     )
 }
 
-/// The store's result-memo key: the request's whole content — every
-/// field but `id` and `ordered`, which are transport — spelled out
-/// exactly. The deterministic `result` is a function of this content,
-/// so requests with equal keys get byte-identical answers and the store
-/// may serve a repeat from its memo before parsing the source at all.
-/// No hash stands in for content (a collision would serve another
-/// request's answer): every field but the source is self-delimiting —
-/// `Debug` quotes and escapes strings — and the source comes last, so
-/// distinct requests never share a key.
-fn request_result_key(req: &ComputeRequest) -> String {
-    let mut key = format!(
+/// The store's result-memo key of a request, built in one pass over its
+/// text. The key text is the request's whole content — every field but
+/// `id` and `ordered`, which are transport — spelled out exactly. The
+/// deterministic `result` is a function of this content, so requests
+/// with equal keys get byte-identical answers and the store may serve a
+/// repeat from its memo before parsing the source at all. No hash
+/// stands in for content (a collision would serve another request's
+/// answer): every field but the source is self-delimiting — `Debug`
+/// quotes and escapes strings, and the array count comes first — and
+/// the source comes last, so distinct requests never share a key text.
+///
+/// Each array's elements are formatted in decimal once, and that text
+/// feeds both the key text and the routing fingerprint
+/// ([`request_fingerprint`]'s definition). The ledger bucket hashes the
+/// fingerprint and the knob fields before the arrays, so requests
+/// that differ only in their knobs (verifies of one app) spread over
+/// buckets.
+fn result_key(req: &ComputeRequest) -> ResultKey {
+    let mut text = format!(
         "{}|{:?}|{:?}|{:?}|{:?}|{:?}|{}|{:?}|{:?}|{}",
         req.kind.name(),
         req.n_max,
@@ -780,29 +796,62 @@ fn request_result_key(req: &ComputeRequest) -> String {
         req.corpus,
         req.arrays.len(),
     );
+    let knobs = text.len();
+    let mut route = Fnv64::default();
+    route.write(req.source.as_bytes());
     for (name, data) in &req.arrays {
-        let _ = write!(key, "|{name:?}=");
-        for v in data {
-            let _ = write!(key, "{v},");
+        let _ = write!(route, "\0{name}=");
+        let _ = write!(text, "|{name:?}=");
+        let digits = text.len();
+        for &v in data {
+            push_decimal(&mut text, v);
+            text.push(',');
+        }
+        route.write(&text.as_bytes()[digits..]);
+    }
+    text.push('|');
+    text.push_str(&req.source);
+    let fingerprint = route.finish();
+    let mut bucket = Fnv64::default();
+    bucket.write_u64(fingerprint);
+    bucket.write(&text.as_bytes()[..knobs]);
+    ResultKey {
+        fingerprint,
+        bucket: bucket.finish(),
+        text,
+    }
+}
+
+/// Appends `v` in decimal, as `v.to_string()` spells it.
+fn push_decimal(out: &mut String, v: i64) {
+    let mut digits = [0u8; 20];
+    let mut rest = v.unsigned_abs();
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
         }
     }
-    key.push('|');
-    key.push_str(&req.source);
-    key
+    if v < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// Answers one compute request from the warm store.
 pub fn respond_compute(store: &ArtifactStore, req: &ComputeRequest) -> String {
-    answer_compute(store, req, request_fingerprint(req))
+    answer_compute(store, req, &result_key(req))
 }
 
-/// [`respond_compute`] for a request whose routing fingerprint is
-/// already known. A memoized answer is returned before the source is
-/// parsed; only a miss parses, lowers and computes.
-fn answer_compute(store: &ArtifactStore, req: &ComputeRequest, fingerprint: u64) -> String {
-    let key = request_result_key(req);
-    if let Some((result, rstats)) = store.memoized_result(fingerprint, &key) {
-        return success_response(req, &result, Some(&rstats), None);
+/// [`respond_compute`] for a request whose key is already built. A
+/// memoized answer is returned before the source is parsed; only a miss
+/// parses, lowers and computes.
+fn answer_compute(store: &ArtifactStore, req: &ComputeRequest, key: &ResultKey) -> String {
+    if let Some((result, rstats)) = store.memoized_result(key) {
+        return success_response(req, &result, Some(&rstats), None, None);
     }
     let (program, app) = match parse_app(&req.source) {
         Ok(parsed) => parsed,
@@ -811,13 +860,25 @@ fn answer_compute(store: &ArtifactStore, req: &ComputeRequest, fingerprint: u64)
     let workload = Workload::from_arrays(req.arrays.clone());
     let config = effective_config(store.base_config(), req);
     let identity = identity(&app, &workload);
-    let (outcome, rstats) = store.compute_and_memoize(fingerprint, identity, &key, |engine| {
+    let (outcome, rstats) = store.compute_and_memoize(identity, key, |engine| {
         compute_result(engine, req, &program, &app, &workload, config)
     });
     match outcome {
-        Ok((result, session)) => success_response(req, &result, Some(&rstats), session),
+        Ok((result, session)) => success_response(req, &result, Some(&rstats), session, None),
         Err(e) => error_response(req.id, &e),
     }
+}
+
+/// The connection reader's memo lookup: a hit is answered on the spot,
+/// with no shard queue (`queue_nanos` 0, `compute_nanos` the lookup).
+/// A miss changes nothing.
+fn answer_hit(store: &ArtifactStore, req: &ComputeRequest, key: &ResultKey) -> Option<String> {
+    let started = Instant::now();
+    let (result, rstats) = store.memoized_result(key)?;
+    let compute_nanos = started.elapsed().as_nanos() as u64;
+    store.note_request_split(0, compute_nanos);
+    let timing = Some((0, compute_nanos));
+    Some(success_response(req, &result, Some(&rstats), None, timing))
 }
 
 /// Answers one compute request from a fresh, throwaway [`Engine`] —
@@ -835,7 +896,7 @@ pub fn respond_fresh(base: &SystemConfig, req: &ComputeRequest) -> String {
         Err(e) => return error_response(req.id, &e),
     };
     match compute_result(&engine, req, &program, &app, &workload, config) {
-        Ok((result, session)) => success_response(req, &result, None, session),
+        Ok((result, session)) => success_response(req, &result, None, session, None),
         Err(e) => error_response(req.id, &e),
     }
 }
@@ -874,13 +935,14 @@ fn shutdown_response(id: Option<u64>) -> String {
     )
 }
 
-/// One routed compute job: the parsed request, its routing fingerprint,
-/// its connection-local sequence number, and the reply slot into the
+/// One routed compute job: the parsed request, the result key the
+/// reader built for it (its routing fingerprint included), its
+/// connection-local sequence number, and the reply slot into the
 /// connection's writer.
 struct Job {
     seq: u64,
     req: Box<ComputeRequest>,
-    fingerprint: u64,
+    key: ResultKey,
     enqueued: Instant,
     reply: mpsc::Sender<WriterMsg>,
 }
@@ -891,6 +953,14 @@ enum WriterMsg {
     /// waiting for a compute request it routed, ready for one it
     /// answered itself (stats, shutdown, a rejected or too-large line).
     Announce { seq: u64, slot: Slot },
+    /// A compute request the reader answered itself from the result
+    /// memo, announced in sequence order like any slot: an ordered one
+    /// waits for its turn, an `"ordered":false` one leaves at once.
+    Answered {
+        seq: u64,
+        ordered: bool,
+        response: String,
+    },
     /// A shard worker's response to compute request `seq`.
     Done { seq: u64, response: String },
 }
@@ -919,7 +989,7 @@ fn worker_loop(store: &ArtifactStore, shard: usize, rx: &mpsc::Receiver<Job>) {
             store.note_dequeued(shard);
             let queue_nanos = job.enqueued.elapsed().as_nanos() as u64;
             let started = Instant::now();
-            let response = answer_compute(store, &job.req, job.fingerprint);
+            let response = answer_compute(store, &job.req, &job.key);
             let compute_nanos = started.elapsed().as_nanos() as u64;
             store.note_request_split(queue_nanos, compute_nanos);
             let response = splice_timing(response, queue_nanos, compute_nanos);
@@ -940,11 +1010,12 @@ fn worker_loop(store: &ArtifactStore, shard: usize, rx: &mpsc::Receiver<Job>) {
 /// baseline's stage hash, which no request overrides, so verifies that
 /// differ in `n_max`, F, G or the operating point share one walk.
 fn coalesce_verifies(store: &ArtifactStore, batch: &[Job]) {
-    let mut groups: Vec<(u64, Vec<&ComputeRequest>)> = Vec::new();
+    let mut groups: Vec<(u64, Vec<&Job>)> = Vec::new();
     for job in batch.iter().filter(|j| j.req.kind == ComputeKind::Verify) {
-        match groups.iter_mut().find(|(f, _)| *f == job.fingerprint) {
-            Some((_, group)) => group.push(&job.req),
-            None => groups.push((job.fingerprint, vec![&job.req])),
+        let fingerprint = job.key.fingerprint;
+        match groups.iter_mut().find(|(f, _)| *f == fingerprint) {
+            Some((_, group)) => group.push(job),
+            None => groups.push((fingerprint, vec![job])),
         }
     }
     for (fingerprint, mut group) in groups {
@@ -952,7 +1023,7 @@ fn coalesce_verifies(store: &ArtifactStore, batch: &[Job]) {
         if group.len() < 2 {
             continue;
         }
-        group.retain(|req| !store.holds_result(fingerprint, &request_result_key(req)));
+        group.retain(|job| !store.holds_result(&job.key));
         if group.len() >= 2 {
             prewarm_verify_group(store, fingerprint, &group);
         }
@@ -967,8 +1038,8 @@ fn coalesce_verifies(store: &ArtifactStore, batch: &[Job]) {
 /// failure here is simply skipped — the solo path recomputes (and
 /// properly reports) whatever the batch could not, including memoized
 /// per-lane errors.
-fn prewarm_verify_group(store: &ArtifactStore, fingerprint: u64, group: &[&ComputeRequest]) {
-    let first = group[0];
+fn prewarm_verify_group(store: &ArtifactStore, fingerprint: u64, group: &[&Job]) {
+    let first = &group[0].req;
     let Ok((_, app)) = parse_app(&first.source) else {
         return;
     };
@@ -980,7 +1051,7 @@ fn prewarm_verify_group(store: &ArtifactStore, fingerprint: u64, group: &[&Compu
     };
     let chain_len = prepared.chain.len();
     let mut lanes: Vec<HashSet<corepart_ir::op::BlockId>> = Vec::with_capacity(group.len());
-    for req in group {
+    for Job { req, .. } in group {
         if req.clusters.is_empty() || req.clusters.iter().any(|&c| c as usize >= chain_len) {
             continue;
         }
@@ -1228,6 +1299,18 @@ fn serve_connection(
         seq += 1;
         match dispatch(store, parsed) {
             Ok(req) => {
+                let key = result_key(&req);
+                if let Some(response) = answer_hit(store, &req, &key) {
+                    let answered = WriterMsg::Answered {
+                        seq: this,
+                        ordered: req.ordered,
+                        response,
+                    };
+                    if tx.send(answered).is_err() {
+                        break;
+                    }
+                    continue;
+                }
                 let slot = Slot::Waiting {
                     id: req.id,
                     ordered: req.ordered,
@@ -1236,14 +1319,13 @@ fn serve_connection(
                 if tx.send(WriterMsg::Announce { seq: this, slot }).is_err() {
                     break;
                 }
-                let fingerprint = request_fingerprint(&req);
-                let shard = store.shard_of(fingerprint);
+                let shard = store.shard_of(key.fingerprint);
                 store.note_enqueued(shard);
                 let sent = senders[shard]
                     .send(Job {
                         seq: this,
                         req,
-                        fingerprint,
+                        key,
                         enqueued: Instant::now(),
                         reply: tx.clone(),
                     })
@@ -1360,6 +1442,23 @@ impl Outbox {
                     let last = self.slots.iter().rev().find_map(Slot::deadline);
                     last.is_none_or(|last| last <= d)
                 }));
+                self.slots.push_back(slot);
+            }
+            Some(WriterMsg::Answered {
+                seq,
+                ordered,
+                response,
+            }) => {
+                debug_assert_eq!(seq, self.next + self.slots.len() as u64);
+                let slot = if ordered {
+                    Slot::Ready {
+                        response,
+                        stop: false,
+                    }
+                } else {
+                    push_line(&mut self.out, &response);
+                    Slot::Written
+                };
                 self.slots.push_back(slot);
             }
             Some(WriterMsg::Done { seq, response }) => {
@@ -1698,7 +1797,7 @@ mod tests {
         );
         // Same app, different point -> different result-memo key.
         let base = request(ComputeKind::Partition);
-        assert_ne!(request_result_key(&req), request_result_key(&base));
+        assert_ne!(result_key(&req).text, result_key(&base).text);
         // Same text fingerprint -> same shard, shared baseline artifacts.
         assert_eq!(request_fingerprint(&req), request_fingerprint(&base));
     }
@@ -1766,6 +1865,38 @@ mod tests {
             0xfa47_62d6_c062_eb9b,
             "FNV-1a 64 of the unit-test request's text, computed independently"
         );
+    }
+
+    #[test]
+    fn the_result_key_spells_every_element_as_display_does() {
+        let mut req = request(ComputeKind::Verify);
+        req.arrays = vec![
+            (
+                "x".into(),
+                vec![0, -1, 9, 10, -10, 99_999, i64::MIN, i64::MAX],
+            ),
+            ("q\"|=".into(), vec![]),
+        ];
+        let key = result_key(&req);
+        let spelled: String = req.arrays[0].1.iter().map(|v| format!("{v},")).collect();
+        assert!(
+            key.text.contains(&format!("|\"x\"={spelled}|")),
+            "{}",
+            key.text
+        );
+        // The name is escaped and the count leads, so a name cannot
+        // pose as another array's elements.
+        assert!(key.text.contains("|2|\"x\"="), "{}", key.text);
+        assert!(key.text.contains("|\"q\\\"|=\"=|"), "{}", key.text);
+        assert_eq!(key.fingerprint, fingerprint_by_text(&req));
+        // Knobs move the bucket; transport fields move nothing.
+        let mut other = req.clone();
+        other.set_index = 4;
+        assert_ne!(result_key(&other).bucket, key.bucket);
+        other = req.clone();
+        other.id = Some(99);
+        other.ordered = false;
+        assert_eq!(result_key(&other), key);
     }
 
     #[test]
@@ -1843,7 +1974,7 @@ mod tests {
                 req.factor_f = Some(factor_f);
                 Job {
                     seq: seq as u64,
-                    fingerprint: request_fingerprint(&req),
+                    key: result_key(&req),
                     req: Box::new(req),
                     enqueued: Instant::now(),
                     reply: reply.clone(),
@@ -1854,7 +1985,7 @@ mod tests {
         let pipeline = store.stats().pipeline;
         assert_eq!((pipeline.coalesced_k1, pipeline.coalesced_k2_4), (0, 1));
         for job in &batch {
-            let served = answer_compute(&store, &job.req, job.fingerprint);
+            let served = answer_compute(&store, &job.req, &job.key);
             let fresh = respond_fresh(store.base_config(), &job.req);
             assert!(served.contains("\"ok\":true"), "{served}");
             assert_eq!(result_field(&served), result_field(&fresh));
@@ -1961,6 +2092,34 @@ mod tests {
         // Request 4 is ordered: it waits for the unordered request 3.
         assert!(step(&mut outbox, Some(done(4)), t0).is_empty());
         assert_eq!(step(&mut outbox, Some(done(3)), t0), ["r3", "r4"]);
+    }
+
+    fn hit(seq: u64, ordered: bool) -> WriterMsg {
+        WriterMsg::Answered {
+            seq,
+            ordered,
+            response: format!("h{seq}"),
+        }
+    }
+
+    #[test]
+    fn reader_answered_hits_wait_their_turn_unless_unordered() {
+        let t0 = Instant::now();
+        let mut outbox = Outbox::default();
+        step(&mut outbox, Some(expect(0, true, Some(at(t0, 5)))), t0);
+        // An ordered hit waits behind the routed head…
+        assert!(step(&mut outbox, Some(hit(1, true)), t0).is_empty());
+        // …an unordered one leaves the moment it is answered…
+        assert_eq!(step(&mut outbox, Some(hit(2, false)), t0), ["h2"]);
+        step(&mut outbox, Some(expect(3, true, Some(at(t0, 6)))), t0);
+        assert!(step(&mut outbox, Some(hit(4, true)), t0).is_empty());
+        assert_eq!(step(&mut outbox, Some(done(0)), at(t0, 1)), ["r0", "h1"]);
+        // …and a head that times out still hands out the hit behind it.
+        assert_eq!(
+            step(&mut outbox, None, at(t0, 6)),
+            [timeout_line(103), "h4".to_owned()]
+        );
+        assert_eq!(outbox.deadline(), None);
     }
 
     #[test]

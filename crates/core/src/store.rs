@@ -8,9 +8,10 @@
 //! * **Sharding.** The `(application, workload)` fingerprint space is
 //!   split across `S` shards, each owning a full [`Engine`] (its own
 //!   slice of the prepared-app / baseline+trace / schedule-cache
-//!   pools). A request locks only its shard's ledger, and the serve
-//!   layer drives one worker thread per shard — there is no global
-//!   lock on the hot lookup path; the only store-global state is a
+//!   pools). A request locks only its shard's ledger — a memo hit
+//!   from the connection reader that looked it up, a compute from the
+//!   shard's one serve worker — so there is no global lock on the hot
+//!   lookup path; the only store-global state is a
 //!   pair of atomics (byte ledger total and LRU clock).
 //! * **Byte budget.** Every pool entry is charged its measured
 //!   `heap_bytes()` against one store-wide budget (the per-run
@@ -35,6 +36,9 @@
 //!   store also memoizes the rendered `result` payload per *exact*
 //!   request ([`ArtifactStore::memoized_result`]): a repeated request
 //!   is answered by a map lookup without touching the engine at all.
+//!   The map is keyed by a [`ResultKey`]'s precomputed `bucket` hash,
+//!   and the exact key text is compared within the bucket, so a resize
+//!   rehashes no text and no answer is ever served by hash alone.
 //!   Result entries live in the same byte ledger under the same
 //!   budget/LRU/admission rules (each holds its request key once, next
 //!   to its text); only result-missing requests (new knobs on a warm
@@ -46,7 +50,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::engine::{ArtifactKind, Engine, PoolKey};
@@ -75,15 +79,31 @@ impl Default for StoreOptions {
     }
 }
 
+/// The key of one memoized serve `result`: the exact request text,
+/// plus two hashes computed in the same pass that builds the text (the
+/// serve layer builds it; see `serve::result_key`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResultKey {
+    /// The shard-routing fingerprint: which shard holds the entry.
+    pub(crate) fingerprint: u64,
+    /// The entry's bucket in the shard's result map. Equal texts must
+    /// carry equal buckets; unequal texts may share one, since the text
+    /// itself is compared within the bucket.
+    pub(crate) bucket: u64,
+    /// The exact key text. A result is only ever served to a request
+    /// whose text equals the one it was computed for.
+    pub(crate) text: String,
+}
+
 /// Ledger key of one accounted entry: an engine pool entry, or a
-/// memoized serve `result` by its exact request text (`S` is `&str`
-/// while the ledger is scanned, `String` once a victim is chosen). The
-/// derived order is the eviction tie-break: artifact kinds first, in
-/// ledger order, then results.
+/// memoized serve `result` by its bucket and exact request text (`S`
+/// is `&str` while the ledger is scanned, `String` once a victim is
+/// chosen). The derived order is the eviction tie-break: artifact kinds
+/// first, in ledger order, then results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum EntryKey<S = String> {
     Artifact(ArtifactKind, PoolKey),
-    Result(S),
+    Result(u64, S),
 }
 
 /// Ledger record of one accounted pool entry.
@@ -97,10 +117,12 @@ struct EntryMeta {
     touches: u64,
 }
 
-/// One memoized serve `result` payload and its ledger record.
+/// One memoized serve `result` payload, its exact request key and its
+/// ledger record.
 #[derive(Debug)]
 struct MemoEntry {
-    text: String,
+    key: String,
+    text: Arc<str>,
     meta: EntryMeta,
 }
 
@@ -110,23 +132,42 @@ struct MemoEntry {
 struct Ledger {
     /// Engine pool entries by `(kind, pool key)`.
     artifacts: HashMap<(ArtifactKind, PoolKey), EntryMeta>,
-    /// Memoized deterministic serve `result` payloads by full request
-    /// key. The key — as large as the request's source — is held here
-    /// and nowhere else.
-    results: HashMap<String, MemoEntry>,
+    /// Memoized deterministic serve `result` payloads by
+    /// [`ResultKey::bucket`], each bucket's entries told apart by their
+    /// exact key text. The key — as large as the request's source — is
+    /// held here and nowhere else, and never hashed.
+    results: HashMap<u64, Vec<MemoEntry>>,
 }
 
 impl Ledger {
+    /// The memoized entry of `key`, if any.
+    fn result_mut(&mut self, key: &ResultKey) -> Option<&mut MemoEntry> {
+        let bucket = self.results.get_mut(&key.bucket)?;
+        bucket.iter_mut().find(|memo| memo.key == key.text)
+    }
+
+    /// Removes the entry of `text` in `bucket`, returning its record.
+    fn remove_result(&mut self, bucket: u64, text: &str) -> Option<EntryMeta> {
+        let entries = self.results.get_mut(&bucket)?;
+        let at = entries.iter().position(|memo| memo.key == text)?;
+        let memo = entries.swap_remove(at);
+        if entries.is_empty() {
+            self.results.remove(&bucket);
+        }
+        Some(memo.meta)
+    }
+
     /// Every accounted entry with its record.
     fn entries(&self) -> impl Iterator<Item = (EntryKey<&str>, &EntryMeta)> {
         let artifacts = self
             .artifacts
             .iter()
             .map(|(&(kind, key), e)| (EntryKey::Artifact(kind, key), e));
-        let results = self
-            .results
-            .iter()
-            .map(|(k, m)| (EntryKey::Result(k.as_str()), &m.meta));
+        let results = self.results.iter().flat_map(|(&bucket, entries)| {
+            entries
+                .iter()
+                .map(move |m| (EntryKey::Result(bucket, m.key.as_str()), &m.meta))
+        });
         artifacts.chain(results)
     }
 }
@@ -232,7 +273,9 @@ pub struct PipelineStats {
     pub queue_wait_nanos: u64,
     /// Total nanoseconds workers spent computing responses.
     pub compute_nanos: u64,
-    /// Same-fingerprint verify groups of exactly one request.
+    /// Same-fingerprint verify groups of exactly one request. Only
+    /// routed requests drain in groups: a memo hit answered by the
+    /// connection reader is in none.
     pub coalesced_k1: u64,
     /// Verify groups coalesced at 2–4 lanes.
     pub coalesced_k2_4: u64,
@@ -386,48 +429,43 @@ impl ArtifactStore {
             .fetch_add(compute_nanos, Ordering::Relaxed);
     }
 
-    /// Whether `fingerprint`'s shard memoizes a result under
-    /// `request_key`; a probe that touches and records nothing.
-    pub fn holds_result(&self, fingerprint: u64, request_key: &str) -> bool {
-        let shard = &self.shards[self.shard_of(fingerprint)];
-        let ledger = shard.ledger.lock().expect("shard ledger poisoned");
-        ledger.results.contains_key(request_key)
+    /// Whether `key`'s shard memoizes a result under it; a probe that
+    /// touches and records nothing.
+    pub fn holds_result(&self, key: &ResultKey) -> bool {
+        let shard = &self.shards[self.shard_of(key.fingerprint)];
+        let mut ledger = shard.ledger.lock().expect("shard ledger poisoned");
+        ledger.result_mut(key).is_some()
     }
 
     /// Answers a request from the result memo: the memoized `result`
-    /// text under `request_key` on `fingerprint`'s shard, if any. This
-    /// is the store's one hit path. A hit touches the entry for
-    /// LRU/heat and is recorded as a served request and a store hit; a
-    /// miss changes nothing, so a caller may look up before it has
-    /// parsed the request at all.
-    pub fn memoized_result(
-        &self,
-        fingerprint: u64,
-        request_key: &str,
-    ) -> Option<(String, RequestStats)> {
+    /// text under `key` on its shard, if any. This is the store's one
+    /// hit path. A hit touches the entry for LRU/heat and is recorded as
+    /// a served request and a store hit; a miss changes nothing, so a
+    /// caller may look up before it has parsed the request at all.
+    pub fn memoized_result(&self, key: &ResultKey) -> Option<(Arc<str>, RequestStats)> {
         let started = Instant::now();
-        let shard_idx = self.shard_of(fingerprint);
+        let shard_idx = self.shard_of(key.fingerprint);
         let shard = &self.shards[shard_idx];
         let text = {
             let mut ledger = shard.ledger.lock().expect("shard ledger poisoned");
-            let memo = ledger.results.get_mut(request_key)?;
+            let memo = ledger.result_mut(key)?;
             memo.meta.tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
             memo.meta.touches += 1;
-            memo.text.clone()
+            Arc::clone(&memo.text)
         };
         Some((text, record_request(shard_idx, shard, started, true)))
     }
 
-    /// Runs `f` against the warm engine of `fingerprint`'s shard and
-    /// settles the request in one ledger pass: the three pool entries of
+    /// Runs `f` against the warm engine of `key`'s shard and settles
+    /// the request in one ledger pass: the three pool entries of
     /// `identity` (its `(application, workload)` content identity) and,
     /// on success, the `String` half of the output, memoized under
-    /// `request_key`. It always computes: callers look the key up with
+    /// `key`. It always computes: callers look the key up with
     /// [`ArtifactStore::memoized_result`] first.
     ///
     /// Sound because every response `result` is a pure function of the
     /// full request against the store's base configuration, which
-    /// `request_key` must encode exactly. The serve layer runs one
+    /// `key.text` must encode exactly. The serve layer runs one
     /// worker per shard; other callers may race, and settle under the
     /// shard ledger lock.
     ///
@@ -438,13 +476,12 @@ impl ArtifactStore {
     /// as a result.
     pub fn compute_and_memoize<T>(
         &self,
-        fingerprint: u64,
         identity: u64,
-        request_key: &str,
+        key: &ResultKey,
         f: impl FnOnce(&Engine) -> Result<(String, T), CorepartError>,
     ) -> (Result<(String, T), CorepartError>, RequestStats) {
         let started = Instant::now();
-        let shard_idx = self.shard_of(fingerprint);
+        let shard_idx = self.shard_of(key.fingerprint);
         let shard = &self.shards[shard_idx];
         let keys = shard.engine.request_keys(identity);
         let [_, baseline, _] = &keys;
@@ -454,7 +491,7 @@ impl ArtifactStore {
         };
         let outcome = f(&shard.engine);
         let text = outcome.as_ref().ok().map(|(text, _)| text.as_str());
-        self.settle(shard, &keys, text.map(|text| (request_key, text)));
+        self.settle(shard, &keys, text.map(|text| (key, text)));
         (
             outcome,
             record_request(shard_idx, shard, started, store_hit),
@@ -468,7 +505,7 @@ impl ArtifactStore {
         &self,
         shard: &StoreShard,
         keys: &[(ArtifactKind, PoolKey)],
-        result: Option<(&str, &str)>,
+        result: Option<(&ResultKey, &str)>,
     ) {
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let mut ledger = shard.ledger.lock().expect("shard ledger poisoned");
@@ -530,36 +567,35 @@ impl ArtifactStore {
                 self.evict_entry(shard, &mut ledger, &EntryKey::Artifact(kind, key));
             }
         }
-        if let Some((request_key, text)) = result {
-            self.admit_result(shard, &mut ledger, request_key, text);
+        if let Some((key, text)) = result {
+            self.admit_result(shard, &mut ledger, key, text);
         }
     }
 
     /// Admits one freshly computed result payload to the ledger (or
     /// declines it when only hot entries could make room). It is charged
-    /// its key, its text and a fixed bookkeeping overhead.
-    fn admit_result(&self, shard: &StoreShard, ledger: &mut Ledger, request_key: &str, text: &str) {
+    /// its key text, its result text and a fixed bookkeeping overhead.
+    fn admit_result(&self, shard: &StoreShard, ledger: &mut Ledger, key: &ResultKey, text: &str) {
         /// Map/ledger bookkeeping charge per memoized result.
         const RESULT_OVERHEAD: u64 = 64;
-        let bytes = (request_key.len() + text.len()) as u64 + RESULT_OVERHEAD;
+        let bytes = (key.text.len() + text.len()) as u64 + RESULT_OVERHEAD;
         let tick = self.tick.load(Ordering::Relaxed);
-        if ledger.results.contains_key(request_key) {
+        if ledger.result_mut(key).is_some() {
             // A racing identical request already admitted it.
             return;
         }
-        let protect = EntryKey::Result(request_key);
+        let protect = EntryKey::Result(key.bucket, key.text.as_str());
         if self.reserve_or_evict(shard, ledger, bytes, protect, false) {
-            ledger.results.insert(
-                request_key.to_owned(),
-                MemoEntry {
-                    text: text.to_owned(),
-                    meta: EntryMeta {
-                        bytes,
-                        tick,
-                        touches: 1,
-                    },
+            let memo = MemoEntry {
+                key: key.text.clone(),
+                text: text.into(),
+                meta: EntryMeta {
+                    bytes,
+                    tick,
+                    touches: 1,
                 },
-            );
+            };
+            ledger.results.entry(key.bucket).or_default().push(memo);
         } else {
             shard.declined.fetch_add(1, Ordering::Relaxed);
         }
@@ -611,7 +647,9 @@ impl ArtifactStore {
     /// Drops one accounted entry: pool, ledger, byte reservation.
     fn evict_entry(&self, shard: &StoreShard, ledger: &mut Ledger, key: &EntryKey) {
         let bytes = match *key {
-            EntryKey::Result(ref key) => ledger.results.remove(key).map(|memo| memo.meta.bytes),
+            EntryKey::Result(bucket, ref text) => {
+                ledger.remove_result(bucket, text).map(|meta| meta.bytes)
+            }
             EntryKey::Artifact(kind, key) => {
                 shard.engine.evict_artifact(kind, key);
                 ledger
@@ -637,10 +675,9 @@ impl ArtifactStore {
         for shard in &self.shards {
             let (entries, bytes) = {
                 let ledger = shard.ledger.lock().expect("shard ledger poisoned");
-                (
-                    (ledger.artifacts.len() + ledger.results.len()) as u64,
-                    ledger.entries().map(|(_, e)| e.bytes).sum::<u64>(),
-                )
+                ledger
+                    .entries()
+                    .fold((0, 0), |(n, bytes), (_, e)| (n + 1, bytes + e.bytes))
             };
             let s = ShardStats {
                 requests: shard.requests.load(Ordering::Relaxed),
@@ -720,7 +757,7 @@ fn pick_victim(
             .min_by_key(|&(key, e)| (e.tick, key))
             .map(|(key, _)| match key {
                 EntryKey::Artifact(kind, key) => EntryKey::Artifact(kind, key),
-                EntryKey::Result(key) => EntryKey::Result(key.to_owned()),
+                EntryKey::Result(bucket, key) => EntryKey::Result(bucket, key.to_owned()),
             })
     };
     candidate(false).or_else(|| if allow_hot { candidate(true) } else { None })
@@ -766,11 +803,11 @@ mod tests {
                 EntryKey::Artifact(kind, key) => {
                     ledger.artifacts.insert((kind, key), meta);
                 }
-                EntryKey::Result(key) => {
-                    let text = String::new();
-                    ledger
-                        .results
-                        .insert(key.to_owned(), MemoEntry { text, meta });
+                EntryKey::Result(bucket, key) => {
+                    let key = key.to_owned();
+                    let text = "".into();
+                    let memo = MemoEntry { key, text, meta };
+                    ledger.results.entry(bucket).or_default().push(memo);
                 }
             }
         }
@@ -831,10 +868,10 @@ mod tests {
         use ArtifactKind::{Baseline, Schedule};
         // An older cold result goes before a younger artifact; on a tie
         // the artifact kinds sort first.
-        let req = EntryKey::Result("req");
+        let req = EntryKey::Result(5, "req");
         let ledger = ledger_of(&[(req, 1, 1), (artifact(Baseline, 1), 2, 1)]);
         let v = pick_victim(&ledger, None, false);
-        assert_eq!(v, Some(EntryKey::Result("req".to_owned())));
+        assert_eq!(v, Some(EntryKey::Result(5, "req".to_owned())));
         let ledger = ledger_of(&[(req, 3, 1), (artifact(Schedule, 1), 3, 1)]);
         let v = pick_victim(&ledger, None, false);
         assert_eq!(v, Some(artifact(Schedule, 1)));
@@ -852,28 +889,37 @@ mod tests {
             },
         )
         .unwrap();
-        let admit = |key: &str, text: &str| store.settle(&store.shards[0], &[], Some((key, text)));
-        let first = "a".repeat(300);
+        // Every key shares one bucket: only the exact text tells them
+        // apart.
+        let key = |text: String| ResultKey {
+            fingerprint: 0,
+            bucket: 9,
+            text,
+        };
+        let admit =
+            |key: &ResultKey, text: &str| store.settle(&store.shards[0], &[], Some((key, text)));
+        let first = key("a".repeat(300));
         admit(&first, "answer");
         assert_eq!(store.used.load(Ordering::Relaxed), 300 + 6 + 64);
-        assert!(store.memoized_result(0, "other").is_none());
+        assert!(store.memoized_result(&key("other".into())).is_none());
+        assert!(store.memoized_result(&key("a".repeat(299))).is_none());
 
         // A cold entry makes room for a newcomer: key and text leave
         // together and the whole charge is released.
-        let second = "b".repeat(600);
+        let second = key("b".repeat(600));
         admit(&second, "x");
-        assert!(store.memoized_result(0, &first).is_none());
+        assert!(store.memoized_result(&first).is_none());
         assert_eq!(store.stats().evictions, 1);
         assert_eq!(store.used.load(Ordering::Relaxed), 600 + 1 + 64);
 
         // One hit makes it hot: a cold newcomer is declined instead.
-        let (text, stats) = store.memoized_result(0, &second).unwrap();
-        assert_eq!(text, "x");
+        let (text, stats) = store.memoized_result(&second).unwrap();
+        assert_eq!(&*text, "x");
         assert!(stats.store_hit);
         admit(&first, "answer");
         assert_eq!(store.stats().declined, 1);
-        assert!(store.memoized_result(0, &first).is_none());
-        assert!(store.memoized_result(0, &second).is_some());
+        assert!(store.memoized_result(&first).is_none());
+        assert!(store.memoized_result(&second).is_some());
     }
 
     /// Every request kind the daemon computes, on one shard: after

@@ -204,12 +204,216 @@ impl<'a> Interpreter<'a> {
     /// Returns [`IrError::Interp`] when `max_steps` is exceeded (likely
     /// a non-terminating program) or an array index is out of bounds.
     pub fn run(&mut self, max_steps: u64) -> Result<ExecProfile, IrError> {
+        self.reset_vars();
+        let app = self.app;
+        let blocks = app.blocks();
+        // One flat state array over every instruction, block `b`'s
+        // starting at `offsets[b]`.
+        let mut offsets = Vec::with_capacity(blocks.len() + 1);
+        offsets.push(0);
+        for block in blocks {
+            offsets.push(offsets[offsets.len() - 1] + block.insts.len());
+        }
+        let mut state = vec![InstState::default(); offsets[blocks.len()]];
+        let mut profile = ExecProfile {
+            block_counts: vec![0; blocks.len()],
+            steps: 0,
+            loads: 0,
+            stores: 0,
+            div_by_zero: 0,
+            activity: Vec::new(),
+            return_value: None,
+        };
+
+        let mut cur = app.entry();
+        loop {
+            let bi = cur.0 as usize;
+            let block = &blocks[bi];
+            let insts = &mut state[offsets[bi]..offsets[bi + 1]];
+            profile.block_counts[bi] += 1;
+            // `steps <= max_steps` on entry. A block that cannot cross
+            // the budget checks it once; one that would checks every
+            // instruction, failing exactly where a per-step check does.
+            if max_steps - profile.steps > insts.len() as u64 {
+                profile.steps += 1 + insts.len() as u64;
+                for (inst, st) in block.insts.iter().zip(insts) {
+                    self.exec(inst, st, &mut profile)?;
+                }
+            } else {
+                profile.steps += 1;
+                check_budget(profile.steps, max_steps)?;
+                for (inst, st) in block.insts.iter().zip(insts) {
+                    profile.steps += 1;
+                    check_budget(profile.steps, max_steps)?;
+                    self.exec(inst, st, &mut profile)?;
+                }
+            }
+            match &block.term {
+                Terminator::Jump(b) => cur = *b,
+                Terminator::Branch {
+                    cond,
+                    then_block,
+                    else_block,
+                } => {
+                    cur = if self.value(*cond) != 0 {
+                        *then_block
+                    } else {
+                        *else_block
+                    };
+                }
+                Terminator::Return(op) => {
+                    profile.return_value = op.map(|o| self.value(o));
+                    profile.activity = offsets
+                        .windows(2)
+                        .map(|w| state[w[0]..w[1]].iter().map(|st| st.activity).collect())
+                        .collect();
+                    return Ok(profile);
+                }
+            }
+        }
+    }
+
+    /// Resets variables: globals to their initializers, the rest to 0.
+    fn reset_vars(&mut self) {
         self.vars.iter_mut().for_each(|v| *v = 0);
         for &(v, init) in self.app.globals_init() {
             self.vars[v.0 as usize] = init;
         }
+    }
 
-        let blocks = self.app.blocks();
+    /// Executes one instruction and accounts it in `st` and `profile`.
+    #[inline]
+    fn exec(
+        &mut self,
+        inst: &Inst,
+        st: &mut InstState,
+        profile: &mut ExecProfile,
+    ) -> Result<(), IrError> {
+        let (in1, in2, out) = self.eval(inst, profile)?;
+        st.activity.execs += 1;
+        st.activity.input_toggles += hamming(st.last_in.0, in1) + hamming(st.last_in.1, in2);
+        st.activity.output_toggles += hamming(st.last_out, out);
+        st.last_in = (in1, in2);
+        st.last_out = out;
+        Ok(())
+    }
+
+    /// Executes one instruction, counting loads, stores and zero
+    /// divisors in `profile`; returns its two input operand values and
+    /// its result, as the toggle statistics see them.
+    #[inline]
+    fn eval(&mut self, inst: &Inst, profile: &mut ExecProfile) -> Result<(i64, i64, i64), IrError> {
+        Ok(match inst {
+            Inst::Const { dst, value } => {
+                self.vars[dst.0 as usize] = *value;
+                (0, 0, *value)
+            }
+            Inst::Copy { dst, src } => {
+                let v = self.value(*src);
+                self.vars[dst.0 as usize] = v;
+                (v, 0, v)
+            }
+            Inst::Unary { dst, op, src } => {
+                let a = self.value(*src);
+                let r = op.eval(a);
+                self.vars[dst.0 as usize] = r;
+                (a, 0, r)
+            }
+            Inst::Binary { dst, op, lhs, rhs } => {
+                let a = self.value(*lhs);
+                let b = self.value(*rhs);
+                if matches!(op, crate::op::BinOp::Div | crate::op::BinOp::Rem) && b == 0 {
+                    profile.div_by_zero += 1;
+                }
+                let r = op.eval(a, b);
+                self.vars[dst.0 as usize] = r;
+                (a, b, r)
+            }
+            Inst::Load { dst, array, index } => {
+                let idx = self.value(*index);
+                let addr = self.check_addr(*array, idx)?;
+                let v = self.mem[addr];
+                self.vars[dst.0 as usize] = v;
+                profile.loads += 1;
+                (idx, 0, v)
+            }
+            Inst::Store {
+                array,
+                index,
+                value,
+            } => {
+                let idx = self.value(*index);
+                let v = self.value(*value);
+                let addr = self.check_addr(*array, idx)?;
+                self.mem[addr] = v;
+                profile.stores += 1;
+                (idx, v, v)
+            }
+            Inst::Call { .. } => {
+                return Err(IrError::Interp {
+                    message: "Call instructions must be inlined before interpretation".into(),
+                });
+            }
+        })
+    }
+
+    fn check_addr(&self, array: crate::op::ArrayId, idx: i64) -> Result<usize, IrError> {
+        let info = self.app.array(array);
+        if idx < 0 || idx as u64 >= u64::from(info.len) {
+            return Err(IrError::Interp {
+                message: format!(
+                    "index {idx} out of bounds for array `{}` of length {}",
+                    info.name, info.len
+                ),
+            });
+        }
+        Ok(info.base_word as usize + idx as usize)
+    }
+}
+
+/// One instruction's profiling state: its activity and the operand
+/// values it last saw, for toggle counting.
+#[derive(Debug, Clone, Copy, Default)]
+struct InstState {
+    activity: OpActivity,
+    last_in: (i64, i64),
+    last_out: i64,
+}
+
+/// The step-budget error once `steps` has passed `max_steps`.
+fn check_budget(steps: u64, max_steps: u64) -> Result<(), IrError> {
+    if steps > max_steps {
+        return Err(IrError::Interp {
+            message: format!("exceeded {max_steps} steps (non-terminating program?)"),
+        });
+    }
+    Ok(())
+}
+
+fn hamming(a: i64, b: i64) -> u64 {
+    u64::from((a ^ b).count_ones())
+}
+
+/// The profiling loop [`Interpreter::run`] replaced: three nested
+/// per-block tables and a budget check per instruction, around the same
+/// instruction semantics. Kept as the specification the flat loop is
+/// held equal to, by the unit tests and the cross-crate interpreter
+/// test (`conform` feature only). Not part of the supported API
+/// surface.
+#[cfg(any(test, feature = "conform"))]
+pub mod reference {
+    use super::{hamming, ExecProfile, Interpreter, OpActivity};
+    use crate::error::IrError;
+    use crate::op::Terminator;
+
+    /// Runs `interp`'s application as [`Interpreter::run`] does.
+    ///
+    /// # Errors
+    ///
+    /// As [`Interpreter::run`].
+    pub fn run(interp: &mut Interpreter<'_>, max_steps: u64) -> Result<ExecProfile, IrError> {
+        interp.reset_vars();
+        let blocks = interp.app.blocks();
         let mut profile = ExecProfile {
             block_counts: vec![0; blocks.len()],
             steps: 0,
@@ -230,7 +434,7 @@ impl<'a> Interpreter<'a> {
         let mut last_outputs: Vec<Vec<i64>> =
             blocks.iter().map(|b| vec![0i64; b.insts.len()]).collect();
 
-        let mut cur = self.app.entry();
+        let mut cur = interp.app.entry();
         loop {
             profile.block_counts[cur.0 as usize] += 1;
             profile.steps += 1;
@@ -240,66 +444,14 @@ impl<'a> Interpreter<'a> {
                 });
             }
             let bi = cur.0 as usize;
-            for (ii, inst) in self.app.block(cur).insts.iter().enumerate() {
+            for (ii, inst) in interp.app.block(cur).insts.iter().enumerate() {
                 profile.steps += 1;
                 if profile.steps > max_steps {
                     return Err(IrError::Interp {
                         message: format!("exceeded {max_steps} steps (non-terminating program?)"),
                     });
                 }
-                let (in1, in2, out): (i64, i64, i64) = match inst {
-                    Inst::Const { dst, value } => {
-                        self.vars[dst.0 as usize] = *value;
-                        (0, 0, *value)
-                    }
-                    Inst::Copy { dst, src } => {
-                        let v = self.value(*src);
-                        self.vars[dst.0 as usize] = v;
-                        (v, 0, v)
-                    }
-                    Inst::Unary { dst, op, src } => {
-                        let a = self.value(*src);
-                        let r = op.eval(a);
-                        self.vars[dst.0 as usize] = r;
-                        (a, 0, r)
-                    }
-                    Inst::Binary { dst, op, lhs, rhs } => {
-                        let a = self.value(*lhs);
-                        let b = self.value(*rhs);
-                        if matches!(op, crate::op::BinOp::Div | crate::op::BinOp::Rem) && b == 0 {
-                            profile.div_by_zero += 1;
-                        }
-                        let r = op.eval(a, b);
-                        self.vars[dst.0 as usize] = r;
-                        (a, b, r)
-                    }
-                    Inst::Load { dst, array, index } => {
-                        let idx = self.value(*index);
-                        let addr = self.check_addr(*array, idx)?;
-                        let v = self.mem[addr];
-                        self.vars[dst.0 as usize] = v;
-                        profile.loads += 1;
-                        (idx, 0, v)
-                    }
-                    Inst::Store {
-                        array,
-                        index,
-                        value,
-                    } => {
-                        let idx = self.value(*index);
-                        let v = self.value(*value);
-                        let addr = self.check_addr(*array, idx)?;
-                        self.mem[addr] = v;
-                        profile.stores += 1;
-                        (idx, v, v)
-                    }
-                    Inst::Call { .. } => {
-                        return Err(IrError::Interp {
-                            message: "Call instructions must be inlined before interpretation"
-                                .into(),
-                        });
-                    }
-                };
+                let (in1, in2, out) = interp.eval(inst, &mut profile)?;
                 let act = &mut profile.activity[bi][ii];
                 act.execs += 1;
                 let (l1, l2) = last_inputs[bi][ii];
@@ -308,43 +460,26 @@ impl<'a> Interpreter<'a> {
                 last_inputs[bi][ii] = (in1, in2);
                 last_outputs[bi][ii] = out;
             }
-            match &self.app.block(cur).term {
+            match &interp.app.block(cur).term {
                 Terminator::Jump(b) => cur = *b,
                 Terminator::Branch {
                     cond,
                     then_block,
                     else_block,
                 } => {
-                    cur = if self.value(*cond) != 0 {
+                    cur = if interp.value(*cond) != 0 {
                         *then_block
                     } else {
                         *else_block
                     };
                 }
                 Terminator::Return(op) => {
-                    profile.return_value = op.map(|o| self.value(o));
+                    profile.return_value = op.map(|o| interp.value(o));
                     return Ok(profile);
                 }
             }
         }
     }
-
-    fn check_addr(&self, array: crate::op::ArrayId, idx: i64) -> Result<usize, IrError> {
-        let info = self.app.array(array);
-        if idx < 0 || idx as u64 >= u64::from(info.len) {
-            return Err(IrError::Interp {
-                message: format!(
-                    "index {idx} out of bounds for array `{}` of length {}",
-                    info.name, info.len
-                ),
-            });
-        }
-        Ok(info.base_word as usize + idx as usize)
-    }
-}
-
-fn hamming(a: i64, b: i64) -> u64 {
-    u64::from((a ^ b).count_ones())
 }
 
 #[allow(dead_code)]
@@ -492,6 +627,68 @@ mod tests {
         assert!(it.set_array("b", &[1, 2, 3]).is_err());
         assert!(it.set_array("b", &[1]).is_ok());
         assert!(it.array("nope").is_err());
+    }
+
+    /// Runs `a` on `inputs` at `budget` through the flat loop or the
+    /// reference loop; returns the outcome and the final memory.
+    fn profiled(
+        a: &Application,
+        inputs: &[(&str, Vec<i64>)],
+        budget: u64,
+        flat: bool,
+    ) -> (Result<ExecProfile, IrError>, Vec<i64>) {
+        let mut it = Interpreter::new(a);
+        for (name, data) in inputs {
+            it.set_array(name, data).unwrap();
+        }
+        let outcome = if flat {
+            it.run(budget)
+        } else {
+            reference::run(&mut it, budget)
+        };
+        (outcome, it.mem.clone())
+    }
+
+    #[test]
+    fn flat_loop_matches_the_reference_loop() {
+        let cases = [
+            (
+                "app t; var x[8]; var acc = 0; func main() { for (var i = 0; i < 8; i = i + 1) { acc = acc + x[i] / (x[i] - 3); } return acc; }",
+                vec![("x", vec![0, -1, 3, -1, 7, -9, 3, 1i64 << 40])],
+            ),
+            (
+                r#"app t; var out[4]; var g = 2;
+                func f(v) { return v * g - 1; }
+                func main() {
+                    for (var i = 0; i < 4; i = i + 1) {
+                        if (i % 2 == 0) { out[i] = f(i); } else { out[i] = -f(i); }
+                    }
+                    return out[3];
+                }"#,
+                vec![],
+            ),
+            // An out-of-bounds store part-way through a block.
+            (
+                "app t; var b[2]; func main() { var s = 0; for (var i = 0; i < 4; i = i + 1) { s = s + i; b[i] = s; } return s; }",
+                vec![],
+            ),
+            ("app t; func main() { }", vec![]),
+        ];
+        for (src, inputs) in &cases {
+            let a = app(src);
+            let (full, _) = profiled(&a, inputs, 1 << 20, false);
+            let steps = full.as_ref().map_or(40, |p| p.steps);
+            let mut budgets = vec![0, 1, steps / 2, steps, steps + 1, 1 << 20, u64::MAX];
+            budgets.extend((1..=6).map(|d| steps.saturating_sub(d)));
+            for budget in budgets {
+                let flat = profiled(&a, inputs, budget, true);
+                assert_eq!(
+                    flat,
+                    profiled(&a, inputs, budget, false),
+                    "{src} at {budget}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -214,3 +214,57 @@ proptest! {
         prop_assert!(gu_half.gen.is_subset(&gu_full.gen));
     }
 }
+
+/// Runs `app` on `arrays` at `budget` through the flat profiling loop or
+/// the reference loop it replaced.
+fn profile_with(
+    app: &corepart_ir::cdfg::Application,
+    arrays: &[(String, Vec<i64>)],
+    budget: u64,
+    flat: bool,
+) -> Result<corepart_ir::interp::ExecProfile, corepart_ir::error::IrError> {
+    let mut interp = Interpreter::new(app);
+    for (name, data) in arrays {
+        interp.set_array(name, data).unwrap();
+    }
+    if flat {
+        interp.run(budget)
+    } else {
+        corepart_ir::interp::reference::run(&mut interp, budget)
+    }
+}
+
+/// The flat profiling interpreter equals the reference loop on all six
+/// paper applications and a sample of generated ones: the same
+/// `ExecProfile` at an ample budget, and the same error at `steps - 1`,
+/// `steps / 2`, and the same profile at exactly `steps`.
+#[test]
+fn flat_interpreter_matches_the_reference_loop() {
+    let mut cases = Vec::new();
+    for w in corepart_workloads::all() {
+        cases.push((w.source.to_owned(), w.arrays(1)));
+    }
+    for seed in 0..24 {
+        let app = corepart_conform::generate(seed);
+        cases.push((app.source(), app.workload_arrays()));
+    }
+    for (source, arrays) in &cases {
+        let app = lower(&parse(source).unwrap()).unwrap();
+        let full = profile_with(&app, arrays, u64::MAX, true);
+        assert_eq!(
+            full,
+            profile_with(&app, arrays, u64::MAX, false),
+            "{source}"
+        );
+        let steps = full.unwrap().steps;
+        for budget in [steps - 1, steps, steps / 2] {
+            let flat = profile_with(&app, arrays, budget, true);
+            assert_eq!(
+                flat,
+                profile_with(&app, arrays, budget, false),
+                "{source} at {budget}"
+            );
+            assert_eq!(flat.is_ok(), budget == steps);
+        }
+    }
+}

@@ -12,6 +12,9 @@ use corepart::system::SystemConfig;
 use corepart_tech::scaling::OperatingPoint;
 use proptest::prelude::*;
 
+use corepart::json::JsonValue;
+use corepart::serve::{Client, ServeOptions, Server};
+
 /// A small family of structurally identical apps whose names and
 /// constants differ — distinct identities, near-identical footprints.
 fn app_source(tag: &str, k: i64) -> String {
@@ -319,4 +322,115 @@ proptest! {
         prop_assert!(again.contains("\"store_hit\":true"), "{}", again);
         prop_assert_eq!(result_field(&again), result_field(&first));
     }
+}
+
+/// A live daemon on an ephemeral port with two shards.
+fn live_server() -> Server {
+    let opts = ServeOptions {
+        port: 0,
+        shards: 2,
+        threads: 1,
+        ..ServeOptions::default()
+    };
+    Server::spawn(SystemConfig::new(), &opts).unwrap()
+}
+
+/// Member `key` of a served line's `stats` object.
+fn served_stat(response: &str, key: &str) -> Option<JsonValue> {
+    parse_json(response).ok()?.get("stats")?.get(key).cloned()
+}
+
+/// Asserts that `response` is a memo hit answered on the connection
+/// reader: `store_hit`, no queue wait, and `req`'s fresh `result`.
+fn assert_reader_hit(response: &str, req: &ComputeRequest) {
+    assert!(response.contains("\"ok\":true"), "{response}");
+    let hit = served_stat(response, "store_hit").and_then(|v| v.as_bool());
+    assert_eq!(hit, Some(true), "{response}");
+    let queue = served_stat(response, "queue_nanos").and_then(|v| v.as_u64());
+    assert_eq!(queue, Some(0), "{response}");
+    assert!(response.contains("\"queue_nanos\":0,"), "{response}");
+    assert!(
+        served_stat(response, "compute_nanos").is_some(),
+        "{response}"
+    );
+    let fresh = respond_fresh(&SystemConfig::new(), req);
+    assert_eq!(result_field(response), result_field(&fresh));
+}
+
+fn shut_down(server: Server) {
+    let mut client = Client::connect(server.addr()).unwrap();
+    let bye = client.try_ask("{\"cmd\":\"shutdown\"}").unwrap();
+    assert!(bye.contains("\"cmd\":\"shutdown\""), "{bye}");
+    server.join();
+}
+
+#[test]
+fn memo_hits_over_two_connections_skip_the_shard_queues() {
+    let server = live_server();
+    let mut verify = keyed_request();
+    verify.clusters = vec![0, 1];
+    let keys = [partition_request("hop", 3), keyed_request(), verify];
+    let mut warm = Client::connect(server.addr()).unwrap();
+    for req in &keys {
+        let response = warm.try_ask(&req.to_json()).unwrap();
+        assert!(response.contains("\"ok\":true"), "{response}");
+    }
+    let before = server.store().stats();
+    assert!(before.shards.iter().any(|s| s.depth_max > 0));
+
+    std::thread::scope(|s| {
+        for conn in 0..2u64 {
+            let (server, keys) = (&server, &keys);
+            s.spawn(move || {
+                let mut client = Client::connect(server.addr()).unwrap();
+                for round in 0..3u64 {
+                    for (k, req) in keys.iter().enumerate() {
+                        let mut req = req.clone();
+                        req.id = Some(conn * 100 + round * 10 + k as u64);
+                        let response = client.try_ask(&req.to_json()).unwrap();
+                        assert_reader_hit(&response, &req);
+                    }
+                }
+            });
+        }
+    });
+
+    let after = server.store().stats();
+    assert_eq!(after.hits - before.hits, 2 * 3 * keys.len() as u64);
+    for (b, a) in before.shards.iter().zip(&after.shards) {
+        assert_eq!((a.depth, a.depth_max), (0, b.depth_max));
+    }
+    let histogram =
+        |p: &corepart::store::PipelineStats| (p.coalesced_k1, p.coalesced_k2_4, p.coalesced_k5_16);
+    assert_eq!(histogram(&after.pipeline), histogram(&before.pipeline));
+    shut_down(server);
+}
+
+#[test]
+fn an_unordered_hit_behind_a_cold_compute_is_answered_on_the_reader() {
+    let server = live_server();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let mut hit = partition_request("warm", 3);
+    let warm = client.try_ask(&hit.to_json()).unwrap();
+    assert!(warm.contains("\"ok\":true"), "{warm}");
+
+    let mut cold = partition_request("cold", 5);
+    cold.id = Some(1);
+    hit.id = Some(2);
+    hit.ordered = false;
+    client
+        .send(&format!("{}\n{}", cold.to_json(), hit.to_json()))
+        .unwrap();
+    // Either may arrive first: only the ids pair them up.
+    let mut responses = [client.recv().unwrap(), client.recv().unwrap()];
+    responses.sort_by_key(|r| parse_json(r).unwrap().get("id").and_then(JsonValue::as_u64));
+    let [cold_response, hit_response] = responses;
+    assert_reader_hit(&hit_response, &hit);
+    assert!(
+        cold_response.contains("\"id\":1,\"ok\":true"),
+        "{cold_response}"
+    );
+    let fresh = respond_fresh(&SystemConfig::new(), &cold);
+    assert_eq!(result_field(&cold_response), result_field(&fresh));
+    shut_down(server);
 }
