@@ -5,7 +5,7 @@
 //! shows how the achieved saving and the number of estimated candidate
 //! pairs vary with `N_max ∈ {1, 2, 4, 8}` — the point being that a
 //! small budget already reaches the full-quality partition because the
-//! bus-traffic criterion ranks the right clusters first.
+//! bus-traffic measure ranks the right clusters first.
 //!
 //! ```text
 //! cargo run --release -p corepart-bench --bin ablation_preselect

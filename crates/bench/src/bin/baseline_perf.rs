@@ -45,7 +45,9 @@
 //! Every replay here goes through a [`ReplayEngine`]; a timed replay
 //! runs on a fresh engine built before the clock starts, so it never
 //! hits the memo and never pays for building the engine.
-//! Everything lands in `BENCH_partition.json`.
+//! Everything lands in `BENCH_partition.json`, headed by a `host`
+//! block ([`corepart_bench::host_json`]: CPUs, the checkout's `rev`,
+//! `rustc -V`, and `reps`, the simulator section's [`SIM_REPS`]).
 //!
 //! ```text
 //! cargo run --release -p corepart-bench --bin baseline_perf [app]
@@ -77,7 +79,7 @@ use corepart::serve::{
 use corepart::store::{ArtifactStore, StoreOptions};
 use corepart::system::{ResolvedPoint, SystemConfig};
 use corepart::verify::{ReplayEngine, VerifiedRun};
-use corepart_bench::SEED;
+use corepart_bench::{git_rev, host_json, median_min_max, SEED};
 use corepart_conform::corpus::{gen_entry, run_gen_corpus};
 use corepart_tech::scaling::OperatingPoint;
 use corepart_tech::units::GateEq;
@@ -262,12 +264,6 @@ fn measure_corpus_trace_uses(options: &CorpusOptions, apps: u64) -> String {
 
 /// Repetitions of each timed simulator run.
 const SIM_REPS: usize = 5;
-
-/// `(median, min, max)` of a small sample.
-fn median_min_max(mut xs: Vec<f64>) -> (f64, f64, f64) {
-    xs.sort_by(f64::total_cmp);
-    (xs[xs.len() / 2], xs[0], xs[xs.len() - 1])
-}
 
 /// Instruction-set-simulator throughput on one application's initial
 /// design: the bare run (fresh simulator, [`NullSink`]) and the full
@@ -1362,11 +1358,12 @@ fn main() {
 
     let json = format!(
         concat!(
-            "{{\"seed\":{},\"threads\":{},\"simulator\":[{}],\"workloads\":[{}],\"batch\":[{}],",
+            "{{\"host\":{},\"seed\":{},\"threads\":{},\"simulator\":[{}],\"workloads\":[{}],\"batch\":[{}],",
             "\"sweep\":[{}],\"nodes\":[{}],\"serve\":{{\"per_app\":[{}],\"zipf\":{},",
             "\"pipelined\":{},\"coalesced\":{}}},",
             "\"corpus\":{}}}\n"
         ),
+        host_json(&[("rev", &git_rev())], SIM_REPS),
         SEED,
         threads,
         simulator_rows.join(","),

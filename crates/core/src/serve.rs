@@ -843,19 +843,37 @@ fn push_decimal(out: &mut String, v: i64) {
 
 /// Answers one compute request from the warm store.
 pub fn respond_compute(store: &ArtifactStore, req: &ComputeRequest) -> String {
-    answer_compute(store, req, &result_key(req))
+    answer_compute(store, req, &result_key(req), None)
 }
 
 /// [`respond_compute`] for a request whose key is already built. A
 /// memoized answer is returned before the source is parsed; only a miss
-/// parses, lowers and computes.
-fn answer_compute(store: &ArtifactStore, req: &ComputeRequest, key: &ResultKey) -> String {
+/// parses, lowers and computes. `enqueued` is a routed job's enqueue
+/// time: its queue-wait/compute split is counted in the store and
+/// stamped last in a success line's `stats` (an error line stays
+/// byte-identical to [`respond_fresh`]'s).
+fn answer_compute(
+    store: &ArtifactStore,
+    req: &ComputeRequest,
+    key: &ResultKey,
+    enqueued: Option<Instant>,
+) -> String {
+    let started = Instant::now();
+    let split = || {
+        let queue_nanos = started.duration_since(enqueued?).as_nanos() as u64;
+        let compute_nanos = started.elapsed().as_nanos() as u64;
+        store.note_request_split(queue_nanos, compute_nanos);
+        Some((queue_nanos, compute_nanos))
+    };
     if let Some((result, rstats)) = store.memoized_result(key) {
-        return success_response(req, &result, Some(&rstats), None, None);
+        return success_response(req, &result, Some(&rstats), None, split());
     }
     let (program, app) = match parse_app(&req.source) {
         Ok(parsed) => parsed,
-        Err(e) => return error_response(req.id, &e),
+        Err(e) => {
+            split();
+            return error_response(req.id, &e);
+        }
     };
     let workload = Workload::from_arrays(req.arrays.clone());
     let config = effective_config(store.base_config(), req);
@@ -863,8 +881,9 @@ fn answer_compute(store: &ArtifactStore, req: &ComputeRequest, key: &ResultKey) 
     let (outcome, rstats) = store.compute_and_memoize(identity, key, |engine| {
         compute_result(engine, req, &program, &app, &workload, config)
     });
+    let timing = split();
     match outcome {
-        Ok((result, session)) => success_response(req, &result, Some(&rstats), session, None),
+        Ok((result, session)) => success_response(req, &result, Some(&rstats), session, timing),
         Err(e) => error_response(req.id, &e),
     }
 }
@@ -987,12 +1006,7 @@ fn worker_loop(store: &ArtifactStore, shard: usize, rx: &mpsc::Receiver<Job>) {
         coalesce_verifies(store, &batch);
         for job in batch {
             store.note_dequeued(shard);
-            let queue_nanos = job.enqueued.elapsed().as_nanos() as u64;
-            let started = Instant::now();
-            let response = answer_compute(store, &job.req, &job.key);
-            let compute_nanos = started.elapsed().as_nanos() as u64;
-            store.note_request_split(queue_nanos, compute_nanos);
-            let response = splice_timing(response, queue_nanos, compute_nanos);
+            let response = answer_compute(store, &job.req, &job.key, Some(job.enqueued));
             let _ = job.reply.send(WriterMsg::Done {
                 seq: job.seq,
                 response,
@@ -1065,19 +1079,6 @@ fn prewarm_verify_group(store: &ArtifactStore, fingerprint: u64, group: &[&Job])
         return;
     };
     let _ = replay.verify_batch_with(session.config(), &lanes, session.threads());
-}
-
-/// Splices the queue-wait/compute split into a success response's
-/// advisory `stats` object. Error responses are left byte-identical to
-/// the fresh oracle's (the conformance oracle compares them whole).
-fn splice_timing(response: String, queue_nanos: u64, compute_nanos: u64) -> String {
-    if !response.contains("\"ok\":true,") || !response.ends_with("}}") {
-        return response;
-    }
-    format!(
-        "{},\"queue_nanos\":{queue_nanos},\"compute_nanos\":{compute_nanos}}}}}",
-        &response[..response.len() - 2]
-    )
 }
 
 /// A running serve daemon: the listener, one worker thread per store
@@ -1985,7 +1986,7 @@ mod tests {
         let pipeline = store.stats().pipeline;
         assert_eq!((pipeline.coalesced_k1, pipeline.coalesced_k2_4), (0, 1));
         for job in &batch {
-            let served = answer_compute(&store, &job.req, &job.key);
+            let served = answer_compute(&store, &job.req, &job.key, Some(job.enqueued));
             let fresh = respond_fresh(store.base_config(), &job.req);
             assert!(served.contains("\"ok\":true"), "{served}");
             assert_eq!(result_field(&served), result_field(&fresh));

@@ -576,19 +576,27 @@ mod tests {
         assert!(gu.use_.contains(&DataItem::Scalar(g)));
     }
 
-    /// Regions mentioning 3 + `n` scalars, across the 64- and 128-bit
-    /// word boundaries of the dense index: a loop whose body writes the
-    /// even `v*` on one branch and every `v*` on the other, then reads
-    /// them all. Only the odd ones stay exposed.
+    /// Regions mentioning 2`n` + 6 scalars (each `o = o + v{k}` lowers
+    /// through a temporary), on both sides of every word boundary of the
+    /// dense index up to a sixth word (64, 128, 192, 256 and 320
+    /// scalars), and one whose `v*` alone fill six words: a loop whose
+    /// body writes every `v*` but those with `k % 3 == 1` on one branch
+    /// and every `v*` on the other, then reads them all. Only those stay
+    /// exposed. Three is prime to the 64-bit word, so `v*` one word
+    /// apart never share their exposure, and a word read as another
+    /// shows.
     #[test]
     fn multi_word_regions_match_the_reference() {
-        for n in [60, 61, 62, 64, 100, 125, 126, 128, 150] {
+        for n in [
+            28, 29, 30, 60, 61, 62, 92, 93, 94, 124, 125, 126, 156, 157, 158, 400,
+        ] {
+            let exposed = |k: usize| k % 3 == 1;
             let mut src = String::from("app t; var c = 0; var o = 0;");
             for k in 0..n {
                 src += &format!(" var v{k} = {k};");
             }
             src += " func main() { for (var i = 0; i < 2; i = i + 1) { if (c > 0) {";
-            for k in (0..n).step_by(2) {
+            for k in (0..n).filter(|&k| !exposed(k)) {
                 src += &format!(" v{k} = i;");
             }
             src += " } else {";
@@ -604,7 +612,7 @@ mod tests {
             let gu = pinned(&a, loop_blocks(&a));
             for k in 0..n {
                 let v = DataItem::Scalar(named_var(&a, &format!("v{k}")));
-                assert_eq!(gu.use_.contains(&v), k % 2 == 1, "n = {n}, v{k}");
+                assert_eq!(gu.use_.contains(&v), exposed(k), "n = {n}, v{k}");
                 assert!(gu.gen.contains(&v));
             }
             pinned(&a, &all_blocks(&a));

@@ -19,21 +19,20 @@
 use std::path::PathBuf;
 
 use corepart::corpus::CorpusOptions;
-use corepart::explore::{explore, hardware_weight_sweep};
+use corepart::engine::Engine;
+use corepart::explore::{explore_in, hardware_weight_sweep};
 use corepart::flow::DesignFlow;
 use corepart::json::corpus_to_json;
 use corepart::json::{exploration_to_json, parse_json, table1_to_json, JsonValue};
 use corepart::prepare::Workload;
 use corepart::report::Table1;
+use corepart::serve::EXPLORE_WEIGHTS;
 use corepart::system::SystemConfig;
 use corepart_conform::corpus::run_gen_corpus;
 use corepart_ir::lower::lower;
 use corepart_ir::parser::parse;
 use corepart_tech::scaling::OperatingPoint;
 use corepart_workloads::all;
-
-/// The `explore` sweep mirrors the CLI's default weight ladder.
-const EXPLORE_WEIGHTS: [f64; 7] = [0.0, 0.1, 0.2, 0.5, 1.0, 2.0, 4.0];
 
 fn goldens_dir() -> PathBuf {
     // The test is registered from crates/core; goldens live beside the
@@ -90,28 +89,35 @@ fn file_name(workload: &str) -> String {
         .collect()
 }
 
-/// The search counters the committed `BENCH_partition.json` records
-/// for each paper app (its `workloads[].search` rows), by app label.
-fn committed_search_rows() -> Vec<(String, JsonValue)> {
+/// One section of the committed `BENCH_partition.json` (`workloads`,
+/// `simulator`, ...): its rows, by app label.
+fn committed_rows(section: &str) -> Vec<(String, JsonValue)> {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_partition.json");
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     let bench = parse_json(&text).expect("BENCH_partition.json parses");
     bench
-        .get("workloads")
+        .get(section)
         .and_then(JsonValue::as_array)
-        .expect("a workloads array")
+        .unwrap_or_else(|| panic!("a `{section}` array"))
         .iter()
         .map(|row| {
             let app = row.get("app").and_then(JsonValue::as_str).expect("app");
-            let search = row.get("search").expect("search row").clone();
-            (app.to_owned(), search)
+            (app.to_owned(), row.clone())
         })
         .collect()
 }
 
+/// The committed row of `app` in `rows`.
+fn row_of<'a>(rows: &'a [(String, JsonValue)], app: &str) -> &'a JsonValue {
+    rows.iter()
+        .find(|(label, _)| label == app)
+        .map(|(_, row)| row)
+        .unwrap_or_else(|| panic!("{app}: no committed row"))
+}
+
 #[test]
 fn table1_json_matches_golden() {
-    let committed = committed_search_rows();
+    let committed = committed_rows("workloads");
     let mut table = Table1::new();
     for w in all() {
         let result = DesignFlow::with_config(SystemConfig::new())
@@ -119,10 +125,9 @@ fn table1_json_matches_golden() {
             .expect("flow succeeds");
         // The work counts of every app, not only the one CI's
         // perf-smoke step regenerates.
-        let (_, row) = committed
-            .iter()
-            .find(|(app, _)| app == w.name)
-            .unwrap_or_else(|| panic!("{}: no committed search row", w.name));
+        let row = row_of(&committed, w.name)
+            .get("search")
+            .expect("search row");
         let s = &result.outcome.search;
         let counted = [
             ("candidates", s.candidates as u64),
@@ -207,15 +212,47 @@ fn corpus_sample_json_matches_golden() {
 
 #[test]
 fn exploration_json_matches_goldens() {
+    let workloads = committed_rows("workloads");
+    let simulator = committed_rows("simulator");
     for w in all() {
         let app = lower(&parse(w.source).expect("parses")).expect("lowers");
         let workload = Workload::from_arrays(w.arrays(1));
         let configs = hardware_weight_sweep(&EXPLORE_WEIGHTS, &SystemConfig::new());
-        let ex = explore(&app, &workload, &configs).expect("exploration succeeds");
+        let engine = Engine::new(SystemConfig::new()).expect("engine");
+        let ex = explore_in(&engine, &app, &workload, &configs).expect("exploration succeeds");
         // One point per weight plus the initial design.
         assert_eq!(ex.points.len(), EXPLORE_WEIGHTS.len() + 1);
         let mut json = exploration_to_json(&ex);
         json.push('\n');
         assert_golden(&format!("explore_{}.json", file_name(w.name)), &json);
+
+        // How often the sweep used its one capture, and the capture's
+        // size, as `baseline_perf` records them for every app.
+        let session = engine.session(&app, &workload);
+        let replay = session
+            .replay_engine()
+            .expect("pooled baseline")
+            .expect("paper workload trace fits the default cap");
+        let uses = row_of(&workloads, w.name)
+            .get("explore_trace_uses")
+            .expect("explore_trace_uses");
+        let counted = [
+            ("walks", replay.batches()),
+            ("replays", replay.replays()),
+            ("hits", replay.hits()),
+        ];
+        for (counter, value) in counted {
+            let committed = uses.get(counter).and_then(JsonValue::as_u64);
+            assert_eq!(Some(value), committed, "{} `{counter}`", w.name);
+        }
+        let trace_bytes = row_of(&simulator, w.name)
+            .get("trace_bytes")
+            .and_then(JsonValue::as_u64);
+        assert_eq!(
+            Some(replay.trace().heap_bytes() as u64),
+            trace_bytes,
+            "{} `trace_bytes`",
+            w.name
+        );
     }
 }
