@@ -22,7 +22,9 @@
 //! configuration, one thread) against the shared, parallel [`explore`]
 //! engine. Every section records the thread count it actually used.
 //! A serve section spawns real daemons to measure pipelined-vs-serial
-//! serving on one connection (responses pinned byte-identical) and a
+//! serving of warm repeats on one connection (responses pinned
+//! byte-identical; every request is a memo hit the connection reader
+//! answers, so the row compares reader paths, not shard work) and a
 //! same-fingerprint verify storm through the cross-request coalescing
 //! path (lanes of one `ReplayEngine::verify_batch_with` call, again
 //! byte-identical).
@@ -696,6 +698,13 @@ fn serve_mix(apps: &[PaperWorkload]) -> Vec<ComputeRequest> {
 /// round-trip per request) versus the same stream with every request
 /// in flight at once. Responses are pinned byte-identical between the
 /// two passes (ids aside, compared on the `result` field).
+///
+/// Both passes are all result-memo hits, which the connection reader
+/// answers without a shard queue or worker, so the row measures the
+/// reader's hit path with and without round trips between requests —
+/// not queue wait or compute. CI's `pipelined.speedup > 1` therefore
+/// compares two reader paths: what pipelining saves is the per-request
+/// round trip.
 fn measure_serve_pipelined(apps: &[PaperWorkload], repeats: usize) -> String {
     let opts = ServeOptions {
         port: 0,

@@ -16,11 +16,14 @@
 //! requests in flight on the one connection, printing throughput
 //! against the serial pass and the p50/p95/p99 latency split into
 //! queue-wait vs compute (from the per-response `queue_nanos` /
-//! `compute_nanos` stats). Every warm memo hit is answered on the
-//! connection reader without a shard hop, so each `"store_hit":true`
-//! response of that pass must carry `"queue_nanos":0`; the number of
-//! hits checked goes to stdout (`reader hits checked: N`) for CI to
-//! grep. A same-fingerprint verify storm against a
+//! `compute_nanos` stats). That mix is all warm repeats, and a memo hit
+//! is answered on the connection reader without a shard hop, so the
+//! pass measures the reader's hit path with pipelining, not shard
+//! queueing or worker compute: its queue-wait split reads 0, and its
+//! compute split is the memo lookup. Each `"store_hit":true` response
+//! of the pass must carry `"queue_nanos":0`; the number of hits checked
+//! goes to stdout (`reader hits checked: N`) for CI to grep. A
+//! same-fingerprint verify storm against a
 //! cold app then drives cross-request batch coalescing, and the
 //! daemon's `pipeline` stats object is echoed to stdout so CI can
 //! grep a nonzero coalesced-batch counter.

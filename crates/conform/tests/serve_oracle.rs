@@ -4,7 +4,7 @@
 //! error while leaving the store exactly as it was.
 
 use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
 use corepart::json::{parse_json, result_field};
@@ -441,6 +441,99 @@ fn over_long_line_is_too_large_and_costs_only_its_connection() {
     let mut fresh = connect(&server);
     assert!(fresh.ask("{\"cmd\":\"stats\"}").contains("\"ok\":true"));
     fresh.ask("{\"cmd\":\"shutdown\"}");
+    server.join();
+}
+
+/// Opens a raw connection, writes `bytes`, half-closes it and reads
+/// every line until the daemon closes; retried while the connection
+/// cap refuses it (a refusal is a `busy` line or a reset).
+fn half_closed_exchange(server: &Server, bytes: &[u8]) -> Vec<String> {
+    for _ in 0..100 {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let sent = stream
+            .write_all(bytes)
+            .and_then(|()| stream.shutdown(Shutdown::Write));
+        let lines: Vec<String> = match sent {
+            Ok(()) => BufReader::new(stream)
+                .lines()
+                .map_while(Result::ok)
+                .collect(),
+            Err(_) => Vec::new(),
+        };
+        if lines
+            .first()
+            .is_some_and(|l| !l.contains("\"kind\":\"busy\""))
+        {
+            return lines;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    panic!("the daemon never admitted the connection");
+}
+
+/// The wire faults at a line's end, on one daemon whose connection cap
+/// leaves a single slot beside a bystander: a last line with no newline
+/// before EOF is answered like any line, a line cut short by EOF is a
+/// `request` error, and a client that hangs up mid-line goes
+/// unanswered. Each closes only its own connection and gives its slot
+/// back, and `stats` still answers on the bystander afterwards.
+#[test]
+fn unterminated_and_cut_off_lines_cost_only_their_connection() {
+    let server = Server::spawn(
+        SystemConfig::new(),
+        &ServeOptions {
+            port: 0,
+            shards: 2,
+            threads: 1,
+            max_connections: 2,
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let mut bystander = connect(&server);
+    assert!(bystander.ask("{\"cmd\":\"stats\"}").contains("\"ok\":true"));
+
+    let lines = half_closed_exchange(&server, b"{\"id\":1,\"cmd\":\"stats\"}");
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert!(
+        lines[0].starts_with("{\"id\":1,\"ok\":true,\"cmd\":\"stats\""),
+        "{lines:?}"
+    );
+
+    let app = generate(2);
+    let mut req = ComputeRequest::new(ComputeKind::Partition, &app.source());
+    req.id = Some(2);
+    req.arrays = app.workload_arrays();
+    let line = req.to_json();
+    let lines = half_closed_exchange(&server, &line.as_bytes()[..line.len() / 2]);
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert!(lines[0].contains("\"ok\":false"), "{lines:?}");
+    assert!(lines[0].contains("\"kind\":\"request\""), "{lines:?}");
+
+    // Hang up mid-line on an admitted connection. The next connection
+    // is only admitted once that one has given its slot back.
+    let mut hangup = loop {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let mut answer = String::new();
+        let asked = stream.write_all(b"{\"cmd\":\"stats\"}\n");
+        let read = asked.and_then(|()| BufReader::new(&stream).read_line(&mut answer));
+        if read.is_ok() && answer.contains("\"ok\":true") {
+            break stream;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    hangup
+        .write_all(br#"{"id":3,"cmd":"stats","source":"app x"#)
+        .unwrap();
+    drop(hangup);
+    let lines = half_closed_exchange(&server, b"{\"id\":4,\"cmd\":\"stats\"}\n");
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert!(lines[0].starts_with("{\"id\":4,\"ok\":true"), "{lines:?}");
+
+    // No fault reached the store, and the bystander was never touched.
+    let stats = bystander.ask("{\"cmd\":\"stats\"}");
+    assert!(stats.contains("\"requests\":0,"), "{stats}");
+    bystander.ask("{\"cmd\":\"shutdown\"}");
     server.join();
 }
 

@@ -523,11 +523,7 @@ impl JsonValue {
     /// The numeric payload as an integer, if it is one of magnitude
     /// below 2^53 (as [`JsonValue::as_u64`], either sign).
     pub(crate) fn as_i64(&self) -> Option<i64> {
-        const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
-        match self {
-            JsonValue::Num(n) if n.fract() == 0.0 && n.abs() < EXACT => Some(*n as i64),
-            _ => None,
-        }
+        self.as_f64().and_then(exact_integer)
     }
 
     /// The boolean payload, if this is a boolean.
@@ -549,7 +545,7 @@ impl JsonValue {
 
 /// How deeply arrays and objects may nest in a parsed document. The
 /// serve protocol nests at most three levels; the bound keeps the
-/// recursive parser's stack use constant, so no input line can
+/// recursive readers' stack use constant, so no input line can
 /// overflow a connection thread's stack.
 pub const MAX_NESTING: usize = 64;
 
@@ -560,187 +556,355 @@ pub const MAX_NESTING: usize = 64;
 ///
 /// A human-readable message naming the byte offset of the problem.
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
-    let mut pos = 0usize;
-    let value = parse_value(text, &mut pos, 0)?;
-    skip_ws(text.as_bytes(), &mut pos);
-    if pos != text.len() {
-        return Err(format!("trailing content at byte {pos}"));
-    }
+    let mut lexer = Lexer::new(text);
+    let value = parse_value(&mut lexer, 0)?;
+    lexer.finish()?;
     Ok(value)
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-/// Parses the value at `pos`, which sits inside `depth` enclosing
-/// arrays or objects.
-fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
-    let bytes = text.as_bytes();
-    skip_ws(bytes, pos);
-    if matches!(bytes.get(*pos), Some(b'{' | b'[')) && depth >= MAX_NESTING {
-        return Err(format!(
-            "nesting deeper than {MAX_NESTING} levels at byte {pos}"
-        ));
-    }
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
+/// Builds the tree of the value at the cursor, which sits inside
+/// `depth` enclosing arrays or objects.
+fn parse_value(lexer: &mut Lexer, depth: usize) -> Result<JsonValue, String> {
+    Ok(match lexer.peek() {
         Some(b'{') => {
-            *pos += 1;
             let mut members = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(JsonValue::Obj(members));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(text, pos)?;
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                let value = parse_value(text, pos, depth + 1)?;
-                members.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Obj(members));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
+            lexer.object(depth, |lexer, key| {
+                members.push((key.to_owned(), parse_value(lexer, depth + 1)?));
+                Ok(())
+            })?;
+            JsonValue::Obj(members)
         }
         Some(b'[') => {
-            *pos += 1;
             let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(JsonValue::Arr(items));
-            }
-            loop {
-                items.push(parse_value(text, pos, depth + 1)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
+            lexer.array(depth, |lexer| {
+                items.push(parse_value(lexer, depth + 1)?);
+                Ok(())
+            })?;
+            JsonValue::Arr(items)
         }
-        Some(b'"') => parse_string(text, pos).map(JsonValue::Str),
-        Some(b't') if bytes[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(JsonValue::Bool(true))
-        }
-        Some(b'f') if bytes[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(JsonValue::Bool(false))
-        }
-        Some(b'n') if bytes[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(JsonValue::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < bytes.len()
-                && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            let number = &text[start..*pos];
-            number
-                .parse::<f64>()
-                .map(JsonValue::Num)
-                .map_err(|_| format!("invalid number {number:?} at byte {start}"))
-        }
-    }
+        _ => match lexer.token(depth)? {
+            Token::Null => JsonValue::Null,
+            Token::Bool(b) => JsonValue::Bool(b),
+            Token::Num(number) => JsonValue::Num(number.parse().expect("number tokens parse")),
+            Token::Str(s) => JsonValue::Str(s),
+            Token::Skipped => unreachable!("arrays and objects are built above"),
+        },
+    })
 }
 
-fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
-    let bytes = text.as_bytes();
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}"));
+/// The bound below which every integer a JSON number spells parses to
+/// itself: 2^53. A larger one may already be rounded
+/// (`9007199254740993` parses as 2^53).
+const EXACT: f64 = 9_007_199_254_740_992.0;
+
+/// `v` as an integer, if it is one of magnitude below 2^53.
+fn exact_integer(v: f64) -> Option<i64> {
+    (v.fract() == 0.0 && v.abs() < EXACT).then_some(v as i64)
+}
+
+/// The integer a number token (from [`Lexer::number`]) stands for, if
+/// it is one of magnitude below 2^53, by the rule of
+/// [`Lexer::integer`].
+pub(crate) fn integer(token: &str) -> Option<i64> {
+    Lexer::new(token).integer().ok().flatten()
+}
+
+/// One value read by [`Lexer::token`].
+pub(crate) enum Token<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number, as its text (it parses as an `f64`).
+    Num(&'a str),
+    /// A string, unescaped.
+    Str(String),
+    /// An array or object, read whole and dropped.
+    Skipped,
+}
+
+/// A pull lexer over one JSON text, shared by [`parse_json`]'s tree
+/// builder and the serve protocol's typed request scan, so both accept
+/// and refuse the same texts with the same messages. Every read skips
+/// the whitespace before its token; a composite value is read through
+/// [`Lexer::object`] or [`Lexer::array`], whose callbacks must read
+/// each member or element whole.
+pub(crate) struct Lexer<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Lexer<'a> {
+    pub(crate) fn new(text: &'a str) -> Self {
+        Lexer { text, pos: 0 }
     }
-    *pos += 1;
-    let mut out = String::new();
-    let mut pending_high: Option<u16> = None;
-    loop {
-        let Some(&b) = bytes.get(*pos) else {
-            return Err("unterminated string".into());
-        };
-        // A lone high surrogate not followed by \u.. is malformed.
-        if pending_high.is_some() && b != b'\\' {
-            return Err(format!("unpaired surrogate before byte {pos}"));
+
+    fn skip_ws(&mut self) {
+        let bytes = self.text.as_bytes();
+        while self.pos < bytes.len() && matches!(bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r') {
+            self.pos += 1;
         }
-        match b {
-            b'"' => {
-                *pos += 1;
-                return Ok(out);
-            }
-            b'\\' => {
-                *pos += 1;
-                let Some(&e) = bytes.get(*pos) else {
-                    return Err("unterminated escape".into());
-                };
-                *pos += 1;
-                match e {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hex = bytes
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| format!("short \\u escape at byte {pos}"))?;
-                        let code = u16::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape at byte {pos}"))?;
-                        *pos += 4;
-                        match (pending_high.take(), code) {
-                            (Some(high), 0xDC00..=0xDFFF) => {
-                                let c = 0x10000
-                                    + ((u32::from(high) - 0xD800) << 10)
-                                    + (u32::from(code) - 0xDC00);
-                                out.push(
-                                    char::from_u32(c)
-                                        .ok_or_else(|| "bad surrogate pair".to_owned())?,
-                                );
-                            }
-                            (None, 0xD800..=0xDBFF) => pending_high = Some(code),
-                            (None, _) => out.push(
-                                char::from_u32(u32::from(code))
-                                    .ok_or_else(|| "bad code point".to_owned())?,
-                            ),
-                            (Some(_), _) => return Err("unpaired surrogate".into()),
-                        }
-                    }
-                    other => return Err(format!("unknown escape \\{}", other as char)),
+    }
+
+    /// The first byte of the next token, not consumed.
+    pub(crate) fn peek(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    /// Ends the text: only whitespace may follow the value read.
+    pub(crate) fn finish(mut self) -> Result<(), String> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(format!("trailing content at byte {}", self.pos)),
+        }
+    }
+
+    /// Reads the array or object at the cursor (inside `depth` arrays
+    /// or objects) up to its `close` bracket, calling `item` at each
+    /// element or member.
+    fn sequence(
+        &mut self,
+        depth: usize,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        if depth >= MAX_NESTING {
+            return Err(format!(
+                "nesting deeper than {MAX_NESTING} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.pos += 1;
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            item(self)?;
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b) if b == close => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => {
+                    let close = char::from(close);
+                    return Err(format!("expected ',' or '{close}' at byte {}", self.pos));
                 }
             }
-            _ => {
-                // Copy the run up to the next quote or backslash in one
-                // go. Both delimiters are ASCII, so the run ends on a
-                // character boundary of the (valid UTF-8) input.
-                let end = bytes[*pos..]
-                    .iter()
-                    .position(|&c| c == b'"' || c == b'\\')
-                    .map_or(bytes.len(), |n| *pos + n);
-                out.push_str(&text[*pos..end]);
-                *pos = end;
+        }
+    }
+
+    /// Reads the object at the cursor (inside `depth` arrays or
+    /// objects), calling `member` with each key, unescaped, and the
+    /// lexer at that member's value.
+    pub(crate) fn object(
+        &mut self,
+        depth: usize,
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), String>,
+    ) -> Result<(), String> {
+        let mut key = String::new();
+        self.sequence(depth, b'}', |lexer| {
+            lexer.skip_ws();
+            key.clear();
+            lexer.string_into(&mut key)?;
+            if lexer.peek() != Some(b':') {
+                return Err(format!("expected ':' at byte {}", lexer.pos));
+            }
+            lexer.pos += 1;
+            member(lexer, &key)
+        })
+    }
+
+    /// Reads the array at the cursor (inside `depth` arrays or
+    /// objects), calling `item` with the lexer at each element.
+    pub(crate) fn array(
+        &mut self,
+        depth: usize,
+        item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.sequence(depth, b']', item)
+    }
+
+    /// Reads the value at the cursor (inside `depth` arrays or
+    /// objects): a scalar as its token, an array or object checked
+    /// whole and dropped.
+    pub(crate) fn token(&mut self, depth: usize) -> Result<Token<'a>, String> {
+        let (word, token) = match self.peek() {
+            None => return Err("unexpected end of input".into()),
+            Some(b'{') => {
+                self.object(depth, |lexer, _| lexer.skip(depth + 1))?;
+                return Ok(Token::Skipped);
+            }
+            Some(b'[') => {
+                self.array(depth, |lexer| lexer.skip(depth + 1))?;
+                return Ok(Token::Skipped);
+            }
+            Some(b'"') => {
+                let mut s = String::new();
+                self.string_into(&mut s)?;
+                return Ok(Token::Str(s));
+            }
+            Some(b't') => ("true", Token::Bool(true)),
+            Some(b'f') => ("false", Token::Bool(false)),
+            Some(b'n') => ("null", Token::Null),
+            Some(_) => return self.number().map(Token::Num),
+        };
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(token)
+        } else {
+            self.number().map(Token::Num)
+        }
+    }
+
+    /// Whether the value at the cursor is read as a number token: it
+    /// opens no string, array or object and starts no keyword (a
+    /// misspelt keyword is an invalid number).
+    pub(crate) fn at_number(&mut self) -> bool {
+        !matches!(
+            self.peek(),
+            None | Some(b'{' | b'[' | b'"' | b't' | b'f' | b'n')
+        )
+    }
+
+    /// Reads the value at the cursor and drops it.
+    pub(crate) fn skip(&mut self, depth: usize) -> Result<(), String> {
+        self.token(depth).map(drop)
+    }
+
+    /// Reads a number token: the run of `0-9 + - . e E` at the cursor,
+    /// which must parse as an `f64`.
+    pub(crate) fn number(&mut self) -> Result<&'a str, String> {
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        // Digits after at most a leading minus always parse.
+        let mut plain = true;
+        while let Some(&b) = bytes.get(self.pos) {
+            match b {
+                b'0'..=b'9' => {}
+                b'-' if self.pos == start => {}
+                b'+' | b'-' | b'.' | b'e' | b'E' => plain = false,
+                _ => break,
+            }
+            self.pos += 1;
+        }
+        let number = &self.text[start..self.pos];
+        let digits = number.len() - usize::from(number.starts_with('-'));
+        if (plain && digits > 0) || number.parse::<f64>().is_ok() {
+            Ok(number)
+        } else {
+            Err(format!("invalid number {number:?} at byte {start}"))
+        }
+    }
+
+    /// Reads a number token and returns the integer it stands for, if it
+    /// is one of magnitude below 2^53. A canonical spelling — `0`, or an
+    /// optional minus and at most 15 digits without a leading zero — is
+    /// read from its digits in the pass that finds its end; any other
+    /// (`-0`, `1.0`, `1e2`, `+5`, `007`) through its `f64` value, exactly
+    /// as [`JsonValue::as_i64`] reads a parsed tree.
+    pub(crate) fn integer(&mut self) -> Result<Option<i64>, String> {
+        let bytes = self.text.as_bytes();
+        let negative = bytes.get(self.pos) == Some(&b'-');
+        let start = self.pos + usize::from(negative);
+        let (mut end, mut n) = (start, 0i64);
+        while let Some(&d @ b'0'..=b'9') = bytes.get(end) {
+            n = n.wrapping_mul(10).wrapping_add(i64::from(d - b'0'));
+            end += 1;
+        }
+        let canonical = match &bytes[start..end] {
+            [b'0'] => !negative,
+            [b'1'..=b'9', rest @ ..] => rest.len() < 15,
+            _ => false,
+        };
+        if canonical && !matches!(bytes.get(end), Some(b'+' | b'-' | b'.' | b'e' | b'E')) {
+            self.pos = end;
+            return Ok(Some(if negative { -n } else { n }));
+        }
+        Ok(exact_integer(
+            self.number()?.parse().expect("number tokens parse"),
+        ))
+    }
+
+    /// Reads the string at the cursor, appending it unescaped to `out`.
+    pub(crate) fn string_into(&mut self, out: &mut String) -> Result<(), String> {
+        let (text, bytes) = (self.text, self.text.as_bytes());
+        let pos = &mut self.pos;
+        if bytes.get(*pos) != Some(&b'"') {
+            return Err(format!("expected string at byte {pos}"));
+        }
+        *pos += 1;
+        let mut pending_high: Option<u16> = None;
+        loop {
+            let Some(&b) = bytes.get(*pos) else {
+                return Err("unterminated string".into());
+            };
+            // A lone high surrogate not followed by \u.. is malformed.
+            if pending_high.is_some() && b != b'\\' {
+                return Err(format!("unpaired surrogate before byte {pos}"));
+            }
+            match b {
+                b'"' => {
+                    *pos += 1;
+                    return Ok(());
+                }
+                b'\\' => {
+                    *pos += 1;
+                    let Some(&e) = bytes.get(*pos) else {
+                        return Err("unterminated escape".into());
+                    };
+                    *pos += 1;
+                    match e {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'u' => {
+                            let hex = bytes
+                                .get(*pos..*pos + 4)
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .ok_or_else(|| format!("short \\u escape at byte {pos}"))?;
+                            let code = u16::from_str_radix(hex, 16)
+                                .map_err(|_| format!("bad \\u escape at byte {pos}"))?;
+                            *pos += 4;
+                            match (pending_high.take(), code) {
+                                (Some(high), 0xDC00..=0xDFFF) => {
+                                    let c = 0x10000
+                                        + ((u32::from(high) - 0xD800) << 10)
+                                        + (u32::from(code) - 0xDC00);
+                                    out.push(
+                                        char::from_u32(c)
+                                            .ok_or_else(|| "bad surrogate pair".to_owned())?,
+                                    );
+                                }
+                                (None, 0xD800..=0xDBFF) => pending_high = Some(code),
+                                (None, _) => out.push(
+                                    char::from_u32(u32::from(code))
+                                        .ok_or_else(|| "bad code point".to_owned())?,
+                                ),
+                                (Some(_), _) => return Err("unpaired surrogate".into()),
+                            }
+                        }
+                        other => return Err(format!("unknown escape \\{}", other as char)),
+                    }
+                }
+                _ => {
+                    // Copy the run up to the next quote or backslash in
+                    // one go. Both delimiters are ASCII, so the run ends
+                    // on a character boundary of the (valid UTF-8) text.
+                    let end = bytes[*pos..]
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\')
+                        .map_or(bytes.len(), |n| *pos + n);
+                    out.push_str(&text[*pos..end]);
+                    *pos = end;
+                }
             }
         }
     }

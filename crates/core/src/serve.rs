@@ -51,17 +51,35 @@
 //! before the store is touched, and deeper failures are memoized
 //! error values that later identical requests replay.
 //!
+//! # Reading a request
+//!
+//! A request line is read in one pass, with no JSON tree: the
+//! [`crate::json`] lexer that [`crate::json::parse_json`] builds its
+//! trees on walks the line once, and each member the protocol reads
+//! goes straight into its [`ComputeRequest`] field. The first
+//! occurrence of a member counts; unknown members and later duplicates
+//! are checked as JSON and dropped, and the whole line must be one
+//! object. An integer written canonically (`0`, or an optional minus
+//! and digits without a leading zero, below 2^53) is read from its
+//! digits; any other spelling (`-0`, `1.0`, `1e2`, `+5`, `007`) counts
+//! when its `f64` value is an integer below 2^53 in magnitude. A type
+//! error is reported only once the whole line has read as JSON, and only
+//! for a member the command reads, so the scan accepts and refuses the
+//! lines a tree-then-lookup parser did, with its messages (the
+//! `reference` test module keeps that parser as the oracle). Each
+//! connection reads its lines into one reused buffer.
+//!
 //! # Threading
 //!
 //! [`Server::spawn`] starts one worker thread per store shard plus an
 //! accept loop; each connection gets a reader thread and a writer
-//! thread. The reader parses each line and answers `stats`/`shutdown`
-//! inline. For a compute request it builds the result key once (the
-//! routing fingerprint comes out of the same pass) and looks it up in
-//! the result memo itself: a hit is answered on the spot and goes
-//! straight to the writer, with `queue_nanos` 0 and the lookup as
-//! `compute_nanos`, so it never waits behind a cold compute in a shard
-//! queue. Only a miss is routed to its shard's worker (by
+//! thread. The reader scans each line into its request and answers
+//! `stats`/`shutdown` inline. For a compute request it builds the
+//! result key once (the routing fingerprint comes out of the same
+//! pass) and looks it up in the result memo itself: a hit is answered
+//! on the spot and goes straight to the writer, with `queue_nanos` 0
+//! and the lookup as `compute_nanos`, so it never waits behind a cold
+//! compute in a shard queue. Only a miss is routed to its shard's worker (by
 //! [`request_fingerprint`]), carrying the key, and the worker checks
 //! the memo again with it, so a duplicate queued behind its first copy
 //! still hits. The writer moves the lines its `Outbox` hands back onto
@@ -96,8 +114,8 @@ use crate::explore::{explore_in, hardware_weight_sweep};
 use corepart_tech::scaling::OperatingPoint;
 
 use crate::json::{
-    exploration_to_json_at, json_escape, outcome_result_json_at, parse_json, verify_result_json_at,
-    JsonValue,
+    exploration_to_json_at, integer, json_escape, outcome_result_json_at, verify_result_json_at,
+    Lexer, Token,
 };
 use crate::partition::Partitioner;
 use crate::prepare::Workload;
@@ -309,44 +327,36 @@ impl ComputeRequest {
 }
 
 /// Any parsed request line.
+#[derive(Debug)]
 enum Request {
     Compute(Box<ComputeRequest>),
     Stats { id: Option<u64> },
     Shutdown { id: Option<u64> },
 }
 
-fn opt_u64(v: &JsonValue, key: &str) -> Result<Option<u64>, String> {
-    match v.get(key) {
-        None | Some(JsonValue::Null) => Ok(None),
-        Some(x) => x
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("`{key}` must be a non-negative integer below 2^53")),
-    }
-}
-
-fn opt_f64(v: &JsonValue, key: &str) -> Result<Option<f64>, String> {
-    match v.get(key) {
-        None | Some(JsonValue::Null) => Ok(None),
-        Some(x) => x
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| format!("`{key}` must be a number")),
-    }
-}
-
-/// Parses one request line.
+/// Parses one request line in one pass over its text, with no JSON
+/// tree: each member the protocol reads is read straight into its type,
+/// and everything else is checked and skipped. The first occurrence of
+/// a member counts; a later duplicate is read and dropped. A member's
+/// type error is only reported once the whole line has read as JSON,
+/// and only if the command reads that member (`stats` reads `id` and
+/// `cmd` alone), in the order the checks below make them.
 fn parse_request(line: &str) -> Result<Request, String> {
-    let v = parse_json(line)?;
-    if !matches!(v, JsonValue::Obj(_)) {
+    let mut lexer = Lexer::new(line);
+    if lexer.peek() != Some(b'{') {
+        lexer.skip(0)?;
+        lexer.finish()?;
         return Err("request must be a JSON object".into());
     }
-    let id = opt_u64(&v, "id")?;
-    let cmd = v
-        .get("cmd")
-        .and_then(JsonValue::as_str)
-        .ok_or("request needs a string `cmd`")?;
-    let kind = match cmd {
+    let mut m = Members::default();
+    lexer.object(0, |lexer, key| m.read(lexer, key))?;
+    lexer.finish()?;
+
+    let id = opt_u64(m.id, "id")?;
+    let Some(Token::Str(cmd)) = m.cmd else {
+        return Err("request needs a string `cmd`".into());
+    };
+    let kind = match cmd.as_str() {
         "stats" => return Ok(Request::Stats { id }),
         "shutdown" => return Ok(Request::Shutdown { id }),
         "partition" => ComputeKind::Partition,
@@ -355,116 +365,231 @@ fn parse_request(line: &str) -> Result<Request, String> {
         "corpus" => ComputeKind::Corpus,
         other => return Err(format!("unknown cmd `{other}`")),
     };
-    let source = v
-        .get("source")
-        .and_then(JsonValue::as_str)
-        .ok_or("compute requests need a string `source`")?;
-    let mut req = ComputeRequest::new(kind, source);
+    let Some(Token::Str(source)) = m.source else {
+        return Err("compute requests need a string `source`".into());
+    };
+    let mut req = ComputeRequest::new(kind, "");
+    req.source = source;
     req.id = id;
-    if let Some(arrays) = v.get("arrays") {
-        let JsonValue::Obj(entries) = arrays else {
-            return Err("`arrays` must be an object of integer arrays".into());
-        };
-        for (name, value) in entries {
-            let items = value
-                .as_array()
-                .ok_or_else(|| format!("array `{name}` must be a JSON array"))?;
-            let mut data = Vec::with_capacity(items.len());
-            for item in items {
-                let x = item
-                    .as_i64()
-                    .ok_or_else(|| format!("array `{name}` must hold integers below 2^53"))?;
-                data.push(x);
-            }
-            req.arrays.push((name.clone(), data));
-        }
+    if let Some(arrays) = m.arrays {
+        req.arrays = arrays?;
     }
-    req.n_max = opt_u64(&v, "n_max")?.map(|n| n as usize);
-    req.factor_f = opt_f64(&v, "factor_f")?;
-    req.factor_g = opt_f64(&v, "factor_g")?;
-    if let Some(weights) = v.get("weights") {
-        let items = weights
-            .as_array()
-            .ok_or("`weights` must be an array of numbers")?;
-        let mut out = Vec::with_capacity(items.len());
-        for item in items {
-            out.push(
-                item.as_f64()
-                    .ok_or("`weights` must be an array of numbers")?,
-            );
-        }
-        req.weights = Some(out);
+    req.n_max = opt_u64(m.n_max, "n_max")?.map(|n| n as usize);
+    req.factor_f = opt_f64(m.factor_f, "factor_f")?;
+    req.factor_g = opt_f64(m.factor_g, "factor_g")?;
+    if let Some(weights) = m.weights {
+        req.weights = Some(weights.ok_or("`weights` must be an array of numbers")?);
     }
-    if let Some(clusters) = v.get("clusters") {
-        let items = clusters
-            .as_array()
-            .ok_or("`clusters` must be an array of cluster ids")?;
-        let mut out = Vec::with_capacity(items.len());
-        for item in items {
-            let id = item
-                .as_u64()
-                .filter(|&x| x <= u64::from(u32::MAX))
-                .ok_or("`clusters` must be an array of cluster ids")?;
-            out.push(id as u32);
-        }
-        req.clusters = out;
+    if let Some(clusters) = m.clusters {
+        req.clusters = clusters.ok_or("`clusters` must be an array of cluster ids")?;
     }
-    if let Some(set) = opt_u64(&v, "set_index")? {
+    if let Some(set) = opt_u64(m.set_index, "set_index")? {
         req.set_index = set as usize;
     }
-    match v.get("operating_point") {
-        None | Some(JsonValue::Null) => {}
-        Some(point) => {
-            let bad = "`operating_point` must be {\"node_nm\":<int>,\"vdd\":<number>}";
-            if !matches!(point, JsonValue::Obj(_)) {
-                return Err(bad.into());
-            }
-            let node_nm = point
-                .get("node_nm")
-                .and_then(JsonValue::as_u64)
-                .filter(|&n| n <= u64::from(u32::MAX))
-                .ok_or(bad)?;
-            let vdd = point.get("vdd").and_then(JsonValue::as_f64).ok_or(bad)?;
-            req.operating_point = Some(OperatingPoint {
-                node_nm: node_nm as u32,
-                vdd,
-            });
-        }
+    if let Some(point) = m.operating_point {
+        req.operating_point = point?;
     }
-    match v.get("ordered") {
-        None | Some(JsonValue::Null) => {}
-        Some(JsonValue::Bool(b)) => req.ordered = *b,
+    match m.ordered {
+        None | Some(Token::Null) => {}
+        Some(Token::Bool(b)) => req.ordered = b,
         Some(_) => return Err("`ordered` must be a boolean".into()),
     }
     if kind == ComputeKind::Corpus {
-        let index = opt_u64(&v, "index")?.ok_or("corpus requests need an `index`")?;
-        let seed_value = v
-            .get("seed")
-            .ok_or_else(|| "corpus requests need a `seed`".to_string())?;
-        let seed = match seed_value.as_str() {
+        let index = opt_u64(m.index, "index")?.ok_or("corpus requests need an `index`")?;
+        let seed = match m.seed {
+            None => return Err("corpus requests need a `seed`".into()),
             // The canonical wire format: a decimal string, because a
             // full 64-bit seed does not survive a float round trip.
-            Some(text) => text
+            Some(Token::Str(text)) => text
                 .parse::<u64>()
                 .map_err(|_| format!("`seed` must be a decimal u64, got '{text}'"))?,
-            None => seed_value
-                .as_u64()
+            Some(token) => to_u64(&token)
                 .ok_or_else(|| "`seed` must be a decimal string or integer".to_string())?,
         };
-        let name = v
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .ok_or("corpus requests need a string `name`")?;
-        req.corpus = Some(CorpusMeta {
-            index,
-            seed,
-            name: name.to_owned(),
-        });
+        let Some(Token::Str(name)) = m.name else {
+            return Err("corpus requests need a string `name`".into());
+        };
+        req.corpus = Some(CorpusMeta { index, seed, name });
         if req.weights.as_ref().is_none_or(Vec::is_empty) {
             return Err("corpus requests need a non-empty `weights` G sweep".into());
         }
     }
     Ok(req.into())
+}
+
+/// Workload arrays as a request carries them: `(name, contents)`.
+type Arrays = Vec<(String, Vec<i64>)>;
+
+/// The first occurrence of each member a request line may carry, read
+/// into its type: scalars as tokens, arrays and objects as their typed
+/// value or the error that would refuse it.
+#[derive(Default)]
+struct Members<'a> {
+    id: Option<Token<'a>>,
+    cmd: Option<Token<'a>>,
+    source: Option<Token<'a>>,
+    arrays: Option<Result<Arrays, String>>,
+    n_max: Option<Token<'a>>,
+    factor_f: Option<Token<'a>>,
+    factor_g: Option<Token<'a>>,
+    weights: Option<Option<Vec<f64>>>,
+    clusters: Option<Option<Vec<u32>>>,
+    set_index: Option<Token<'a>>,
+    operating_point: Option<Result<Option<OperatingPoint>, String>>,
+    ordered: Option<Token<'a>>,
+    index: Option<Token<'a>>,
+    seed: Option<Token<'a>>,
+    name: Option<Token<'a>>,
+}
+
+impl<'a> Members<'a> {
+    /// Reads the value of member `key` of the request object.
+    fn read(&mut self, lexer: &mut Lexer<'a>, key: &str) -> Result<(), String> {
+        fn keep<T>(slot: &mut Option<T>, value: T) {
+            slot.get_or_insert(value);
+        }
+        let weight = |lexer: &mut Lexer| Ok(lexer.number()?.parse().ok());
+        let cluster_id =
+            |lexer: &mut Lexer| Ok(lexer.integer()?.and_then(|n| u32::try_from(n).ok()));
+        match key {
+            "id" => keep(&mut self.id, lexer.token(1)?),
+            "cmd" => keep(&mut self.cmd, lexer.token(1)?),
+            "source" => keep(&mut self.source, lexer.token(1)?),
+            "arrays" => keep(&mut self.arrays, read_arrays(lexer)?),
+            "n_max" => keep(&mut self.n_max, lexer.token(1)?),
+            "factor_f" => keep(&mut self.factor_f, lexer.token(1)?),
+            "factor_g" => keep(&mut self.factor_g, lexer.token(1)?),
+            "weights" => keep(&mut self.weights, read_numbers(lexer, 1, weight)?),
+            "clusters" => keep(&mut self.clusters, read_numbers(lexer, 1, cluster_id)?),
+            "set_index" => keep(&mut self.set_index, lexer.token(1)?),
+            "operating_point" => keep(&mut self.operating_point, read_point(lexer)?),
+            "ordered" => keep(&mut self.ordered, lexer.token(1)?),
+            "index" => keep(&mut self.index, lexer.token(1)?),
+            "seed" => keep(&mut self.seed, lexer.token(1)?),
+            "name" => keep(&mut self.name, lexer.token(1)?),
+            _ => lexer.skip(1)?,
+        }
+        Ok(())
+    }
+}
+
+/// Reads an array of numbers, each through `read` (which reads one
+/// number token): `None` when the value is not an array or an element
+/// is no number `read` accepts.
+fn read_numbers<'a, T>(
+    lexer: &mut Lexer<'a>,
+    depth: usize,
+    read: impl Fn(&mut Lexer<'a>) -> Result<Option<T>, String>,
+) -> Result<Option<Vec<T>>, String> {
+    if lexer.peek() != Some(b'[') {
+        lexer.skip(depth)?;
+        return Ok(None);
+    }
+    let mut out = Some(Vec::new());
+    lexer.array(depth, |lexer| {
+        let item = if lexer.at_number() {
+            read(lexer)?
+        } else {
+            lexer.skip(depth + 1)?;
+            None
+        };
+        match (&mut out, item) {
+            (Some(items), Some(x)) => items.push(x),
+            _ => out = None,
+        }
+        Ok(())
+    })?;
+    Ok(out)
+}
+
+/// Reads the `arrays` member: its arrays in order, or the error that
+/// refuses the first bad one.
+fn read_arrays(lexer: &mut Lexer) -> Result<Result<Arrays, String>, String> {
+    if lexer.peek() != Some(b'{') {
+        lexer.skip(1)?;
+        return Ok(Err("`arrays` must be an object of integer arrays".into()));
+    }
+    let mut out = Ok(Vec::new());
+    lexer.object(1, |lexer, name| {
+        let is_array = lexer.peek() == Some(b'[');
+        let data = read_numbers(lexer, 2, Lexer::integer)?;
+        if let Ok(arrays) = &mut out {
+            match data {
+                Some(data) => arrays.push((name.to_owned(), data)),
+                None if is_array => {
+                    out = Err(format!("array `{name}` must hold integers below 2^53"));
+                }
+                None => out = Err(format!("array `{name}` must be a JSON array")),
+            }
+        }
+        Ok(())
+    })?;
+    Ok(out)
+}
+
+/// Reads the `operating_point` member: `null`, or an object whose
+/// first `node_nm` is a `u32` and whose first `vdd` is a number.
+fn read_point(lexer: &mut Lexer) -> Result<Result<Option<OperatingPoint>, String>, String> {
+    let bad = || Err("`operating_point` must be {\"node_nm\":<int>,\"vdd\":<number>}".into());
+    if lexer.peek() != Some(b'{') {
+        return Ok(match lexer.token(1)? {
+            Token::Null => Ok(None),
+            _ => bad(),
+        });
+    }
+    let (mut node_nm, mut vdd) = (None, None);
+    lexer.object(1, |lexer, key| {
+        let slot = match key {
+            "node_nm" => &mut node_nm,
+            "vdd" => &mut vdd,
+            _ => return lexer.skip(2),
+        };
+        let token = lexer.token(2)?;
+        slot.get_or_insert(token);
+        Ok(())
+    })?;
+    let node_nm = node_nm.as_ref().and_then(to_u64);
+    let node_nm = node_nm.and_then(|n| u32::try_from(n).ok());
+    Ok(match (node_nm, vdd.as_ref().and_then(to_f64)) {
+        (Some(node_nm), Some(vdd)) => Ok(Some(OperatingPoint { node_nm, vdd })),
+        _ => bad(),
+    })
+}
+
+/// A number token's value as an integer in `0..2^53`.
+fn to_u64(token: &Token) -> Option<u64> {
+    match token {
+        Token::Num(n) => u64::try_from(integer(n)?).ok(),
+        _ => None,
+    }
+}
+
+/// A number token's value.
+fn to_f64(token: &Token) -> Option<f64> {
+    match token {
+        Token::Num(n) => n.parse().ok(),
+        _ => None,
+    }
+}
+
+/// An optional non-negative integer member (absent or `null` is `None`).
+fn opt_u64(token: Option<Token>, key: &str) -> Result<Option<u64>, String> {
+    match token {
+        None | Some(Token::Null) => Ok(None),
+        Some(t) => to_u64(&t)
+            .map(Some)
+            .ok_or_else(|| format!("`{key}` must be a non-negative integer below 2^53")),
+    }
+}
+
+/// An optional number member (absent or `null` is `None`).
+fn opt_f64(token: Option<Token>, key: &str) -> Result<Option<f64>, String> {
+    match token {
+        None | Some(Token::Null) => Ok(None),
+        Some(t) => to_f64(&t)
+            .map(Some)
+            .ok_or_else(|| format!("`{key}` must be a number")),
+    }
 }
 
 impl From<ComputeRequest> for Request {
@@ -799,15 +924,17 @@ fn result_key(req: &ComputeRequest) -> ResultKey {
     let knobs = text.len();
     let mut route = Fnv64::default();
     route.write(req.source.as_bytes());
+    let mut digits = Vec::new();
     for (name, data) in &req.arrays {
         let _ = write!(route, "\0{name}=");
         let _ = write!(text, "|{name:?}=");
-        let digits = text.len();
+        digits.clear();
         for &v in data {
-            push_decimal(&mut text, v);
-            text.push(',');
+            push_decimal(&mut digits, v);
+            digits.push(b',');
         }
-        route.write(&text.as_bytes()[digits..]);
+        route.write(&digits);
+        text.push_str(std::str::from_utf8(&digits).expect("decimal text is ASCII"));
     }
     text.push('|');
     text.push_str(&req.source);
@@ -822,23 +949,34 @@ fn result_key(req: &ComputeRequest) -> ResultKey {
     }
 }
 
-/// Appends `v` in decimal, as `v.to_string()` spells it.
-fn push_decimal(out: &mut String, v: i64) {
+/// The two-digit decimal spellings of 0 to 99, back to back.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Appends `v` in decimal, as `v.to_string()` spells it, two digits
+/// per division.
+fn push_decimal(out: &mut Vec<u8>, v: i64) {
     let mut digits = [0u8; 20];
     let mut rest = v.unsigned_abs();
     let mut at = digits.len();
-    loop {
+    while rest >= 10 {
+        let pair = (rest % 100) as usize * 2;
+        rest /= 100;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if rest > 0 || at == digits.len() {
         at -= 1;
-        digits[at] = b'0' + (rest % 10) as u8;
-        rest /= 10;
-        if rest == 0 {
-            break;
-        }
+        digits[at] = b'0' + rest as u8;
     }
     if v < 0 {
-        out.push('-');
+        out.push(b'-');
     }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    out.extend_from_slice(&digits[at..]);
 }
 
 /// Answers one compute request from the warm store.
@@ -1275,11 +1413,12 @@ fn serve_connection(
     };
 
     let mut reader = BufReader::new(read_half);
+    let mut line = Vec::new();
     let mut seq: u64 = 0;
     loop {
-        let parsed = match read_request_line(&mut reader) {
+        let parsed = match read_request_line(&mut reader, &mut line) {
             LineRead::Line(line) if line.trim().is_empty() => continue,
-            LineRead::Line(line) => parse_request(&line),
+            LineRead::Line(line) => parse_request(line),
             LineRead::NotUtf8 => Err("request line is not UTF-8".to_owned()),
             LineRead::TooLarge => {
                 // Answered in order; the rest of the line is never read.
@@ -1349,10 +1488,10 @@ fn serve_connection(
 }
 
 /// One read from a connection by [`read_request_line`].
-enum LineRead {
+enum LineRead<'a> {
     /// A line without its newline (or `\r\n`); the last line of the
     /// stream may lack one.
-    Line(String),
+    Line(&'a str),
     /// A whole line that is not UTF-8.
     NotUtf8,
     /// More than [`MAX_LINE_BYTES`] arrived without a newline.
@@ -1361,12 +1500,18 @@ enum LineRead {
     End,
 }
 
-/// Reads one request line, buffering at most [`MAX_LINE_BYTES`] plus
-/// the newline.
-fn read_request_line(reader: &mut impl BufRead) -> LineRead {
-    let mut buf = Vec::new();
+/// A connection's line buffer keeps at most this much capacity between
+/// lines, so one large request does not pin its memory for the life of
+/// the connection.
+const KEPT_LINE_CAPACITY: usize = 64 << 10;
+
+/// Reads one request line into `buf`, the connection's line buffer,
+/// buffering at most [`MAX_LINE_BYTES`] plus the newline.
+fn read_request_line<'a>(reader: &mut impl BufRead, buf: &'a mut Vec<u8>) -> LineRead<'a> {
+    buf.clear();
+    buf.shrink_to(KEPT_LINE_CAPACITY);
     let limit = MAX_LINE_BYTES as u64 + 1;
-    match reader.take(limit).read_until(b'\n', &mut buf) {
+    match reader.take(limit).read_until(b'\n', buf) {
         Ok(0) | Err(_) => return LineRead::End,
         Ok(_) => {}
     }
@@ -1378,7 +1523,7 @@ fn read_request_line(reader: &mut impl BufRead) -> LineRead {
     } else if buf.len() > MAX_LINE_BYTES {
         return LineRead::TooLarge;
     }
-    String::from_utf8(buf).map_or(LineRead::NotUtf8, LineRead::Line)
+    std::str::from_utf8(buf).map_or(LineRead::NotUtf8, LineRead::Line)
 }
 
 /// The outbox's per-request slot.
@@ -1636,10 +1781,175 @@ fn write_line(stream: &mut TcpStream, mut line: String) -> std::io::Result<()> {
     stream.write_all(line.as_bytes())
 }
 
+/// The tree-based request parser the typed scan replaced, kept as the
+/// oracle of `tests::the_scan_agrees_with_the_tree_parser`: the whole
+/// line becomes a [`JsonValue`] tree, and each member is looked up in
+/// it (first match) and converted.
+#[cfg(test)]
+mod reference {
+    use super::{ComputeKind, ComputeRequest, CorpusMeta, OperatingPoint, Request};
+    use crate::json::{parse_json, JsonValue};
+
+    fn opt_u64(v: &JsonValue, key: &str) -> Result<Option<u64>, String> {
+        match v.get(key) {
+            None | Some(JsonValue::Null) => Ok(None),
+            Some(x) => x
+                .as_u64()
+                .map(Some)
+                .ok_or_else(|| format!("`{key}` must be a non-negative integer below 2^53")),
+        }
+    }
+
+    fn opt_f64(v: &JsonValue, key: &str) -> Result<Option<f64>, String> {
+        match v.get(key) {
+            None | Some(JsonValue::Null) => Ok(None),
+            Some(x) => x
+                .as_f64()
+                .map(Some)
+                .ok_or_else(|| format!("`{key}` must be a number")),
+        }
+    }
+
+    /// Parses one request line through a [`JsonValue`] tree.
+    pub(super) fn parse_request(line: &str) -> Result<Request, String> {
+        let v = parse_json(line)?;
+        if !matches!(v, JsonValue::Obj(_)) {
+            return Err("request must be a JSON object".into());
+        }
+        let id = opt_u64(&v, "id")?;
+        let cmd = v
+            .get("cmd")
+            .and_then(JsonValue::as_str)
+            .ok_or("request needs a string `cmd`")?;
+        let kind = match cmd {
+            "stats" => return Ok(Request::Stats { id }),
+            "shutdown" => return Ok(Request::Shutdown { id }),
+            "partition" => ComputeKind::Partition,
+            "explore" => ComputeKind::Explore,
+            "verify" => ComputeKind::Verify,
+            "corpus" => ComputeKind::Corpus,
+            other => return Err(format!("unknown cmd `{other}`")),
+        };
+        let source = v
+            .get("source")
+            .and_then(JsonValue::as_str)
+            .ok_or("compute requests need a string `source`")?;
+        let mut req = ComputeRequest::new(kind, source);
+        req.id = id;
+        if let Some(arrays) = v.get("arrays") {
+            let JsonValue::Obj(entries) = arrays else {
+                return Err("`arrays` must be an object of integer arrays".into());
+            };
+            for (name, value) in entries {
+                let items = value
+                    .as_array()
+                    .ok_or_else(|| format!("array `{name}` must be a JSON array"))?;
+                let mut data = Vec::with_capacity(items.len());
+                for item in items {
+                    let x = item
+                        .as_i64()
+                        .ok_or_else(|| format!("array `{name}` must hold integers below 2^53"))?;
+                    data.push(x);
+                }
+                req.arrays.push((name.clone(), data));
+            }
+        }
+        req.n_max = opt_u64(&v, "n_max")?.map(|n| n as usize);
+        req.factor_f = opt_f64(&v, "factor_f")?;
+        req.factor_g = opt_f64(&v, "factor_g")?;
+        if let Some(weights) = v.get("weights") {
+            let items = weights
+                .as_array()
+                .ok_or("`weights` must be an array of numbers")?;
+            let mut out = Vec::with_capacity(items.len());
+            for item in items {
+                out.push(
+                    item.as_f64()
+                        .ok_or("`weights` must be an array of numbers")?,
+                );
+            }
+            req.weights = Some(out);
+        }
+        if let Some(clusters) = v.get("clusters") {
+            let items = clusters
+                .as_array()
+                .ok_or("`clusters` must be an array of cluster ids")?;
+            let mut out = Vec::with_capacity(items.len());
+            for item in items {
+                let id = item
+                    .as_u64()
+                    .filter(|&x| x <= u64::from(u32::MAX))
+                    .ok_or("`clusters` must be an array of cluster ids")?;
+                out.push(id as u32);
+            }
+            req.clusters = out;
+        }
+        if let Some(set) = opt_u64(&v, "set_index")? {
+            req.set_index = set as usize;
+        }
+        match v.get("operating_point") {
+            None | Some(JsonValue::Null) => {}
+            Some(point) => {
+                let bad = "`operating_point` must be {\"node_nm\":<int>,\"vdd\":<number>}";
+                if !matches!(point, JsonValue::Obj(_)) {
+                    return Err(bad.into());
+                }
+                let node_nm = point
+                    .get("node_nm")
+                    .and_then(JsonValue::as_u64)
+                    .filter(|&n| n <= u64::from(u32::MAX))
+                    .ok_or(bad)?;
+                let vdd = point.get("vdd").and_then(JsonValue::as_f64).ok_or(bad)?;
+                req.operating_point = Some(OperatingPoint {
+                    node_nm: node_nm as u32,
+                    vdd,
+                });
+            }
+        }
+        match v.get("ordered") {
+            None | Some(JsonValue::Null) => {}
+            Some(JsonValue::Bool(b)) => req.ordered = *b,
+            Some(_) => return Err("`ordered` must be a boolean".into()),
+        }
+        if kind == ComputeKind::Corpus {
+            let index = opt_u64(&v, "index")?.ok_or("corpus requests need an `index`")?;
+            let seed_value = v
+                .get("seed")
+                .ok_or_else(|| "corpus requests need a `seed`".to_string())?;
+            let seed = match seed_value.as_str() {
+                // The canonical wire format: a decimal string, because a
+                // full 64-bit seed does not survive a float round trip.
+                Some(text) => text
+                    .parse::<u64>()
+                    .map_err(|_| format!("`seed` must be a decimal u64, got '{text}'"))?,
+                None => seed_value
+                    .as_u64()
+                    .ok_or_else(|| "`seed` must be a decimal string or integer".to_string())?,
+            };
+            let name = v
+                .get("name")
+                .and_then(JsonValue::as_str)
+                .ok_or("corpus requests need a string `name`")?;
+            req.corpus = Some(CorpusMeta {
+                index,
+                seed,
+                name: name.to_owned(),
+            });
+            if req.weights.as_ref().is_none_or(Vec::is_empty) {
+                return Err("corpus requests need a non-empty `weights` G sweep".into());
+            }
+        }
+        Ok(req.into())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::result_field;
+    use crate::json::{result_field, MAX_NESTING};
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     const SRC: &str = r#"app srv; var x[24]; var acc = 0;
         func main() {
@@ -1898,6 +2208,325 @@ mod tests {
         other.id = Some(99);
         other.ordered = false;
         assert_eq!(result_key(&other), key);
+    }
+
+    /// Asserts that the typed scan and the tree parser read `line`
+    /// alike: the same request or the same error, and for a compute
+    /// request the same result key.
+    fn assert_scan_agrees(line: &str) {
+        let scanned = parse_request(line);
+        let tree = reference::parse_request(line);
+        assert_eq!(format!("{scanned:?}"), format!("{tree:?}"), "line: {line}");
+        if let (Ok(Request::Compute(a)), Ok(Request::Compute(b))) = (&scanned, &tree) {
+            assert_eq!(result_key(a), result_key(b), "line: {line}");
+        }
+    }
+
+    /// Number spellings at and around every rule of the scan: canonical
+    /// integers, spellings that go through `f64` (`1.0`, `1e2`, `-0`,
+    /// `+5`, `007`), the 2^53 bound on both sides, the `u32` cluster
+    /// bound, fractions and tokens that are no number at all.
+    const NUMBERS: &[&str] = &[
+        "0",
+        "1",
+        "2",
+        "4",
+        "7",
+        "-3",
+        "-0",
+        "1.0",
+        "1e2",
+        "1E1",
+        "+5",
+        "007",
+        "-007",
+        "0.5",
+        "-1.5",
+        "2.5e-3",
+        "180",
+        "1.8",
+        "999999999999999",
+        "-999999999999999",
+        "1000000000000000",
+        "9007199254740991",
+        "-9007199254740991",
+        "9007199254740992",
+        "-9007199254740992",
+        "9007199254740993",
+        "4294967295",
+        "4294967296",
+        "1e400",
+        ".5",
+        "5.",
+    ];
+
+    /// Strings: every command, sources, seeds and escapes (one of them
+    /// malformed).
+    const STRINGS: &[&str] = &[
+        r#""stats""#,
+        r#""shutdown""#,
+        r#""partition""#,
+        r#""explore""#,
+        r#""verify""#,
+        r#""corpus""#,
+        r#""fly""#,
+        r#""app a;""#,
+        r#""12""#,
+        r#""18446744073709551615""#,
+        r#""-1""#,
+        r#""x""#,
+        r#""A\n\"""#,
+        r#""\ud83d""#,
+        r#""""#,
+    ];
+
+    /// The members a request reads, an escaped spelling of `id`, and
+    /// names the protocol ignores.
+    const KEYS: &[&str] = &[
+        "id",
+        "cmd",
+        "source",
+        "arrays",
+        "n_max",
+        "factor_f",
+        "factor_g",
+        "weights",
+        "clusters",
+        "set_index",
+        "operating_point",
+        "ordered",
+        "index",
+        "seed",
+        "name",
+        "\\u0069d",
+        "x",
+        "node_nm",
+        "",
+    ];
+
+    /// Random request lines, most of them close to valid.
+    struct LineGen(StdRng);
+
+    impl LineGen {
+        fn pick(&mut self, items: &[&'static str]) -> &'static str {
+            items.choose(&mut self.0).expect("non-empty")
+        }
+
+        fn chance(&mut self, p: f64) -> bool {
+            self.0.gen_bool(p)
+        }
+
+        fn ws(&mut self) -> &'static str {
+            self.pick(&["", "", "", "", " ", "\t", "\r\n  "])
+        }
+
+        fn list(&mut self, max: usize, mut item: impl FnMut(&mut Self) -> String) -> String {
+            let n = self.0.gen_range(0..=max);
+            let items: Vec<String> = (0..n)
+                .map(|_| format!("{}{}{}", self.ws(), item(self), self.ws()))
+                .collect();
+            items.join(",")
+        }
+
+        /// A number token, now and then one that is no number.
+        fn number(&mut self) -> &'static str {
+            if self.chance(0.03) {
+                self.pick(&["-", "1.2.3", "--1", "1e", "."])
+            } else {
+                self.pick(NUMBERS)
+            }
+        }
+
+        fn numbers(&mut self, max: usize) -> String {
+            format!("[{}]", self.list(max, |g| g.number().to_owned()))
+        }
+
+        /// Any value sitting inside `depth` arrays or objects, sometimes
+        /// nested to just below or just past `MAX_NESTING`.
+        fn value(&mut self, depth: usize) -> String {
+            match self.0.gen_range(0..10) {
+                0..=2 => self.number().to_owned(),
+                3..=4 => self.pick(STRINGS).to_owned(),
+                5 => self
+                    .pick(&["true", "false", "null", "tru", "nul"])
+                    .to_owned(),
+                6 if depth < 4 => format!("[{}]", self.list(3, |g| g.value(depth + 1))),
+                7 if depth < 4 => format!(
+                    "{{{}}}",
+                    self.list(3, |g| format!(
+                        "\"{}\":{}",
+                        g.pick(KEYS),
+                        g.value(depth + 1)
+                    ))
+                ),
+                8 => {
+                    let levels = self
+                        .0
+                        .gen_range(MAX_NESTING - depth - 2..=MAX_NESTING - depth + 1);
+                    format!("{}{}", "[".repeat(levels), "]".repeat(levels))
+                }
+                _ => self.numbers(3),
+            }
+        }
+
+        /// A value of the type member `key` wants, most of the time.
+        fn member_value(&mut self, key: &str) -> String {
+            if self.chance(0.1) {
+                return self.value(1);
+            }
+            let small = ["0", "1", "2", "4", "-0", "1.0", "1e2", "+5", "007"];
+            match key {
+                "cmd" => self
+                    .pick(&[
+                        r#""partition""#,
+                        r#""verify""#,
+                        r#""corpus""#,
+                        r#""explore""#,
+                    ])
+                    .to_owned(),
+                "source" => r#""app a; var x[4];""#.to_owned(),
+                "arrays" => {
+                    let names = ["\"x\"", "\"y\"", "\"x\""];
+                    format!(
+                        "{{{}}}",
+                        self.list(3, |g| format!("{}:{}", g.pick(&names), g.numbers(6)))
+                    )
+                }
+                "weights" | "clusters" => self.numbers(4),
+                "operating_point" => format!(
+                    "{{{}}}",
+                    self.list(3, |g| {
+                        let key = g.pick(&["node_nm", "vdd", "vdd", "node_nm", "x"]);
+                        format!("\"{key}\":{}", g.number())
+                    })
+                ),
+                "ordered" => self.pick(&["true", "false", "null"]).to_owned(),
+                "seed" => self
+                    .pick(&[
+                        r#""12""#,
+                        r#""18446744073709551615""#,
+                        "12",
+                        "-1",
+                        r#""-1""#,
+                    ])
+                    .to_owned(),
+                "name" => self.pick(STRINGS).to_owned(),
+                _ if self.chance(0.7) => self.pick(&small).to_owned(),
+                _ => self.number().to_owned(),
+            }
+        }
+
+        fn line(&mut self) -> String {
+            if self.chance(0.05) {
+                return self.value(0);
+            }
+            let mut members = Vec::new();
+            if self.chance(0.8) {
+                members.extend(["cmd", "source"].map(str::to_owned));
+            }
+            if self.chance(0.3) {
+                members.extend(["index", "seed", "name", "weights"].map(str::to_owned));
+            }
+            for _ in 0..self.0.gen_range(0..8) {
+                members.push(self.pick(KEYS).to_owned());
+            }
+            // Random member order, duplicates included.
+            members.shuffle(&mut self.0);
+            let body = members
+                .iter()
+                .map(|key| {
+                    let value = self.member_value(key);
+                    format!(
+                        "{}\"{key}\"{}:{}{value}{}",
+                        self.ws(),
+                        self.ws(),
+                        self.ws(),
+                        self.ws()
+                    )
+                })
+                .collect::<Vec<_>>()
+                .join(",");
+            let tail = if self.chance(0.05) {
+                self.pick(&["x", ",", "}", "{}"])
+            } else {
+                ""
+            };
+            format!("{}{{{body}}}{}{tail}", self.ws(), self.ws())
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(4000))]
+
+        /// The typed scan against the tree parser it replaced, on
+        /// random lines and on a random prefix of each.
+        #[test]
+        fn the_scan_agrees_with_the_tree_parser(seed in 0u64..u64::MAX) {
+            let mut lines = LineGen(StdRng::seed_from_u64(seed));
+            let line = lines.line();
+            assert_scan_agrees(&line);
+            let cut = lines.0.gen_range(0..=line.len());
+            if line.is_char_boundary(cut) {
+                assert_scan_agrees(&line[..cut]);
+            }
+        }
+    }
+
+    #[test]
+    fn the_scan_agrees_with_the_tree_parser_on_every_prefix() {
+        let mut corpus = request(ComputeKind::Corpus);
+        corpus.id = Some(3);
+        corpus.ordered = false;
+        corpus.n_max = Some(4);
+        corpus.factor_f = Some(1.25);
+        corpus.weights = Some(vec![0.0, 0.2, 1.0]);
+        corpus.clusters = vec![0, 2];
+        corpus.operating_point = Some(OperatingPoint {
+            node_nm: 180,
+            vdd: 1.8,
+        });
+        corpus.corpus = Some(CorpusMeta {
+            index: 9,
+            seed: u64::MAX,
+            name: "gen-9 \"é\"".into(),
+        });
+        corpus.arrays[0].1[1] = -9_007_199_254_740_991;
+        corpus.arrays[0].1[2] = 9_007_199_254_740_991;
+        let line = corpus.to_json();
+        assert!(matches!(parse_request(&line), Ok(Request::Compute(_))));
+        for cut in (0..=line.len()).filter(|&cut| line.is_char_boundary(cut)) {
+            assert_scan_agrees(&line[..cut]);
+        }
+        // The same around a duplicate member and an unknown nested one.
+        let line = format!(
+            "{{\"cmd\":\"verify\",\"x\":{{\"a\":[[1,{{}}],null]}},\"cmd\":\"stats\",{}",
+            &line[1..]
+        );
+        for cut in (0..=line.len()).filter(|&cut| line.is_char_boundary(cut)) {
+            assert_scan_agrees(&line[..cut]);
+        }
+    }
+
+    #[test]
+    fn the_scan_reads_numbers_by_the_tree_parsers_rule() {
+        for number in NUMBERS {
+            for line in [
+                format!(r#"{{"cmd":"stats","id":{number}}}"#),
+                format!(r#"{{"cmd":"partition","source":"","arrays":{{"x":[1,{number}]}}}}"#),
+                format!(r#"{{"cmd":"verify","source":"","clusters":[{number}]}}"#),
+                format!(r#"{{"cmd":"explore","source":"","weights":[{number}]}}"#),
+                format!(
+                    r#"{{"cmd":"partition","source":"","operating_point":{{"node_nm":{number},"vdd":{number}}}}}"#
+                ),
+            ] {
+                assert_scan_agrees(&line);
+            }
+        }
+        // Nesting at the bound and one past it, inside an unknown member.
+        for levels in [MAX_NESTING - 2, MAX_NESTING - 1, MAX_NESTING] {
+            let nested = format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+            assert_scan_agrees(&format!(r#"{{"cmd":"stats","x":{nested}}}"#));
+        }
     }
 
     #[test]
