@@ -444,6 +444,38 @@ fn over_long_line_is_too_large_and_costs_only_its_connection() {
     server.join();
 }
 
+/// A client that keeps streaming an over-long line past the cap still
+/// reads its `too_large` answer and then an orderly end of stream: the
+/// daemon drains what is left of the line before it closes, so no reset
+/// destroys the answer.
+#[test]
+fn an_over_long_line_still_streaming_reads_its_answer_then_end_of_stream() {
+    let server = spawn_server();
+    let mut hostile = TcpStream::connect(server.addr()).unwrap();
+    let patience = Some(Duration::from_secs(60));
+    hostile.set_read_timeout(patience).unwrap();
+    hostile.set_write_timeout(patience).unwrap();
+    hostile
+        .write_all(&vec![b'x'; MAX_LINE_BYTES + (32 << 10)])
+        .expect("the daemon reads the line's tail instead of resetting");
+    let mut reader = BufReader::new(hostile);
+    let mut line = String::new();
+    reader
+        .read_line(&mut line)
+        .expect("the answer arrives, not a reset");
+    assert!(line.contains("\"kind\":\"too_large\""), "{line}");
+    line.clear();
+    let end = reader
+        .read_line(&mut line)
+        .expect("an orderly end of stream, not a reset");
+    assert_eq!(end, 0, "not closed: {line}");
+
+    let mut client = connect(&server);
+    assert!(client.ask("{\"cmd\":\"stats\"}").contains("\"ok\":true"));
+    client.ask("{\"cmd\":\"shutdown\"}");
+    server.join();
+}
+
 /// Opens a raw connection, writes `bytes`, half-closes it and reads
 /// every line until the daemon closes; retried while the connection
 /// cap refuses it (a refusal is a `busy` line or a reset).

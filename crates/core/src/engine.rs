@@ -99,6 +99,7 @@ impl Baseline {
 /// fed by a derived `Hash`, or as text through `write!` — hash to the
 /// same value as their concatenation, without building it.
 /// [`crate::corpus::fingerprint64`] is the one-shot form.
+#[derive(Clone)]
 pub(crate) struct Fnv64(u64);
 
 impl Default for Fnv64 {
@@ -109,10 +110,13 @@ impl Default for Fnv64 {
 
 impl Hasher for Fnv64 {
     fn write(&mut self, bytes: &[u8]) {
-        for byte in bytes {
-            self.0 ^= u64::from(*byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        for &byte in bytes {
+            self.write_u8(byte);
         }
+    }
+
+    fn write_u8(&mut self, byte: u8) {
+        self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
     }
 
     fn finish(&self) -> u64 {

@@ -6,6 +6,7 @@
 //! are flat records of numbers and names, so a small escaper suffices.
 
 use std::fmt::Write as _;
+use std::hash::Hasher;
 
 use crate::corpus::{CorpusOutcome, CorpusRow, FeatureStat};
 use crate::explore::{design_mask, node_mask, DesignPoint, Exploration, NodeExploration};
@@ -602,6 +603,76 @@ fn exact_integer(v: f64) -> Option<i64> {
     (v.fract() == 0.0 && v.abs() < EXACT).then_some(v as i64)
 }
 
+/// The canonical integer token at `bytes[at..]` — `0`, or an optional
+/// minus and at most 15 digits without a leading zero, not followed by
+/// more of a number — as its value and end, its bytes fed to `hash` in
+/// the loop that reads them; `None` (with `hash` partly fed) at any
+/// other token. A canonical token is how `Display` spells its value.
+fn canonical_at(bytes: &[u8], at: usize, hash: &mut impl Hasher) -> Option<(i64, usize)> {
+    let negative = bytes.get(at) == Some(&b'-');
+    let start = at + usize::from(negative);
+    if negative {
+        hash.write_u8(b'-');
+    }
+    let (mut end, mut n) = (start, 0i64);
+    while let Some(&d @ b'0'..=b'9') = bytes.get(end) {
+        n = n.wrapping_mul(10).wrapping_add(i64::from(d - b'0'));
+        hash.write_u8(d);
+        end += 1;
+    }
+    let canonical = match &bytes[start..end] {
+        [b'0'] => !negative,
+        [b'1'..=b'9', rest @ ..] => rest.len() < 15,
+        _ => false,
+    };
+    if !canonical || matches!(bytes.get(end), Some(b'+' | b'-' | b'.' | b'e' | b'E')) {
+        return None;
+    }
+    Some((if negative { -n } else { n }, end))
+}
+
+/// The hash of a canonical integer read for its value alone.
+#[derive(Clone)]
+struct Unhashed;
+
+impl Hasher for Unhashed {
+    fn write(&mut self, _: &[u8]) {}
+
+    fn finish(&self) -> u64 {
+        0
+    }
+}
+
+/// The two-digit decimal spellings of 0 to 99, back to back.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Appends `v` in decimal, as `v.to_string()` spells it, two digits
+/// per division.
+pub(crate) fn push_decimal(out: &mut Vec<u8>, v: i64) {
+    let mut digits = [0u8; 20];
+    let mut rest = v.unsigned_abs();
+    let mut at = digits.len();
+    while rest >= 10 {
+        let pair = (rest % 100) as usize * 2;
+        rest /= 100;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if rest > 0 || at == digits.len() {
+        at -= 1;
+        digits[at] = b'0' + rest as u8;
+    }
+    if v < 0 {
+        out.push(b'-');
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
 /// The integer a number token (from [`Lexer::number`]) stands for, if
 /// it is one of magnitude below 2^53, by the rule of
 /// [`Lexer::integer`].
@@ -708,7 +779,7 @@ impl<'a> Lexer<'a> {
         self.sequence(depth, b'}', |lexer| {
             lexer.skip_ws();
             key.clear();
-            lexer.string_into(&mut key)?;
+            lexer.string_into(&mut key, &mut Unhashed)?;
             if lexer.peek() != Some(b':') {
                 return Err(format!("expected ':' at byte {}", lexer.pos));
             }
@@ -743,7 +814,7 @@ impl<'a> Lexer<'a> {
             }
             Some(b'"') => {
                 let mut s = String::new();
-                self.string_into(&mut s)?;
+                self.string_into(&mut s, &mut Unhashed)?;
                 return Ok(Token::Str(s));
             }
             Some(b't') => ("true", Token::Bool(true)),
@@ -806,30 +877,101 @@ impl<'a> Lexer<'a> {
     /// (`-0`, `1.0`, `1e2`, `+5`, `007`) through its `f64` value, exactly
     /// as [`JsonValue::as_i64`] reads a parsed tree.
     pub(crate) fn integer(&mut self) -> Result<Option<i64>, String> {
-        let bytes = self.text.as_bytes();
-        let negative = bytes.get(self.pos) == Some(&b'-');
-        let start = self.pos + usize::from(negative);
-        let (mut end, mut n) = (start, 0i64);
-        while let Some(&d @ b'0'..=b'9') = bytes.get(end) {
-            n = n.wrapping_mul(10).wrapping_add(i64::from(d - b'0'));
-            end += 1;
-        }
-        let canonical = match &bytes[start..end] {
-            [b'0'] => !negative,
-            [b'1'..=b'9', rest @ ..] => rest.len() < 15,
-            _ => false,
-        };
-        if canonical && !matches!(bytes.get(end), Some(b'+' | b'-' | b'.' | b'e' | b'E')) {
+        if let Some((n, end)) = canonical_at(self.text.as_bytes(), self.pos, &mut Unhashed) {
             self.pos = end;
-            return Ok(Some(if negative { -n } else { n }));
+            return Ok(Some(n));
         }
         Ok(exact_integer(
             self.number()?.parse().expect("number tokens parse"),
         ))
     }
 
-    /// Reads the string at the cursor, appending it unescaped to `out`.
-    pub(crate) fn string_into(&mut self, out: &mut String) -> Result<(), String> {
+    /// Reads the array at the cursor (inside `depth` arrays or objects)
+    /// as integers: appends each one below 2^53 in magnitude (by the rule
+    /// of [`Lexer::integer`]) to `values`, and its spelling as `Display`
+    /// writes it and a comma to `text`, feeding `hash` the same bytes. A
+    /// canonical token is already that spelling and is copied as it
+    /// stands; any other is spelled from its value. Returns whether every
+    /// element was such an integer; once one is not, the rest of the
+    /// array is only checked as JSON, and `text` and `hash` are left as
+    /// they are.
+    ///
+    /// A run of canonical tokens each followed straight by a comma (a
+    /// whole array but its last element, as `Display` and a `join(",")`
+    /// write one) is read in one loop that hashes each digit as it reads
+    /// it, so the hash's multiply chain overlaps the reading, and the run
+    /// is copied in one piece.
+    pub(crate) fn integers<H: Hasher + Clone>(
+        &mut self,
+        depth: usize,
+        values: &mut Vec<i64>,
+        text: &mut Vec<u8>,
+        hash: &mut H,
+    ) -> Result<bool, String> {
+        let mut all = true;
+        self.sequence(depth, b']', |lexer| {
+            lexer.skip_ws();
+            if !all {
+                return lexer.skip(depth + 1);
+            }
+            let bytes = lexer.text.as_bytes();
+            let run = lexer.pos;
+            // The loop works on local copies, which stay in registers.
+            let (mut pos, mut fed, mut read) = (run, hash.clone(), std::mem::take(values));
+            let ended = loop {
+                let mut next = fed.clone();
+                let Some((n, end)) = canonical_at(bytes, pos, &mut next) else {
+                    break false;
+                };
+                read.push(n);
+                (pos, fed) = (end, next);
+                fed.write_u8(b',');
+                if bytes.get(pos) != Some(&b',') {
+                    break true;
+                }
+                pos += 1;
+            };
+            (lexer.pos, *hash, *values) = (pos, fed, read);
+            text.extend_from_slice(&bytes[run..pos]);
+            if ended {
+                // The run's last element; the sequence reads on.
+                text.push(b',');
+                return Ok(());
+            }
+            // One element off the run.
+            lexer.skip_ws();
+            let (at, mut next) = (text.len(), hash.clone());
+            if let Some((n, end)) = canonical_at(bytes, lexer.pos, &mut next) {
+                values.push(n);
+                text.extend_from_slice(&bytes[lexer.pos..end]);
+                (lexer.pos, *hash) = (end, next);
+            } else if !lexer.at_number() {
+                all = false;
+                return lexer.skip(depth + 1);
+            } else if let Some(n) =
+                exact_integer(lexer.number()?.parse().expect("number tokens parse"))
+            {
+                values.push(n);
+                push_decimal(text, n);
+                hash.write(&text[at..]);
+            } else {
+                all = false;
+                return Ok(());
+            }
+            text.push(b',');
+            hash.write_u8(b',');
+            Ok(())
+        })?;
+        Ok(all)
+    }
+
+    /// Reads the string at the cursor, appending it unescaped to `out`
+    /// and feeding `hash` the same bytes, a run or an escape at a time.
+    pub(crate) fn string_into(
+        &mut self,
+        out: &mut String,
+        hash: &mut impl Hasher,
+    ) -> Result<(), String> {
         let (text, bytes) = (self.text, self.text.as_bytes());
         let pos = &mut self.pos;
         if bytes.get(*pos) != Some(&b'"') {
@@ -855,6 +997,7 @@ impl<'a> Lexer<'a> {
                     let Some(&e) = bytes.get(*pos) else {
                         return Err("unterminated escape".into());
                     };
+                    let unescaped = out.len();
                     *pos += 1;
                     match e {
                         b'"' => out.push('"'),
@@ -893,6 +1036,7 @@ impl<'a> Lexer<'a> {
                         }
                         other => return Err(format!("unknown escape \\{}", other as char)),
                     }
+                    hash.write(&out.as_bytes()[unescaped..]);
                 }
                 _ => {
                     // Copy the run up to the next quote or backslash in
@@ -903,6 +1047,7 @@ impl<'a> Lexer<'a> {
                         .position(|&c| c == b'"' || c == b'\\')
                         .map_or(bytes.len(), |n| *pos + n);
                     out.push_str(&text[*pos..end]);
+                    hash.write(&bytes[*pos..end]);
                     *pos = end;
                 }
             }
@@ -1269,6 +1414,61 @@ mod tests {
             parse_json(r#""\ud83d\ude00é""#).unwrap().as_str(),
             Some("😀é")
         );
+    }
+
+    /// `integers` against `integer` one element at a time, on arrays of
+    /// every token length, sign and spacing: the same values, and the
+    /// text and hash of their `Display` spellings.
+    #[test]
+    fn integers_reads_arrays_as_integer_reads_each_element() {
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let spellings = ["-0", "007", "1e2", "1.0", "+5", " 4", "5 ", "-", "x"];
+        for case in 0..400 {
+            let len = (next() % 90) as usize;
+            let tokens: Vec<String> = (0..len)
+                .map(|_| match next() % 24 {
+                    0 => spellings[(next() % 9) as usize].to_owned(),
+                    1 => "9007199254740993".to_owned(),
+                    k => {
+                        let digits = (k as u32 % 16) + 1;
+                        let v = (next() % 10u64.pow(digits)) as i64;
+                        if next() % 3 == 0 { -v } else { v }.to_string()
+                    }
+                })
+                .collect();
+            let text = format!("[{}]", tokens.join(if case % 5 == 0 { ", " } else { "," }));
+            let (mut values, mut spelled) = (Vec::new(), Vec::new());
+            let mut hash = crate::engine::Fnv64::default();
+            let read = Lexer::new(&text).integers(0, &mut values, &mut spelled, &mut hash);
+            // The oracle: each element alone through `integer`.
+            let expected: Result<Option<Vec<i64>>, String> = tokens
+                .iter()
+                .map(|t| {
+                    let mut lexer = Lexer::new(t.trim());
+                    let n = lexer.integer()?;
+                    lexer.finish()?;
+                    Ok(n)
+                })
+                .collect::<Result<Vec<_>, String>>()
+                .map(|all| all.into_iter().collect());
+            match (read, expected) {
+                (Ok(true), Ok(Some(expected))) => {
+                    assert_eq!(values, expected, "{text}");
+                    let display: String = expected.iter().map(|v| format!("{v},")).collect();
+                    assert_eq!(String::from_utf8(spelled).unwrap(), display, "{text}");
+                    let by_text = crate::corpus::fingerprint64(display.as_bytes());
+                    assert_eq!(hash.finish(), by_text, "{text}");
+                }
+                (Ok(false), Ok(None)) | (Err(_), Err(_)) => {}
+                (read, expected) => panic!("{text}: {read:?} vs {expected:?}"),
+            }
+        }
     }
 
     #[test]

@@ -69,13 +69,25 @@
 //! `reference` test module keeps that parser as the oracle). Each
 //! connection reads its lines into one reused buffer.
 //!
+//! The same pass gathers a compute request's result key, so a memo hit
+//! reads its bytes once. A canonical integer token is already how
+//! `Display` spells the element, so a run of them is copied into the
+//! key's element text as it stands; any other spelling is written from
+//! its value. The source is unescaped once. The routing fingerprint
+//! (FNV-1a over the source, then each array's name and element text) is
+//! fed the same bytes in the loop that reads them, when the line's
+//! `source` comes before its `arrays` as [`ComputeRequest::to_json`]
+//! writes them; otherwise it is hashed from the parts after the scan.
+//! The key of a request built in code comes from the same key writer,
+//! fed by spelling its arrays.
+//!
 //! # Threading
 //!
 //! [`Server::spawn`] starts one worker thread per store shard plus an
 //! accept loop; each connection gets a reader thread and a writer
 //! thread. The reader scans each line into its request and answers
-//! `stats`/`shutdown` inline. For a compute request it builds the
-//! result key once (the routing fingerprint comes out of the same
+//! `stats`/`shutdown` inline. For a compute request it takes the result
+//! key the scan built (the routing fingerprint comes out of the same
 //! pass) and looks it up in the result memo itself: a hit is answered
 //! on the spot and goes straight to the writer, with `queue_nanos` 0
 //! and the lookup as `compute_nanos`, so it never waits behind a cold
@@ -114,8 +126,8 @@ use crate::explore::{explore_in, hardware_weight_sweep};
 use corepart_tech::scaling::OperatingPoint;
 
 use crate::json::{
-    exploration_to_json_at, integer, json_escape, outcome_result_json_at, verify_result_json_at,
-    Lexer, Token,
+    exploration_to_json_at, integer, json_escape, outcome_result_json_at, push_decimal,
+    verify_result_json_at, Lexer, Token,
 };
 use crate::partition::Partitioner;
 use crate::prepare::Workload;
@@ -133,7 +145,9 @@ pub const EXPLORE_WEIGHTS: [f64; 7] = [0.0, 0.1, 0.2, 0.5, 1.0, 2.0, 4.0];
 /// The longest request line the daemon reads, newline excluded. A
 /// longer line, or one that never ends, is answered with a typed
 /// `too_large` error and its connection is closed, so no connection
-/// buffers more than this.
+/// buffers more than this. The close drains what the client still sends
+/// for a moment, as a `busy` refusal does, so no reset destroys the
+/// answer.
 pub const MAX_LINE_BYTES: usize = 8 << 20;
 
 /// Construction knobs of a [`Server`].
@@ -326,10 +340,11 @@ impl ComputeRequest {
     }
 }
 
-/// Any parsed request line.
+/// Any parsed request line; a compute request comes with its result
+/// key.
 #[derive(Debug)]
 enum Request {
-    Compute(Box<ComputeRequest>),
+    Compute(Box<ComputeRequest>, ResultKey),
     Stats { id: Option<u64> },
     Shutdown { id: Option<u64> },
 }
@@ -340,7 +355,8 @@ enum Request {
 /// a member counts; a later duplicate is read and dropped. A member's
 /// type error is only reported once the whole line has read as JSON,
 /// and only if the command reads that member (`stats` reads `id` and
-/// `cmd` alone), in the order the checks below make them.
+/// `cmd` alone), in the order the checks below make them. The same
+/// pass gathers a compute request's result key (see [`KeyWriter`]).
 fn parse_request(line: &str) -> Result<Request, String> {
     let mut lexer = Lexer::new(line);
     if lexer.peek() != Some(b'{') {
@@ -414,7 +430,8 @@ fn parse_request(line: &str) -> Result<Request, String> {
             return Err("corpus requests need a non-empty `weights` G sweep".into());
         }
     }
-    Ok(req.into())
+    let key = m.key.finish(&req);
+    Ok(Request::Compute(Box::new(req), key))
 }
 
 /// Workload arrays as a request carries them: `(name, contents)`.
@@ -422,9 +439,11 @@ type Arrays = Vec<(String, Vec<i64>)>;
 
 /// The first occurrence of each member a request line may carry, read
 /// into its type: scalars as tokens, arrays and objects as their typed
-/// value or the error that would refuse it.
+/// value or the error that would refuse it; and the result key's parts
+/// read with them.
 #[derive(Default)]
 struct Members<'a> {
+    key: KeyWriter,
     id: Option<Token<'a>>,
     cmd: Option<Token<'a>>,
     source: Option<Token<'a>>,
@@ -454,8 +473,21 @@ impl<'a> Members<'a> {
         match key {
             "id" => keep(&mut self.id, lexer.token(1)?),
             "cmd" => keep(&mut self.cmd, lexer.token(1)?),
-            "source" => keep(&mut self.source, lexer.token(1)?),
-            "arrays" => keep(&mut self.arrays, read_arrays(lexer)?),
+            // The fingerprint streams from the source only while it can
+            // keep its order: source first, then the arrays.
+            "source" if self.source.is_none() => {
+                if lexer.peek() == Some(b'"') && self.arrays.is_none() {
+                    let (mut source, mut route) = (String::new(), Fnv64::default());
+                    lexer.string_into(&mut source, &mut route)?;
+                    self.key.route = Some(route);
+                    self.source = Some(Token::Str(source));
+                } else {
+                    self.source = Some(lexer.token(1)?);
+                }
+            }
+            "arrays" if self.arrays.is_none() => {
+                self.arrays = Some(read_arrays(lexer, &mut self.key)?);
+            }
             "n_max" => keep(&mut self.n_max, lexer.token(1)?),
             "factor_f" => keep(&mut self.factor_f, lexer.token(1)?),
             "factor_g" => keep(&mut self.factor_g, lexer.token(1)?),
@@ -503,24 +535,42 @@ fn read_numbers<'a, T>(
 }
 
 /// Reads the `arrays` member: its arrays in order, or the error that
-/// refuses the first bad one.
-fn read_arrays(lexer: &mut Lexer) -> Result<Result<Arrays, String>, String> {
+/// refuses the first bad one. Each element's spelling and a comma go
+/// into the key's element text (a canonical token verbatim, any other
+/// spelled from its value), and into the streamed fingerprint if there
+/// is one.
+fn read_arrays(lexer: &mut Lexer, key: &mut KeyWriter) -> Result<Result<Arrays, String>, String> {
     if lexer.peek() != Some(b'{') {
         lexer.skip(1)?;
         return Ok(Err("`arrays` must be an object of integer arrays".into()));
     }
     let mut out = Ok(Vec::new());
     lexer.object(1, |lexer, name| {
-        let is_array = lexer.peek() == Some(b'[');
-        let data = read_numbers(lexer, 2, Lexer::integer)?;
-        if let Ok(arrays) = &mut out {
-            match data {
-                Some(data) => arrays.push((name.to_owned(), data)),
-                None if is_array => {
-                    out = Err(format!("array `{name}` must hold integers below 2^53"));
-                }
-                None => out = Err(format!("array `{name}` must be a JSON array")),
-            }
+        let Ok(arrays) = &mut out else {
+            return lexer.skip(2);
+        };
+        if lexer.peek() != Some(b'[') {
+            lexer.skip(2)?;
+            out = Err(format!("array `{name}` must be a JSON array"));
+            return Ok(());
+        }
+        let KeyWriter {
+            elements,
+            ends,
+            route,
+        } = &mut *key;
+        // Without a streamed fingerprint the bytes go to a hash nobody
+        // reads, and `KeyWriter::finish` hashes the finished parts.
+        let mut unread = Fnv64::default();
+        let route = route.as_mut().unwrap_or(&mut unread);
+        route_array(route, name);
+        let mut data = Vec::new();
+        let all = lexer.integers(2, &mut data, elements, route)?;
+        if all {
+            ends.push(elements.len());
+            arrays.push((name.to_owned(), data));
+        } else {
+            out = Err(format!("array `{name}` must hold integers below 2^53"));
         }
         Ok(())
     })?;
@@ -592,20 +642,15 @@ fn opt_f64(token: Option<Token>, key: &str) -> Result<Option<f64>, String> {
     }
 }
 
-impl From<ComputeRequest> for Request {
-    fn from(req: ComputeRequest) -> Self {
-        Request::Compute(Box::new(req))
-    }
-}
-
 /// The shard-routing fingerprint of a compute request: FNV-64 of the
 /// raw source and array text (`source`, then `\0name=v,v,…,` per
 /// array), streamed without building that text, so routing needs no
 /// parse. Two requests with identical text always share a shard (and
 /// therefore its warm artifacts); texts that merely normalize to the
 /// same application may land apart, though their engine pool keys (the
-/// lowered content identity) would agree. The connection reader takes
-/// it from the same pass that builds the request's result-memo key.
+/// lowered content identity) would agree. A request read from a line
+/// takes it from the scan that reads the line, which streams it over
+/// the bytes it reads (see "Reading a request" in the module doc).
 pub fn request_fingerprint(req: &ComputeRequest) -> u64 {
     result_key(req).fingerprint
 }
@@ -749,8 +794,10 @@ fn id_json(id: Option<u64>) -> String {
     id.map_or_else(|| "null".to_owned(), |i| i.to_string())
 }
 
-fn session_stats_json(s: &SessionStats) -> String {
-    format!(
+/// Appends a session's counters as one JSON object.
+fn push_session_stats(out: &mut String, s: &SessionStats) {
+    let _ = write!(
+        out,
         concat!(
             "{{\"prepare_shared\":{},\"baseline_shared\":{},",
             "\"schedule_cache_hits\":{},\"schedule_cache_misses\":{},",
@@ -764,11 +811,11 @@ fn session_stats_json(s: &SessionStats) -> String {
         s.replays,
         s.replay_hits,
         s.batched_replays,
-    )
+    );
 }
 
-/// A success line; `timing` is the `(queue, compute)` nanosecond split
-/// of a served request, last in its `stats`.
+/// A success line, written into one buffer; `timing` is the `(queue,
+/// compute)` nanosecond split of a served request, last in its `stats`.
 fn success_response(
     req: &ComputeRequest,
     result: &str,
@@ -776,33 +823,41 @@ fn success_response(
     session: Option<SessionStats>,
     timing: Option<(u64, u64)>,
 ) -> String {
-    let mut stats = Vec::new();
+    let mut out = String::with_capacity(result.len() + 400);
+    out.push_str("{\"id\":");
+    match req.id {
+        Some(id) => {
+            let _ = write!(out, "{id}");
+        }
+        None => out.push_str("null"),
+    }
+    out.push_str(",\"ok\":true,\"cmd\":\"");
+    out.push_str(req.kind.name());
+    out.push_str("\",\"result\":");
+    out.push_str(result);
+    out.push_str(",\"stats\":{");
     match request {
         Some(r) => {
-            stats.push(format!("\"shard\":{}", r.shard));
-            stats.push(format!("\"store_hit\":{}", r.store_hit));
-            stats.push(format!("\"elapsed_nanos\":{}", r.elapsed_nanos));
+            let _ = write!(
+                out,
+                "\"shard\":{},\"store_hit\":{},\"elapsed_nanos\":{}",
+                r.shard, r.store_hit, r.elapsed_nanos
+            );
         }
-        None => {
-            stats.push("\"shard\":null".to_owned());
-            stats.push("\"store_hit\":false".to_owned());
-        }
+        None => out.push_str("\"shard\":null,\"store_hit\":false"),
     }
     if let Some(s) = session {
-        stats.push(format!("\"session\":{}", session_stats_json(&s)));
+        out.push_str(",\"session\":");
+        push_session_stats(&mut out, &s);
     }
     if let Some((queue_nanos, compute_nanos)) = timing {
-        stats.push(format!(
-            "\"queue_nanos\":{queue_nanos},\"compute_nanos\":{compute_nanos}"
-        ));
+        let _ = write!(
+            out,
+            ",\"queue_nanos\":{queue_nanos},\"compute_nanos\":{compute_nanos}"
+        );
     }
-    format!(
-        "{{\"id\":{},\"ok\":true,\"cmd\":\"{}\",\"result\":{},\"stats\":{{{}}}}}",
-        id_json(req.id),
-        req.kind.name(),
-        result,
-        stats.join(","),
-    )
+    out.push_str("}}");
+    out
 }
 
 fn error_kind(e: &CorepartError) -> &'static str {
@@ -890,93 +945,117 @@ pub fn stats_response(store: &ArtifactStore, id: Option<u64>) -> String {
     )
 }
 
-/// The store's result-memo key of a request, built in one pass over its
-/// text. The key text is the request's whole content — every field but
-/// `id` and `ordered`, which are transport — spelled out exactly. The
-/// deterministic `result` is a function of this content, so requests
-/// with equal keys get byte-identical answers and the store may serve a
-/// repeat from its memo before parsing the source at all. No hash
-/// stands in for content (a collision would serve another request's
-/// answer): every field but the source is self-delimiting — `Debug`
-/// quotes and escapes strings, and the array count comes first — and
-/// the source comes last, so distinct requests never share a key text.
+/// The store's result-memo key of a request. The key text is the
+/// request's whole content — every field but `id` and `ordered`, which
+/// are transport — spelled out exactly. The deterministic `result` is a
+/// function of this content, so requests with equal keys get
+/// byte-identical answers and the store may serve a repeat from its
+/// memo before parsing the source at all. No hash stands in for content
+/// (a collision would serve another request's answer): every field but
+/// the source is self-delimiting — `Debug` quotes and escapes strings,
+/// and the array count comes first — and the source comes last, so
+/// distinct requests never share a key text.
 ///
-/// Each array's elements are formatted in decimal once, and that text
-/// feeds both the key text and the routing fingerprint
-/// ([`request_fingerprint`]'s definition). The ledger bucket hashes the
-/// fingerprint and the knob fields before the arrays, so requests
-/// that differ only in their knobs (verifies of one app) spread over
-/// buckets.
+/// This is the key of a request built in code; a request read from a
+/// line gets the same key from [`parse_request`]'s scan, through the
+/// same [`KeyWriter`].
 fn result_key(req: &ComputeRequest) -> ResultKey {
-    let mut text = format!(
-        "{}|{:?}|{:?}|{:?}|{:?}|{:?}|{}|{:?}|{:?}|{}",
-        req.kind.name(),
-        req.n_max,
-        req.factor_f,
-        req.factor_g,
-        req.weights,
-        req.clusters,
-        req.set_index,
-        req.operating_point,
-        req.corpus,
-        req.arrays.len(),
-    );
-    let knobs = text.len();
-    let mut route = Fnv64::default();
-    route.write(req.source.as_bytes());
-    let mut digits = Vec::new();
-    for (name, data) in &req.arrays {
-        let _ = write!(route, "\0{name}=");
-        let _ = write!(text, "|{name:?}=");
-        digits.clear();
+    let mut key = KeyWriter::default();
+    for (_, data) in &req.arrays {
         for &v in data {
-            push_decimal(&mut digits, v);
-            digits.push(b',');
+            push_decimal(&mut key.elements, v);
+            key.elements.push(b',');
         }
-        route.write(&digits);
-        text.push_str(std::str::from_utf8(&digits).expect("decimal text is ASCII"));
+        key.ends.push(key.elements.len());
     }
-    text.push('|');
-    text.push_str(&req.source);
-    let fingerprint = route.finish();
-    let mut bucket = Fnv64::default();
-    bucket.write_u64(fingerprint);
-    bucket.write(&text.as_bytes()[..knobs]);
-    ResultKey {
-        fingerprint,
-        bucket: bucket.finish(),
-        text,
+    key.finish(req)
+}
+
+/// The one writer of a result key, with two feeders: [`result_key`]
+/// spells a request's arrays, and [`parse_request`]'s scan gathers them
+/// as it reads the line. Each array's element text is `Display`'s
+/// spelling of each element and a comma; the scan copies a canonical
+/// integer token verbatim, since that is already the spelling.
+///
+/// The text is the knob prefix (kind, knobs, corpus metadata, array
+/// count), then `|name=` (the name `Debug`-quoted) and the element text
+/// of each array, then `|` and the source. The routing fingerprint
+/// ([`request_fingerprint`]) is FNV-1a over the source, then `\0name=`
+/// (the name raw) and the element text of each array. The scan streams
+/// it over those bytes as it reads them when the line's `source` comes
+/// before its `arrays`, as [`ComputeRequest::to_json`] writes them;
+/// otherwise it is hashed from the finished parts. The ledger bucket
+/// hashes the fingerprint and the knob prefix, so requests that differ
+/// only in their knobs (verifies of one app) spread over buckets.
+#[derive(Default)]
+struct KeyWriter {
+    /// The element text of every array, back to back.
+    elements: Vec<u8>,
+    /// Where each array's element text ends in `elements`.
+    ends: Vec<usize>,
+    /// The fingerprint streamed so far, if the scan could stream it.
+    route: Option<Fnv64>,
+}
+
+impl KeyWriter {
+    /// Writes the key of `req`, whose arrays' element texts are in hand.
+    fn finish(self, req: &ComputeRequest) -> ResultKey {
+        debug_assert_eq!(self.ends.len(), req.arrays.len());
+        let elements = std::str::from_utf8(&self.elements).expect("decimal text is ASCII");
+        let names: usize = req.arrays.iter().map(|(name, _)| name.len() + 5).sum();
+        let mut text = String::with_capacity(96 + names + elements.len() + req.source.len());
+        let _ = write!(
+            text,
+            "{}|{:?}|{:?}|{:?}|{:?}|{:?}|{}|{:?}|{:?}|{}",
+            req.kind.name(),
+            req.n_max,
+            req.factor_f,
+            req.factor_g,
+            req.weights,
+            req.clusters,
+            req.set_index,
+            req.operating_point,
+            req.corpus,
+            req.arrays.len(),
+        );
+        let knobs = text.len();
+        let streamed = self.route.is_some();
+        let mut route = self.route.unwrap_or_else(|| {
+            let mut route = Fnv64::default();
+            route.write(req.source.as_bytes());
+            route
+        });
+        let mut start = 0;
+        for ((name, _), &end) in req.arrays.iter().zip(&self.ends) {
+            let spelled = &elements[start..end];
+            start = end;
+            if !streamed {
+                route_array(&mut route, name);
+                route.write(spelled.as_bytes());
+            }
+            let _ = write!(text, "|{name:?}=");
+            text.push_str(spelled);
+        }
+        text.push('|');
+        text.push_str(&req.source);
+        let fingerprint = route.finish();
+        let mut bucket = Fnv64::default();
+        bucket.write_u64(fingerprint);
+        bucket.write(&text.as_bytes()[..knobs]);
+        ResultKey {
+            fingerprint,
+            bucket: bucket.finish(),
+            text,
+        }
     }
 }
 
-/// The two-digit decimal spellings of 0 to 99, back to back.
-const DIGIT_PAIRS: &[u8; 200] = b"\
-    0001020304050607080910111213141516171819\
-    2021222324252627282930313233343536373839\
-    4041424344454647484950515253545556575859\
-    6061626364656667686970717273747576777879\
-    8081828384858687888990919293949596979899";
-
-/// Appends `v` in decimal, as `v.to_string()` spells it, two digits
-/// per division.
-fn push_decimal(out: &mut Vec<u8>, v: i64) {
-    let mut digits = [0u8; 20];
-    let mut rest = v.unsigned_abs();
-    let mut at = digits.len();
-    while rest >= 10 {
-        let pair = (rest % 100) as usize * 2;
-        rest /= 100;
-        at -= 2;
-        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-    }
-    if rest > 0 || at == digits.len() {
-        at -= 1;
-        digits[at] = b'0' + rest as u8;
-    }
-    if v < 0 {
-        out.push(b'-');
-    }
-    out.extend_from_slice(&digits[at..]);
+/// Feeds the fingerprint the head of one array's part, `\0name=`; its
+/// element text follows.
+fn route_array(route: &mut Fnv64, name: &str) {
+    route.write(b"\0");
+    route.write(name.as_bytes());
+    route.write(b"=");
 }
 
 /// Answers one compute request from the warm store.
@@ -1064,21 +1143,21 @@ pub fn respond_fresh(base: &SystemConfig, req: &ComputeRequest) -> String {
 /// and in-process clients may call it directly.
 pub fn handle_line(store: &ArtifactStore, line: &str) -> (String, bool) {
     match dispatch(store, parse_request(line)) {
-        Ok(req) => (respond_compute(store, &req), false),
+        Ok((req, key)) => (answer_compute(store, &req, &key, None), false),
         Err(answer) => answer,
     }
 }
 
 /// The one dispatch shared by [`handle_line`] and the connection
-/// reader: a compute request comes back for its shard (`Ok`); `stats`,
-/// `shutdown` and lines the protocol rejects are answered at once
-/// (`Err`, the response and whether it is a shutdown).
+/// reader: a compute request comes back with its result key (`Ok`);
+/// `stats`, `shutdown` and lines the protocol rejects are answered at
+/// once (`Err`, the response and whether it is a shutdown).
 fn dispatch(
     store: &ArtifactStore,
     parsed: Result<Request, String>,
-) -> Result<Box<ComputeRequest>, (String, bool)> {
+) -> Result<(Box<ComputeRequest>, ResultKey), (String, bool)> {
     match parsed {
-        Ok(Request::Compute(req)) => Ok(req),
+        Ok(Request::Compute(req, key)) => Ok((req, key)),
         Ok(Request::Stats { id }) => Err((stats_response(store, id), false)),
         Ok(Request::Shutdown { id }) => Err((shutdown_response(id), true)),
         Err(message) => Err((error_response_kind(None, "request", &message), false)),
@@ -1358,20 +1437,27 @@ impl Server {
     }
 }
 
-/// How long, and how many bytes, a refused connection is drained after
-/// its `busy` line: one refused connect holds the accept loop at most
-/// this long.
+/// How long, and how many bytes, a connection is drained after its last
+/// answer (a `busy` refusal or a `too_large` line): one refused connect
+/// holds the accept loop at most this long.
 const BUSY_DRAIN: Duration = Duration::from_millis(50);
 const BUSY_DRAIN_BYTES: usize = 64 << 10;
 
 /// Answers an over-cap connect with one `busy` line and closes it
-/// gracefully: the write side is shut (the client reads the line, then
-/// end of stream), then what the client sent is read and dropped. A
-/// close with unread bytes would reset the connection, and a client
-/// that had already sent a request could lose the line.
+/// gracefully.
 fn refuse_busy(mut stream: TcpStream, max_connections: usize) {
     let message = format!("connection limit of {max_connections} reached");
     let _ = write_line(&mut stream, error_response_kind(None, "busy", &message));
+    close_after_answer(&mut stream);
+}
+
+/// Closes a connection the daemon has answered for the last time: the
+/// write side is shut (the client reads its answers, then end of
+/// stream), then what the client still sends is read and dropped, for at
+/// most [`BUSY_DRAIN`] and [`BUSY_DRAIN_BYTES`]. A close with unread
+/// bytes would reset the connection, and the reset can destroy an
+/// answer the client has not read yet.
+fn close_after_answer(stream: &mut TcpStream) {
     let _ = stream.shutdown(Shutdown::Write);
     let deadline = Instant::now() + BUSY_DRAIN;
     let (mut left, mut buf) = (BUSY_DRAIN_BYTES, [0u8; 4096]);
@@ -1415,9 +1501,11 @@ fn serve_connection(
     let mut reader = BufReader::new(read_half);
     let mut line = Vec::new();
     let mut seq: u64 = 0;
+    let mut too_large = false;
     loop {
         let parsed = match read_request_line(&mut reader, &mut line) {
-            LineRead::Line(line) if line.trim().is_empty() => continue,
+            // Blank lines are skipped; only JSON whitespace is blank.
+            LineRead::Line(line) if line.bytes().all(|b| b" \t\r\n".contains(&b)) => continue,
             LineRead::Line(line) => parse_request(line),
             LineRead::NotUtf8 => Err("request line is not UTF-8".to_owned()),
             LineRead::TooLarge => {
@@ -1431,6 +1519,7 @@ fn serve_connection(
                     stop: false,
                 };
                 let _ = tx.send(WriterMsg::Announce { seq, slot });
+                too_large = true;
                 break;
             }
             LineRead::End => break,
@@ -1438,8 +1527,7 @@ fn serve_connection(
         let this = seq;
         seq += 1;
         match dispatch(store, parsed) {
-            Ok(req) => {
-                let key = result_key(&req);
+            Ok((req, key)) => {
                 if let Some(response) = answer_hit(store, &req, &key) {
                     let answered = WriterMsg::Answered {
                         seq: this,
@@ -1485,6 +1573,10 @@ fn serve_connection(
     }
     drop(tx);
     let _ = writer.join();
+    if too_large {
+        // The client may still be sending the line.
+        close_after_answer(reader.get_mut());
+    }
 }
 
 /// One read from a connection by [`read_request_line`].
@@ -1787,7 +1879,7 @@ fn write_line(stream: &mut TcpStream, mut line: String) -> std::io::Result<()> {
 /// it (first match) and converted.
 #[cfg(test)]
 mod reference {
-    use super::{ComputeKind, ComputeRequest, CorpusMeta, OperatingPoint, Request};
+    use super::{result_key, ComputeKind, ComputeRequest, CorpusMeta, OperatingPoint, Request};
     use crate::json::{parse_json, JsonValue};
 
     fn opt_u64(v: &JsonValue, key: &str) -> Result<Option<u64>, String> {
@@ -1939,7 +2031,8 @@ mod reference {
                 return Err("corpus requests need a non-empty `weights` G sweep".into());
             }
         }
-        Ok(req.into())
+        let key = result_key(&req);
+        Ok(Request::Compute(Box::new(req), key))
     }
 }
 
@@ -1977,7 +2070,7 @@ mod tests {
         req.factor_g = Some(0.5);
         // The largest integer magnitude the wire carries exactly.
         req.arrays[0].1[3] = -9_007_199_254_740_991;
-        let Ok(Request::Compute(parsed)) = parse_request(&req.to_json()) else {
+        let Ok(Request::Compute(parsed, _)) = parse_request(&req.to_json()) else {
             panic!("round trip failed");
         };
         assert_eq!(parsed.id, Some(7));
@@ -2008,7 +2101,7 @@ mod tests {
         // The seed rides as a decimal string: 2^64-scale seeds must
         // not be squeezed through an f64.
         assert!(line.contains("\"seed\":\"3735928559\""), "{line}");
-        let Ok(Request::Compute(parsed)) = parse_request(&line) else {
+        let Ok(Request::Compute(parsed, _)) = parse_request(&line) else {
             panic!("round trip failed: {line}");
         };
         assert!(!parsed.ordered);
@@ -2020,7 +2113,7 @@ mod tests {
         // `ordered` defaults to true when absent.
         let plain = request(ComputeKind::Partition).to_json();
         assert!(!plain.contains("ordered"), "{plain}");
-        let Ok(Request::Compute(default_req)) = parse_request(&plain) else {
+        let Ok(Request::Compute(default_req, _)) = parse_request(&plain) else {
             panic!("round trip failed: {plain}");
         };
         assert!(default_req.ordered);
@@ -2096,7 +2189,7 @@ mod tests {
             node_nm: 180,
             vdd: 1.8,
         });
-        let Ok(Request::Compute(parsed)) = parse_request(&req.to_json()) else {
+        let Ok(Request::Compute(parsed, _)) = parse_request(&req.to_json()) else {
             panic!("round trip failed");
         };
         assert_eq!(
@@ -2176,6 +2269,27 @@ mod tests {
             0xfa47_62d6_c062_eb9b,
             "FNV-1a 64 of the unit-test request's text, computed independently"
         );
+
+        // The same placement for the requests as lines, from the scan
+        // that reads them. The wire refuses `negative`'s elements past
+        // 2^53, so its largest wire-borne magnitudes stand in for them.
+        let (negative, on_the_wire) = requests.split_last().expect("requests");
+        assert!(parse_request(&negative.to_json()).is_err());
+        let mut wire_negative = negative.clone();
+        wire_negative.arrays[0].1 = vec![-3, -9_007_199_254_740_991, 9_007_199_254_740_991, 0];
+        let scanned_fingerprint = |req: &ComputeRequest| {
+            let Ok(Request::Compute(_, key)) = parse_request(&req.to_json()) else {
+                panic!("refused: {}", req.to_json());
+            };
+            key.fingerprint
+        };
+        for req in on_the_wire.iter().chain([&wire_negative]) {
+            assert_eq!(scanned_fingerprint(req), fingerprint_by_text(req));
+        }
+        assert_eq!(
+            scanned_fingerprint(&request(ComputeKind::Partition)),
+            0xfa47_62d6_c062_eb9b
+        );
     }
 
     #[test]
@@ -2212,13 +2326,14 @@ mod tests {
 
     /// Asserts that the typed scan and the tree parser read `line`
     /// alike: the same request or the same error, and for a compute
-    /// request the same result key.
+    /// request the key the scan built as it read the line equals
+    /// [`result_key`] of the tree parser's request.
     fn assert_scan_agrees(line: &str) {
         let scanned = parse_request(line);
         let tree = reference::parse_request(line);
         assert_eq!(format!("{scanned:?}"), format!("{tree:?}"), "line: {line}");
-        if let (Ok(Request::Compute(a)), Ok(Request::Compute(b))) = (&scanned, &tree) {
-            assert_eq!(result_key(a), result_key(b), "line: {line}");
+        if let (Ok(Request::Compute(_, key)), Ok(Request::Compute(req, _))) = (&scanned, &tree) {
+            assert_eq!(*key, result_key(req), "line: {line}");
         }
     }
 
@@ -2493,7 +2608,7 @@ mod tests {
         corpus.arrays[0].1[1] = -9_007_199_254_740_991;
         corpus.arrays[0].1[2] = 9_007_199_254_740_991;
         let line = corpus.to_json();
-        assert!(matches!(parse_request(&line), Ok(Request::Compute(_))));
+        assert!(matches!(parse_request(&line), Ok(Request::Compute(..))));
         for cut in (0..=line.len()).filter(|&cut| line.is_char_boundary(cut)) {
             assert_scan_agrees(&line[..cut]);
         }
@@ -2518,9 +2633,28 @@ mod tests {
                 format!(
                     r#"{{"cmd":"partition","source":"","operating_point":{{"node_nm":{number},"vdd":{number}}}}}"#
                 ),
+                // The key's element text, with `arrays` after `source`
+                // (the fingerprint streams) and before it (it does not).
+                format!(
+                    r#"{{"cmd":"partition","source":"a\n","arrays":{{"x":[{number},-3,{number}],"q\"|=":[],"y":[{number}]}}}}"#
+                ),
+                format!(
+                    r#"{{"arrays":{{"x":[{number},-3,{number}],"y":[{number}]}},"cmd":"verify","source":"a","clusters":[1]}}"#
+                ),
             ] {
                 assert_scan_agrees(&line);
             }
+        }
+        // Only the first `source` and `arrays` make the key, whichever
+        // comes first; later duplicates change neither key nor placement.
+        for line in [
+            r#"{"cmd":"partition","source":"s\t1","arrays":{"x":[1,2]},"arrays":{"x":[3]},"source":"t"}"#,
+            r#"{"arrays":{"x":[007,-0]},"cmd":"partition","source":"s","source":"t","arrays":{"y":[1]}}"#,
+            r#"{"source":"s","cmd":"explore","arrays":{"x":[1e2]},"arrays":7,"source":null}"#,
+            r#"{"arrays":{},"source":"s","cmd":"partition","arrays":{"x":[1]}}"#,
+            r#"{"cmd":"partition","source":"s","arrays":{"x":[1],"x":[2]}}"#,
+        ] {
+            assert_scan_agrees(line);
         }
         // Nesting at the bound and one past it, inside an unknown member.
         for levels in [MAX_NESTING - 2, MAX_NESTING - 1, MAX_NESTING] {
@@ -2635,6 +2769,9 @@ mod tests {
         )
         .unwrap();
         let mut client = Client::connect(server.addr()).unwrap();
+        // An unanswered line fails the test instead of hanging it.
+        let patience = Some(Duration::from_secs(20));
+        client.writer.set_read_timeout(patience).unwrap();
         let mut send = |line: &str| client.try_ask(line).unwrap();
         let answer = send(&request(ComputeKind::Explore).to_json());
         assert!(answer.contains("\"ok\":true"), "{answer}");
@@ -2650,6 +2787,15 @@ mod tests {
         assert!(rejected.contains("\"kind\":\"request\""), "{rejected}");
         let stats = client.recv().unwrap();
         assert!(stats.contains("\"cmd\":\"stats\""), "{stats}");
+        // U+00A0 and U+2003 are whitespace to Rust but not to JSON: the
+        // line is a malformed request, answered like any other. A line
+        // of JSON whitespace is skipped unanswered.
+        client.send("\u{a0}\u{2003}\u{a0}").unwrap();
+        let rejected = client.recv().unwrap();
+        assert!(rejected.contains("\"kind\":\"request\""), "{rejected}");
+        client.send(" \t\r\n{\"id\":4,\"cmd\":\"stats\"}").unwrap();
+        let stats = client.recv().unwrap();
+        assert!(stats.starts_with("{\"id\":4,\"ok\":true"), "{stats}");
         let mut send = |line: &str| client.try_ask(line).unwrap();
         let bye = send("{\"id\":9,\"cmd\":\"shutdown\"}");
         assert!(bye.contains("\"cmd\":\"shutdown\""), "{bye}");

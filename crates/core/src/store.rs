@@ -80,8 +80,8 @@ impl Default for StoreOptions {
 }
 
 /// The key of one memoized serve `result`: the exact request text,
-/// plus two hashes computed in the same pass that builds the text (the
-/// serve layer builds it; see `serve::result_key`).
+/// plus two hashes of it (the serve layer builds it, for a request line
+/// in the pass that reads the line; see `serve::KeyWriter`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResultKey {
     /// The shard-routing fingerprint: which shard holds the entry.
